@@ -14,6 +14,7 @@ the literal-set view used by algebraic division.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -31,9 +32,47 @@ __all__ = [
 def _check_cube(cube: str, ninputs: int) -> None:
     if len(cube) != ninputs:
         raise ValueError(f"cube {cube!r} has length {len(cube)}, expected {ninputs}")
-    for ch in cube:
-        if ch not in "01-":
-            raise ValueError(f"invalid cube character {ch!r} in {cube!r}")
+    # Stripping stops at the first character outside the alphabet.
+    bad = cube.strip("01-")
+    if bad:
+        raise ValueError(f"invalid cube character {bad[0]!r} in {cube!r}")
+
+
+#: ``str.translate`` tables giving a cube's care and one-valued positions
+#: as binary digits (input 0 is the most significant bit).
+_CARE_BITS = str.maketrans("01-", "110")
+_ONE_BITS = str.maketrans("01-", "010")
+
+
+@functools.lru_cache(maxsize=128)
+def _all_inputs(ninputs: int) -> FrozenSet[int]:
+    """The support of a cover that reads every input."""
+    return frozenset(range(ninputs))
+
+
+class _cover_fact:
+    """A fact about an immutable cover, computed on first use.
+
+    The value lands in the instance ``__dict__``, which then shadows this
+    descriptor, so later reads are plain attribute lookups.  Dataclass
+    equality, hashing and ``repr`` look only at the fields, and
+    :meth:`Sop.__getstate__` leaves the facts out of pickles.  This is
+    ``functools.cached_property`` without the lock that Python versions
+    before 3.12 take on every first read: the minimiser reads facts of
+    many short-lived covers once each, where that lock cost several times
+    the fact itself.
+    """
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, sop, owner=None):
+        if sop is None:
+            return self
+        value = sop.__dict__[self.name] = self.compute(sop)
+        return value
 
 
 def cube_and(a: str, b: str) -> Optional[str]:
@@ -99,8 +138,10 @@ class Sop:
     cubes: Tuple[str, ...]
 
     def __post_init__(self) -> None:
+        ninputs = self.ninputs
         for cube in self.cubes:
-            _check_cube(cube, self.ninputs)
+            if len(cube) != ninputs or cube.strip("01-"):
+                _check_cube(cube, ninputs)
 
     # ------------------------------------------------------------------
     # constructors
@@ -181,10 +222,10 @@ class Sop:
         """Number of cubes in the cover."""
         return len(self.cubes)
 
-    @property
+    @_cover_fact
     def num_literals(self) -> int:
         """Total literal count (the SIS cost measure)."""
-        return sum(1 for cube in self.cubes for ch in cube if ch != "-")
+        return sum(len(cube) - cube.count("-") for cube in self.cubes)
 
     def is_const0(self) -> bool:
         """Syntactic (and semantic) zero test: empty cover."""
@@ -192,13 +233,29 @@ class Sop:
 
     def is_const1_syntactic(self) -> bool:
         """True if some cube is the universal cube (sufficient, not necessary)."""
-        return any(all(ch == "-" for ch in cube) for cube in self.cubes)
+        return self._has_universal_cube
 
     def support(self) -> FrozenSet[int]:
         """Indices of inputs that appear in some cube (syntactic support)."""
-        return frozenset(
-            i for cube in self.cubes for i, ch in enumerate(cube) if ch != "-"
-        )
+        return self._support
+
+    @_cover_fact
+    def _has_universal_cube(self) -> bool:
+        return "-" * self.ninputs in self.cubes
+
+    @_cover_fact
+    def _support(self) -> FrozenSet[int]:
+        care = 0
+        for cube in self.cubes:
+            care |= int(cube.translate(_CARE_BITS) or "0", 2)
+        if care == (1 << self.ninputs) - 1:
+            return _all_inputs(self.ninputs)  # the common case: one shared set
+        last = self.ninputs - 1
+        return frozenset(i for i in range(self.ninputs) if care >> (last - i) & 1)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Only the fields: cached facts never travel in a pickle.
+        return {"ninputs": self.ninputs, "cubes": self.cubes}
 
     def uses_input(self, index: int) -> bool:
         """True if some cube constrains input ``index``."""
@@ -272,11 +329,21 @@ class Sop:
         return Sop(self.ninputs, tuple(cubes))
 
     def restrict(self, assignment: Dict[int, bool]) -> "Sop":
-        """Cofactor against several inputs at once."""
-        result = self
-        for index, phase in assignment.items():
-            result = result.cofactor(index, phase)
-        return result
+        """Cofactor against several inputs at once (same arity)."""
+        if not assignment:
+            return self
+        # Equivalent to cofactoring input by input: cubes clashing with the
+        # assignment drop, the rest lose the assigned literals, order kept.
+        clashes = [(i, "0" if phase else "1") for i, phase in assignment.items()]
+        cubes = []
+        for cube in self.cubes:
+            if any(cube[i] == other for i, other in clashes):
+                continue
+            chars = list(cube)
+            for i in assignment:
+                chars[i] = "-"
+            cubes.append("".join(chars))
+        return Sop(self.ninputs, tuple(cubes))
 
     def remove_input(self, index: int) -> "Sop":
         """Drop a (non-support) input column, renumbering later inputs."""
@@ -360,17 +427,36 @@ class Sop:
     # minimisation
     # ------------------------------------------------------------------
     def scc_minimal(self) -> "Sop":
-        """Remove single-cube-contained cubes (keeps semantics)."""
+        """Remove single-cube-contained cubes (keeps semantics).
+
+        The kept cubes are ordered by don't-care count, then as strings.
+        """
+        ordered = sorted((cube.count("-"), cube) for cube in set(self.cubes))
+        if len(ordered) < 2:
+            return Sop(self.ninputs, tuple(cube for _, cube in ordered))
+        # Only a cube with more don't-cares can contain another (distinct)
+        # cube, and containment is transitive: testing each cube, widest
+        # first, against the surviving wider cubes keeps exactly the cubes
+        # no other cube contains.
         kept: List[str] = []
-        for cube in sorted(set(self.cubes), key=lambda c: (c.count("-"), c)):
-            if not any(cube_contains(k, cube) for k in kept):
+        wider: List[Tuple[int, int]] = []  # (care, ones) of kept wider cubes
+        level: List[Tuple[int, int]] = []  # the same, at the current width
+        width = -1
+        for dcs, cube in reversed(ordered):
+            if dcs != width:
+                wider.extend(level)
+                level = []
+                width = dcs
+            care = int(cube.translate(_CARE_BITS), 2)
+            ones = int(cube.translate(_ONE_BITS), 2)
+            for w_care, w_ones in wider:
+                if w_care & care == w_care and ones & w_care == w_ones:
+                    break  # contained in a wider cube
+            else:
+                level.append((care, ones))
                 kept.append(cube)
-        # A later (larger) cube may swallow an earlier one; second pass.
-        final: List[str] = []
-        for i, cube in enumerate(kept):
-            if not any(j != i and cube_contains(other, cube) for j, other in enumerate(kept)):
-                final.append(cube)
-        return Sop(self.ninputs, tuple(final))
+        kept.reverse()
+        return Sop(self.ninputs, tuple(kept))
 
     def minimized(self) -> "Sop":
         """Light-weight two-level minimisation (espresso-lite).
@@ -396,9 +482,9 @@ def _select_binate_input(sop: Sop) -> Optional[int]:
     """Pick the most binate input, or ``None`` if the cover is unate."""
     best = None
     best_score = -1
-    for i in range(sop.ninputs):
-        pos = sum(1 for cube in sop.cubes if cube[i] == "1")
-        neg = sum(1 for cube in sop.cubes if cube[i] == "0")
+    for i, column in enumerate(zip(*sop.cubes)):
+        pos = column.count("1")
+        neg = column.count("0")
         if pos and neg:
             score = pos + neg
             if score > best_score:
@@ -411,7 +497,7 @@ def _tautology(sop: Sop) -> bool:
     if sop.is_const1_syntactic():
         return True
     if not sop.cubes:
-        return sop.ninputs == 0 and False
+        return False
     binate = _select_binate_input(sop)
     if binate is None:
         # Unate cover: tautology iff it contains the universal cube

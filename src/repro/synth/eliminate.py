@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Set
 
 from repro.netlist.circuit import Circuit
-from repro.synth.network import collapse_into, fanout_counts
+from repro.synth.network import collapse_into, fanout_counts, reader_index
 from repro.synth.sweep import sweep
 
 __all__ = ["eliminate", "node_value"]
@@ -41,23 +41,15 @@ def eliminate(
     """Collapse nodes with value ≤ threshold (in place)."""
     for _ in range(max_rounds):
         counts = fanout_counts(circuit)
-        protected: Set[str] = set(circuit.outputs)
-        for latch in circuit.latches.values():
-            protected.add(latch.data)
-            if latch.enable is not None:
-                protected.add(latch.enable)
+        readers = reader_index(circuit)
         candidates = []
-        for name in circuit.gates:
-            gate = circuit.gates[name]
+        for name, gate in circuit.gates.items():
             if not gate.inputs:
                 continue  # constants are sweep's job
             if gate.num_literals > max_literals:
                 continue
-            read_by_gates = any(
-                name in g.inputs for g in circuit.gates.values()
-            )
-            if not read_by_gates:
-                continue
+            if not readers.get(name):
+                continue  # no gate reads it
             value = node_value(circuit, name, counts)
             if value <= threshold:
                 candidates.append((value, name))
@@ -71,7 +63,9 @@ def eliminate(
                 continue
             # Collapsing a node changes its readers' structure; re-collapse
             # conservatively one node per affected region per round.
-            if collapse_into(circuit, name, max_result_literals=max_literals):
+            if collapse_into(
+                circuit, name, readers, max_result_literals=max_literals
+            ):
                 changed = True
             done.add(name)
         sweep(circuit)

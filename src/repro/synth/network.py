@@ -2,7 +2,8 @@
 
 Synthesis passes operate on *combinational* circuits whose gates are SOP
 nodes (exactly SIS's network model).  This module provides fanout counting,
-node substitution/collapse, and the algebraic (literal-set) view of covers.
+reader indexes, node substitution/collapse, and the algebraic
+(literal-set) view of covers.
 """
 
 from __future__ import annotations
@@ -10,10 +11,11 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.circuit import Circuit, Gate
-from repro.netlist.cube import Sop, cube_from_literals, cube_literals
+from repro.netlist.cube import Sop, cube_and, cube_from_literals, cube_literals
 
 __all__ = [
     "fanout_counts",
+    "reader_index",
     "collapse_into",
     "compose_sop",
     "alg_cubes",
@@ -47,6 +49,22 @@ def fanout_counts(circuit: Circuit) -> Dict[str, int]:
     for out in circuit.outputs:
         counts[out] = counts.get(out, 0) + 1
     return counts
+
+
+def reader_index(circuit: Circuit) -> Dict[str, List[str]]:
+    """Gate readers per signal, in gate-dict order (latch/PO readers excluded).
+
+    A gate reading a signal on several pins is listed once under it.
+    """
+    readers: Dict[str, List[str]] = {}
+    for name, gate in circuit.gates.items():
+        for src in gate.inputs:
+            listed = readers.get(src)
+            if listed is None:
+                readers[src] = [name]
+            elif listed[-1] != name:
+                listed.append(name)
+    return readers
 
 
 def is_buffer(gate: Gate) -> bool:
@@ -99,7 +117,7 @@ def compose_sop(
         return outer.permute(remap, n), tuple(merged)
 
     inner_mapped = inner.permute([index[s] for s in inner_inputs], n)
-    inner_comp = inner_mapped.complement()
+    inner_comp: Optional[Sop] = None  # complemented only if read negated
 
     cubes: List[str] = []
     for cube in outer.cubes:
@@ -125,19 +143,27 @@ def compose_sop(
                 rest_chars[j] = ch
         if contradictory:
             continue
-        rest = Sop(n, ("".join(rest_chars),))
+        rest = "".join(rest_chars)
         if phase is None:
-            cubes.extend(rest.cubes)
-        elif phase:
-            cubes.extend(rest.and_(inner_mapped).cubes)
+            cubes.append(rest)
+            continue
+        if phase:
+            factor = inner_mapped
         else:
-            cubes.extend(rest.and_(inner_comp).cubes)
+            if inner_comp is None:
+                inner_comp = inner_mapped.complement()
+            factor = inner_comp
+        for inner_cube in factor.cubes:
+            product = cube_and(rest, inner_cube)
+            if product is not None:
+                cubes.append(product)
     return Sop(n, tuple(cubes)).scc_minimal(), tuple(merged)
 
 
 def collapse_into(
     circuit: Circuit,
     node: str,
+    readers: Dict[str, List[str]],
     max_result_literals: int = 100,
     max_result_cubes: int = 64,
 ) -> int:
@@ -148,10 +174,15 @@ def collapse_into(
     reading the original node.  A reader whose composed cover would exceed
     the size limits is left unchanged (this is SIS's ``eliminate -l``
     guard — it prevents the SOP blow-up of collapsing XOR-rich cones).
+
+    ``readers`` is a :func:`reader_index` of the circuit; entries may be
+    stale, but every gate reading a signal must be listed under it.  Each
+    rewritten reader is added under the node's fanins it did not read.
     """
     gate = circuit.gates[node]
     rewritten = 0
-    for reader in list(circuit.gates.values()):
+    for reader_name in readers.get(node, ()):
+        reader = circuit.gates[reader_name]
         if node not in reader.inputs:
             continue
         sop, fanins = compose_sop(
@@ -163,6 +194,9 @@ def collapse_into(
         ):
             continue
         circuit.replace_gate(Gate(reader.output, fanins, sop))
+        for src in gate.inputs:
+            if src not in reader.inputs:
+                readers.setdefault(src, []).append(reader_name)
         rewritten += 1
     return rewritten
 

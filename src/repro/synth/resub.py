@@ -15,7 +15,7 @@ from repro.netlist.circuit import Circuit, Gate
 from repro.netlist.cube import Sop, cube_from_literals, cube_literals
 from repro.netlist.graph import combinational_fanin_cone
 from repro.synth.division import weak_divide
-from repro.synth.network import require_combinational
+from repro.synth.network import reader_index, require_combinational
 
 __all__ = ["resubstitute"]
 
@@ -42,22 +42,31 @@ def resubstitute(circuit: Circuit, max_divisor_literals: int = 30) -> Circuit:
     """One pass of algebraic resubstitution over all node pairs (in place)."""
     require_combinational(circuit, "resubstitute")
     names = list(circuit.gates)
+    position = {name: i for i, name in enumerate(names)}
+    readers = reader_index(circuit)
+    constants = [name for name in names if not circuit.gates[name].inputs]
     for target_name in names:
         target = circuit.gates.get(target_name)
         if target is None or len(target.sop.cubes) < 2:
             continue
-        if len(set(target.inputs)) != len(target.inputs):
+        target_fanins = set(target.inputs)
+        if len(target_fanins) != len(target.inputs):
             continue  # aliased fanins; sweep normalises these first
+        # A divisor reads only target fanins (below), so it is listed as a
+        # reader of one of them or has no fanins; visit them in gate order.
+        candidates = set(constants)
+        for src in target_fanins:
+            candidates.update(readers.get(src, ()))
         best: Optional[Tuple[int, str, Sop, Tuple[str, ...]]] = None
-        for div_name in names:
+        for div_name in sorted(candidates, key=position.__getitem__):
             if div_name == target_name:
                 continue
-            divisor = circuit.gates.get(div_name)
-            if divisor is None or len(divisor.sop.cubes) < 2:
+            divisor = circuit.gates[div_name]
+            if len(divisor.sop.cubes) < 2:
                 continue
             if divisor.num_literals > max_divisor_literals:
                 continue
-            if not set(divisor.inputs) <= set(target.inputs):
+            if not target_fanins.issuperset(divisor.inputs):
                 # The divisor must be built from the target's own fanins;
                 # this also guarantees acyclicity: the new edge div→target
                 # cannot close a cycle because div's fanins are target's
@@ -72,6 +81,9 @@ def resubstitute(circuit: Circuit, max_divisor_literals: int = 30) -> Circuit:
         if best is not None:
             _, div_name, sop, fanins = best
             circuit.replace_gate(Gate(target_name, fanins, sop))
+            for src in fanins:
+                if src not in target_fanins:
+                    readers.setdefault(src, []).append(target_name)
     return circuit
 
 

@@ -10,7 +10,9 @@ Mirrors SIS's sweep: iteratively
 
 Semantics-preserving per primary output / latch boundary.  A per-round
 reader index keeps each round linear in the netlist size (the helpers
-re-verify membership before rewriting, so mild staleness is harmless).
+re-verify membership before rewriting, so mild staleness is harmless), and
+a gate none of the rules can touch is classified once per sweep: later
+rounds only check whether it went dead.
 """
 
 from __future__ import annotations
@@ -19,18 +21,9 @@ from typing import Dict, List, Optional, Set
 
 from repro.netlist.circuit import Circuit, Gate, Latch
 from repro.netlist.cube import Sop
-from repro.synth.network import fanout_counts, is_buffer, is_inverter
+from repro.synth.network import is_buffer, is_inverter, reader_index
 
 __all__ = ["sweep"]
-
-
-def _reader_index(circuit: Circuit) -> Dict[str, List[str]]:
-    """Gate readers per signal (latch/PO readers handled separately)."""
-    readers: Dict[str, List[str]] = {}
-    for gate in circuit.gates.values():
-        for src in set(gate.inputs):
-            readers.setdefault(src, []).append(gate.output)
-    return readers
 
 
 def _fold_constant(
@@ -105,7 +98,7 @@ def _bypass_buffer(
     src: str,
     protected: Set[str],
     readers: Dict[str, List[str]],
-) -> None:
+) -> bool:
     """Rewire gate (and, when safe, latch) readers of a buffer to its source.
 
     Returns True if anything was rewired.
@@ -132,25 +125,51 @@ def _bypass_buffer(
     return touched
 
 
+def _left_alone(gate: Gate) -> bool:
+    """True if no rule of a round applies to the gate, unless it is dead.
+
+    That is a cover with cubes but no universal cube, over distinct fanins
+    that are all in its support, and neither a buffer nor an inverter.
+    """
+    sop = gate.sop
+    return (
+        bool(sop.cubes)
+        and not sop.is_const1_syntactic()
+        and len(sop.support()) == len(gate.inputs)
+        and len(set(gate.inputs)) == len(gate.inputs)
+        and not is_buffer(gate)
+        and not is_inverter(gate)
+    )
+
+
 def sweep(circuit: Circuit, max_rounds: int = 50) -> Circuit:
     """Run sweep in place; returns the same circuit for chaining."""
+    #: Gates :func:`_left_alone` accepted, by name; a rewritten gate is a
+    #: new object and gets classified again.
+    quiet: Dict[str, Gate] = {}
     for _ in range(max_rounds):
         changed = False
-        counts = fanout_counts(circuit)
-        readers = _reader_index(circuit)
+        readers = reader_index(circuit)
         protected: Set[str] = set(circuit.outputs)
         for latch in circuit.latches.values():
             protected.add(latch.data)
             if latch.enable is not None:
                 protected.add(latch.enable)
+        # Signals a gate, latch pin or PO reads as the round starts.
+        read = protected.union(readers)
         for name in list(circuit.gates):
             gate = circuit.gates.get(name)
             if gate is None:
                 continue
             # Dead gate removal.
-            if counts.get(name, 0) == 0 and name not in protected:
+            if name not in read:
                 circuit.remove_gate(name)
                 changed = True
+                continue
+            if quiet.get(name) is gate:
+                continue
+            if _left_alone(gate):
+                quiet[name] = gate
                 continue
             # Aliased fanin positions (from buffer bypassing) are merged.
             if len(set(gate.inputs)) != len(gate.inputs):

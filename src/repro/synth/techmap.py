@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.netlist.circuit import Circuit, Gate, Latch
 from repro.netlist.cube import Sop
 from repro.synth.decomp import tech_decomp
-from repro.synth.network import fanout_counts, is_buffer, is_inverter
+from repro.synth.network import fanout_counts, is_buffer, is_inverter, reader_index
 from repro.synth.sweep import sweep
 
 __all__ = ["tech_map", "MappedStats", "mapped_stats"]
@@ -30,6 +30,7 @@ _NAND2 = Sop.or_all(2, [False, False])
 _NOR2 = Sop.and_all(2, [False, False])
 _AND2 = Sop.and_all(2)
 _OR2 = Sop.or_all(2)
+_XOR2 = Sop.xor2()
 _INV = Sop.and_all(1, [False])
 
 _AREA = {"inv": 1.0, "nand2": 2.0, "nor2": 2.0, "buf": 1.0, "const": 0.0}
@@ -129,7 +130,7 @@ def _to_nand_nor(circuit: Circuit) -> None:
             circuit.remove_gate(name)
             circuit.add_gate(inner, gate.inputs, _NOR2)
             circuit.add_gate(name, (inner,), _INV)
-        elif len(gate.inputs) == 2 and gate.sop == Sop.xor2():
+        elif len(gate.inputs) == 2 and gate.sop == _XOR2:
             # XOR2 cells may survive primitive-size skipping in tech_decomp:
             # a·b̄ + ā·b = NAND(NAND(a, NAND(a,b)), NAND(b, NAND(a,b))).
             a, b = gate.inputs
@@ -196,6 +197,7 @@ def _map_small(circuit: Circuit, name: str) -> None:
 
 def _cancel_inverter_pairs(circuit: Circuit) -> None:
     """Rewire readers of INV(INV(x)) to x (sweep drops the dead cells)."""
+    readers = reader_index(circuit)
     for name in list(circuit.gates):
         gate = circuit.gates.get(name)
         if gate is None or not is_inverter(gate):
@@ -204,13 +206,17 @@ def _cancel_inverter_pairs(circuit: Circuit) -> None:
         if src_gate is None or not is_inverter(src_gate):
             continue
         original = src_gate.inputs[0]
-        for reader in list(circuit.gates.values()):
-            if name in reader.inputs:
-                circuit.replace_gate(
-                    reader.with_inputs(
-                        tuple(original if s == name else s for s in reader.inputs)
-                    )
+        for reader_name in readers.get(name, ()):
+            reader = circuit.gates[reader_name]
+            if name not in reader.inputs:
+                continue  # already rewired
+            if original not in reader.inputs:
+                readers.setdefault(original, []).append(reader_name)
+            circuit.replace_gate(
+                reader.with_inputs(
+                    tuple(original if s == name else s for s in reader.inputs)
                 )
+            )
     _remove_dead(circuit)
 
 
@@ -222,15 +228,17 @@ def _limit_fanout(circuit: Circuit, limit: int) -> None:
         guard += 1
         changed = False
         counts = fanout_counts(circuit)
-        for sig in list(circuit.signals()):
-            load = counts.get(sig, 0)
-            if load <= limit:
-                continue
-            readers: List[Tuple[str, int]] = []
-            for gate in circuit.gates.values():
-                for pin, s in enumerate(gate.inputs):
-                    if s == sig:
-                        readers.append((gate.output, pin))
+        overloaded = [s for s in circuit.signals() if counts.get(s, 0) > limit]
+        # Gate pins reading each overloaded signal, in gate-dict then pin
+        # order.  Moving one signal's pins to its buffer leaves every other
+        # signal's pins where they were, so the lists stay exact.
+        pins: Dict[str, List[Tuple[str, int]]] = {s: [] for s in overloaded}
+        for gate in circuit.gates.values():
+            for pin, s in enumerate(gate.inputs):
+                if s in pins:
+                    pins[s].append((gate.output, pin))
+        for sig in overloaded:
+            readers = pins[sig]
             # Leave `limit - 1` readers on the signal, move the rest to a
             # buffer; iterating spreads load into a buffer tree.
             movable = readers[limit - 1 :]

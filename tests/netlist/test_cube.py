@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,19 @@ def sops(ninputs: int, max_cubes: int = 4):
 
 def assignments(ninputs: int):
     return st.lists(st.booleans(), min_size=ninputs, max_size=ninputs)
+
+
+def _two_pass_scc(cubes):
+    """Reference single-cube containment: the original two-pass scan."""
+    kept = []
+    for cube in sorted(set(cubes), key=lambda c: (c.count("-"), c)):
+        if not any(cube_contains(k, cube) for k in kept):
+            kept.append(cube)
+    return tuple(
+        cube
+        for i, cube in enumerate(kept)
+        if not any(j != i and cube_contains(o, cube) for j, o in enumerate(kept))
+    )
 
 
 class TestCubeOps:
@@ -120,6 +135,31 @@ class TestSopBasics:
 
     def test_support(self):
         assert Sop(3, ("1--", "-0-")).support() == {0, 1}
+        assert Sop(0, ("",)).support() == frozenset()
+        assert Sop(12, ("0" + "-" * 10 + "1",)).support() == {0, 11}
+
+    def test_bad_character_error_names_the_first_one(self):
+        with pytest.raises(ValueError, match="invalid cube character 'x' in '1x-y'"):
+            Sop(4, ("1x-y",))
+
+    @given(st.integers(min_value=0, max_value=5).flatmap(lambda n: sops(n, 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_cached_facts_leave_identity_alone(self, s):
+        # Covers are dict keys, compared with ==, and pickled to workers.
+        fresh = Sop(s.ninputs, s.cubes)
+        payload = pickle.dumps(fresh)
+        facts = (s.num_literals, s.support(), s.is_const1_syntactic())
+        assert facts == (
+            sum(1 for cube in s.cubes for ch in cube if ch != "-"),
+            frozenset(i for cube in s.cubes for i, ch in enumerate(cube) if ch != "-"),
+            any(set(cube) <= {"-"} for cube in s.cubes),
+        )
+        assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+        assert {fresh: 1}[s] == 1
+        assert pickle.dumps(s) == payload
+        clone = pickle.loads(pickle.dumps(s))
+        assert clone == s and vars(clone) == {"ninputs": s.ninputs, "cubes": s.cubes}
+        assert copy.deepcopy(s) == s
 
     def test_eval_parallel_matches_bool(self):
         s = Sop(3, ("1-0", "011"))
@@ -153,6 +193,20 @@ class TestSopSemantics:
     @settings(max_examples=150, deadline=None)
     def test_scc_minimal_preserves_function(self, s):
         assert s.scc_minimal().truth_table() == s.truth_table()
+
+    @given(st.integers(min_value=0, max_value=7).flatmap(lambda n: sops(n, 10)))
+    @settings(max_examples=400, deadline=None)
+    def test_scc_minimal_keeps_the_two_pass_cube_order(self, s):
+        # Synthesis breaks ties by cube order, so the exact tuple matters.
+        assert s.scc_minimal().cubes == _two_pass_scc(s.cubes)
+
+    def test_scc_minimal_drops_contained_and_duplicate_cubes(self):
+        s = Sop(3, ("110", "1--", "-01", "110", "0-1", "--1"))
+        assert s.scc_minimal().cubes == ("--1", "1--")
+
+    def test_tautology_of_the_empty_cover_is_false(self):
+        assert not Sop.const0(0).is_tautology()
+        assert not Sop.const0(3).is_tautology()
 
     @given(sops(3))
     @settings(max_examples=100, deadline=None)

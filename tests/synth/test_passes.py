@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.random_circuits import random_combinational
 from repro.cec.engine import check_equivalence
 from repro.netlist.build import CircuitBuilder
+from repro.netlist.circuit import Gate
 from repro.netlist.cube import Sop
 from repro.netlist.validate import validate_circuit
 from repro.synth.decomp import algebraic_decomp, tech_decomp
@@ -14,7 +17,7 @@ from repro.synth.depth import circuit_depth, reduce_depth
 from repro.synth.eliminate import eliminate, node_value
 from repro.synth.fx import fast_extract
 from repro.synth.network import compose_sop, fanout_counts
-from repro.synth.resub import resubstitute
+from repro.synth.resub import _try_divide, resubstitute
 from repro.synth.simplify import simplify_network
 from repro.synth.sweep import sweep
 
@@ -120,6 +123,20 @@ class TestEliminate:
         # value = (2-1)*2 - 2 = 0
         assert node_value(builder.circuit, g, counts) == 0
 
+    def test_reader_gained_in_a_round_is_collapsed_into(self, builder):
+        """m1 goes first (name order at equal value), so r reads n1 only
+        after that collapse; n1's collapse in the same round must reach r."""
+        a, b, c, d = builder.inputs("a", "b", "c", "d")
+        builder.AND(a, b, name="n1")
+        builder.OR("n1", c, name="m1")
+        builder.output(builder.AND("m1", d, name="r"))
+        circuit = builder.circuit
+        original = circuit.copy("orig")
+        eliminate(circuit, threshold=-1, max_rounds=1)
+        assert list(circuit.gates) == ["r"]
+        assert set(circuit.gates["r"].inputs) == {"a", "b", "c", "d"}
+        assert check_equivalence(original, circuit).equivalent
+
     def test_collapse_guard_respects_limit(self, builder):
         """XOR-chain collapse would blow up; the guard must prevent it."""
         sigs = list(builder.inputs(*[f"x{i}" for i in range(12)]))
@@ -136,7 +153,126 @@ class TestEliminate:
         assert check_equivalence(original, c).equivalent
 
 
+def _compose_reference(outer, outer_inputs, inner_signal, inner, inner_inputs):
+    """The original composition: complements ``inner`` whether or not used."""
+    merged = [s for s in outer_inputs if s != inner_signal]
+    for s in inner_inputs:
+        if s not in merged:
+            merged.append(s)
+    index = {s: i for i, s in enumerate(merged)}
+    n = len(merged)
+    if inner_signal not in outer_inputs:
+        return outer.permute([index[s] for s in outer_inputs], n), tuple(merged)
+    inner_mapped = inner.permute([index[s] for s in inner_inputs], n)
+    inner_comp = inner_mapped.complement()
+    cubes = []
+    for cube in outer.cubes:
+        phase, rest_chars, contradictory = None, ["-"] * n, False
+        for i, ch in enumerate(cube):
+            if ch == "-":
+                continue
+            s = outer_inputs[i]
+            if s == inner_signal:
+                if phase is not None and phase != (ch == "1"):
+                    contradictory = True
+                    break
+                phase = ch == "1"
+            else:
+                j = index[s]
+                if rest_chars[j] not in ("-", ch):
+                    contradictory = True
+                    break
+                rest_chars[j] = ch
+        if contradictory:
+            continue
+        rest = Sop(n, ("".join(rest_chars),))
+        if phase is None:
+            cubes.extend(rest.cubes)
+        else:
+            cubes.extend(rest.and_(inner_mapped if phase else inner_comp).cubes)
+    return Sop(n, tuple(cubes)).scc_minimal(), tuple(merged)
+
+
+def _covers(ninputs):
+    cube = st.text(alphabet="01-", min_size=ninputs, max_size=ninputs)
+    return st.lists(cube, max_size=5).map(lambda cs: Sop(ninputs, tuple(cs)))
+
+
+def _resub_all_pairs(circuit):
+    """Reference resubstitution: every gate is tried as a divisor, in order."""
+    names = list(circuit.gates)
+    for target_name in names:
+        target = circuit.gates[target_name]
+        if len(target.sop.cubes) < 2 or len(set(target.inputs)) != len(target.inputs):
+            continue
+        best = None
+        for div_name in names:
+            divisor = circuit.gates[div_name]
+            if (
+                div_name == target_name
+                or len(divisor.sop.cubes) < 2
+                or divisor.num_literals > 30
+                or not set(divisor.inputs) <= set(target.inputs)
+            ):
+                continue
+            rewritten = _try_divide(target, divisor)
+            if rewritten is not None and rewritten[0] > 0:
+                if best is None or rewritten[0] > best[0]:
+                    best = rewritten
+        if best is not None:
+            circuit.replace_gate(Gate(target_name, best[2], best[1]))
+
+
+class TestResub:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_network_as_the_all_pairs_scan(self, seed):
+        c = random_combinational(n_inputs=5, n_gates=30, seed=seed)
+        reference = c.copy("ref")
+        _resub_all_pairs(reference)
+        resubstitute(c)
+        assert c.gates == reference.gates
+        assert list(c.gates) == list(reference.gates)
+
+
 class TestComposeSop:
+    # outer reads (x, g, y, a); g is the inner node over (a, b, c).
+    OUTER = ["x", "g", "y", "a"]
+    INNER = ["a", "b", "c"]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cover_identical_to_reference(self, data):
+        # Positive-only reads of g never need the complement; mixed reads do.
+        g_phases = data.draw(st.sampled_from(["1-", "01-"]))
+        cubes = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from("01-"),
+                    st.sampled_from(g_phases),
+                    st.sampled_from("01-"),
+                    st.sampled_from("01-"),
+                ).map("".join),
+                max_size=5,
+            )
+        )
+        outer = Sop(4, tuple(cubes))
+        inner = data.draw(_covers(3))
+        args = (outer, self.OUTER, "g", inner, self.INNER)
+        assert compose_sop(*args) == _compose_reference(*args)
+
+    def test_positive_and_negated_reads_pinned(self):
+        inner = Sop(2, ("1-", "-1"))  # g = a + b
+        positive = Sop(2, ("11", "0-"))  # x g + x'
+        assert compose_sop(positive, ["x", "g"], "g", inner, ["a", "b"]) == (
+            Sop(3, ("1-1", "11-", "0--")),
+            ("x", "a", "b"),
+        )
+        negated = Sop(2, ("10", "01"))  # x g' + x' g
+        assert compose_sop(negated, ["x", "g"], "g", inner, ["a", "b"]) == (
+            Sop(3, ("100", "0-1", "01-")),
+            ("x", "a", "b"),
+        )
+
     def test_substitution_semantics(self):
         # outer = x AND y over [x, inner]; inner = a OR b
         outer = Sop(2, ("11",))

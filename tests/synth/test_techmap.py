@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.iscas_like import build_table1_circuit
 from repro.bench.random_circuits import random_acyclic_sequential, random_combinational
 from repro.cec.engine import check_equivalence
 from repro.core.verify import check_sequential_equivalence
@@ -11,7 +12,12 @@ from repro.netlist.build import CircuitBuilder
 from repro.netlist.validate import validate_circuit
 from repro.synth.network import fanout_counts
 from repro.synth.script import optimize_sequential_delay, script_delay
-from repro.synth.techmap import MappedStats, mapped_stats, tech_map
+from repro.synth.techmap import (
+    MappedStats,
+    _cancel_inverter_pairs,
+    mapped_stats,
+    tech_map,
+)
 
 
 class TestTechMap:
@@ -59,6 +65,21 @@ class TestTechMap:
         stats = mapped_stats(mapped)
         assert stats.cells.get("nand2", 0) == 4
         assert check_equivalence(builder.circuit, mapped).equivalent
+
+    def test_inverter_pairs_cancel_through_rewired_readers(self, builder):
+        """r first reads x after p's pair cancels, then x's pair cancels too."""
+        z = builder.input("z")
+        builder.NOT("q", name="p")
+        builder.NOT("x", name="q")
+        builder.NOT("y", name="x")
+        builder.NOT(z, name="y")
+        builder.output(builder.AND("p", z, name="r"))
+        circuit = builder.circuit
+        original = circuit.copy("orig")
+        _cancel_inverter_pairs(circuit)
+        assert circuit.gates["r"].inputs == ("z", "z")
+        assert list(circuit.gates) == ["r"]
+        assert check_equivalence(original, circuit).equivalent
 
     def test_stats_string(self):
         b = CircuitBuilder("t")
@@ -108,3 +129,27 @@ class TestScript:
         c = random_acyclic_sequential(seed=1)
         with pytest.raises(ValueError):
             script_delay(c)
+
+
+class TestGoldenTable1Synthesis:
+    """Exact synthesis results on two Table 1 stand-ins (their D column).
+
+    The passes break ties by gate-dict and cube order, so a speed-up that
+    reorders anything moves these numbers even when every function stays
+    correct.
+    """
+
+    @pytest.mark.parametrize(
+        "name, gates, literals, area, delay, cells",
+        [
+            ("s953", 54, 85, 186.0, 15,
+             {"buf": 62, "const": 5, "inv": 50, "nand2": 25, "nor2": 12}),
+            ("s713", 80, 161, 348.0, 18,
+             {"buf": 66, "const": 1, "inv": 118, "nand2": 54, "nor2": 28}),
+        ],
+    )
+    def test_optimized_and_mapped(self, name, gates, literals, area, delay, cells):
+        optimized = optimize_sequential_delay(build_table1_circuit(name))
+        assert (optimized.num_gates(), optimized.num_literals()) == (gates, literals)
+        stats = mapped_stats(tech_map(optimized))
+        assert (stats.area, stats.delay, stats.cells) == (area, delay, cells)
