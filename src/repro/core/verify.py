@@ -33,7 +33,7 @@ from repro.core.eq2comb import cbf_to_circuit, edbf_to_circuit
 from repro.core.events import EventContext
 from repro.core.expose import PreparedCircuit, prepare_circuit
 from repro.core.timedvar import ExprTable
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Gate
 from repro.netlist.graph import feedback_latches
 from repro.obs.trace import coerce_tracer
 from repro.sim.exact3 import BOT, exact3_outputs
@@ -387,11 +387,19 @@ def _lift_cbf_counterexample(
 
 
 def _trace_distinguishes(
-    c1: Circuit, c2: Circuit, sequence: List[Dict[str, bool]]
+    c1: Circuit,
+    c2: Circuit,
+    sequence: List[Dict[str, bool]],
+    topo1: Optional[Sequence[Gate]] = None,
+    topo2: Optional[Sequence[Gate]] = None,
 ) -> bool:
-    """Do the circuits visibly differ on this input sequence (Def. 1)?"""
-    o1 = exact3_outputs(c1, sequence)
-    o2 = exact3_outputs(c2, sequence)
+    """Do the circuits visibly differ on this input sequence (Def. 1)?
+
+    ``topo1``/``topo2`` are the circuits' ``topo_gates()``, for callers
+    that replay many sequences on one pair.
+    """
+    o1 = exact3_outputs(c1, sequence, topo=topo1)
+    o2 = exact3_outputs(c2, sequence, topo=topo2)
     for row1, row2 in zip(o1, o2):
         for out in c1.outputs:
             v1, v2 = row1[out], row2[out]
@@ -493,11 +501,16 @@ def minimize_counterexample(
     keeping every change that still distinguishes the circuits under
     exact-3-valued simulation.  Returns the (possibly unchanged) trace.
     """
-    if not _trace_distinguishes(c1, c2, sequence):
+    topo1, topo2 = c1.topo_gates(), c2.topo_gates()
+
+    def distinguishes(candidate: List[Dict[str, bool]]) -> bool:
+        return _trace_distinguishes(c1, c2, candidate, topo1, topo2)
+
+    if not distinguishes(sequence):
         return sequence
     current = [dict(v) for v in sequence]
     # 1. trim leading cycles.
-    while len(current) > 1 and _trace_distinguishes(c1, c2, current[1:]):
+    while len(current) > 1 and distinguishes(current[1:]):
         current = current[1:]
     # 2. canonicalise bits to False where possible.
     for t in range(len(current)):
@@ -505,7 +518,7 @@ def minimize_counterexample(
             if not current[t][name]:
                 continue
             current[t][name] = False
-            if not _trace_distinguishes(c1, c2, current):
+            if not distinguishes(current):
                 current[t][name] = True
     return current
 
@@ -518,11 +531,12 @@ def _search_distinguishing_trace(
 
     rng = random.Random(seed)
     inputs = sorted(c1.inputs)
+    topo1, topo2 = c1.topo_gates(), c2.topo_gates()
     for _ in range(trials):
         sequence = [
             {name: rng.random() < 0.5 for name in inputs}
             for _ in range(length)
         ]
-        if _trace_distinguishes(c1, c2, sequence):
+        if _trace_distinguishes(c1, c2, sequence, topo1, topo2):
             return sequence
     return None

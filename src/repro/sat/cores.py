@@ -12,13 +12,15 @@ can retire whole families of candidate-pair queries (counted under
 Singleton cores are the common and most valuable case — a core ``{l}``
 means the formula itself implies ``-l``, so *every* query assuming ``l``
 (e.g. either direction of any pair involving a stuck-at-constant node)
-dies instantly.  They are kept in a flat set for O(assumptions) lookup;
-wider cores fall back to a subset scan.
+dies instantly.  They are kept in a flat set for O(assumptions) lookup.
+Wider cores are bucketed under their smallest literal: a core inside an
+assumption set has its smallest literal in that set, so a lookup reads
+only the buckets of the query's own literals instead of every core.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 __all__ = ["CoreIndex", "core_retires"]
 
@@ -37,11 +39,13 @@ class CoreIndex:
     def __init__(self) -> None:
         self._empty = False
         self._units: set = set()
-        self._wide: List[FrozenSet[int]] = []
+        # Wide cores, in add order, under their smallest literal.
+        self._wide: Dict[int, List[FrozenSet[int]]] = {}
         self._seen: set = set()
 
     def __len__(self) -> int:
-        return int(self._empty) + len(self._units) + len(self._wide)
+        wide = sum(len(bucket) for bucket in self._wide.values())
+        return int(self._empty) + len(self._units) + wide
 
     def add(self, core: Iterable[int]) -> None:
         """Record a core.  Duplicates and supersets of singletons are
@@ -56,7 +60,7 @@ class CoreIndex:
         if len(key) == 1:
             self._units.add(next(iter(key)))
         elif not any(lit in self._units for lit in key):
-            self._wide.append(key)
+            self._wide.setdefault(min(key), []).append(key)
 
     def add_many(self, cores: Iterable[Iterable[int]]) -> None:
         """Record a batch of cores (e.g. shipped home by a worker)."""
@@ -71,7 +75,12 @@ class CoreIndex:
         aset = set(assumptions)
         if not self._units.isdisjoint(aset):
             return True
-        return any(core <= aset for core in self._wide)
+        wide = self._wide
+        for lit in aset:
+            bucket = wide.get(lit)
+            if bucket is not None and any(core <= aset for core in bucket):
+                return True
+        return False
 
     def export(self) -> List[List[int]]:
         """All recorded cores as plain lists (for shipping between
@@ -80,7 +89,8 @@ class CoreIndex:
         if self._empty:
             out.append([])
         out.extend([lit] for lit in sorted(self._units))
-        out.extend(sorted(core) for core in self._wide)
+        for bucket in self._wide.values():
+            out.extend(sorted(core) for core in bucket)
         return out
 
 

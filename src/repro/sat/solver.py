@@ -79,6 +79,21 @@ class SATResult:
         return self.satisfiable
 
 
+_ZERO_LITERAL = "literal 0 is reserved"
+
+
+def _checked(literals: Iterable[int]) -> List[int]:
+    """``literals`` as a list; :class:`ValueError` when one is 0.
+
+    The solver indexes its tables by ``abs(lit) - 1``, so a 0 would
+    silently alias the last variable.
+    """
+    lits = list(literals)
+    if 0 in lits:
+        raise ValueError(_ZERO_LITERAL)
+    return lits
+
+
 def _luby(i: int) -> int:
     """The Luby restart sequence 1,1,2,1,1,2,4,... (1-indexed).
 
@@ -119,6 +134,10 @@ class _VarOrder:
     percolate the variable up in O(log n) instead of the old O(n) linear
     scan per decision.  Rescaling multiplies every activity by the same
     factor, which preserves heap order — only bumps need fixing up.
+
+    The two hot operations work on these lists directly, with their sift
+    loops inlined: the pop in :meth:`Solver._pick_branch` and the
+    re-insert of unassigned variables in :meth:`Solver._cancel_until`.
     """
 
     __slots__ = ("heap", "pos", "activity")
@@ -137,17 +156,6 @@ class _VarOrder:
         self.heap.append(var)
         self._up(self.pos[var])
 
-    def pop(self) -> int:
-        heap, pos = self.heap, self.pos
-        top = heap[0]
-        last = heap.pop()
-        pos[top] = -1
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._down(0)
-        return top
-
     def update(self, var: int) -> None:
         """Restore heap order after ``var``'s activity increased."""
         if var < len(self.pos) and self.pos[var] >= 0:
@@ -165,28 +173,6 @@ class _VarOrder:
             heap[i] = pvar
             pos[pvar] = i
             i = parent
-        heap[i] = var
-        pos[var] = i
-
-    def _down(self, i: int) -> None:
-        heap, pos, act = self.heap, self.pos, self.activity
-        var = heap[i]
-        key = act[var]
-        size = len(heap)
-        while True:
-            left = 2 * i + 1
-            if left >= size:
-                break
-            child = left
-            right = left + 1
-            if right < size and act[heap[right]] > act[heap[left]]:
-                child = right
-            cvar = heap[child]
-            if key >= act[cvar]:
-                break
-            heap[i] = cvar
-            pos[cvar] = i
-            i = child
         heap[i] = var
         pos[var] = i
 
@@ -273,7 +259,12 @@ class Solver:
             self._order.insert(self._num_vars - 1)
 
     def add_clause(self, literals: Iterable[int]) -> bool:
-        """Add a clause; returns False if the formula became trivially UNSAT."""
+        """Add a clause; returns False if the formula became trivially UNSAT.
+
+        Raises :class:`ValueError` on literal 0, as :meth:`CNF.add_clause`
+        does.
+        """
+        literals = _checked(literals)
         if not self._ok:
             return False
         lits: List[int] = []
@@ -382,7 +373,10 @@ class Solver:
         skipped, root-false literals dropped — then added as learned
         (garbage-collectable) clauses; units are enqueued at the root.
         A clause emptied by simplification proves the formula UNSAT.
+        Raises :class:`ValueError`, before installing any clause, when one
+        holds literal 0.
         """
+        clauses = [_checked(literals) for literals in clauses]
         if not self._ok:
             return 0
         if self._decision_level() != 0:
@@ -436,8 +430,11 @@ class Solver:
         A non-(-1) answer means the formula itself implies the literal's
         value, independent of any assumptions — the fast path that lets
         the sweep retire an assumption set containing a root-false
-        literal without a solver call.
+        literal without a solver call.  Raises :class:`ValueError` on
+        literal 0.
         """
+        if lit == 0:
+            raise ValueError(_ZERO_LITERAL)
         var = abs(lit) - 1
         if (
             var >= self._num_vars
@@ -474,7 +471,11 @@ class Solver:
         a :class:`~repro.obs.metrics.MetricsRegistry` attached via
         :attr:`metrics`, each call also feeds the ``sat.*_per_call``
         histograms and the ``sat.calls`` / ``sat.unknowns`` counters.
+
+        Raises :class:`ValueError`, before any search or bookkeeping, when
+        an assumption is literal 0.
         """
+        assumptions = _checked(assumptions)
         c0 = self.stats_conflicts
         d0 = self.stats_decisions
         p0 = self.stats_propagations
@@ -505,7 +506,7 @@ class Solver:
 
     def _solve_impl(
         self,
-        assumptions: Sequence[int],
+        assumptions: List[int],
         conflict_limit: Optional[int],
         propagation_limit: Optional[int],
         deadline: Optional[float],
@@ -530,8 +531,7 @@ class Solver:
             return self._unknown_result(REASON_TIMEOUT)
 
         # Install assumptions as pseudo-decisions, one level each.
-        assumption_queue = list(assumptions)
-        for lit in assumption_queue:
+        for lit in assumptions:
             self.ensure_vars(abs(lit))
 
         while True:
@@ -546,7 +546,7 @@ class Solver:
                     return self._unknown_result(REASON_CONFLICT_LIMIT)
                 budget = min(budget, remaining)
             restart_count += 1
-            status = self._search(budget, assumption_queue)
+            status = self._search(budget, assumptions)
             conflicts_this_call += self._last_search_conflicts
             if status == "budget-time":
                 return self._unknown_result(REASON_TIMEOUT)
@@ -637,74 +637,120 @@ class Solver:
         return True
 
     def _propagate(self) -> Optional[_Clause]:
-        """Unit propagation; returns a conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats_propagations += 1
-            watchers = self._watches.get(lit)
+        """Unit propagation; returns a conflicting clause or None.
+
+        The solver's innermost loop, so ``_value`` and ``_enqueue`` are
+        inlined.  With ``v = self._assign[abs(x) - 1]``, literal ``x`` is
+        true when ``v == (x > 0)`` and false when ``v == (x < 0)``; an
+        unassigned -1 equals neither.  Each watch list is compacted in
+        place: the watchers that stay slide down over the ones that moved
+        to another literal, so the list keeps exactly the order a fresh
+        rebuild would give, and with it the search trajectory.
+        """
+        trail = self._trail
+        qhead = start = self._qhead
+        watches = self._watches
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        current = len(self._trail_lim)
+        # Phases are saved only below the assumption prefix (see _enqueue).
+        save_phase = current > self._num_assumed
+        conflict: Optional[_Clause] = None
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            watchers = watches.get(lit)
             if not watchers:
                 continue
-            new_watchers: List[_Clause] = []
-            conflict: Optional[_Clause] = None
-            idx = 0
-            while idx < len(watchers):
-                clause = watchers[idx]
-                idx += 1
+            false_lit = -lit
+            size = len(watchers)
+            i = kept = 0
+            while i < size:
+                clause = watchers[i]
+                i += 1
                 lits = clause.lits
                 # Make sure the falsified literal is at position 1.
-                if lits[0] == -lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._value(first) == 1:
-                    new_watchers.append(clause)
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                if assign[abs(first) - 1] == (first > 0):
+                    watchers[kept] = clause
+                    kept += 1
                     continue
-                # Look for a new watch.
-                found = False
+                # Look for a new watch: any literal not false.
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) != 0:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches.setdefault(-lits[1], []).append(clause)
-                        found = True
+                    other = lits[k]
+                    if assign[abs(other) - 1] != (other < 0):
+                        lits[1] = other
+                        lits[k] = false_lit
+                        moved = watches.get(-other)
+                        if moved is None:
+                            watches[-other] = [clause]
+                        else:
+                            moved.append(clause)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                new_watchers.append(clause)
-                if not self._enqueue(first, clause):
-                    conflict = clause
-                    # Keep remaining watchers.
-                    new_watchers.extend(watchers[idx:])
-                    break
-            self._watches[lit] = new_watchers
+                else:
+                    # Clause is unit or conflicting.
+                    watchers[kept] = clause
+                    kept += 1
+                    var = abs(first) - 1
+                    if assign[var] != -1:
+                        conflict = clause
+                        # Keep the watchers not yet visited.
+                        del watchers[kept:i]
+                        break
+                    assign[var] = 1 if first > 0 else 0
+                    level[var] = current
+                    reason[var] = clause
+                    if save_phase:
+                        phase[var] = first > 0
+                    trail.append(first)
             if conflict is not None:
-                return conflict
-        return None
+                break
+            if kept < size:
+                del watchers[kept:]
+        self._qhead = qhead
+        self.stats_propagations += qhead - start
+        return conflict
 
     def _search(self, conflict_budget: int, assumptions: List[int]) -> str:
+        """CDCL until SAT, a refutation, an assumption conflict, a resource
+        limit or ``conflict_budget`` conflicts (a restart).
+
+        Assumption installs and decisions inline ``_enqueue``.
+        """
         self._last_search_conflicts = 0
+        trail = self._trail
+        trail_lim = self._trail_lim
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        propagate = self._propagate
+        prop_stop = self._prop_stop
+        deadline = self._deadline_at
+        n_assumptions = len(assumptions)
         while True:
-            if (
-                self._prop_stop is not None
-                and self.stats_propagations >= self._prop_stop
-            ):
+            if prop_stop is not None and self.stats_propagations >= prop_stop:
                 return "budget-propagations"
-            if self._deadline_at is not None:
+            if deadline is not None:
                 # Poll the wall clock every few iterations: cheap enough to
                 # keep the unbudgeted path unchanged, frequent enough that a
                 # deadline overrun stays far below the caller's 2x margin.
                 self._poll_tick += 1
-                if (self._poll_tick & 63) == 0 and (
-                    time.monotonic() >= self._deadline_at
-                ):
+                if (self._poll_tick & 63) == 0 and time.monotonic() >= deadline:
                     return "budget-time"
-            conflict = self._propagate()
+            conflict = propagate()
+            current = len(trail_lim)
             if conflict is not None:
                 self.stats_conflicts += 1
                 self._last_search_conflicts += 1
-                if self._decision_level() == 0:
+                if current == 0:
                     return "unsat"
-                if self._decision_level() <= self._num_assumed:
+                if current <= self._num_assumed:
                     self._pending_core = self._analyze_final(conflict, None)
                     return "assumption-conflict"
                 learned, backjump = self._analyze(conflict)
@@ -715,40 +761,77 @@ class Solver:
                     return "restart"
                 continue
             # No conflict: extend assumptions, then decide.
-            if self._decision_level() < len(assumptions):
-                lit = assumptions[self._decision_level()]
-                val = self._value(lit)
-                if val == 0:
+            if current < n_assumptions:
+                lit = assumptions[current]
+                var = abs(lit) - 1
+                val = assign[var]
+                if val == (lit < 0):
                     self._pending_core = self._analyze_final(None, lit)
                     return "assumption-conflict"
-                if val == 1:
-                    # Already implied: open an empty decision level.
-                    self._trail_lim.append(len(self._trail))
-                    self._num_assumed = max(
-                        self._num_assumed, self._decision_level()
-                    )
-                    continue
-                self._trail_lim.append(len(self._trail))
-                self._num_assumed = max(self._num_assumed, self._decision_level())
-                self._enqueue(lit, None)
-                self._assumption_mark[abs(lit) - 1] = True
+                # A new level; empty when the assumption is already implied.
+                trail_lim.append(len(trail))
+                if self._num_assumed <= current:
+                    self._num_assumed = current + 1
+                if val == -1:
+                    # No phase saving: this level is inside the prefix.
+                    assign[var] = 1 if lit > 0 else 0
+                    level[var] = current + 1
+                    reason[var] = None
+                    trail.append(lit)
+                    self._assumption_mark[var] = True
                 continue
             lit = self._pick_branch()
             if lit == 0:
                 return "sat"
             self.stats_decisions += 1
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(lit, None)
+            trail_lim.append(len(trail))
+            # Decisions lie below the assumption prefix, where _enqueue saves
+            # phases; that save is a no-op here, as the literal was picked
+            # in its saved phase.
+            var = abs(lit) - 1
+            assign[var] = 1 if lit > 0 else 0
+            level[var] = current + 1
+            reason[var] = None
+            trail.append(lit)
 
     def _pick_branch(self) -> int:
-        # Lazy heap discipline: assigned variables stay in the heap
-        # until popped here (and are re-inserted by _cancel_until when
-        # unassigned), so each decision costs O(log n) amortised.
+        """The most active unassigned variable in its saved phase, or 0.
+
+        Lazy heap discipline: assigned variables stay in the heap until
+        popped here (and are re-inserted by _cancel_until when unassigned),
+        so each decision costs O(log n) amortised.  The pop and its
+        sift-down are inlined.
+        """
         order = self._order
-        while order.heap:
-            var = order.pop()
-            if self._assign[var] == -1:
-                return (var + 1) if self._phase[var] else -(var + 1)
+        heap = order.heap
+        pos = order.pos
+        act = self._activity
+        assign = self._assign
+        while heap:
+            top = heap[0]
+            last = heap.pop()
+            pos[top] = -1
+            size = len(heap)
+            if size:
+                # Sift ``last`` down from the root.
+                key = act[last]
+                i = 0
+                child = 1
+                while child < size:
+                    right = child + 1
+                    if right < size and act[heap[right]] > act[heap[child]]:
+                        child = right
+                    cvar = heap[child]
+                    if key >= act[cvar]:
+                        break
+                    heap[i] = cvar
+                    pos[cvar] = i
+                    i = child
+                    child = 2 * i + 1
+                heap[i] = last
+                pos[last] = i
+            if assign[top] == -1:
+                return (top + 1) if self._phase[top] else -(top + 1)
         return 0
 
     def _analyze_final(
@@ -897,20 +980,49 @@ class Solver:
             self._watches[lit] = [c for c in watchers if id(c) not in dropped]
 
     def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
+        """Backtrack to ``level``, newest assignment first.
+
+        Each unassigned variable goes back into the branching heap unless
+        it is still there; the insert and its sift-up are inlined.
+        """
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
+        trail = self._trail
+        limit = trail_lim[level]
+        assign = self._assign
+        reason = self._reason
+        var_level = self._level
+        mark = self._assumption_mark
+        heap = self._order.heap
+        pos = self._order.pos
+        act = self._activity
+        for lit in reversed(trail[limit:]):
             var = abs(lit) - 1
-            self._assign[var] = -1
-            self._reason[var] = None
-            self._level[var] = -1
-            self._assumption_mark[var] = False
-            self._order.insert(var)
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._qhead = min(self._qhead, len(self._trail))
-        self._num_assumed = min(self._num_assumed, level)
+            assign[var] = -1
+            reason[var] = None
+            var_level[var] = -1
+            mark[var] = False
+            if pos[var] < 0:
+                i = len(heap)
+                heap.append(var)
+                key = act[var]
+                while i:
+                    parent = (i - 1) >> 1
+                    pvar = heap[parent]
+                    if act[pvar] >= key:
+                        break
+                    heap[i] = pvar
+                    pos[pvar] = i
+                    i = parent
+                heap[i] = var
+                pos[var] = i
+        del trail[limit:]
+        del trail_lim[level:]
+        if self._qhead > limit:
+            self._qhead = limit
+        if self._num_assumed > level:
+            self._num_assumed = level
 
     def _bump_var(self, var: int) -> None:
         self._activity[var] += self._var_inc

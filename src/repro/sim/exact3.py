@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Gate
 from repro.sim.logic2 import simulate_parallel
 
 __all__ = ["BOT", "exact3_outputs", "exact3_equivalent"]
@@ -75,12 +75,13 @@ def exact3_outputs(
     input_vectors: Sequence[Mapping[str, bool]],
     samples: int = 256,
     seed: int = 0,
+    topo: Optional[Sequence[Gate]] = None,
 ) -> List[Dict[str, ExactValue]]:
     """Per-cycle output values under exact 3-valued semantics.
 
     Exact when ``|latches| <= 16`` (full enumeration); otherwise a sampled
     approximation: reported Booleans may in truth be ⊥, but reported ⊥ are
-    definitely ⊥.
+    definitely ⊥.  ``topo`` is passed on to :func:`simulate_parallel`.
     """
     rng = random.Random(seed)
     words, width = _powerup_words(circuit, rng, samples)
@@ -97,7 +98,7 @@ def exact3_outputs(
             for vec in input_vectors
         ]
         words = {}
-    raw = simulate_parallel(circuit, input_words, words, width)
+    raw = simulate_parallel(circuit, input_words, words, width, topo)
     result: List[Dict[str, ExactValue]] = []
     for cycle in raw:
         row: Dict[str, ExactValue] = {}

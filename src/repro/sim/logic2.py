@@ -50,15 +50,19 @@ def simulate_parallel(
     input_words: Sequence[Mapping[str, int]],
     initial_state: Mapping[str, int],
     width: int,
+    topo: Optional[Sequence[Gate]] = None,
 ) -> List[Dict[str, int]]:
     """Bit-parallel sequential simulation.
 
     ``input_words[t][pi]`` is the word of values for input ``pi`` at cycle
     ``t``; ``initial_state[latch]`` the power-up word per latch.  Returns the
-    list of per-cycle output-word dictionaries.
+    list of per-cycle output-word dictionaries.  ``topo`` is the circuit's
+    :meth:`~repro.netlist.circuit.Circuit.topo_gates`, for callers that
+    simulate one circuit many times.
     """
     mask = (1 << width) - 1
-    topo = circuit.topo_gates()
+    if topo is None:
+        topo = circuit.topo_gates()
     state: Dict[str, int] = {l: initial_state[l] & mask for l in circuit.latches}
     out: List[Dict[str, int]] = []
     for t, vec in enumerate(input_words):

@@ -19,6 +19,8 @@ Pins the tentpole's guarantees:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.random_circuits import random_combinational
 from repro.cec.engine import (
@@ -79,6 +81,9 @@ def hidden_const_circuit(name, decorated):
     return b.circuit
 
 
+_LITERAL = st.integers(-6, 6).filter(bool)
+
+
 class TestCoreIndex:
     def test_empty_core_retires_everything(self):
         idx = CoreIndex()
@@ -96,6 +101,35 @@ class TestCoreIndex:
         idx.add([2, -4])
         assert idx.subsumed([2, -4, 9])
         assert not idx.subsumed([2, 4, 9])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), st.lists(_LITERAL, max_size=4)),
+                st.tuples(st.just("ask"), st.lists(_LITERAL, max_size=9)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_linear_scan(self, ops):
+        """Interleaved adds of empty, singleton and wide cores answer every
+        lookup as a scan over all cores does, also after an export."""
+        idx = CoreIndex()
+        cores = []
+        asked = []
+        for op, lits in ops:
+            if op == "add":
+                idx.add(lits)
+                cores.append(frozenset(lits))
+            else:
+                aset = set(lits)
+                assert idx.subsumed(lits) == any(core <= aset for core in cores)
+                asked.append(lits)
+        clone = CoreIndex()
+        clone.add_many(idx.export())
+        for lits in asked:
+            assert clone.subsumed(lits) == idx.subsumed(lits)
 
     def test_duplicates_collapse(self):
         idx = CoreIndex()

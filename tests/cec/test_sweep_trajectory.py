@@ -1,0 +1,57 @@
+"""Golden CEC sweep effort on two small Table 1 pairs.
+
+The sweep's query count, its core retirements and the solver's total
+conflicts, decisions and propagations follow from the exact search
+trajectory of every SAT call: which pairs get queried depends on earlier
+answers, cores and refinement patterns.  ``BENCH_cec.json`` gates SAT-query
+counts in CI, so a solver change that alters its search moves a hard
+gate.  These values were recorded from the solver before its hot loops
+were rewritten for speed and must not move unless the search is meant to.
+They do not depend on ``PYTHONHASHSEED``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.api import VerifyRequest, verify_pair
+from repro.bench.iscas_like import build_table1_circuit
+from repro.core.expose import prepare_circuit
+from repro.flows.flow import FlowResult, _retime_min_period_any
+from repro.obs.metrics import MetricsRegistry
+from repro.synth.script import optimize_sequential_delay
+
+
+def table1_pair(name):
+    """The Table 1 flow's B (A, feedback exposed) and C (B synthesised,
+    min-period retimed and resynthesised)."""
+    b = prepare_circuit(build_table1_circuit(name), use_unateness=False).circuit
+    c = optimize_sequential_delay(b, name=name + "_C0")
+    c = _retime_min_period_any(c, FlowResult(name))
+    return b, optimize_sequential_delay(c, name=name + "_C")
+
+
+@pytest.mark.parametrize(
+    "name, queries, retired, conflicts, decisions, propagations",
+    [
+        ("s3271", 568, 187, 448, 2510, 38293),
+        ("s9234", 291, 113, 210, 749, 10525),
+    ],
+)
+def test_sweep_effort_is_pinned(name, queries, retired, conflicts, decisions, propagations):
+    golden, revised = table1_pair(name)
+    metrics = MetricsRegistry()
+    report = verify_pair(
+        VerifyRequest(golden=golden, revised=revised, name=name, jobs=1),
+        metrics=metrics,
+    )
+    assert report.verdict == "equivalent"
+    assert (report.stats["cec_sat_queries"], report.stats["cec_core_retired"]) == (
+        queries,
+        retired,
+    )
+    assert (
+        metrics.counter("sat.conflicts"),
+        metrics.counter("sat.decisions"),
+        metrics.counter("sat.propagations"),
+    ) == (conflicts, decisions, propagations)

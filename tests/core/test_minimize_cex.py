@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.mutations import sample_mutations
 from repro.core.verify import (
     SeqVerdict,
     check_sequential_equivalence,
     minimize_counterexample,
 )
 from repro.netlist.build import CircuitBuilder
+from tests.cec.test_sweep_trajectory import table1_pair
 
 
 def and_vs_or_pair():
@@ -64,3 +66,34 @@ class TestMinimize:
             {"x": True, "y": False},
             {"x": False, "y": True},
         )
+
+
+class TestRecordedWitnesses:
+    """Minimised witnesses of mutants of the s1269 Table 1 pair, recorded
+    before the replay stopped re-sorting each circuit per simulation: the
+    per-cycle inputs set True, and the output that failed."""
+
+    def test_witnesses_unchanged(self):
+        golden, revised = table1_pair("s1269")
+        recorded = [
+            ("negation @ __exposed_out__rg3_2", "__exposed_out__rg3_2", [[], [], []]),
+            ("stuck_at_0 @ n15", "__exposed_out__fsm0", [["i0", "i5"]]),
+            ("negation @ __td140_and", "__exposed_out__fsm3", [[]]),
+            ("stuck_at_1 @ __td47_and", "__exposed_out__fsm11", [[]]),
+        ]
+        witnesses = []
+        for mutation, mutant in sample_mutations(revised, 10, 0):
+            result = check_sequential_equivalence(golden, mutant)
+            if result.verdict is not SeqVerdict.NOT_EQUIVALENT:
+                continue
+            assert all(set(row) == set(golden.inputs) for row in result.counterexample)
+            witnesses.append(
+                (
+                    mutation.describe(),
+                    result.failing_output,
+                    [sorted(n for n, v in row.items() if v) for row in result.counterexample],
+                )
+            )
+            if len(witnesses) == len(recorded):
+                break
+        assert witnesses == recorded

@@ -97,6 +97,36 @@ class TestAssumptions:
         assert r.satisfiable and r.model[5]
 
 
+class TestZeroLiteral:
+    """Literal 0 is DIMACS's clause terminator, not a variable.  The solver
+    indexes by ``abs(lit) - 1``, so a 0 would alias the last variable; it
+    is rejected as :meth:`CNF.add_clause` rejects it."""
+
+    def test_add_clause_rejects_zero(self):
+        s = Solver()
+        with pytest.raises(ValueError):
+            s.add_clause([0, 1])
+        assert s.export_clauses() == []
+
+    def test_import_learned_rejects_zero_before_installing(self):
+        s = Solver()
+        s.add_clause([1, 2])
+        with pytest.raises(ValueError):
+            s.import_learned([[1, -2, 3], [0, 2]])
+        assert s.export_learned() == []
+
+    def test_zero_assumption_rejected(self):
+        # x2 is false at the root, and _assign[-1] is x2's slot.
+        s = Solver()
+        s.add_clause([1, 2])
+        s.add_clause([-2])
+        with pytest.raises(ValueError):
+            s.solve(assumptions=[0])
+        with pytest.raises(ValueError):
+            s.root_value(0)
+        assert s.solve(assumptions=[1]).satisfiable
+
+
 class TestCrossCheck:
     @pytest.mark.parametrize("seed", range(30))
     def test_random_vs_brute_force(self, seed):
