@@ -13,10 +13,10 @@ refinement matters — and writes ``BENCH_cec.json``:
   pre-sweep AIG rewriting);
 * preprocessing effect per pair (AND nodes before/after, nodes removed);
 * simulation throughput (node-words per second) of the engine's
-  signature hot path, old vs new: the pre-PR per-round scalar loop
+  signature hot path, old vs new: the historical per-round scalar loop
   (one 64-bit ``simulate`` call plus a per-node concatenation pass per
   round) against the current single wide ``simulate_words`` call, on
-  sweep-scale AIGs, plus the single-lane kernel-vs-scalar rate for the
+  sweep-scale AIGs, plus the single-lane scalar rate for the
   refinement-corpus regime.
 
 Usage::
@@ -38,11 +38,12 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from dataclasses import replace
 from typing import Dict, List, Tuple
 
-from repro.aig import simkernel
 from repro.bench.mutations import sample_mutations
 from repro.bench.random_circuits import random_combinational
+from repro.cec import CecOptions
 from repro.cec.engine import check_equivalence
 from repro.cec.miter import build_miter
 from repro.synth.script import script_delay
@@ -61,15 +62,16 @@ REPEAT_THRESHOLD_SECONDS = 0.005
 #: every pair is sub-threshold).
 MAX_TIMING_REPEATS = 5
 
-MODES: List[Tuple[str, Dict]] = [
-    ("refine_serial", dict(refine=True, n_jobs=1, preprocess=True)),
-    ("norefine_serial", dict(refine=False, n_jobs=1, preprocess=True)),
-    ("refine_parallel", dict(refine=True, n_jobs=4, preprocess=True)),
-    ("norefine_parallel", dict(refine=False, n_jobs=4, preprocess=True)),
-    ("refine_serial_nopre", dict(refine=True, n_jobs=1, preprocess=False)),
-    ("norefine_serial_nopre", dict(refine=False, n_jobs=1, preprocess=False)),
-    ("refine_parallel_nopre", dict(refine=True, n_jobs=4, preprocess=False)),
-    ("norefine_parallel_nopre", dict(refine=False, n_jobs=4, preprocess=False)),
+#: (mode name, engine options, sweep workers).
+MODES: List[Tuple[str, CecOptions, int]] = [
+    ("refine_serial", CecOptions(refine=True, preprocess=True), 1),
+    ("norefine_serial", CecOptions(refine=False, preprocess=True), 1),
+    ("refine_parallel", CecOptions(refine=True, preprocess=True), 4),
+    ("norefine_parallel", CecOptions(refine=False, preprocess=True), 4),
+    ("refine_serial_nopre", CecOptions(refine=True, preprocess=False), 1),
+    ("norefine_serial_nopre", CecOptions(refine=False, preprocess=False), 1),
+    ("refine_parallel_nopre", CecOptions(refine=True, preprocess=False), 4),
+    ("norefine_parallel_nopre", CecOptions(refine=False, preprocess=False), 4),
 ]
 
 #: Sizes (AND nodes) of the synthetic deep AIGs the throughput section
@@ -151,7 +153,7 @@ def _old_signatures(aig, rounds: int, width: int, seed: int):
 
 
 def sim_throughput(seed: int = 5) -> Dict:
-    """Signature hot path old vs new, plus the single-lane kernel rate."""
+    """Signature hot path old vs new, plus the single-lane scalar rate."""
     import random as _random
 
     from repro.cec.engine import _initial_signatures
@@ -160,7 +162,6 @@ def sim_throughput(seed: int = 5) -> Dict:
     worst_speedup = None
     for n_ands in SIM_SUBJECT_ANDS:
         aig = _deep_aig(48, n_ands, seed)
-        aig.sim_schedule()  # schedule build is amortised; prebuild it
         for rounds in SIM_SIGNATURE_ROUNDS:
             t0 = time.perf_counter()
             old = _old_signatures(aig, rounds, 64, seed)
@@ -183,30 +184,19 @@ def sim_throughput(seed: int = 5) -> Dict:
             if worst_speedup is None or speedup < worst_speedup:
                 worst_speedup = speedup
 
-    # The refinement-corpus regime: one 64-pattern lane, where the
-    # dispatch prefers the numpy kernel over the scalar path.
-    kernel_row: Dict = {"kernel_available": simkernel.HAVE_NUMPY}
+    # The refinement-corpus regime: one 64-pattern lane.
     aig = _deep_aig(48, SIM_SUBJECT_ANDS[-1], seed)
     rng = _random.Random(seed ^ 0xC0FFEE)
     pi_words = {name: rng.getrandbits(64) for name in aig.pi_names}
-    aig.sim_schedule()
     t0 = time.perf_counter()
-    scalar = aig.simulate_words(dict(pi_words), 64, use_kernel=False)
+    aig.simulate_words(pi_words, 64)
     t_scalar = time.perf_counter() - t0
-    kernel_row["scalar_words_per_sec"] = round(aig.num_nodes() / t_scalar)
-    if simkernel.HAVE_NUMPY:
-        t0 = time.perf_counter()
-        vector = aig.simulate_words(dict(pi_words), 64, use_kernel=True)
-        t_kernel = time.perf_counter() - t0
-        assert vector == scalar, "kernel/oracle divergence"
-        kernel_row["kernel_words_per_sec"] = round(
-            aig.num_nodes() / t_kernel
-        )
-        kernel_row["kernel_speedup"] = round(t_scalar / t_kernel, 2)
     return {
         "signature_path": rows,
         "hot_path_speedup": worst_speedup,
-        "single_lane": kernel_row,
+        "single_lane": {
+            "scalar_words_per_sec": round(aig.num_nodes() / t_scalar)
+        },
     }
 
 
@@ -230,7 +220,9 @@ def preprocess_effect(pairs) -> List[Dict]:
     return rows
 
 
-def _timed_check(golden, revised, options) -> Tuple[object, float, int]:
+def _timed_check(
+    golden, revised, options: CecOptions, n_jobs: int
+) -> Tuple[object, float, int]:
     """Time one mode on one pair, best-of-N for sub-threshold runs.
 
     Returns ``(result, best_seconds, repeats)``.  The verdict must be
@@ -242,7 +234,9 @@ def _timed_check(golden, revised, options) -> Tuple[object, float, int]:
     repeats = 0
     while True:
         t0 = time.perf_counter()
-        res = check_equivalence(golden, revised, **NARROW, **options)
+        res = check_equivalence(
+            golden, revised, options, n_jobs=n_jobs, **NARROW
+        )
         elapsed = time.perf_counter() - t0
         repeats += 1
         if result is not None and res.verdict != result.verdict:
@@ -260,15 +254,17 @@ def run(pairs, dispatch_policy: str = "cascade") -> Dict:
     rows = []
     totals = {
         name: {"sat_queries": 0, "core_retired": 0, "seconds": 0.0}
-        for name, _ in MODES
+        for name, _, _ in MODES
     }
     divergences = []
     for name, golden, revised in pairs:
         row = {"pair": name}
         verdicts = {}
-        for mode, options in MODES:
-            options = dict(options, dispatch_policy=dispatch_policy)
-            result, elapsed, repeats = _timed_check(golden, revised, options)
+        for mode, options, n_jobs in MODES:
+            options = replace(options, dispatch_policy=dispatch_policy)
+            result, elapsed, repeats = _timed_check(
+                golden, revised, options, n_jobs
+            )
             verdicts[mode] = result.verdict.value
             row[mode] = {
                 "verdict": result.verdict.value,
@@ -340,15 +336,8 @@ def main(argv=None) -> int:
               f"old={row['old_words_per_sec']:,} words/s "
               f"new={row['new_words_per_sec']:,} words/s "
               f"({row['speedup']}x)")
-    lane = thr["single_lane"]
-    if lane["kernel_available"]:
-        print(f"single-lane corpus: scalar {lane['scalar_words_per_sec']:,} "
-              f"words/s, kernel {lane['kernel_words_per_sec']:,} words/s "
-              f"({lane['kernel_speedup']}x)")
-    else:
-        print(f"single-lane corpus: scalar "
-              f"{lane['scalar_words_per_sec']:,} words/s "
-              "(numpy kernel unavailable)")
+    print(f"single-lane corpus: "
+          f"{thr['single_lane']['scalar_words_per_sec']:,} words/s")
     print(f"signature hot-path speedup (worst measured): "
           f"{thr['hot_path_speedup']}x")
     if removed <= 0:

@@ -1,9 +1,7 @@
 """And-Inverter Graph with structural hashing.
 
 * :mod:`repro.aig.aig` — the :class:`AIG` container, circuit import, and
-  bit-parallel simulation (scalar oracle + corpus dispatch);
-* :mod:`repro.aig.simkernel` — the vectorised numpy simulation kernel
-  (levelised schedule, ``uint64`` lane arrays, optional dependency);
+  bit-parallel big-int simulation;
 * :mod:`repro.aig.rewrite` — pre-sweep preprocessing: constant
   propagation, strash, local two-level rewrites, dead-node elimination.
 """

@@ -36,9 +36,6 @@ class AIG:
         self.pi_names: List[str] = []
         self._pi_index: Dict[str, int] = {}
         self.outputs: List[Tuple[str, int]] = []  # (name, literal)
-        # Cached levelised simulation schedule (repro.aig.simkernel);
-        # invalidated whenever a node is added.
-        self._schedule = None
 
     # ------------------------------------------------------------------
     # construction
@@ -51,7 +48,6 @@ class AIG:
         self._fanin0.append(0)
         self._fanin1.append(0)
         self._is_pi.append(True)
-        self._schedule = None
         self.pis.append(node)
         self.pi_names.append(name)
         self._pi_index[name] = node
@@ -81,7 +77,6 @@ class AIG:
             self._fanin1.append(b)
             self._is_pi.append(False)
             self._strash[key] = node
-            self._schedule = None
         return 2 * node
 
     def or_(self, a: int, b: int) -> int:
@@ -214,12 +209,9 @@ class AIG:
     def simulate(self, pi_words: Dict[str, int], mask: int) -> List[int]:
         """Bit-parallel simulation; returns a word per node.
 
-        This is the pure-Python scalar path — one big-int word per node,
-        evaluated in creation order.  It is kept verbatim as the
-        differential-test oracle for the vectorised kernel
-        (:mod:`repro.aig.simkernel`), which :meth:`simulate_words` (and
-        therefore :meth:`random_simulate` / :meth:`simulate_patterns`)
-        dispatches to for large corpora.
+        One big-int word per node, evaluated in creation order; every PI
+        must appear in ``pi_words`` (:meth:`simulate_words` defaults
+        missing ones to 0).
         """
         words = [0] * self.num_nodes()
         for node, name in zip(self.pis, self.pi_names):
@@ -235,58 +227,11 @@ class AIG:
             words[node] = lit_word(self._fanin0[node]) & lit_word(self._fanin1[node])
         return words
 
-    def sim_schedule(self):
-        """The cached levelised simulation schedule (None without numpy).
-
-        Built lazily by :mod:`repro.aig.simkernel` and invalidated on
-        any mutation (:meth:`add_pi` / :meth:`and_` creating a node).
-        """
-        from repro.aig import simkernel
-
-        if not simkernel.HAVE_NUMPY:
-            return None
-        if self._schedule is None:
-            self._schedule = simkernel.build_schedule(
-                self.num_nodes(),
-                self.pis,
-                self._is_pi,
-                self._fanin0,
-                self._fanin1,
-            )
-        return self._schedule
-
-    def simulate_words(
-        self,
-        pi_words: Dict[str, int],
-        width: int,
-        use_kernel: Optional[bool] = None,
-    ) -> List[int]:
+    def simulate_words(self, pi_words: Dict[str, int], width: int) -> List[int]:
         """Simulate a ``width``-pattern corpus; returns a word per node.
 
-        Routes through the vectorised numpy kernel when it is available
-        and the corpus is big enough to pay for the dispatch
-        (``use_kernel=None``); ``use_kernel=True`` / ``False`` force the
-        kernel or the scalar oracle (differential tests).  Both paths
-        return bit-identical words; PIs absent from ``pi_words`` default
-        to 0.
+        PIs absent from ``pi_words`` default to 0.
         """
-        from repro.aig import simkernel
-
-        if use_kernel is None or use_kernel:
-            schedule = self.sim_schedule()
-            if schedule is not None and (
-                use_kernel or simkernel.worthwhile(schedule, width)
-            ):
-                lane_mask = (1 << width) - 1
-                node_words = {
-                    node: pi_words.get(name, 0) & lane_mask
-                    for node, name in zip(self.pis, self.pi_names)
-                }
-                return simkernel.evaluate(schedule, node_words, width)
-            if use_kernel:
-                raise RuntimeError(
-                    "use_kernel=True requires numpy (repro.aig.simkernel)"
-                )
         mask = (1 << width) - 1
         return self.simulate(
             {name: pi_words.get(name, 0) for name in self.pi_names}, mask
@@ -307,11 +252,9 @@ class AIG:
         """Bit-parallel simulation of explicit PI assignments.
 
         Each assignment becomes one bit column (assignment ``i`` is bit
-        ``i``); PIs absent from an assignment default to False.  Corpora
-        wider than 64 patterns evaluate as multiple ``uint64`` lanes on
-        the vectorised kernel.  Returns ``(node words, mask)`` exactly
-        like :meth:`random_simulate`, so the columns can be appended to
-        existing simulation signatures.
+        ``i``); PIs absent from an assignment default to False.  Returns
+        ``(node words, mask)`` exactly like :meth:`random_simulate`, so
+        the columns can be appended to existing simulation signatures.
         """
         width = len(assignments)
         mask = (1 << width) - 1

@@ -24,11 +24,11 @@ pattern extraction stay valid against the original inputs.
 
 :func:`preprocess_miter` applies the pass to a
 :class:`repro.cec.miter.MiterAIG` before any sweep; it is what the
-engine's ``preprocess=True`` flag (threaded down from
-``check_equivalence`` / ``repro.api.VerifyRequest`` / ``--no-preprocess``)
-calls.  The rewrites are semantics-preserving, so verdicts with
-preprocessing on and off are identical — the bench matrix
-(``benchmarks/bench_cec.py``) gates on exactly that.
+engine's ``CecOptions.preprocess`` flag (set from
+``repro.api.VerifyRequest.preprocess`` / ``--no-preprocess``) calls.
+The rewrites are semantics-preserving, so verdicts with preprocessing on
+and off are identical — the bench matrix (``benchmarks/bench_cec.py``)
+gates on exactly that.
 """
 
 from __future__ import annotations

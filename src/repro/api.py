@@ -40,8 +40,7 @@ import hashlib
 import json
 import os
 import time
-import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import (
     Any,
     Dict,
@@ -55,6 +54,8 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.cec.cache import ProofCache
+from repro.cec.options import CecOptions
 from repro.core.verify import (
     SeqCheckResult,
     SeqVerdict,
@@ -138,11 +139,6 @@ def exit_code_for_verdict(verdict: Union[str, SeqVerdict]) -> int:
     return EXIT_UNKNOWN
 
 
-# Sentinel for the deprecated ``cec_cache=`` constructor spelling: None
-# is a meaningful value, so absence needs its own marker.
-_UNSET: Any = object()
-
-
 def _blif_bytes(circuit: Union[str, os.PathLike, Circuit]) -> bytes:
     """The bytes that define a circuit's identity for fingerprinting."""
     if isinstance(circuit, Circuit):
@@ -151,17 +147,34 @@ def _blif_bytes(circuit: Union[str, os.PathLike, Circuit]) -> bytes:
         return handle.read()
 
 
+#: VerifyRequest fields holding the two circuits (serialised separately).
+_CIRCUIT_FIELDS = ("golden", "revised")
+#: VerifyRequest fields holding a file path or a store object with a
+#: ``path`` attribute (:class:`~repro.cec.ProofCache`,
+#: :class:`~repro.cec.OutcomeStore`).
+_PATH_FIELDS = ("cache", "dispatch_store")
+
+
+def _default(f) -> Any:
+    """A dataclass field's default value."""
+    return f.default_factory() if f.default is MISSING else f.default
+
+
 @dataclass
 class VerifyRequest:
     """One circuit-pair verification obligation as plain data.
 
     ``golden`` / ``revised`` are BLIF paths or in-memory
-    :class:`~repro.netlist.Circuit` objects.  The option fields mirror
-    :func:`repro.core.verify.check_sequential_equivalence`; the resource
-    fields build the per-request :class:`~repro.runtime.Budget`.  A
-    request serialises to a stable JSON dict (:meth:`to_dict`) — the
-    batch-manifest row format — and hashes to a content-addressed
-    :meth:`fingerprint` used for dedup and store resume.
+    :class:`~repro.netlist.Circuit` objects.  The reduction fields mirror
+    :func:`repro.core.verify.check_sequential_equivalence`.  The engine
+    fields carry the names and defaults of the
+    :class:`~repro.cec.CecOptions` fields and become one value through
+    :meth:`cec_options`.  ``jobs`` and the resource fields describe the
+    run: the worker count and the per-request
+    :class:`~repro.runtime.Budget`.  A request serialises to a stable
+    JSON dict (:meth:`to_dict`) — the batch-manifest row format — and
+    hashes to a content-addressed :meth:`fingerprint` used for dedup and
+    store resume.
     """
 
     golden: Union[str, os.PathLike, Circuit]
@@ -173,9 +186,12 @@ class VerifyRequest:
     use_unateness: bool = True
     event_rewrite: bool = False
     validate_cex: bool = True
-    # Engine options (verdict-preserving; not fingerprinted).
+    # Sweep worker processes: a run resource, not an engine option.
     jobs: int = 1
-    cache: Union[None, str, os.PathLike] = None
+    # Engine options (verdict-preserving; not fingerprinted), named as in
+    # CecOptions.  ``cache`` may also be a live ProofCache (the Table 1
+    # harness shares one across rows).
+    cache: Union[None, str, os.PathLike, ProofCache] = None
     refine: bool = True
     preprocess: bool = True
     share_learned: bool = True
@@ -192,19 +208,8 @@ class VerifyRequest:
     engines: Optional[List[str]] = None
     dispatch_policy: str = "cascade"
     dispatch_store: Union[None, str, os.PathLike] = None
-    # Deprecated spelling of ``cache=`` (kept one release for manifests
-    # and callers written against the pre-facade kwarg).
-    cec_cache: InitVar[Any] = _UNSET
 
-    def __post_init__(self, cec_cache: Any = _UNSET) -> None:
-        if cec_cache is not _UNSET:
-            warnings.warn(
-                "VerifyRequest(cec_cache=...) is deprecated; use cache=...",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.cache is None:
-                self.cache = cec_cache
+    def __post_init__(self) -> None:
         if isinstance(self.engines, str):
             self.engines = [
                 part.strip() for part in self.engines.split(",") if part.strip()
@@ -237,6 +242,12 @@ class VerifyRequest:
             pair.append(circuit)
         return pair[0], pair[1]
 
+    def cec_options(self) -> CecOptions:
+        """The request's engine fields as one :class:`~repro.cec.CecOptions`."""
+        return CecOptions(
+            **{f.name: getattr(self, f.name) for f in fields(CecOptions)}
+        )
+
     def budget(self) -> Optional[Budget]:
         """A fresh Budget from the resource fields (None when unlimited).
 
@@ -257,13 +268,10 @@ class VerifyRequest:
         Hashes the two circuits' BLIF bytes plus every verdict-relevant
         option, so two manifest rows naming byte-identical files dedup
         even under different names/paths, while requests differing in a
-        way that can change the verdict never collide.  Engine options
-        (``jobs``, ``cache``, ``refine``, ``preprocess``,
-        ``share_learned``, ``engines``,
-        ``dispatch_policy``, ``dispatch_store``) and budgets are
-        deliberately
-        excluded: they affect *whether* a verdict is reached, not which
-        one.
+        way that can change the verdict never collide.  The engine
+        options (the :class:`~repro.cec.CecOptions` fields), ``jobs`` and
+        budgets are deliberately excluded: they affect *whether* a
+        verdict is reached, not which one.
         """
         h = hashlib.sha256()
         h.update(_blif_bytes(self.golden))
@@ -281,40 +289,35 @@ class VerifyRequest:
     # JSON round trip (the batch-manifest row schema)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """Stable JSON form; circuits given as objects become inline BLIF."""
-        out: Dict[str, Any] = {"name": self.name}
-        for key, side in (("golden", self.golden), ("revised", self.revised)):
-            if isinstance(side, Circuit):
-                out[key + "_blif"] = write_blif(side)
-            else:
-                out[key] = os.fspath(side)
-        defaults = VerifyRequest(golden="", revised="", name="-")
-        for attr in (
-            "priority",
-            "prepare",
-            "use_unateness",
-            "event_rewrite",
-            "validate_cex",
-            "jobs",
-            "refine",
-            "preprocess",
-            "share_learned",
-            "time_limit",
-            "sat_conflicts",
-            "sat_propagations",
-            "bdd_node_limit",
-            "engines",
-            "dispatch_policy",
-        ):
-            value = getattr(self, attr)
-            if value != getattr(defaults, attr):
-                out[attr] = value
-        if self.cache is not None:
-            out["cache"] = os.fspath(self.cache)
-        if self.dispatch_store is not None:
-            out["dispatch_store"] = os.fspath(self.dispatch_store)
-        if self.metadata:
-            out["metadata"] = dict(self.metadata)
+        """Stable JSON form; circuits given as objects become inline BLIF.
+
+        Fields at their default are left out.  ``cache`` and
+        ``dispatch_store`` are written as paths; a live store object
+        without a backing file has no JSON form and raises
+        :class:`ValueError` naming the field.
+        """
+        out: Dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _CIRCUIT_FIELDS:
+                if isinstance(value, Circuit):
+                    out[f.name + "_blif"] = write_blif(value)
+                else:
+                    out[f.name] = os.fspath(value)
+                continue
+            if value == _default(f):
+                continue
+            if f.name in _PATH_FIELDS:
+                value = getattr(value, "path", value)
+                if value is None:
+                    raise ValueError(
+                        f"VerifyRequest.{f.name} is a store with no file "
+                        "path; it cannot be serialised"
+                    )
+                value = os.fspath(value)
+            elif f.name == "metadata":
+                value = dict(value)
+            out[f.name] = value
         return out
 
     @classmethod
@@ -332,39 +335,14 @@ class VerifyRequest:
         """
         from repro.netlist.blif import parse_blif
 
-        known = {
-            "name",
-            "golden",
-            "revised",
-            "golden_blif",
-            "revised_blif",
-            "priority",
-            "prepare",
-            "use_unateness",
-            "event_rewrite",
-            "validate_cex",
-            "jobs",
-            "cache",
-            "refine",
-            "preprocess",
-            "share_learned",
-            "time_limit",
-            "sat_conflicts",
-            "sat_propagations",
-            "bdd_node_limit",
-            "engines",
-            "dispatch_policy",
-            "dispatch_store",
-            "cec_cache",
-            "metadata",
-        }
-        unknown = set(data) - known
+        names = {f.name for f in fields(cls)}
+        unknown = set(data) - names - {"golden_blif", "revised_blif"}
         if unknown:
             raise ValueError(
                 f"unknown VerifyRequest field(s): {sorted(unknown)}"
             )
         sides: Dict[str, Union[str, Circuit]] = {}
-        for key in ("golden", "revised"):
+        for key in _CIRCUIT_FIELDS:
             if key + "_blif" in data:
                 sides[key] = parse_blif(str(data[key + "_blif"]))
             elif key in data:
@@ -374,34 +352,14 @@ class VerifyRequest:
                 sides[key] = path
             else:
                 raise ValueError(f"VerifyRequest needs {key!r} or {key}_blif")
-        kwargs: Dict[str, Any] = {}
-        for attr in (
-            "name",
-            "priority",
-            "prepare",
-            "use_unateness",
-            "event_rewrite",
-            "validate_cex",
-            "jobs",
-            "cache",
-            "refine",
-            "preprocess",
-            "share_learned",
-            "time_limit",
-            "sat_conflicts",
-            "sat_propagations",
-            "bdd_node_limit",
-            "engines",
-            "dispatch_policy",
-            "dispatch_store",
-            "cec_cache",
-        ):
-            if attr in data:
-                kwargs[attr] = data[attr]
-        metadata = data.get("metadata")
-        if metadata is not None:
-            kwargs["metadata"] = dict(metadata)
-        return cls(golden=sides["golden"], revised=sides["revised"], **kwargs)
+        kwargs = {
+            key: data[key]
+            for key in names - set(_CIRCUIT_FIELDS)
+            if key in data
+        }
+        if "metadata" in kwargs:
+            kwargs["metadata"] = dict(kwargs["metadata"] or {})
+        return cls(**sides, **kwargs)
 
 
 @dataclass
@@ -578,17 +536,11 @@ def verify_pair(
         use_unateness=request.use_unateness,
         event_rewrite=request.event_rewrite,
         validate_cex=request.validate_cex,
+        options=request.cec_options(),
         n_jobs=request.jobs,
-        cache=request.cache,
-        refine=request.refine,
-        preprocess=request.preprocess,
-        share_learned=request.share_learned,
         budget=Budget.coerce(budget) if budget is not None else request.budget(),
         tracer=tracer,
         metrics=metrics,
-        engines=request.engines,
-        dispatch_policy=request.dispatch_policy,
-        dispatch_store=request.dispatch_store,
     )
     return VerifyReport.from_result(
         result,

@@ -31,7 +31,9 @@ Scaling layers on top of the serial filter pipeline:
 * :mod:`repro.cec.dispatch` — dispatch policies that order the portfolio
   per obligation (``"cascade"`` reproduces the fixed ladder bit for bit;
   ``"heuristic"`` ranks engines from obligation features and a
-  persistent :class:`~repro.cec.dispatch.OutcomeStore`).
+  persistent :class:`~repro.cec.dispatch.OutcomeStore`);
+* :mod:`repro.cec.options` — :class:`CecOptions`, the engine options
+  every caller passes as one value (``check_equivalence(c1, c2, options)``).
 """
 
 from repro.cec.cache import ProofCache
@@ -63,11 +65,13 @@ from repro.cec.engines import (
     resolve_portfolio,
 )
 from repro.cec.miter import build_miter
+from repro.cec.options import CecOptions
 from repro.cec.partition import Candidate, WorkUnit, partition_candidates
 
 __all__ = [
     "Candidate",
     "CascadePolicy",
+    "CecOptions",
     "CecVerdict",
     "CheckResult",
     "DispatchPolicy",

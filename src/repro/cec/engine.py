@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import os
 import random
 import time
 import warnings
@@ -44,19 +43,13 @@ from repro.cec.dispatch import (
     coerce_policy,
 )
 from repro.cec.engines import (
-    DEFAULT_BDD_NODE_LIMIT,
-    PASS,
     EngineAdapter,
     EngineContext,
     Obligation,
-    bdd_decide_pair,
-    extract_counterexample,
-    lit_word,
     resolve_portfolio,
-    sim_refute_pair,
-    validate_counterexample,
 )
 from repro.cec.miter import MiterAIG, build_miter
+from repro.cec.options import CecOptions
 from repro.cec.parallel import (
     DEFERRED,
     UNKNOWN,
@@ -345,8 +338,8 @@ def _initial_signatures(
     columns ``[(rounds-1-r)*width, (rounds-r)*width)``, so round 0 stays
     most significant) and evaluated in a single
     :meth:`~repro.aig.aig.AIG.simulate_words` call — one pass over the
-    AIG, vectorised when the numpy kernel is available.  Bit-identical
-    to the historical per-round shift-and-concatenate loop.
+    AIG.  Bit-identical to the historical per-round shift-and-concatenate
+    loop.
     """
     pi_words = {name: 0 for name in aig.pi_names}
     for r in range(rounds):
@@ -564,7 +557,8 @@ def _refine_signatures(
     ``collected`` pairs each NEQ candidate with the PI assignment its SAT
     model produced.  Every model is validated by re-simulation before any
     column lands in the signatures — its column must actually drive the
-    pair's literals apart, mirroring :func:`_validate_counterexample` —
+    pair's literals apart, mirroring
+    :func:`~repro.cec.engines.validate_counterexample` —
     because refining on a fictitious pattern would silently degrade class
     quality while a bogus model means the engine state is corrupt.
     Duplicate assignments are folded into one column.  Returns the new
@@ -599,16 +593,6 @@ def _refine_signatures(
         for node, sig in enumerate(signatures)
     ]
     return refined, (mask << width) | new_mask, width
-
-
-# Backward-compatible aliases: the stage helpers moved into the engines
-# package (repro.cec.engines) when the ladder became an adapter
-# portfolio; tests and downstream code import them from here.
-_extract_counterexample = extract_counterexample
-_validate_counterexample = validate_counterexample
-_lit_word = lit_word
-_sim_refute_pair = sim_refute_pair
-_bdd_decide_pair = bdd_decide_pair
 
 
 def _check_outputs_portfolio(
@@ -763,51 +747,55 @@ def _check_outputs_portfolio(
 def check_equivalence(
     c1: Circuit,
     c2: Circuit,
+    options: Optional[CecOptions] = None,
+    *,
+    n_jobs: int = 1,
+    budget: Union[None, int, float, Budget] = None,
+    tracer: Union[None, Tracer, NullTracer] = None,
+    metrics: Optional[MetricsRegistry] = None,
     sim_rounds: int = 4,
     sim_width: int = 64,
     sweep: bool = True,
     conflict_limit: Optional[int] = None,
     seed: int = 0,
-    refine: bool = True,
     refine_rounds: int = DEFAULT_REFINE_ROUNDS,
-    preprocess: bool = True,
-    n_jobs: int = 1,
-    cache: Union[None, str, os.PathLike, ProofCache] = None,
-    budget: Union[None, int, float, Budget] = None,
-    tracer: Union[None, Tracer, NullTracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    engines: Union[None, str, Sequence[str]] = None,
-    dispatch_policy: Union[str, DispatchPolicy] = "cascade",
-    dispatch_store: Union[None, str, os.PathLike, OutcomeStore] = None,
-    share_learned: bool = True,
 ) -> CheckResult:
     """Check combinational equivalence of two circuits.
 
-    The main entry point of the CEC substrate.  ``sweep=False`` skips the
-    internal-equivalence SAT sweeping (pure monolithic SAT on the miter).
+    The main entry point of the CEC substrate.  ``options`` — a
+    :class:`~repro.cec.CecOptions`, None for the defaults — carries the
+    engine options the layers above pass through; the run resources
+    (``n_jobs``, ``budget``, ``tracer``, ``metrics``) and the low-level
+    sweep parameters (``sim_rounds``, ``sim_width``, ``sweep``,
+    ``conflict_limit``, ``seed``, ``refine_rounds``) are keywords.
+
+    ``sweep=False`` skips the internal-equivalence SAT sweeping (pure
+    monolithic SAT on the miter).
     ``n_jobs > 1`` partitions the sweep into cone-disjoint work units and
     proves them on a process pool (verdict-identical to ``n_jobs=1``).
-    ``cache`` — a :class:`~repro.cec.cache.ProofCache` or a path to one —
-    replays previously-proven candidate and output verdicts by structural
-    cone hash, skipping their SAT queries entirely.
+    ``options.cache`` — a :class:`~repro.cec.cache.ProofCache` or a path
+    to one — replays previously-proven candidate and output verdicts by
+    structural cone hash, skipping their SAT queries entirely.
 
-    ``refine`` (default on) closes the simulation↔solver loop FRAIG
-    style: every refuting SAT model from the sweep is appended as a new
-    simulation-pattern column, the surviving signature classes are
+    ``options.refine`` (default on) closes the simulation↔solver loop
+    FRAIG style: every refuting SAT model from the sweep is appended as a
+    new simulation-pattern column, the surviving signature classes are
     re-split, and the sweep repeats until no new pattern appears (or
     ``refine_rounds`` is reached).  While refinement is active, one NEQ
     inside a signature class defers the class's remaining queries — the
     new pattern usually splits the class, so most deferred queries are
-    never spent.  ``refine=False`` restores the single-pass sweep.
+    never spent.  ``CecOptions(refine=False)`` restores the single-pass
+    sweep.
 
-    ``preprocess`` (default on) rewrites the miter before any sweep —
-    constant propagation, structural hashing, local two-level rewrites
-    and dead-node elimination (:func:`repro.aig.rewrite.preprocess_miter`)
-    — so every downstream phase works on a smaller AIG.  The rewrites
+    ``options.preprocess`` (default on) rewrites the miter before any
+    sweep — constant propagation, structural hashing, local two-level
+    rewrites and dead-node elimination
+    (:func:`repro.aig.rewrite.preprocess_miter`) — so every downstream
+    phase works on a smaller AIG.  The rewrites
     are semantics-preserving, so verdicts with preprocessing on and off
     are identical; the AND-node reduction is recorded as
-    ``cec.preprocess.nodes_removed``.  ``preprocess=False`` sweeps the
-    raw miter.
+    ``cec.preprocess.nodes_removed``.  ``CecOptions(preprocess=False)``
+    sweeps the raw miter.
 
     ``budget`` — a :class:`~repro.runtime.Budget` or bare wall-clock
     seconds — switches the output checks onto the fallback cascade
@@ -824,18 +812,19 @@ def check_equivalence(
     own per-check registry first, so passing a shared registry across
     checks cannot corrupt any single check's stats).
 
-    ``engines`` names the adapter portfolio for the output checks — a
-    sequence (or comma-separated string) of registered engine names, see
-    :func:`repro.cec.engines.available_engines`.  None (the default)
+    ``options.engines`` names the adapter portfolio for the output
+    checks — a sequence (or comma-separated string) of registered engine
+    names, see :func:`repro.cec.engines.available_engines`.  None (the default)
     lets the dispatch policy pick: the default ``"cascade"`` policy
     reproduces the historical ladder bit for bit (structural → sim →
     BDD → SAT when budgeted; structural → SAT otherwise).
-    ``dispatch_policy`` selects how engines are ordered per obligation
-    (``"cascade"``, ``"heuristic"``, or a
+    ``options.dispatch_policy`` selects how engines are ordered per
+    obligation (``"cascade"``, ``"heuristic"``, or a
     :class:`~repro.cec.dispatch.DispatchPolicy` instance);
-    ``dispatch_store`` — an :class:`~repro.cec.dispatch.OutcomeStore` or
-    a path to one — records per-engine outcomes across runs so
-    metrics-driven policies improve with use.  A portfolio without the
+    ``options.dispatch_store`` — an
+    :class:`~repro.cec.dispatch.OutcomeStore` or a path to one — records
+    per-engine outcomes across runs so metrics-driven policies improve
+    with use.  A portfolio without the
     ``sat`` adapter skips SAT sweeping entirely (sweeping is SAT work).
     Unknown engine or policy names raise :class:`ValueError` before any
     solving starts.
@@ -843,20 +832,25 @@ def check_equivalence(
     Every UNSAT under assumptions feeds a shared
     :class:`~repro.sat.cores.CoreIndex`; sweep and output queries whose
     assumptions a known core subsumes are retired without a solver call
-    (``cec.sat.core_retired``).  ``share_learned`` (default on) adds
-    cross-worker clause sharing on top for parallel sweeps: each
+    (``cec.sat.core_retired``).  ``options.share_learned`` (default on)
+    adds cross-worker clause sharing on top for parallel sweeps: each
     worker's short/low-LBD learned clauses join a deduplicated pool that
     seeds the next round's workers, respawned units, and — before the
     final output checks — the coordinator's own solver
     (``cec.parallel.shared_clauses_*``).  Both reduce work only; they
     never change a verdict.
     """
+    if options is None:
+        options = CecOptions()
+    engines = options.engines
+    refine = options.refine
+    share_learned = options.share_learned
     tracer = coerce_tracer(tracer)
     caller_metrics = metrics
     registry = MetricsRegistry()
     n_jobs = max(1, int(n_jobs))
     registry.set_gauge("cec.n_jobs", n_jobs)
-    proof_cache = ProofCache.coerce(cache)
+    proof_cache = ProofCache.coerce(options.cache)
     if proof_cache is not None:
         proof_cache.attach_metrics(registry)
     budget = Budget.coerce(budget)
@@ -867,8 +861,8 @@ def check_equivalence(
     deadline = budget.deadline if budget is not None else None
     # Resolve the engine portfolio and dispatch policy up front so an
     # unknown name raises before any miter/solver work happens.
-    store = OutcomeStore.coerce(dispatch_store)
-    policy = coerce_policy(dispatch_policy, store=store)
+    store = OutcomeStore.coerce(options.dispatch_store)
+    policy = coerce_policy(options.dispatch_policy, store=store)
     portfolio = resolve_portfolio(
         engines
         if engines is not None
@@ -942,7 +936,7 @@ def check_equivalence(
         root.annotate(structural=True)
         return finish(CheckResult(CecVerdict.EQUIVALENT))
 
-    if preprocess and (budget is None or not budget.expired()):
+    if options.preprocess and (budget is None or not budget.expired()):
         t_pre = time.perf_counter()
         with tracer.span("cec.phase.preprocess", cat="phase"):
             miter, removed = preprocess_miter(miter)

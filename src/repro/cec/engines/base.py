@@ -17,24 +17,22 @@ Contract of an adapter (narrative form in ``docs/API.md``):
   stop (resource exhaustion; the runner turns it into the check's
   verdict, with ``outcome.reason`` as the ``REASON_*`` code).
 * Budget discipline: adapters read their limits from the context
-  (``ctx.sat_limit`` / ``ctx.node_limit`` / ``ctx.budget``) and must
-  never block past them.  Wall-clock expiry *between* engines is the
-  runner's job, not the adapter's.
+  (``ctx.sat_limit`` / ``ctx.propagation_limit`` / ``ctx.deadline`` /
+  ``ctx.node_limit`` / ``ctx.budget``) and must never block past them.
+  Wall-clock expiry *between* engines is the runner's job, not the
+  adapter's.
 * Metrics: adapters count their effort into ``ctx.metrics`` under the
   ``cec.*`` names catalogued in ``docs/OBSERVABILITY.md``.  The
   historical ladder's decision counters (``cec.cascade.<stage>``) are
   incremented *inside* the deciding adapter, exactly once per decided
   obligation, on budgeted and unbudgeted checks alike — so a classic
-  run's cascade breakdown matches a budgeted run of the same miter
-  (counting used to be gated on ``ctx.budgeted``, which made unbudgeted
-  runs report empty breakdowns).  Single-site counting still makes
-  double counting (the old two-site ``cec.cascade.sat`` bug)
-  structurally impossible.
+  run's cascade breakdown matches a budgeted run of the same miter.
+  Single-site counting makes double counting structurally impossible.
 * NEQ outcomes must carry a counterexample already re-validated against
   the AIG (:func:`validate_counterexample`); the runner trusts it.
 
 Third-party engines register via :func:`register_engine` and become
-addressable from every layer (``check_equivalence(engines=[...])``,
+addressable from every layer (``CecOptions(engines=[...])``,
 ``VerifyRequest(engines=[...])``, ``repro verify --engines ...``).
 """
 
@@ -105,8 +103,9 @@ class EngineContext:
 
     Owns the derived resource limits so every adapter prices work the
     same way: ``sat_limit`` folds the caller's conflict limit with the
-    budget's, ``node_limit`` is the budget's BDD cap (or the default),
-    and ``budgeted`` says whether the check is resource-governed at all.
+    budget's, ``propagation_limit`` and ``deadline`` are the budget's
+    (None without one), and ``node_limit`` is the budget's BDD cap (or
+    the default).
 
     ``cores`` is the run's shared :class:`~repro.sat.cores.CoreIndex`
     (when the caller maintains one): the SAT adapter consults it to
@@ -140,7 +139,9 @@ class EngineContext:
         self.metrics = metrics
         self.tracer = tracer
         self.budget = budget
-        self.budgeted = budget is not None
+        self.propagation_limit = (
+            budget.sat_propagations if budget is not None else None
+        )
         self.cores = cores
         self.conflict_limit = conflict_limit
         self.sim_width = sim_width
@@ -157,6 +158,11 @@ class EngineContext:
             budget.bdd_nodes if budget is not None else None
         ) or DEFAULT_BDD_NODE_LIMIT
         self._signature: Optional[Tuple[List[int], int]] = None
+
+    @property
+    def deadline(self) -> Optional[float]:
+        """The budget's absolute wall-clock deadline (None when untimed)."""
+        return self.budget.deadline if self.budget is not None else None
 
     def signature(self) -> Tuple[List[int], int]:
         """Random-simulation ``(words, mask)`` of the miter AIG."""

@@ -3,11 +3,11 @@
 The final (and only complete) stage of the historical ladder.  Proves
 ``l1 == l2`` by UNSAT in both assumption directions on the *parent's*
 incremental solver — so every merge clause the sweep learned strengthens
-these queries.  Budget-governed checks bound each solve with the folded
-conflict limit, the budget's propagation limit, and its deadline; an
-unknown solver outcome stops the portfolio with the solver's reason
-code on budgeted and unbudgeted checks alike (classic checks used to
-report a reasonless UNKNOWN, discarding ``last_unknown_reason``).
+these queries.  Each solve is bounded by the context's folded conflict
+limit and, on budget-governed checks, the budget's propagation limit
+and deadline (both None without a budget); an unknown solver outcome
+stops the portfolio with the solver's reason code on budgeted and
+unbudgeted checks alike.
 
 When the context carries a :class:`~repro.sat.cores.CoreIndex`, each
 direction is first checked against the known assumption cores (plus the
@@ -18,10 +18,7 @@ index so later pairs benefit.
 
 ``cec.cascade.sat`` is incremented here and nowhere else — once per
 *decided* obligation (NEQ on a model, EQ after both UNSATs), never on
-the unknown path, whether or not the check is budget-governed — fixing
-both the old double-site counting in ``_check_outputs_cascade`` and the
-later ``ctx.budgeted`` gate that left classic runs with empty cascade
-breakdowns.
+the unknown path, whether or not the check is budget-governed.
 """
 
 from __future__ import annotations
@@ -61,18 +58,12 @@ class SatEngine(EngineAdapter):
             if core_retires(solver, ctx.cores, assumptions):
                 ctx.metrics.inc("cec.sat.core_retired")
                 continue
-            if ctx.budgeted:
-                res = solver.solve(
-                    assumptions=assumptions,
-                    conflict_limit=ctx.sat_limit,
-                    propagation_limit=ctx.budget.sat_propagations,
-                    deadline=ctx.budget.deadline,
-                )
-            else:
-                res = solver.solve(
-                    assumptions=assumptions,
-                    conflict_limit=ctx.conflict_limit,
-                )
+            res = solver.solve(
+                assumptions=assumptions,
+                conflict_limit=ctx.sat_limit,
+                propagation_limit=ctx.propagation_limit,
+                deadline=ctx.deadline,
+            )
             ctx.metrics.inc("cec.sat_queries")
             if solver.last_unknown:
                 reason = solver.last_unknown_reason or REASON_TIMEOUT

@@ -16,10 +16,14 @@
     python -m repro synth   circuit.blif -o out.blif [--effort medium]
     python -m repro expose  circuit.blif [--weighted] [--no-unate] [-o out.blif]
     python -m repro stats   circuit.blif
-    python -m repro table1  [--quick] [--jobs N] [--cache FILE] [--time-limit S]
+    python -m repro table1  [--quick | --circuits NAME ...] [--unate]
+                            [--jobs N] [--cache FILE] [--no-refine]
+                            [--no-preprocess] [--no-share-learned]
+                            [--time-limit S] [--bdd-node-limit N]
                             [--on-error skip|abort] [--checkpoint FILE --resume]
                             [--trace FILE] [--metrics-out FILE]
-    python -m repro table2  [--quick] [--on-error skip|abort] [--trace FILE]
+    python -m repro table2  [--quick | --circuits NAME ...]
+                            [--on-error skip|abort] [--trace FILE]
     python -m repro profile run.jsonl [--top N] [--chrome OUT] [--validate]
     python -m repro batch   manifest.json [--jobs N] [--time-limit S]
                             [--cache FILE] [--store FILE --resume]
@@ -694,60 +698,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_table1(args) -> int:
-    from repro.flows.table1 import main as table1_main
-
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.jobs != 1:
-        forwarded.extend(["--jobs", str(args.jobs)])
-    if args.cache:
-        forwarded.extend(["--cache", args.cache])
-    if args.no_refine:
-        forwarded.append("--no-refine")
-    if args.no_preprocess:
-        forwarded.append("--no-preprocess")
-    if args.no_share_learned:
-        forwarded.append("--no-share-learned")
-    if args.time_limit is not None:
-        forwarded.extend(["--time-limit", str(args.time_limit)])
-    if args.bdd_node_limit is not None:
-        forwarded.extend(["--bdd-node-limit", str(args.bdd_node_limit)])
-    if args.on_error != "skip":
-        forwarded.extend(["--on-error", args.on_error])
-    if args.checkpoint:
-        forwarded.extend(["--checkpoint", args.checkpoint])
-    if args.resume:
-        forwarded.append("--resume")
-    if args.quiet:
-        forwarded.append("--quiet")
-    if args.verbose:
-        forwarded.append("--verbose")
-    if args.trace:
-        forwarded.extend(["--trace", args.trace])
-    if args.metrics_out:
-        forwarded.extend(["--metrics-out", args.metrics_out])
-    return table1_main(forwarded)
-
-
-def _cmd_table2(args) -> int:
-    from repro.flows.table2 import main as table2_main
-
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.on_error != "skip":
-        forwarded.extend(["--on-error", args.on_error])
-    if args.quiet:
-        forwarded.append("--quiet")
-    if args.verbose:
-        forwarded.append("--verbose")
-    if args.trace:
-        forwarded.extend(["--trace", args.trace])
-    return table2_main(forwarded)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -923,76 +873,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser(
-        "table1", parents=[verbosity], help="regenerate the paper's Table 1"
-    )
-    p.add_argument("--quick", action="store_true")
-    p.add_argument(
-        "--jobs", type=int, default=1, help="CEC sweep worker processes"
-    )
-    p.add_argument(
-        "--cache", default=None, help="persistent CEC proof-cache file"
-    )
-    p.add_argument(
-        "--no-refine",
-        action="store_true",
-        help="disable counterexample-guided refinement in the CEC sweep",
-    )
-    p.add_argument(
-        "--no-preprocess",
-        action="store_true",
-        help="disable pre-sweep AIG rewriting of the CEC miter",
-    )
-    p.add_argument(
-        "--no-share-learned",
-        action="store_true",
-        help="disable learned-clause and assumption-core pooling "
-        "across sweep workers",
-    )
-    p.add_argument(
-        "--time-limit",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-row verification budget (seconds); TIMEOUT rows, no hangs",
-    )
-    p.add_argument(
-        "--bdd-node-limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="live-node cap for the engine's bounded BDD attempts",
-    )
-    p.add_argument(
-        "--on-error",
-        choices=("skip", "abort"),
-        default="skip",
-        help="failing rows: record ERROR and continue (skip) or stop (abort)",
-    )
-    p.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="record finished rows into FILE after each row",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay rows already in --checkpoint instead of recomputing",
-    )
-    p.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write a structured JSONL trace of the run",
-    )
-    p.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="FILE",
-        help="write the run's aggregated metrics registry as JSON",
-    )
-    p.set_defaults(func=_cmd_table1)
+    # The table harnesses own their flags: `repro tableN` and `python -m
+    # repro.flows.tableN` parse and run with the same two functions.
+    from repro.flows import table1, table2
+
+    p = sub.add_parser("table1", help="regenerate the paper's Table 1")
+    table1.add_arguments(p)
+    p.set_defaults(func=table1.run_args)
+
+    p = sub.add_parser("table2", help="regenerate the paper's Table 2")
+    table2.add_arguments(p)
+    p.set_defaults(func=table2.run_args)
 
     p = sub.add_parser(
         "batch",
@@ -1319,23 +1210,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_bench_compare)
 
-    p = sub.add_parser(
-        "table2", parents=[verbosity], help="regenerate the paper's Table 2"
-    )
-    p.add_argument("--quick", action="store_true")
-    p.add_argument(
-        "--on-error",
-        choices=("skip", "abort"),
-        default="skip",
-        help="failing rows: record ERROR and continue (skip) or stop (abort)",
-    )
-    p.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write a structured JSONL trace of the run",
-    )
-    p.set_defaults(func=_cmd_table2)
     return parser
 
 

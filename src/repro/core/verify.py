@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import enum
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cec.engine import CecVerdict, check_equivalence
+from repro.cec.options import CecOptions
 from repro.core.cbf import CBF, compute_cbf
 from repro.core.edbf import EDBF, compute_edbf
 from repro.core.eq2comb import cbf_to_circuit, edbf_to_circuit
@@ -114,11 +114,6 @@ def _classify(circuit: Circuit) -> str:
     return "acyclic-regular"
 
 
-#: Sentinel distinguishing "not passed" from an explicit None for the
-#: deprecated ``cec_cache=`` alias below.
-_UNSET = object()
-
-
 def check_sequential_equivalence(
     c1: Circuit,
     c2: Circuit,
@@ -127,18 +122,12 @@ def check_sequential_equivalence(
     event_rewrite: bool = False,
     validate_cex: bool = True,
     pinned: Sequence[str] = (),
+    options: Optional[CecOptions] = None,
+    *,
     n_jobs: int = 1,
-    cache=None,
-    refine: bool = True,
-    preprocess: bool = True,
-    share_learned: bool = True,
     budget=None,
     tracer=None,
     metrics=None,
-    cec_cache=_UNSET,
-    engines=None,
-    dispatch_policy="cascade",
-    dispatch_store=None,
 ) -> SeqCheckResult:
     """Check exact-3-valued sequential equivalence of two circuits.
 
@@ -149,47 +138,24 @@ def check_sequential_equivalence(
     canonicalisation (opt-in; see :mod:`repro.core.events` for why it is
     tied to the transparent-enable reading).  ``validate_cex`` replays CBF
     counterexamples through exact-3-valued simulation as a
-    defence-in-depth check.  ``n_jobs`` and ``cache`` (a
-    :class:`repro.cec.ProofCache` or a path) are forwarded to the CEC
-    engine: parallel SAT sweeping and the persistent proof cache —
-    ``cache`` is the same kwarg name :func:`repro.cec.check_equivalence`
-    uses; the old ``cec_cache=`` spelling still works but emits a
-    :class:`DeprecationWarning`.  ``refine`` (default on) enables the CEC
-    sweep's counterexample-guided refinement loop — refuting SAT models
-    become new simulation patterns that re-split the signature classes;
-    pass False for the single-pass sweep.  ``preprocess`` (default on)
-    rewrites the lowered miter AIG before sweeping — constant
-    propagation, strashing, local two-level rewrites and dead-node
-    elimination; semantics-preserving, so verdicts are unchanged.
-    ``share_learned`` (default on) lets the CEC sweep pool
-    quality-filtered learned clauses and assumption cores across
-    parallel workers and the final output pass; pass False to isolate
-    every solve (verdicts are unaffected either way).
-    ``budget`` — a
-    :class:`repro.runtime.Budget` or bare wall-clock
-    seconds — resource-governs the CEC step; exhaustion yields verdict
-    UNKNOWN with :attr:`SeqCheckResult.reason` set instead of a hang.
-    ``tracer`` / ``metrics`` — a :class:`repro.obs.trace.Tracer` and a
+    defence-in-depth check.
+
+    ``options`` — a :class:`repro.cec.CecOptions` — is handed unchanged
+    to :func:`repro.cec.check_equivalence` for the combinational check of
+    the lowered pair; none of its settings changes a verdict.  The run
+    resources go to the same call: ``n_jobs`` worker processes for the
+    SAT sweep, and ``budget`` — a :class:`repro.runtime.Budget` or bare
+    wall-clock seconds — which resource-governs the CEC step; exhaustion
+    yields verdict UNKNOWN with :attr:`SeqCheckResult.reason` set instead
+    of a hang.  ``tracer`` / ``metrics`` — a
+    :class:`repro.obs.trace.Tracer` and a
     :class:`repro.obs.metrics.MetricsRegistry` — record the span tree
     (``seq.check`` → preparation/lowering phases → the CEC engine's own
     spans) and the full metric set; both default to no-ops.
-    ``engines`` / ``dispatch_policy`` / ``dispatch_store`` select the CEC
-    engine-adapter portfolio and how it is ordered per obligation (see
-    :func:`repro.cec.check_equivalence`); the defaults reproduce the
-    historical cascade bit for bit.
 
     Prefer calling through the stable facade :func:`repro.api.verify_pair`,
     which wraps this function behind one request/report pair of types.
     """
-    if cec_cache is not _UNSET:
-        warnings.warn(
-            "check_sequential_equivalence(cec_cache=...) is deprecated; "
-            "use cache=... (the same kwarg check_equivalence takes)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if cache is None:
-            cache = cec_cache
     t0 = time.perf_counter()
     if set(c1.inputs) != set(c2.inputs):
         raise ValueError("circuits must have identical input names")
@@ -230,44 +196,14 @@ def check_sequential_equivalence(
         else:
             c1p, c2p = c1, c2
 
-        enabled = "acyclic-enabled" in (kind1, kind2)
-        if enabled:
+        run = dict(n_jobs=n_jobs, budget=budget, tracer=tracer, metrics=metrics)
+        if "acyclic-enabled" in (kind1, kind2):
             result = _check_via_edbf(
-                c1p,
-                c2p,
-                event_rewrite,
-                stats,
-                n_jobs,
-                cache,
-                refine,
-                preprocess,
-                share_learned,
-                budget,
-                tracer,
-                metrics,
-                engines=engines,
-                dispatch_policy=dispatch_policy,
-                dispatch_store=dispatch_store,
+                c1p, c2p, event_rewrite, stats, options, **run
             )
         else:
             result = _check_via_cbf(
-                c1p,
-                c2p,
-                stats,
-                validate_cex,
-                c1,
-                c2,
-                n_jobs,
-                cache,
-                refine,
-                preprocess,
-                share_learned,
-                budget,
-                tracer,
-                metrics,
-                engines=engines,
-                dispatch_policy=dispatch_policy,
-                dispatch_store=dispatch_store,
+                c1p, c2p, stats, validate_cex, c1, c2, options, **run
             )
         result.stats["total_time"] = time.perf_counter() - t0
         root.annotate(verdict=result.verdict.value, method=result.method)
@@ -285,17 +221,12 @@ def _check_via_cbf(
     validate_cex: bool,
     orig1: Circuit,
     orig2: Circuit,
+    options: Optional[CecOptions] = None,
+    *,
     n_jobs: int = 1,
-    cache=None,
-    refine: bool = True,
-    preprocess: bool = True,
-    share_learned: bool = True,
     budget=None,
     tracer=None,
     metrics=None,
-    engines=None,
-    dispatch_policy="cascade",
-    dispatch_store=None,
 ) -> SeqCheckResult:
     tracer = coerce_tracer(tracer)
     with tracer.span("seq.phase.lower", cat="phase", method="cbf"):
@@ -317,17 +248,11 @@ def _check_via_cbf(
     cec = check_equivalence(
         comb1,
         comb2,
+        options,
         n_jobs=n_jobs,
-        cache=cache,
-        refine=refine,
-        preprocess=preprocess,
-        share_learned=share_learned,
         budget=budget,
         tracer=tracer,
         metrics=metrics,
-        engines=engines,
-        dispatch_policy=dispatch_policy,
-        dispatch_store=dispatch_store,
     )
     stats.update({f"cec_{k}": v for k, v in cec.stats.items()})
     if cec.verdict is CecVerdict.EQUIVALENT:
@@ -415,17 +340,12 @@ def _check_via_edbf(
     c2: Circuit,
     event_rewrite: bool,
     stats: Dict[str, float],
+    options: Optional[CecOptions] = None,
+    *,
     n_jobs: int = 1,
-    cache=None,
-    refine: bool = True,
-    preprocess: bool = True,
-    share_learned: bool = True,
     budget=None,
     tracer=None,
     metrics=None,
-    engines=None,
-    dispatch_policy="cascade",
-    dispatch_store=None,
 ) -> SeqCheckResult:
     tracer = coerce_tracer(tracer)
     with tracer.span("seq.phase.lower", cat="phase", method="edbf"):
@@ -445,17 +365,11 @@ def _check_via_edbf(
     cec = check_equivalence(
         comb1,
         comb2,
+        options,
         n_jobs=n_jobs,
-        cache=cache,
-        refine=refine,
-        preprocess=preprocess,
-        share_learned=share_learned,
         budget=budget,
         tracer=tracer,
         metrics=metrics,
-        engines=engines,
-        dispatch_policy=dispatch_policy,
-        dispatch_store=dispatch_store,
     )
     stats.update({f"cec_{k}": v for k, v in cec.stats.items()})
     if cec.verdict is CecVerdict.EQUIVALENT:

@@ -21,10 +21,11 @@ against D as in Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
 from repro.api import VerifyRequest, verify_pair
+from repro.cec.options import CecOptions
 from repro.core.expose import prepare_circuit
 from repro.core.verify import SeqVerdict
 from repro.netlist.circuit import Circuit
@@ -153,194 +154,143 @@ def run_flow(
     effort: str = "medium",
     verify: bool = True,
     build_unexposed_variants: bool = True,
+    options: Optional[CecOptions] = None,
+    *,
     n_jobs: int = 1,
-    cec_cache=None,
-    refine: bool = True,
-    preprocess: bool = True,
-    share_learned: bool = True,
     budget=None,
     tracer=None,
     metrics=None,
-    engines=None,
-    dispatch_policy="cascade",
 ) -> FlowResult:
     """Run the full Fig. 19 experiment on one circuit.
 
     ``use_unateness=False`` matches the paper's Table 1 setup (step 1 of
     Sec. 8: feedback latches were not remodelled as load-enabled because no
     retiming tool handled them); pass True to measure the reduced exposure
-    the paper predicts from functional analysis.  ``n_jobs`` and
-    ``cec_cache`` reach the CEC engine inside the verification step —
-    a cache shared across rows (and across runs) skips already-proven
-    merges of structurally recurring cones.  ``refine=False`` disables the
-    engine's counterexample-guided refinement loop and ``preprocess=False``
-    its pre-sweep AIG rewriting (the ``--no-refine`` / ``--no-preprocess``
-    escape hatches); ``share_learned=False`` turns off learned-clause and
-    assumption-core pooling in the sweep (``--no-share-learned``).
-    ``budget`` (a
-    :class:`repro.runtime.Budget` or bare seconds) resource-governs the
-    verification step; exhaustion yields an UNKNOWN verdict with
-    :attr:`FlowResult.verify_reason` set, never a hang.  ``tracer`` /
-    ``metrics`` thread the observability sinks through the flow: the row
-    gets a ``flow.row`` span enclosing exposure, synthesis, and the
-    verification step's full span tree.  ``engines`` /
-    ``dispatch_policy`` select the CEC engine-adapter portfolio for the
-    verification step (see :func:`repro.cec.check_equivalence`); the
-    defaults reproduce the historical cascade.
+    the paper predicts from functional analysis.
+
+    ``options`` (a :class:`repro.cec.CecOptions`) reaches the CEC engine
+    inside the verification step unchanged — e.g. a proof cache shared
+    across rows (and across runs) skips already-proven merges of
+    structurally recurring cones.  ``n_jobs`` sets the sweep's worker
+    processes and ``budget`` (a :class:`repro.runtime.Budget` or bare
+    seconds) resource-governs the verification step; exhaustion yields an
+    UNKNOWN verdict with :attr:`FlowResult.verify_reason` set, never a
+    hang.  ``tracer`` / ``metrics`` thread the observability sinks through
+    the flow: the row gets a ``flow.row`` span enclosing exposure,
+    synthesis, and the verification step's full span tree.
     """
     tracer = coerce_tracer(tracer)
-    row_span = tracer.span("flow.row", cat="flow", circuit=circuit.name)
-    try:
-        return _run_flow(
-            circuit,
-            use_unateness,
-            effort,
-            verify,
-            build_unexposed_variants,
-            n_jobs,
-            cec_cache,
-            refine,
-            preprocess,
-            share_learned,
-            budget,
-            tracer,
-            metrics,
-            row_span,
-            engines=engines,
-            dispatch_policy=dispatch_policy,
+    with tracer.span("flow.row", cat="flow", circuit=circuit.name) as row_span:
+        result = FlowResult(circuit.name)
+        result.latches_a = circuit.num_latches()
+
+        # Step 1: A -> B (expose the minimal feedback vertex set).  Exposed
+        # latches stay physically present in the design (only frozen), so they
+        # count towards the latch totals of B-derived circuits, as in Table 1.
+        with tracer.span("flow.phase.expose", cat="phase"):
+            prep = prepare_circuit(circuit, use_unateness=use_unateness)
+        b_circuit = prep.circuit
+        n_exposed = len(prep.exposed)
+        result.pct_exposed = (
+            100.0 * n_exposed / result.latches_a if result.latches_a else 0.0
         )
-    finally:
-        row_span.close()
+        result.latches["B"] = b_circuit.num_latches() + n_exposed
 
+        # Step 3 first: D = combinational optimisation of A (baseline delay).
+        opt_span = tracer.span("flow.phase.optimize", cat="phase")
+        d_circuit = optimize_sequential_delay(circuit, effort, name=circuit.name + "_D")
+        _measure(result, "D", d_circuit)
+        d_depth = circuit_depth(d_circuit)
 
-def _run_flow(
-    circuit: Circuit,
-    use_unateness: bool,
-    effort: str,
-    verify: bool,
-    build_unexposed_variants: bool,
-    n_jobs: int,
-    cec_cache,
-    refine: bool,
-    preprocess: bool,
-    share_learned: bool,
-    budget,
-    tracer,
-    metrics,
-    row_span,
-    engines=None,
-    dispatch_policy="cascade",
-) -> FlowResult:
-    result = FlowResult(circuit.name)
-    result.latches_a = circuit.num_latches()
+        # Step 2: C = synth(B) -> min-period retiming -> resynthesis.  Circuits
+        # whose remodelled latches carry derived enables fall back to the
+        # class-aware incremental retimer (the capability the paper lacked).
+        c_circuit = optimize_sequential_delay(
+            b_circuit, effort, name=circuit.name + "_C0"
+        )
+        c_circuit = _retime_min_period_any(c_circuit, result)
+        c_circuit = optimize_sequential_delay(
+            c_circuit, effort, name=circuit.name + "_C"
+        )
+        _measure(result, "C", c_circuit)
+        result.latches["C"] = result.latches.get("C", 0) + n_exposed
 
-    # Step 1: A -> B (expose the minimal feedback vertex set).  Exposed
-    # latches stay physically present in the design (only frozen), so they
-    # count towards the latch totals of B-derived circuits, as in Table 1.
-    with tracer.span("flow.phase.expose", cat="phase"):
-        prep = prepare_circuit(circuit, use_unateness=use_unateness)
-    b_circuit = prep.circuit
-    n_exposed = len(prep.exposed)
-    result.pct_exposed = (
-        100.0 * n_exposed / result.latches_a if result.latches_a else 0.0
-    )
-    result.latches["B"] = b_circuit.num_latches() + n_exposed
-
-    # Step 3 first: D = combinational optimisation of A (baseline delay).
-    opt_span = tracer.span("flow.phase.optimize", cat="phase")
-    d_circuit = optimize_sequential_delay(circuit, effort, name=circuit.name + "_D")
-    _measure(result, "D", d_circuit)
-    d_depth = circuit_depth(d_circuit)
-
-    # Step 2: C = synth(B) -> min-period retiming -> resynthesis.  Circuits
-    # whose remodelled latches carry derived enables fall back to the
-    # class-aware incremental retimer (the capability the paper lacked).
-    c_circuit = optimize_sequential_delay(b_circuit, effort, name=circuit.name + "_C0")
-    c_circuit = _retime_min_period_any(c_circuit, result)
-    c_circuit = optimize_sequential_delay(c_circuit, effort, name=circuit.name + "_C")
-    _measure(result, "C", c_circuit)
-    result.latches["C"] = result.latches.get("C", 0) + n_exposed
-
-    # Step 4: E = constrained min-area retiming of synth(B) at D's delay.
-    e_base = optimize_sequential_delay(b_circuit, effort, name=circuit.name + "_E0")
-    e_period = max(d_depth, 1)
-    try:
-        e_retimed, _ = retime_min_area(e_base, period=e_period)
-    except ValueError:
-        e_retimed = None
-        result.notes += "E needs class-aware min-area (not available); "
-    if e_retimed is None and "class-aware" in result.notes:
-        pass
-    elif e_retimed is None:
-        # Infeasible at D's delay: relax to E0's own min period.
-        from repro.retime.rgraph import build_retiming_graph
-        from repro.retime.minperiod import min_period_retiming
-        from repro.retime.apply import apply_retiming
-
-        graph = build_retiming_graph(e_base)
-        feas_period, _ = min_period_retiming(graph)
-        e_retimed, _ = retime_min_area(e_base, period=max(feas_period, e_period))
-        result.notes += "E relaxed; "
-    e_circuit = (
-        optimize_sequential_delay(e_retimed, effort, name=circuit.name + "_E")
-        if e_retimed is not None
-        else None
-    )
-    _measure(result, "E", e_circuit)
-    if "E" in result.latches:
-        result.latches["E"] += n_exposed
-
-    # Steps 5-6: F and G on the unmodified A (optimisation-loss probes).
-    if build_unexposed_variants:
+        # Step 4: E = constrained min-area retiming of synth(B) at D's delay.
+        e_base = optimize_sequential_delay(b_circuit, effort, name=circuit.name + "_E0")
+        e_period = max(d_depth, 1)
         try:
-            f_circuit = optimize_sequential_delay(
-                circuit, effort, name=circuit.name + "_F0"
-            )
-            f_circuit, _, _ = retime_min_period(f_circuit)
-            f_circuit = optimize_sequential_delay(
-                f_circuit, effort, name=circuit.name + "_F"
-            )
-            _measure(result, "F", f_circuit)
-        except ValueError as exc:
-            result.notes += f"F skipped ({exc}); "
-        try:
-            g_base = optimize_sequential_delay(
-                circuit, effort, name=circuit.name + "_G0"
-            )
-            g_retimed, _ = retime_min_area(g_base, period=max(d_depth, 1))
-            if g_retimed is not None:
-                _measure(result, "G", g_retimed)
-            else:
-                result.notes += "G infeasible; "
-        except ValueError as exc:
-            result.notes += f"G skipped ({exc}); "
-    opt_span.close()
+            e_retimed, _ = retime_min_area(e_base, period=e_period)
+        except ValueError:
+            e_retimed = None
+            result.notes += "E needs class-aware min-area (not available); "
+        if e_retimed is None and "class-aware" in result.notes:
+            pass
+        elif e_retimed is None:
+            # Infeasible at D's delay: relax to E0's own min period.
+            from repro.retime.rgraph import build_retiming_graph
+            from repro.retime.minperiod import min_period_retiming
+            from repro.retime.apply import apply_retiming
 
-    # Steps 7-8: combinational verification of B vs C (H vs J), routed
-    # through the stable facade (repro.api) like every other caller.
-    if verify:
-        report = verify_pair(
-            VerifyRequest(
-                golden=b_circuit,
-                revised=c_circuit,
-                name=circuit.name,
-                jobs=n_jobs,
-                cache=cec_cache,
-                refine=refine,
-                preprocess=preprocess,
-                share_learned=share_learned,
-                engines=engines,
-                dispatch_policy=dispatch_policy,
-            ),
-            budget=budget,
-            tracer=tracer,
-            metrics=metrics,
+            graph = build_retiming_graph(e_base)
+            feas_period, _ = min_period_retiming(graph)
+            e_retimed, _ = retime_min_area(e_base, period=max(feas_period, e_period))
+            result.notes += "E relaxed; "
+        e_circuit = (
+            optimize_sequential_delay(e_retimed, effort, name=circuit.name + "_E")
+            if e_retimed is not None
+            else None
         )
-        result.verify_seconds = report.elapsed_seconds
-        result.verify_verdict = SeqVerdict(report.verdict)
-        result.verify_reason = report.reason
-        result.verify_stats = dict(report.stats)
-        row_span.annotate(
-            verdict=report.verdict, verify_seconds=result.verify_seconds
-        )
-    return result
+        _measure(result, "E", e_circuit)
+        if "E" in result.latches:
+            result.latches["E"] += n_exposed
+
+        # Steps 5-6: F and G on the unmodified A (optimisation-loss probes).
+        if build_unexposed_variants:
+            try:
+                f_circuit = optimize_sequential_delay(
+                    circuit, effort, name=circuit.name + "_F0"
+                )
+                f_circuit, _, _ = retime_min_period(f_circuit)
+                f_circuit = optimize_sequential_delay(
+                    f_circuit, effort, name=circuit.name + "_F"
+                )
+                _measure(result, "F", f_circuit)
+            except ValueError as exc:
+                result.notes += f"F skipped ({exc}); "
+            try:
+                g_base = optimize_sequential_delay(
+                    circuit, effort, name=circuit.name + "_G0"
+                )
+                g_retimed, _ = retime_min_area(g_base, period=max(d_depth, 1))
+                if g_retimed is not None:
+                    _measure(result, "G", g_retimed)
+                else:
+                    result.notes += "G infeasible; "
+            except ValueError as exc:
+                result.notes += f"G skipped ({exc}); "
+        opt_span.close()
+
+        # Steps 7-8: combinational verification of B vs C (H vs J), routed
+        # through the stable facade (repro.api) like every other caller.
+        if verify:
+            cec = options if options is not None else CecOptions()
+            report = verify_pair(
+                VerifyRequest(
+                    golden=b_circuit,
+                    revised=c_circuit,
+                    name=circuit.name,
+                    jobs=n_jobs,
+                    **{f.name: getattr(cec, f.name) for f in fields(cec)},
+                ),
+                budget=budget,
+                tracer=tracer,
+                metrics=metrics,
+            )
+            result.verify_seconds = report.elapsed_seconds
+            result.verify_verdict = SeqVerdict(report.verdict)
+            result.verify_reason = report.reason
+            result.verify_stats = dict(report.stats)
+            row_span.annotate(
+                verdict=report.verdict, verify_seconds=result.verify_seconds
+            )
+        return result

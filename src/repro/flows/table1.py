@@ -13,18 +13,22 @@ interrupted run picks up where it left off with ``--resume``.
 
 Run as a module for the full table::
 
-    python -m repro.flows.table1 [--quick] [--unate] [--time-limit S]
-                                 [--checkpoint FILE --resume]
+    python -m repro.flows.table1 [--quick | --circuits NAME ...] [--unate]
+                                 [--time-limit S] [--checkpoint FILE --resume]
+
+``repro table1`` takes exactly the same options (:func:`add_arguments`).
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.bench.iscas_like import TABLE1_CIRCUITS, build_table1_circuit
 from repro.cec.cache import ProofCache
+from repro.cec.options import CecOptions
 from repro.flows.checkpoint import Checkpoint
 from repro.flows.flow import FlowResult, run_flow
 from repro.flows.report import render_table, summarize_engine_stats
@@ -32,7 +36,7 @@ from repro.obs.console import Console
 from repro.obs.trace import coerce_tracer
 from repro.runtime.budget import REASON_TIMEOUT, Budget
 
-__all__ = ["table1_row", "run_table1", "QUICK_SET"]
+__all__ = ["table1_row", "run_table1", "add_arguments", "run_args", "QUICK_SET"]
 
 # Small-to-medium circuits that regenerate in seconds each.
 QUICK_SET = [
@@ -53,33 +57,23 @@ def table1_row(
     name: str,
     use_unateness: bool = False,
     effort: str = "medium",
+    options: Optional[CecOptions] = None,
+    *,
     n_jobs: int = 1,
-    cec_cache=None,
-    refine: bool = True,
-    preprocess: bool = True,
-    share_learned: bool = True,
     budget: Union[None, int, float, Budget] = None,
     tracer=None,
     metrics=None,
-    engines=None,
-    dispatch_policy="cascade",
 ) -> FlowResult:
-    """Run the flow for one Table 1 circuit."""
-    circuit = build_table1_circuit(name)
+    """Run the flow for one Table 1 circuit (arguments as :func:`run_flow`)."""
     return run_flow(
-        circuit,
+        build_table1_circuit(name),
         use_unateness=use_unateness,
         effort=effort,
+        options=options,
         n_jobs=n_jobs,
-        cec_cache=cec_cache,
-        refine=refine,
-        preprocess=preprocess,
-        share_learned=share_learned,
         budget=budget,
         tracer=tracer,
         metrics=metrics,
-        engines=engines,
-        dispatch_policy=dispatch_policy,
     )
 
 
@@ -96,12 +90,9 @@ def run_table1(
     names: Optional[Sequence[str]] = None,
     use_unateness: bool = False,
     effort: str = "medium",
-    stream=None,
+    options: Optional[CecOptions] = None,
+    *,
     n_jobs: int = 1,
-    cec_cache=None,
-    refine: bool = True,
-    preprocess: bool = True,
-    share_learned: bool = True,
     time_limit: Optional[float] = None,
     bdd_node_limit: Optional[int] = None,
     on_error: str = "skip",
@@ -110,19 +101,14 @@ def run_table1(
     console: Optional[Console] = None,
     tracer=None,
     metrics=None,
-    engines=None,
-    dispatch_policy="cascade",
 ) -> List[FlowResult]:
     """Run the Table 1 harness and print the table.
 
-    A ``cec_cache`` (path or :class:`repro.cec.ProofCache`) is shared by
-    every row's verification step and flushed at the end, so a second run
-    of the harness replays the proven merges instead of re-solving them.
-    ``refine=False`` disables the CEC engine's counterexample-guided
-    refinement loop and ``preprocess=False`` its pre-sweep AIG rewriting
-    (the ``--no-refine`` / ``--no-preprocess`` escape hatches);
-    ``share_learned=False`` turns off learned-clause and assumption-core
-    pooling in the sweep (``--no-share-learned``).
+    ``options`` (a :class:`repro.cec.CecOptions`) and ``n_jobs`` reach
+    every row's verification step.  A proof cache in ``options.cache``
+    (path or :class:`repro.cec.ProofCache`) is opened once, shared by
+    every row and flushed at the end, so a second run of the harness
+    replays the proven merges instead of re-solving them.
 
     ``time_limit`` / ``bdd_node_limit`` build a fresh per-row
     :class:`~repro.runtime.Budget` for the verification step; a row whose
@@ -135,18 +121,21 @@ def run_table1(
     replayed instead of recomputed.
 
     Output goes through a :class:`repro.obs.console.Console` — pass one
-    to control ``--quiet`` / ``--verbose``; the legacy ``stream``
-    argument still works (None keeps the harness silent).  ``tracer`` /
-    ``metrics`` thread the observability sinks through every row's flow.
+    to control ``--quiet`` / ``--verbose``; without one the harness is
+    silent.  ``tracer`` / ``metrics`` thread the observability sinks
+    through every row's flow.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     if console is None:
-        console = Console.for_stream(stream)
+        console = Console.null()
+    # One live proof cache for every row: opened once, flushed at the end.
+    options = options if options is not None else CecOptions()
+    cache = ProofCache.coerce(options.cache)
+    options = replace(options, cache=cache)
     tracer = coerce_tracer(tracer)
     if names is None:
         names = [entry[0] for entry in TABLE1_CIRCUITS]
-    cache = ProofCache.coerce(cec_cache)
     store: Optional[Checkpoint] = None
     recorded: Dict[str, dict] = {}
     if checkpoint is not None:
@@ -177,16 +166,11 @@ def run_table1(
                 name,
                 use_unateness,
                 effort,
-                n_jobs,
-                cache,
-                refine=refine,
-                preprocess=preprocess,
-                share_learned=share_learned,
+                options,
+                n_jobs=n_jobs,
                 budget=_row_budget(time_limit, bdd_node_limit),
                 tracer=tracer,
                 metrics=metrics,
-                engines=engines,
-                dispatch_policy=dispatch_policy,
             )
             if result.verify_reason == REASON_TIMEOUT:
                 result.status = "timeout"
@@ -282,9 +266,13 @@ def format_table1(results: Sequence[FlowResult]) -> str:
     return render_table(headers, rows, title="Table 1 — optimisation & verification")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.flows.table1`` entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the Table 1 harness's options to ``parser``.
+
+    Both entry points — ``python -m repro.flows.table1`` and
+    ``repro table1`` — build their parser with this function and run it
+    with :func:`run_args`, so the two can never accept different flags.
+    """
     parser.add_argument(
         "--quick", action="store_true", help="run only the fast subset"
     )
@@ -375,9 +363,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="FILE",
         help="write the run's aggregated metrics registry as JSON",
     )
-    args = parser.parse_args(argv)
+
+
+def run_args(args: argparse.Namespace) -> int:
+    """Run the harness for arguments parsed by :func:`add_arguments`."""
+    console = Console(quiet=args.quiet, verbose=args.verbose)
     if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint")
+        console.error("error: --resume requires --checkpoint")
+        raise SystemExit(2)
     if args.circuits:
         names = args.circuits
     elif args.quick:
@@ -387,22 +380,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
 
-    console = Console(quiet=args.quiet, verbose=args.verbose)
     tracer = (
         Tracer(path=args.trace, meta={"command": "table1", "rows": len(names)})
         if args.trace
         else None
     )
     registry = MetricsRegistry() if args.metrics_out else None
+    options = CecOptions(
+        cache=args.cache,
+        refine=not args.no_refine,
+        preprocess=not args.no_preprocess,
+        share_learned=not args.no_share_learned,
+    )
     try:
         run_table1(
             names,
             use_unateness=args.unate,
+            options=options,
             n_jobs=args.jobs,
-            cec_cache=args.cache,
-            refine=not args.no_refine,
-            preprocess=not args.no_preprocess,
-            share_learned=not args.no_share_learned,
             time_limit=args.time_limit,
             bdd_node_limit=args.bdd_node_limit,
             on_error=args.on_error,
@@ -419,6 +414,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.metrics_out, "w", encoding="utf-8") as handle:
                 handle.write(registry.to_json(indent=2))
     return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """``python -m repro.flows.table1`` entry point."""
+    parser = argparse.ArgumentParser(description=__doc__)
+    add_arguments(parser)
+    return run_args(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ first with the paper's purely structural analysis, then with the
 positive-unateness refinement the paper predicts "would lead to reduced
 number of exposed latches".
 
-Run as a module::
+Run as a module (``repro table2`` takes the same options)::
 
-    python -m repro.flows.table2 [--quick]
+    python -m repro.flows.table2 [--quick | --circuits NAME ...]
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.flows.report import render_table
 from repro.obs.console import Console
 from repro.obs.trace import coerce_tracer
 
-__all__ = ["table2_row", "run_table2", "Table2Row"]
+__all__ = ["table2_row", "run_table2", "add_arguments", "run_args", "Table2Row"]
 
 
 @dataclass
@@ -61,7 +61,6 @@ def table2_row(name: str) -> Table2Row:
 
 def run_table2(
     names: Optional[Sequence[str]] = None,
-    stream=None,
     on_error: str = "skip",
     console: Optional[Console] = None,
     tracer=None,
@@ -69,14 +68,13 @@ def run_table2(
     """Run the Table 2 harness; prints through ``console``.
 
     ``on_error="skip"`` (default) records a row whose analysis raises as
-    an ERROR row and continues; ``"abort"`` re-raises.  The legacy
-    ``stream`` argument still works (None keeps the harness silent when
-    no ``console`` is passed).
+    an ERROR row and continues; ``"abort"`` re-raises.  Without a
+    ``console`` the harness is silent.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     if console is None:
-        console = Console.for_stream(stream)
+        console = Console.null()
     tracer = coerce_tracer(tracer)
     if names is None:
         names = [entry[0] for entry in TABLE2_CIRCUITS]
@@ -137,11 +135,15 @@ def format_table2(rows: Sequence[Table2Row]) -> str:
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.flows.table2`` entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the Table 2 harness's options to ``parser``.
+
+    Both entry points — ``python -m repro.flows.table2`` and
+    ``repro table2`` — build their parser with this function and run it
+    with :func:`run_args`.
+    """
     parser.add_argument("--quick", action="store_true", help="small circuits only")
-    parser.add_argument("--circuits", nargs="*")
+    parser.add_argument("--circuits", nargs="*", help="explicit circuit names")
     parser.add_argument(
         "--on-error",
         choices=("skip", "abort"),
@@ -163,7 +165,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="FILE",
         help="write a structured JSONL trace of the run (see repro profile)",
     )
-    args = parser.parse_args(argv)
+
+
+def run_args(args: argparse.Namespace) -> int:
+    """Run the harness for arguments parsed by :func:`add_arguments`."""
     if args.circuits:
         names = args.circuits
     elif args.quick:
@@ -184,6 +189,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if tracer is not None:
             tracer.close()
     return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """``python -m repro.flows.table2`` entry point."""
+    parser = argparse.ArgumentParser(description=__doc__)
+    add_arguments(parser)
+    return run_args(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

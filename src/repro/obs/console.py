@@ -41,14 +41,8 @@ class Console:
 
     @classmethod
     def null(cls) -> "Console":
-        """A console that writes nothing (the ``stream=None`` harness mode)."""
+        """A console that writes nothing (a harness run without a console)."""
         return cls(silent=True)
-
-    @classmethod
-    def for_stream(cls, stream: Optional[IO[str]]) -> "Console":
-        """Back-compat shim for the harnesses' ``stream`` argument:
-        a writing console for a real stream, a silent one for None."""
-        return cls(stream=stream) if stream is not None else cls.null()
 
     def _write(self, stream: IO[str], text: str) -> None:
         if self.silent:

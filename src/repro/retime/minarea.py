@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.retime.minperiod import arrival_times, clock_period
 from repro.retime.rgraph import HOST, RetimingGraph
 
@@ -40,6 +38,7 @@ def _solve_lp(
     bound: float,
 ) -> Optional[Dict[str, int]]:
     """Min Σ c_x·x subject to difference constraints (integral optimum)."""
+    import numpy as np
     from scipy.optimize import linprog
 
     index = {v: i for i, v in enumerate(variables)}

@@ -117,3 +117,44 @@ class TestImport:
                 var = lit2cnf(lit)
                 val = r.model[abs(var)] == (var > 0)
                 assert val == expect[out]
+
+
+def _random_aig(seed: int, n_inputs: int = 7, n_gates: int = 60) -> AIG:
+    aig, _ = aig_from_circuit(
+        random_combinational(
+            n_inputs=n_inputs, n_gates=n_gates, n_outputs=4, seed=seed
+        )
+    )
+    return aig
+
+
+class TestCorpusSimulation:
+    def test_simulate_patterns_empty_corpus(self):
+        aig = _random_aig(0)
+        words, mask = aig.simulate_patterns([])
+        assert mask == 0
+        assert words == [0] * aig.num_nodes()
+
+    def test_simulate_patterns_multi_lane_corpus(self):
+        # More than 64 patterns: every node word spans several 64-bit lanes.
+        aig = _random_aig(1, n_inputs=5, n_gates=40)
+        rng = random.Random(42)
+        patterns = [
+            {name: rng.random() < 0.5 for name in aig.pi_names}
+            for _ in range(130)
+        ]
+        words, mask = aig.simulate_patterns(patterns)
+        assert mask == (1 << 130) - 1
+        # Cross-check a sample of columns against single-pattern eval.
+        for col in (0, 63, 64, 129):
+            expected = aig.simulate(
+                {n: int(patterns[col][n]) for n in aig.pi_names}, 1
+            )
+            assert [(w >> col) & 1 for w in words] == expected
+
+    def test_missing_pis_default_to_zero(self):
+        aig = _random_aig(4)
+        scalar = aig.simulate(
+            {name: 0 for name in aig.pi_names}, (1 << 16) - 1
+        )
+        assert aig.simulate_words({}, 16) == scalar

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.random_circuits import random_combinational
+from repro.cec import CecOptions
 from repro.cec.engine import (
     CecVerdict,
     _class_candidates,
@@ -166,7 +167,7 @@ class TestConstantClassRetirement:
         r = check_equivalence(
             hidden_const_circuit("l", True),
             hidden_const_circuit("r", False),
-            preprocess=False,
+            CecOptions(preprocess=False),
         )
         assert r.verdict is CecVerdict.EQUIVALENT
         assert r.stats["core_retired"] >= 1
@@ -175,17 +176,17 @@ class TestConstantClassRetirement:
         assert r.stats["sat_queries"] < 2 * r.stats["sweep_candidates"] + 2
 
     def test_retirement_identical_in_parallel(self):
-        kwargs = dict(preprocess=False)
+        options = CecOptions(preprocess=False)
         serial = check_equivalence(
             hidden_const_circuit("l", True),
             hidden_const_circuit("r", False),
-            **kwargs,
+            options,
         )
         parallel = check_equivalence(
             hidden_const_circuit("l", True),
             hidden_const_circuit("r", False),
+            options,
             n_jobs=2,
-            **kwargs,
         )
         assert serial.verdict is parallel.verdict is CecVerdict.EQUIVALENT
         assert parallel.stats["core_retired"] >= 1
@@ -198,24 +199,21 @@ class TestShareLearnedKnob:
         c2 = c1.copy("r")
         script_delay(c2)
         baseline = check_equivalence(c1, c2)
-        for kwargs in (
-            dict(share_learned=False),
-            dict(n_jobs=2),
-            dict(n_jobs=2, share_learned=False),
-        ):
-            r = check_equivalence(c1, c2, **kwargs)
+        for share, n_jobs in ((False, 1), (True, 2), (False, 2)):
+            r = check_equivalence(
+                c1, c2, CecOptions(share_learned=share), n_jobs=n_jobs
+            )
             assert r.verdict is baseline.verdict
 
     def test_neq_verdict_survives_sharing_modes(self):
         c1 = random_combinational(n_inputs=8, n_gates=60, seed=0, name="g")
         c3 = random_combinational(n_inputs=8, n_gates=60, seed=9, name="u")
         baseline = check_equivalence(c1, c3)
-        for kwargs in (
-            dict(share_learned=False),
-            dict(n_jobs=2),
-            dict(n_jobs=2, share_learned=False),
-        ):
-            assert check_equivalence(c1, c3, **kwargs).verdict is baseline.verdict
+        for share, n_jobs in ((False, 1), (True, 2), (False, 2)):
+            r = check_equivalence(
+                c1, c3, CecOptions(share_learned=share), n_jobs=n_jobs
+            )
+            assert r.verdict is baseline.verdict
 
 
 def _unit_payloads(c1, c2, **payload_kwargs):

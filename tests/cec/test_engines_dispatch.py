@@ -23,6 +23,7 @@ import warnings
 import pytest
 
 from repro.bench.random_circuits import random_combinational
+from repro.cec import CecOptions
 from repro.cec.cache import EQ, NEQ
 from repro.cec.dispatch import (
     CascadePolicy,
@@ -103,7 +104,9 @@ class TestRegistry:
     def test_unknown_engine_rejected_by_check(self):
         c = xor_chain(4)
         with pytest.raises(ValueError, match="unknown engine"):
-            check_equivalence(c, xor_tree(4), engines=["sim", "nope"])
+            check_equivalence(
+                c, xor_tree(4), CecOptions(engines=["sim", "nope"])
+            )
 
     def test_empty_portfolio_rejected(self):
         with pytest.raises(ValueError, match="empty engine portfolio"):
@@ -118,7 +121,7 @@ class TestRegistry:
             coerce_policy("nope")
         with pytest.raises(ValueError, match="unknown dispatch policy"):
             check_equivalence(
-                xor_chain(4), xor_tree(4), dispatch_policy="nope"
+                xor_chain(4), xor_tree(4), CecOptions(dispatch_policy="nope")
             )
 
     def test_third_party_engine_pluggable(self):
@@ -139,8 +142,9 @@ class TestRegistry:
             r = check_equivalence(
                 xor_chain(6),
                 xor_tree(6),
-                engines=["structural", "nosy", "sat"],
-                preprocess=False,
+                CecOptions(
+                    engines=["structural", "nosy", "sat"], preprocess=False
+                ),
             )
             assert r.equivalent
             assert NosyEngine.seen > 0
@@ -179,7 +183,7 @@ class TestPolicyVerdictParity:
         c1, c2 = make()
         reference = check_equivalence(c1, c2)
         r = check_equivalence(
-            c1, c2, dispatch_policy=policy, n_jobs=n_jobs
+            c1, c2, CecOptions(dispatch_policy=policy), n_jobs=n_jobs
         )
         assert r.verdict is reference.verdict
         if expect == EQ:
@@ -201,7 +205,7 @@ class TestPolicyVerdictParity:
         for c1, c2 in pairs:
             cascade = check_equivalence(c1, c2)
             heuristic = check_equivalence(
-                c1, c2, dispatch_policy="heuristic"
+                c1, c2, CecOptions(dispatch_policy="heuristic")
             )
             assert heuristic.verdict is cascade.verdict
             assert (
@@ -214,14 +218,16 @@ class TestPortfolioSelection:
     def test_sat_only_proves(self):
         r = check_equivalence(
             xor_chain(8, "a"), xor_tree(8, "b"),
-            engines=["sat"], preprocess=False,
+            CecOptions(engines=["sat"], preprocess=False),
         )
         assert r.equivalent
         assert r.stats.get("engine_sat", 0) >= 1
 
     def test_sat_only_refutes_with_counterexample(self):
         c1, c2 = xor_chain(6, "a"), complement_chain(6, "b")
-        r = check_equivalence(c1, c2, engines=["sat"], preprocess=False)
+        r = check_equivalence(
+            c1, c2, CecOptions(engines=["sat"], preprocess=False)
+        )
         assert r.verdict is CecVerdict.NOT_EQUIVALENT
         vec = {k: bool(v) for k, v in r.counterexample.items()}
         assert simulate(c1, [vec]).outputs[0] != simulate(c2, [vec]).outputs[0]
@@ -229,7 +235,7 @@ class TestPortfolioSelection:
     def test_sim_only_cannot_prove(self):
         r = check_equivalence(
             xor_chain(8, "a"), xor_tree(8, "b"),
-            engines=["structural", "sim"], preprocess=False,
+            CecOptions(engines=["structural", "sim"], preprocess=False),
         )
         assert r.verdict is CecVerdict.UNKNOWN
         assert r.reason == REASON_RESOURCE_LIMIT
@@ -238,7 +244,7 @@ class TestPortfolioSelection:
     def test_sim_only_refutes(self):
         r = check_equivalence(
             xor_chain(6, "a"), complement_chain(6, "b"),
-            engines=["sim"], preprocess=False,
+            CecOptions(engines=["sim"], preprocess=False),
         )
         assert r.verdict is CecVerdict.NOT_EQUIVALENT
         assert r.stats["sat_queries"] == 0
@@ -283,8 +289,8 @@ class TestSingleSiteSatCounting:
         r = check_equivalence(
             xor_chain(10, "a"),
             xor_tree(10, "b"),
+            CecOptions(preprocess=False),
             budget=Budget(wall_seconds=60.0, bdd_nodes=4),
-            preprocess=False,
         )
         assert r.equivalent
         assert r.stats["cascade_sat"] >= 1
@@ -296,7 +302,7 @@ class TestSingleSiteSatCounting:
         # breakdown even though the SAT engine decided every output.
         # Both paths now count once per decided obligation.
         r = check_equivalence(
-            xor_chain(8, "a"), xor_tree(8, "b"), preprocess=False
+            xor_chain(8, "a"), xor_tree(8, "b"), CecOptions(preprocess=False)
         )
         assert r.equivalent
         assert r.stats.get("engine_sat", 0) >= 1
@@ -381,8 +387,7 @@ class TestOutcomeStore:
         r = check_equivalence(
             xor_chain(8, "a"),
             xor_tree(8, "b"),
-            dispatch_store=store,
-            preprocess=False,
+            CecOptions(dispatch_store=store, preprocess=False),
         )
         assert r.equivalent
         assert any(key.startswith("sat|") for key in store.cells)

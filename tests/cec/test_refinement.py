@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.random_circuits import random_combinational
+from repro.cec import CecOptions
 from repro.cec.engine import (
     CecVerdict,
     _class_candidates,
@@ -33,13 +34,15 @@ from tests.cec.test_sweep_parallel import xor_chain, xor_tree
 # for (the refuting models split the classes instead of SAT doing it
 # pair by pair).
 NARROW = dict(sim_rounds=1, sim_width=4)
+REFINE = CecOptions(refine=True)
+NO_REFINE = CecOptions(refine=False)
 
 
 class TestRefinementConvergence:
     def test_fewer_sat_queries_than_no_refine(self):
         c1, c2 = xor_chain(16), xor_tree(16)
-        refined = check_equivalence(c1, c2, refine=True, **NARROW)
-        plain = check_equivalence(c1, c2, refine=False, **NARROW)
+        refined = check_equivalence(c1, c2, REFINE, **NARROW)
+        plain = check_equivalence(c1, c2, NO_REFINE, **NARROW)
         assert refined.verdict is CecVerdict.EQUIVALENT
         assert plain.verdict is CecVerdict.EQUIVALENT
         assert refined.stats["refine_rounds"] >= 1
@@ -48,7 +51,7 @@ class TestRefinementConvergence:
 
     def test_no_refine_disables_all_refinement_work(self):
         plain = check_equivalence(
-            xor_chain(16), xor_tree(16), refine=False, **NARROW
+            xor_chain(16), xor_tree(16), NO_REFINE, **NARROW
         )
         assert plain.stats["refine_rounds"] == 0
         assert plain.stats["refine_patterns"] == 0
@@ -56,7 +59,7 @@ class TestRefinementConvergence:
 
     def test_deferred_queries_are_reported_saved(self):
         refined = check_equivalence(
-            xor_chain(16), xor_tree(16), refine=True, **NARROW
+            xor_chain(16), xor_tree(16), REFINE, **NARROW
         )
         # Narrow signatures produce multi-member spurious classes, so at
         # least one in-class query must be deferred and never re-asked.
@@ -65,7 +68,7 @@ class TestRefinementConvergence:
     def test_wide_signatures_converge_in_one_round(self):
         # With healthy 4x64-bit signatures the xor pair has no spurious
         # classes: no NEQ models, hence no refinement rounds.
-        r = check_equivalence(xor_chain(16), xor_tree(16), refine=True)
+        r = check_equivalence(xor_chain(16), xor_tree(16), REFINE)
         assert r.verdict is CecVerdict.EQUIVALENT
         assert r.stats["refine_rounds"] == 0
 
@@ -75,8 +78,8 @@ class TestRefinementConvergence:
         c2 = random_combinational(
             n_inputs=8, n_gates=60, seed=seed + 10, name="other"
         )
-        refined = check_equivalence(c1, c2, refine=True, **NARROW)
-        plain = check_equivalence(c1, c2, refine=False, **NARROW)
+        refined = check_equivalence(c1, c2, REFINE, **NARROW)
+        plain = check_equivalence(c1, c2, NO_REFINE, **NARROW)
         assert refined.verdict is plain.verdict
         if refined.verdict is CecVerdict.NOT_EQUIVALENT:
             vec = refined.counterexample
@@ -87,9 +90,9 @@ class TestRefinementConvergence:
     @pytest.mark.parametrize("n_jobs", [2, 3])
     def test_parallel_refinement_matches_serial(self, n_jobs):
         c1, c2 = xor_chain(16), xor_tree(16)
-        serial = check_equivalence(c1, c2, refine=True, **NARROW)
+        serial = check_equivalence(c1, c2, REFINE, **NARROW)
         parallel = check_equivalence(
-            c1, c2, refine=True, n_jobs=n_jobs, **NARROW
+            c1, c2, REFINE, n_jobs=n_jobs, **NARROW
         )
         # Workers prove on fresh per-unit solvers, so their NEQ *models*
         # (and hence later-round class evolution) may legitimately differ
@@ -99,8 +102,8 @@ class TestRefinementConvergence:
 
     def test_refined_runs_are_deterministic(self):
         c1, c2 = xor_chain(16), xor_tree(16)
-        a = check_equivalence(c1, c2, refine=True, **NARROW)
-        b = check_equivalence(c1, c2, refine=True, **NARROW)
+        a = check_equivalence(c1, c2, REFINE, **NARROW)
+        b = check_equivalence(c1, c2, REFINE, **NARROW)
         assert a.verdict is b.verdict
         for key in (
             "sat_queries",
@@ -114,7 +117,7 @@ class TestRefinementConvergence:
 
     def test_refine_rounds_caps_the_loop(self):
         r = check_equivalence(
-            xor_chain(16), xor_tree(16), refine=True, refine_rounds=0, **NARROW
+            xor_chain(16), xor_tree(16), REFINE, refine_rounds=0, **NARROW
         )
         assert r.verdict is CecVerdict.EQUIVALENT
         assert r.stats["refine_rounds"] == 0
@@ -337,6 +340,6 @@ class TestFacadeAndFlags:
         from tests.cec.test_sweep_parallel import retimed_resynthesised_pair
 
         h, j = retimed_resynthesised_pair(seed=0)
-        on = check_equivalence(h, j, refine=True, **NARROW)
-        off = check_equivalence(h, j, refine=False, **NARROW)
+        on = check_equivalence(h, j, REFINE, **NARROW)
+        off = check_equivalence(h, j, NO_REFINE, **NARROW)
         assert on.verdict is off.verdict

@@ -16,6 +16,7 @@ from repro.aig.rewrite import (
 )
 from repro.bench.mutations import sample_mutations
 from repro.bench.random_circuits import random_combinational
+from repro.cec import CecOptions
 from repro.cec.engine import CecVerdict, check_equivalence
 from repro.cec.miter import build_miter
 from repro.synth.script import script_delay
@@ -154,8 +155,8 @@ class TestVerdictIdentity:
 
     def test_preprocess_on_off_verdicts_identical(self):
         for c1, c2 in self._pairs():
-            plain = check_equivalence(c1, c2, preprocess=False)
-            pre = check_equivalence(c1, c2, preprocess=True)
+            plain = check_equivalence(c1, c2, CecOptions(preprocess=False))
+            pre = check_equivalence(c1, c2, CecOptions(preprocess=True))
             assert pre.verdict == plain.verdict
             if pre.verdict is CecVerdict.NOT_EQUIVALENT:
                 # Counterexamples are assignments over the original PIs
@@ -167,7 +168,9 @@ class TestVerdictIdentity:
         mutants = [m for _, m in sample_mutations(base, 6, seed=7)]
         checked = 0
         for mutant in mutants:
-            result = check_equivalence(base, mutant, preprocess=True)
+            result = check_equivalence(
+                base, mutant, CecOptions(preprocess=True)
+            )
             if result.verdict is not CecVerdict.NOT_EQUIVALENT:
                 continue
             checked += 1
@@ -184,8 +187,8 @@ class TestVerdictIdentity:
         c1 = random_combinational(n_inputs=6, n_gates=30, seed=1)
         c2 = c1.copy("resynth")
         script_delay(c2)
-        on = check_equivalence(c1, c2, preprocess=True)
-        off = check_equivalence(c1, c2, preprocess=False)
+        on = check_equivalence(c1, c2, CecOptions(preprocess=True))
+        off = check_equivalence(c1, c2, CecOptions(preprocess=False))
         assert "preprocess_removed" in on.stats
         assert "preprocess_removed" in off.stats
         assert on.stats["aig_ands_preprocessed"] <= on.stats["aig_ands"]

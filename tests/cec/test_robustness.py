@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.cec import parallel
+from repro.cec import CecOptions, parallel
 from repro.cec.cache import EQ, NEQ, SCHEMA_VERSION, ProofCache
 from repro.cec.engine import (
     CecVerdict,
@@ -110,7 +110,7 @@ class TestCacheHardening:
                 }
             )
         )
-        poisoned = check_equivalence(c1, c2, cache=path)
+        poisoned = check_equivalence(c1, c2, CecOptions(cache=path))
         assert poisoned.verdict is clean.verdict
 
     def test_unparsable_file_quarantined_as_evidence(self, tmp_path):
@@ -270,7 +270,10 @@ class TestBudgetedEngine:
         # solver's reason (reason=None on UNKNOWN); it now propagates
         # ``last_unknown_reason`` exactly like the budgeted path.
         r = check_equivalence(
-            xor_chain(40), xor_tree(40), conflict_limit=1, preprocess=False
+            xor_chain(40),
+            xor_tree(40),
+            CecOptions(preprocess=False),
+            conflict_limit=1,
         )
         assert r.verdict is CecVerdict.UNKNOWN
         assert r.reason == REASON_CONFLICT_LIMIT

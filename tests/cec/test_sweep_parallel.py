@@ -15,13 +15,14 @@ import pytest
 
 from repro.bench.pipeline import pipeline_circuit
 from repro.bench.random_circuits import random_combinational
+from repro.cec import CecOptions
 from repro.cec.cache import EQ, NEQ, ProofCache
 from repro.cec.engine import (
     CecVerdict,
-    _validate_counterexample,
     check_equivalence,
     check_equivalence_bdd,
 )
+from repro.cec.engines import validate_counterexample
 from repro.cec.miter import build_miter
 from repro.cec.parallel import sweep_unit_payload
 from repro.cec.partition import partition_candidates
@@ -199,8 +200,8 @@ class TestProofCache:
     def test_warm_cache_skips_queries(self):
         c1, c2 = xor_chain(16), xor_tree(16)
         cache = ProofCache()
-        cold = check_equivalence(c1, c2, cache=cache)
-        warm = check_equivalence(c1, c2, cache=cache)
+        cold = check_equivalence(c1, c2, CecOptions(cache=cache))
+        warm = check_equivalence(c1, c2, CecOptions(cache=cache))
         assert cold.stats["cache_hits"] == 0
         assert cold.stats["cache_stores"] > 0
         assert warm.stats["cache_hits"] > 0
@@ -209,18 +210,22 @@ class TestProofCache:
 
     def test_cache_keys_are_name_independent(self):
         # The same structure under renamed inputs must hit the cache.
-        cache = ProofCache()
-        check_equivalence(xor_chain(8), xor_tree(8), cache=cache)
+        options = CecOptions(cache=ProofCache())
+        check_equivalence(xor_chain(8), xor_tree(8), options)
         renamed_chain = xor_chain(8)
         renamed_tree = xor_tree(8)
-        warm = check_equivalence(renamed_chain, renamed_tree, cache=cache)
+        warm = check_equivalence(renamed_chain, renamed_tree, options)
         assert warm.stats["cache_hits"] > 0
 
     def test_persistent_roundtrip(self, tmp_path):
         path = tmp_path / "proofs.json"
-        cold = check_equivalence(xor_chain(12), xor_tree(12), cache=path)
+        cold = check_equivalence(
+            xor_chain(12), xor_tree(12), CecOptions(cache=path)
+        )
         assert path.exists()
-        warm = check_equivalence(xor_chain(12), xor_tree(12), cache=str(path))
+        warm = check_equivalence(
+            xor_chain(12), xor_tree(12), CecOptions(cache=str(path))
+        )
         assert warm.stats["cache_hits"] > 0
         assert warm.verdict is cold.verdict
 
@@ -230,8 +235,8 @@ class TestProofCache:
             n_inputs=6, n_gates=40, seed=7, name="other"
         )
         cache = ProofCache()
-        cold = check_equivalence(c1, c2, cache=cache)
-        warm = check_equivalence(c1, c2, cache=cache)
+        cold = check_equivalence(c1, c2, CecOptions(cache=cache))
+        warm = check_equivalence(c1, c2, CecOptions(cache=cache))
         assert cold.verdict is warm.verdict
         if warm.verdict is CecVerdict.NOT_EQUIVALENT:
             vec = warm.counterexample
@@ -240,7 +245,9 @@ class TestProofCache:
     def test_corrupt_cache_file_is_tolerated(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("not json{{{")
-        r = check_equivalence(xor_chain(8), xor_tree(8), cache=path)
+        r = check_equivalence(
+            xor_chain(8), xor_tree(8), CecOptions(cache=path)
+        )
         assert r.verdict is CecVerdict.EQUIVALENT
         # The save replaced the corrupt file with valid JSON.
         assert isinstance(json.loads(path.read_text()), dict)
@@ -310,16 +317,16 @@ class TestRetimedSweepCoverage:
         c1 = pipeline_circuit(stages=3, width=3, seed=0, name="pipe")
         retimed, _, _ = retime_min_period(c1)
         resynth = optimize_sequential_delay(retimed, "medium", name="resynth")
-        cache = ProofCache()
-        cold = check_sequential_equivalence(c1, resynth, cache=cache)
-        warm = check_sequential_equivalence(c1, resynth, cache=cache, n_jobs=2)
+        options = CecOptions(cache=ProofCache())
+        cold = check_sequential_equivalence(c1, resynth, options=options)
+        warm = check_sequential_equivalence(
+            c1, resynth, options=options, n_jobs=2
+        )
         assert cold.equivalent and warm.equivalent
         assert warm.stats.get("cec_cache_hits", 0) > 0
-        # The pre-facade kwarg spelling still works, behind a warning.
-        with pytest.warns(DeprecationWarning, match="cec_cache"):
-            legacy = check_sequential_equivalence(c1, resynth, cec_cache=cache)
-        assert legacy.equivalent
-        assert legacy.stats.get("cec_cache_hits", 0) > 0
+        # The pre-facade ``cec_cache=`` spelling is gone, not ignored.
+        with pytest.raises(TypeError, match="cec_cache"):
+            check_sequential_equivalence(c1, resynth, cec_cache=ProofCache())
 
 
 class TestBugfixRegressions:
@@ -388,7 +395,7 @@ class TestBugfixRegressions:
         # never be distinguished, so validation must refuse it.
         name, l1, _ = m.output_pairs[0]
         with pytest.raises(RuntimeError, match="does not distinguish"):
-            _validate_counterexample(
+            validate_counterexample(
                 aig, {pi: False for pi in aig.pi_names}, l1, l1, name
             )
 

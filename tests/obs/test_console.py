@@ -55,12 +55,3 @@ class TestTiers:
 class TestFactories:
     def test_null_console_is_silent(self):
         assert Console.null().silent is True
-
-    def test_for_stream_wraps_real_streams(self):
-        sink = io.StringIO()
-        console = Console.for_stream(sink)
-        console.result("hello")
-        assert sink.getvalue() == "hello\n"
-
-    def test_for_stream_none_is_silent(self):
-        assert Console.for_stream(None).silent is True

@@ -9,13 +9,14 @@ Covers satellite guarantees of the API redesign:
 * every result type emits exactly the canonical ``RESULT_KEYS`` set and
   satisfies the :class:`repro.api.VerificationResult` protocol;
 * the exit-code contract (0 / 1 / 2, INCONCLUSIVE → 2);
-* the deprecated ``cec_cache=`` spelling warns but still works.
+* the ``cec_cache=`` spelling, deprecated in 1.0, is gone in 1.1.0.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.api import (
     verify_pair,
 )
 from repro.bench.pipeline import pipeline_circuit
+from repro.cec import CecOptions, ProofCache
 from repro.cec.engine import check_equivalence
 from repro.core.verify import SeqVerdict, check_sequential_equivalence
 from repro.netlist.blif import write_blif
@@ -66,18 +68,53 @@ class TestRequestRoundTrip:
             revised=pair[1],
             name="row",
             priority=3,
+            prepare=False,
+            use_unateness=False,
             event_rewrite=True,
+            validate_cex=False,
+            jobs=2,
+            cache="proofs.json",
+            refine=False,
+            preprocess=False,
+            share_learned=False,
             time_limit=5.0,
+            sat_conflicts=100,
+            sat_propagations=1000,
+            bdd_node_limit=500,
             metadata={"suite": "unit"},
+            engines=["structural", "sat"],
+            dispatch_policy="heuristic",
+            dispatch_store="outcomes.json",
         )
         data = json.loads(json.dumps(request.to_dict()))
         back = VerifyRequest.from_dict(data)
-        assert back.name == "row"
-        assert back.priority == 3
-        assert back.event_rewrite is True
-        assert back.time_limit == 5.0
-        assert back.metadata == {"suite": "unit"}
+        for f in fields(VerifyRequest):
+            value = getattr(request, f.name)
+            if f.default is not MISSING:
+                # A new field must join this request with a non-default
+                # value, or its round trip goes untested.
+                assert value != f.default, f.name
+            assert getattr(back, f.name) == value, f.name
         assert back.fingerprint() == request.fingerprint()
+
+    def test_live_cache_serialises_as_its_path(self, tmp_path):
+        circuit = pipeline_circuit(stages=1, width=2, seed=0)
+        path = str(tmp_path / "proofs.json")
+        request = VerifyRequest(
+            golden=circuit, revised=circuit, cache=ProofCache(path)
+        )
+        assert request.to_dict()["cache"] == path
+        assert VerifyRequest.from_dict(request.to_dict()).cache == path
+
+    def test_pathless_cache_cannot_be_serialised(self):
+        # The Table 1 harness hands one live ProofCache to every row's
+        # request; an in-memory one has no manifest form.
+        circuit = pipeline_circuit(stages=1, width=2, seed=0)
+        request = VerifyRequest(
+            golden=circuit, revised=circuit, cache=ProofCache(None)
+        )
+        with pytest.raises(ValueError, match="cache"):
+            request.to_dict()
 
     def test_inline_circuits_round_trip(self):
         circuit = pipeline_circuit(stages=1, width=2, seed=0, name="inline")
@@ -228,38 +265,34 @@ class _FakeResult:
 
 
 class TestDeprecationShims:
-    def test_cec_cache_kwarg_warns_and_forwards(self, pair):
-        from repro.cec.cache import ProofCache
+    """``cec_cache=`` was deprecated in 1.0 and removed in 1.1.0."""
+
+    def test_cache_option_forwards_and_warms(self, pair):
         from repro.netlist.blif import parse_blif_file
 
         golden = parse_blif_file(pair[0])
         revised = parse_blif_file(pair[1])
-        cache = ProofCache()
-        with pytest.warns(DeprecationWarning, match="cec_cache"):
-            result = check_sequential_equivalence(
-                golden, revised, cec_cache=cache
-            )
+        options = CecOptions(cache=ProofCache())
+        result = check_sequential_equivalence(golden, revised, options=options)
         assert result.equivalent
-        with pytest.warns(DeprecationWarning):
-            warm = check_sequential_equivalence(
-                golden, revised, cec_cache=cache
-            )
+        warm = check_sequential_equivalence(golden, revised, options=options)
         assert warm.stats.get("cec_cache_hits", 0) > 0
 
     def test_new_spelling_does_not_warn(self):
         circuit = pipeline_circuit(stages=1, width=2, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            result = check_sequential_equivalence(circuit, circuit, cache=None)
+            result = check_sequential_equivalence(
+                circuit, circuit, options=CecOptions(cache=None)
+            )
         assert result.equivalent
 
-    def test_request_cec_cache_kwarg_warns_and_maps(self, pair, tmp_path):
-        cache_path = str(tmp_path / "proofs.json")
-        with pytest.warns(DeprecationWarning, match="cec_cache"):
-            request = VerifyRequest(
-                golden=pair[0], revised=pair[1], cec_cache=cache_path
-            )
-        assert request.cache == cache_path
+    def test_cec_cache_spellings_removed(self, pair):
+        circuit = pipeline_circuit(stages=1, width=2, seed=0)
+        with pytest.raises(TypeError, match="cec_cache"):
+            check_sequential_equivalence(circuit, circuit, cec_cache=None)
+        with pytest.raises(TypeError, match="cec_cache"):
+            VerifyRequest(golden=pair[0], revised=pair[1], cec_cache="x.json")
 
     def test_request_new_spelling_is_warning_clean(self, pair, tmp_path):
         # The satellite contract: constructing with the new spelling must
@@ -275,15 +308,15 @@ class TestDeprecationShims:
             )
         assert request.engines == ["sat"]
 
-    def test_request_explicit_cache_wins_over_shim(self, pair):
-        with pytest.warns(DeprecationWarning):
-            request = VerifyRequest(
-                golden=pair[0],
-                revised=pair[1],
-                cache="keep.json",
-                cec_cache="ignored.json",
+    def test_manifest_row_with_cec_cache_rejected(self, pair):
+        with pytest.raises(ValueError, match="cec_cache"):
+            VerifyRequest.from_dict(
+                {
+                    "golden": pair[0],
+                    "revised": pair[1],
+                    "cec_cache": "proofs.json",
+                }
             )
-        assert request.cache == "keep.json"
 
 
 class TestEngineDispatchKnobs:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import importlib
+
 import pytest
 
 from repro.bench.counterex import fig14_conditional_update
@@ -85,6 +88,57 @@ class TestCli:
         from repro.netlist.graph import feedback_latches
 
         assert not feedback_latches(prepared)
+
+
+class _Parsed(Exception):
+    """Raised instead of parsing, to capture a module's own parser."""
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set:
+    return set(parser._option_string_actions)
+
+
+def _module_options(module_name: str, monkeypatch) -> set:
+    """Option strings of ``python -m <module_name>``'s parser."""
+    captured = []
+
+    def capture(self, args=None, namespace=None):
+        captured.append(self)
+        raise _Parsed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_args", capture)
+        with pytest.raises(_Parsed):
+            importlib.import_module(module_name).main([])
+    return _option_strings(captured[0])
+
+
+class TestTableCommands:
+    """`repro tableN` and `python -m repro.flows.tableN` share one parser."""
+
+    @pytest.mark.parametrize("table", ["table1", "table2"])
+    def test_same_flags_as_module_entry_point(self, table, monkeypatch):
+        from repro.cli import build_parser
+
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert _option_strings(subparsers.choices[table]) == _module_options(
+            f"repro.flows.{table}", monkeypatch
+        )
+
+    def test_table2_circuits_flag(self, capsys):
+        assert main(["table2", "--circuits", "ex2", "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 2" in out and "ex2" in out
+
+    def test_table1_resume_requires_checkpoint(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--resume", "--circuits", "s953"])
+        assert exc.value.code == 2
+        assert "--resume requires --checkpoint" in capsys.readouterr().err
 
 
 class TestWeightedExposure:
