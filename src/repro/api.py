@@ -7,11 +7,10 @@ Everything a caller needs to check circuit pairs lives behind four names:
   plain data, JSON round-trippable, with a content-addressed
   :meth:`~VerifyRequest.fingerprint`;
 * :class:`VerifyReport` — the outcome in one canonical, JSON-stable
-  shape shared by every layer (CLI exit codes, batch stores, service
-  responses);
+  shape shared by every layer (CLI exit codes, batch result stores);
 * :func:`verify_pair` — run one request synchronously;
-* :func:`verify_batch` — run many requests on the sharded async service
-  runtime (:mod:`repro.service`).
+* :func:`verify_batch` — run many requests on the local batch runner
+  (:mod:`repro.service`).
 
 The facade wraps :func:`repro.core.verify.check_sequential_equivalence`;
 that function (and the CEC-level :func:`repro.cec.check_equivalence`)
@@ -64,7 +63,7 @@ from repro.core.verify import (
 from repro.netlist.blif import parse_blif_file, write_blif
 from repro.netlist.circuit import Circuit
 from repro.netlist.validate import validate_circuit
-from repro.runtime.budget import KNOWN_REASONS, Budget
+from repro.runtime.budget import Budget
 
 __all__ = [
     "RESULT_KEYS",
@@ -488,7 +487,7 @@ class VerifyReport:
         )
 
     def summary(self) -> str:
-        """One human-readable line (batch progress, serve responses)."""
+        """One human-readable line (the ``repro batch`` per-job summary)."""
         tail = f" reason={self.reason}" if self.reason else ""
         return (
             f"{self.name or self.fingerprint[:12]}: {self.verdict}"
@@ -576,8 +575,8 @@ def verify_batch(
     (deduplicated requests share the winning report).
 
     This is the synchronous convenience wrapper over
-    :class:`repro.service.scheduler.BatchScheduler`; use that directly
-    for streaming submission or custom lifecycles.
+    :meth:`repro.service.scheduler.BatchRunner.run`, which ``repro batch``
+    runs too.
     """
     import asyncio
 

@@ -30,22 +30,9 @@
                             [--retries N] [--in-process]
                             [--engines NAMES] [--dispatch-policy NAME]
                             [--dispatch-store FILE]
-                            [--lease-ttl S --lease-attempts N]
                             [--chaos PLAN.json --chaos-log FILE]
                             [--trace FILE] [--metrics-out FILE]
-                            [--telemetry FILE [--telemetry-interval S]]
                             [--oblog FILE]
-    python -m repro serve   [--jobs N] [--cache FILE] [--store FILE]
-                            [--queue-size N] [--tcp HOST:PORT]
-                            [--lease-ttl S] [--chaos PLAN.json]
-                            [--telemetry FILE [--telemetry-interval S]]
-                            [--prom-port N]
-                            (JSONL jobs on stdin, JSONL results on
-                            stdout; --tcp serves the same protocol over
-                            a socket instead; --prom-port exposes
-                            Prometheus text metrics next to --tcp)
-    python -m repro worker  HOST:PORT [--lanes N] [--in-process]
-    python -m repro status  HOST:PORT [--watch] [--interval S] [--json]
     python -m repro bench compare FRESH.json [--baseline BENCH_cec.json]
                             [--threshold METRIC=PCT ...] [--json OUT]
 
@@ -63,6 +50,7 @@ load-enabled latches).
 from __future__ import annotations
 
 import argparse
+import os
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -189,13 +177,12 @@ def _setup_chaos(args, console, registry=None):
     """Install the ``--chaos`` fault plan; returns (ok, plan).
 
     The plan is exported through ``REPRO_CHAOS`` so process-pool workers
-    re-install it on entry even under the ``spawn`` start method.
+    re-install it on entry even under the ``spawn`` start method;
+    :func:`_teardown_chaos` undoes both.
     """
-    import os
-
     from repro.runtime import chaos
 
-    path = getattr(args, "chaos", None)
+    path = args.chaos
     if not path:
         return True, None
     try:
@@ -212,11 +199,24 @@ def _setup_chaos(args, console, registry=None):
     return True, plan
 
 
+def _teardown_chaos(plan, previous_env: Optional[str]) -> None:
+    """Disarm the ``--chaos`` plan and restore the old ``REPRO_CHAOS``."""
+    from repro.runtime import chaos
+
+    if plan is None:
+        return
+    chaos.uninstall()
+    if previous_env is None:
+        os.environ.pop(chaos.ENV_VAR, None)
+    else:
+        os.environ[chaos.ENV_VAR] = previous_env
+
+
 def _write_chaos_log(args, plan, console) -> None:
     """Dump the chaos firing log (the CI trace artifact), if asked to."""
     import json as _json
 
-    out = getattr(args, "chaos_log", None)
+    out = args.chaos_log
     if not out or plan is None:
         return
     with open(out, "w", encoding="utf-8") as handle:
@@ -233,9 +233,13 @@ def _cmd_batch(args) -> int:
     import asyncio
 
     from repro.obs.metrics import MetricsRegistry
+    from repro.runtime import chaos
     from repro.service import BatchRunner, load_manifest
 
     console = _console(args)
+    if args.resume and not args.store:
+        console.error("error: --resume requires --store")
+        return 2
     try:
         requests = load_manifest(args.manifest)
     except (OSError, ValueError) as exc:
@@ -261,20 +265,8 @@ def _cmd_batch(args) -> int:
         args,
         meta={"command": "batch", "manifest": args.manifest, "jobs": args.jobs},
     )
-    registry = (
-        MetricsRegistry()
-        if (args.metrics_out or args.chaos or args.telemetry)
-        else None
-    )
-    telemetry = None
-    if args.telemetry:
-        from repro.obs.telemetry import TelemetrySampler
-
-        telemetry = TelemetrySampler(
-            path=args.telemetry,
-            interval=args.telemetry_interval,
-            source="batch",
-        )
+    registry = MetricsRegistry() if (args.metrics_out or args.chaos) else None
+    previous_chaos_env = os.environ.get(chaos.ENV_VAR)
     ok, plan = _setup_chaos(args, console, registry)
     if not ok:
         return 2
@@ -288,9 +280,6 @@ def _cmd_batch(args) -> int:
         use_processes=not args.in_process,
         tracer=tracer,
         metrics=registry,
-        lease_ttl=args.lease_ttl,
-        lease_attempts=args.lease_attempts,
-        telemetry=telemetry,
     )
     console.info(
         f"batch: {len(requests)} job(s) on {args.jobs} lane(s)"
@@ -301,12 +290,11 @@ def _cmd_batch(args) -> int:
     finally:
         if tracer is not None:
             tracer.close()
-        if telemetry is not None:
-            telemetry.close()  # run() already sampled + stopped the loop
         if registry is not None and args.metrics_out:
             with open(args.metrics_out, "w", encoding="utf-8") as handle:
                 handle.write(registry.to_json(indent=2))
         _write_chaos_log(args, plan, console)
+        _teardown_chaos(plan, previous_chaos_env)
         _write_oblog(args, tracer, console)
     # Per-job summary: one line per manifest row, every row accounted for.
     counts = {0: 0, 1: 0, 2: 0}
@@ -329,8 +317,6 @@ def _cmd_batch(args) -> int:
         console.info(f"wrote trace to {args.trace} (see: repro profile {args.trace})")
     if args.metrics_out:
         console.info(f"wrote metrics to {args.metrics_out}")
-    if args.telemetry:
-        console.info(f"wrote telemetry snapshots to {args.telemetry}")
     # The batch exit code mirrors the per-job contract: any refutation
     # dominates (1), else any undecided job (2), else success (0).
     if counts[1]:
@@ -338,214 +324,6 @@ def _cmd_batch(args) -> int:
     if counts[2]:
         return 2
     return 0
-
-
-def _cmd_serve(args) -> int:
-    import asyncio
-    import sys
-
-    from repro.obs.console import Console
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.trace import Tracer
-    from repro.service import BatchRunner
-
-    # stdout is the JSONL protocol channel; human chatter goes to stderr.
-    console = Console(
-        quiet=args.quiet, verbose=args.verbose, stream=sys.stderr
-    )
-    if args.prom_port is not None and not args.tcp:
-        console.error("--prom-port requires --tcp")
-        return 2
-    tracer = Tracer(path=args.trace, meta={"command": "serve"}) if args.trace else None
-    registry = (
-        MetricsRegistry()
-        if (
-            args.metrics_out
-            or args.chaos
-            or args.telemetry
-            or args.prom_port is not None
-        )
-        else None
-    )
-    telemetry = None
-    if args.telemetry:
-        from repro.obs.telemetry import TelemetrySampler
-
-        telemetry = TelemetrySampler(
-            path=args.telemetry,
-            interval=args.telemetry_interval,
-            source="serve",
-        )
-    ok, plan = _setup_chaos(args, console, registry)
-    if not ok:
-        return 2
-    runner = BatchRunner(
-        jobs=args.jobs,
-        budget=args.time_limit,
-        cache=args.cache,
-        store=args.store,
-        resume=args.resume,
-        retries=args.retries,
-        use_processes=not args.in_process,
-        tracer=tracer,
-        metrics=registry,
-        lease_ttl=args.lease_ttl,
-        lease_attempts=args.lease_attempts,
-        telemetry=telemetry,
-    )
-    try:
-        if args.tcp:
-            from repro.service import TcpServer, parse_hostport
-
-            try:
-                host, port = parse_hostport(args.tcp)
-            except ValueError as exc:
-                console.error(f"bad --tcp address: {exc}")
-                return 2
-            server = TcpServer(
-                runner,
-                host,
-                port,
-                read_timeout=args.read_timeout,
-                queue_maxsize=args.queue_size,
-                prom_port=args.prom_port,
-            )
-
-            async def _serve_tcp() -> int:
-                await server.start()
-                console.info(
-                    f"serve: listening on {server.host}:{server.port} "
-                    f"({server.local_lanes} local lane(s); SIGTERM drains)"
-                )
-                if server.prom_port is not None:
-                    console.info(
-                        "serve: Prometheus metrics on "
-                        f"http://{server.host}:{server.prom_port}/metrics"
-                    )
-                return await server.run()
-
-            emitted = asyncio.run(_serve_tcp())
-        else:
-            console.info(
-                f"serve: reading JSONL jobs from stdin ({args.jobs} lane(s))"
-            )
-            emitted = asyncio.run(
-                runner.serve(
-                    sys.stdin, sys.stdout, queue_maxsize=args.queue_size
-                )
-            )
-    finally:
-        if tracer is not None:
-            tracer.close()
-        if telemetry is not None:
-            telemetry.close()
-        if registry is not None and args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                handle.write(registry.to_json(indent=2))
-        _write_chaos_log(args, plan, console)
-    if args.telemetry:
-        console.info(f"wrote telemetry snapshots to {args.telemetry}")
-    console.info(f"serve: emitted {emitted} result(s)")
-    return 0
-
-
-def _cmd_worker(args) -> int:
-    import asyncio
-    import sys
-
-    from repro.obs.console import Console
-    from repro.service import parse_hostport, run_worker
-
-    console = Console(
-        quiet=args.quiet, verbose=args.verbose, stream=sys.stderr
-    )
-    ok, _ = _setup_chaos(args, console)
-    if not ok:
-        return 2
-    try:
-        host, port = parse_hostport(args.address)
-    except ValueError as exc:
-        console.error(f"bad address: {exc}")
-        return 2
-    console.info(f"worker: connecting to {host}:{port} ({args.lanes} lane(s))")
-    try:
-        solved = asyncio.run(
-            run_worker(
-                host,
-                port,
-                lanes=args.lanes,
-                use_processes=not args.in_process,
-            )
-        )
-    except (ConnectionError, OSError) as exc:
-        console.error(f"worker: connection failed: {exc}")
-        return 2
-    console.info(f"worker: solved {solved} job(s); server closed")
-    return 0
-
-
-def _cmd_status(args) -> int:
-    import asyncio
-    import json
-
-    from repro.obs.telemetry import render_snapshot
-    from repro.service import parse_hostport
-
-    console = _console(args)
-    try:
-        host, port = parse_hostport(args.address)
-    except ValueError as exc:
-        console.error(f"bad address: {exc}")
-        return 2
-
-    async def _observe() -> int:
-        reader, writer = await asyncio.open_connection(host, port)
-        hello = {
-            "type": "hello",
-            "role": "status",
-            "watch": bool(args.watch),
-            "interval": args.interval,
-        }
-        writer.write((json.dumps(hello) + "\n").encode("utf-8"))
-        await writer.drain()
-        seen = 0
-        try:
-            while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
-                try:
-                    snapshot = json.loads(raw.decode("utf-8", "replace"))
-                except ValueError:
-                    continue
-                if not isinstance(snapshot, dict):
-                    continue
-                seen += 1
-                if args.json:
-                    console.result(json.dumps(snapshot, sort_keys=True))
-                else:
-                    console.result(render_snapshot(snapshot))
-                if not args.watch:
-                    break
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        if not seen:
-            console.error(f"status: no snapshot from {host}:{port}")
-            return 2
-        return 0
-
-    try:
-        return asyncio.run(_observe())
-    except (ConnectionError, OSError) as exc:
-        console.error(f"status: connection failed: {exc}")
-        return 2
-    except KeyboardInterrupt:
-        # ^C out of --watch is a normal way to leave the dashboard.
-        return 0
 
 
 def _cmd_bench_compare(args) -> int:
@@ -935,22 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run jobs on threads in this process instead of a process pool",
     )
     p.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="S",
-        help="lease TTL per dispatched job; a hung worker loses its "
-        "lease and the job is requeued (default: leases off)",
-    )
-    p.add_argument(
-        "--lease-attempts",
-        type=int,
-        default=3,
-        metavar="N",
-        help="lease expiries before a job is quarantined as poison "
-        "(default 3)",
-    )
-    p.add_argument(
         "--engines",
         default=None,
         metavar="NAMES",
@@ -996,183 +758,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run's aggregated metrics registry as JSON",
     )
     p.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="FILE",
-        help="record periodic service-health snapshots (JSONL time-series)",
-    )
-    p.add_argument(
-        "--telemetry-interval",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="seconds between telemetry snapshots (default 1)",
-    )
-    p.add_argument(
         "--oblog",
         default=None,
         metavar="FILE",
         help="write per-obligation feature records (JSONL)",
     )
     p.set_defaults(func=_cmd_batch)
-
-    p = sub.add_parser(
-        "serve",
-        parents=[verbosity],
-        help="long-running verification service: JSONL jobs on stdin, "
-        "JSONL results on stdout",
-    )
-    p.add_argument("--jobs", type=int, default=1, help="concurrent worker lanes")
-    p.add_argument(
-        "--time-limit",
-        type=float,
-        default=None,
-        metavar="S",
-        help="service budget; jobs receive slices of the remaining time",
-    )
-    p.add_argument(
-        "--cache", default=None, metavar="FILE", help="shared CEC proof cache"
-    )
-    p.add_argument(
-        "--store", default=None, metavar="FILE", help="JSONL result store"
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="answer already-decided pairs from --store without re-running",
-    )
-    p.add_argument(
-        "--retries", type=int, default=2, metavar="N", help="in-worker retries"
-    )
-    p.add_argument(
-        "--in-process",
-        action="store_true",
-        help="run jobs on threads instead of a process pool",
-    )
-    p.add_argument(
-        "--queue-size",
-        type=int,
-        default=0,
-        metavar="N",
-        help="bound the intake queue (0 = unbounded): backpressure on "
-        "stdin / client sockets",
-    )
-    p.add_argument(
-        "--tcp",
-        default=None,
-        metavar="HOST:PORT",
-        help="serve the JSONL protocol over TCP instead of stdio; "
-        "accepts client and remote-worker connections",
-    )
-    p.add_argument(
-        "--read-timeout",
-        type=float,
-        default=300.0,
-        metavar="S",
-        help="per-connection read timeout for --tcp (default 300)",
-    )
-    p.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="S",
-        help="lease TTL per dispatched job (default: leases off locally; "
-        "remote workers always run leased)",
-    )
-    p.add_argument(
-        "--lease-attempts",
-        type=int,
-        default=3,
-        metavar="N",
-        help="lease expiries before quarantining a job as poison",
-    )
-    p.add_argument(
-        "--chaos",
-        default=None,
-        metavar="PLAN",
-        help="arm a deterministic fault-injection plan (JSON)",
-    )
-    p.add_argument(
-        "--chaos-log",
-        default=None,
-        metavar="FILE",
-        help="write the chaos firing log (JSON) after the run",
-    )
-    p.add_argument(
-        "--trace", default=None, metavar="FILE", help="write a JSONL trace"
-    )
-    p.add_argument(
-        "--metrics-out", default=None, metavar="FILE", help="write metrics JSON"
-    )
-    p.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="FILE",
-        help="record periodic service-health snapshots (JSONL time-series)",
-    )
-    p.add_argument(
-        "--telemetry-interval",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="seconds between telemetry snapshots (default 1)",
-    )
-    p.add_argument(
-        "--prom-port",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --tcp: also serve Prometheus text metrics on this "
-        "port (0 = pick a free one)",
-    )
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "worker",
-        parents=[verbosity],
-        help="connect to a `repro serve --tcp` server and solve its jobs",
-    )
-    p.add_argument("address", metavar="HOST:PORT", help="server to join")
-    p.add_argument(
-        "--lanes", type=int, default=1, help="concurrent jobs to accept"
-    )
-    p.add_argument(
-        "--in-process",
-        action="store_true",
-        help="solve on threads instead of a process pool",
-    )
-    p.add_argument(
-        "--chaos",
-        default=None,
-        metavar="PLAN",
-        help="arm a fault-injection plan in this worker",
-    )
-    p.set_defaults(func=_cmd_worker)
-
-    p = sub.add_parser(
-        "status",
-        parents=[verbosity],
-        help="live fleet dashboard for a running `repro serve --tcp`",
-    )
-    p.add_argument("address", metavar="HOST:PORT", help="service to observe")
-    p.add_argument(
-        "--watch",
-        action="store_true",
-        help="keep streaming snapshots until ^C (one-shot by default)",
-    )
-    p.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="refresh period for --watch (default 2)",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print raw snapshot JSON lines instead of the dashboard",
-    )
-    p.set_defaults(func=_cmd_status)
 
     p = sub.add_parser(
         "bench",

@@ -13,9 +13,6 @@ The cross-cutting layer the rest of the stack reports through:
   dependency-free validator (used by tests and the CI trace job);
 * :mod:`repro.obs.profile` — per-stage hotspot reports from a trace
   (``repro profile run.jsonl``);
-* :mod:`repro.obs.telemetry` — fleet telemetry: periodic schema-validated
-  service snapshots (``--telemetry``), exactly-once worker metric-delta
-  folding, Prometheus text exposition and the ``repro status`` renderer;
 * :mod:`repro.obs.oblog` — the per-obligation feature log (cone size,
   class width, cascade stage, engine, verdict, seconds) extracted from
   traces — training data for learned engine dispatch;
@@ -35,16 +32,6 @@ from repro.obs.oblog import (
 )
 from repro.obs.profile import phase_breakdown, profile_events, render_profile
 from repro.obs.schema import TRACE_EVENT_SCHEMA, validate_event, validate_events
-from repro.obs.telemetry import (
-    TELEMETRY_SNAPSHOT_SCHEMA,
-    MetricsDeltaFold,
-    TelemetrySampler,
-    read_snapshots,
-    render_prometheus,
-    render_snapshot,
-    validate_snapshot,
-    validate_snapshots,
-)
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -59,16 +46,13 @@ __all__ = [
     "Console",
     "DEFAULT_BUCKETS",
     "Histogram",
-    "MetricsDeltaFold",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "ObligationRecord",
     "Span",
-    "TELEMETRY_SNAPSHOT_SCHEMA",
     "TIME_BUCKETS",
     "TRACE_EVENT_SCHEMA",
-    "TelemetrySampler",
     "Tracer",
     "coerce_tracer",
     "export_chrome_trace",
@@ -77,13 +61,8 @@ __all__ = [
     "profile_events",
     "read_events",
     "read_obligation_log",
-    "read_snapshots",
     "render_profile",
-    "render_prometheus",
-    "render_snapshot",
     "validate_event",
     "validate_events",
-    "validate_snapshot",
-    "validate_snapshots",
     "write_obligation_log",
 ]

@@ -25,7 +25,6 @@ from repro.runtime.budget import (
     KNOWN_REASONS,
     REASON_BDD_BLOWUP,
     REASON_CONFLICT_LIMIT,
-    REASON_POISON_JOB,
     REASON_PROPAGATION_LIMIT,
     REASON_RESOURCE_LIMIT,
     REASON_TIMEOUT,
@@ -53,7 +52,6 @@ __all__ = [
     "KNOWN_REASONS",
     "REASON_BDD_BLOWUP",
     "REASON_CONFLICT_LIMIT",
-    "REASON_POISON_JOB",
     "REASON_PROPAGATION_LIMIT",
     "REASON_RESOURCE_LIMIT",
     "REASON_TIMEOUT",

@@ -15,9 +15,8 @@ Reason codes (stable strings, used in reports/checkpoints):
 ``conflict-limit``          the SAT conflict cap was reached
 ``propagation-limit``       the SAT propagation cap was reached
 ``bdd-blowup``              BDD construction exceeded the node limit
-``worker-failure``          a sweep worker crashed/hung past its retries
-``poison-job``              a job's lease expired too many times and the
-                            service quarantined it instead of retrying
+``worker-failure``          a sweep or batch worker crashed/hung past its
+                            retries
 ``resource-limit``          generic/unclassified resource exhaustion
 ==========================  ==============================================
 
@@ -42,7 +41,6 @@ __all__ = [
     "REASON_PROPAGATION_LIMIT",
     "REASON_BDD_BLOWUP",
     "REASON_WORKER_FAILURE",
-    "REASON_POISON_JOB",
     "REASON_RESOURCE_LIMIT",
     "KNOWN_REASONS",
 ]
@@ -52,7 +50,6 @@ REASON_CONFLICT_LIMIT = "conflict-limit"
 REASON_PROPAGATION_LIMIT = "propagation-limit"
 REASON_BDD_BLOWUP = "bdd-blowup"
 REASON_WORKER_FAILURE = "worker-failure"
-REASON_POISON_JOB = "poison-job"
 REASON_RESOURCE_LIMIT = "resource-limit"
 
 KNOWN_REASONS = frozenset(
@@ -62,7 +59,6 @@ KNOWN_REASONS = frozenset(
         REASON_PROPAGATION_LIMIT,
         REASON_BDD_BLOWUP,
         REASON_WORKER_FAILURE,
-        REASON_POISON_JOB,
         REASON_RESOURCE_LIMIT,
     }
 )

@@ -7,27 +7,25 @@ module is the shared registry that replaces it: production code is
 instrumented with *named sites* —
 
 ==========================  ==============================================
-``worker.entry``            a service/sweep worker function begins a job
-``scheduler.dispatch``      the scheduler ships a job payload to a worker
+``worker.entry``            a batch/sweep worker function begins a job
+``scheduler.dispatch``      the batch scheduler ships a job to a worker
 ``store.append``            a result line is about to be written
 ``cache.load``              a proof-cache file is about to be read
 ``cache.save``              a proof-cache file is about to be written
-``transport.recv``          one protocol line was received (stdio or TCP)
 ==========================  ==============================================
 
 — and a :class:`FaultPlan` decides, deterministically, what happens at
 each hit of each site: nothing (the default), ``crash`` (raise
-:class:`ChaosError`), ``delay`` (sleep), or ``corrupt`` (garble the
-payload the site passed in).  Determinism comes from per-site hit
-counters and a per-site RNG seeded from ``(plan seed, site name)``, so a
-rule's firing pattern depends only on how often *its* site was hit,
-never on cross-site interleaving.
+:class:`ChaosError`) or ``delay`` (sleep).  Determinism comes from
+per-site hit counters and a per-site RNG seeded from ``(plan seed, site
+name)``, so a rule's firing pattern depends only on how often *its* site
+was hit, never on cross-site interleaving.
 
 Sites call :func:`fire` (or :func:`afire` from coroutines, which uses
 ``asyncio.sleep`` for delays).  With no plan installed both are a single
 ``None`` check — chaos is zero-overhead when off.  Activation:
 
-* explicitly, via :func:`install` (tests, the ``--chaos`` CLI flag);
+* explicitly, via :func:`install` (tests, ``repro batch --chaos``);
 * by environment, via ``REPRO_CHAOS=/path/to/plan.json`` — worker
   processes check it on entry (:func:`ensure_env_plan`), so a plan
   installed by the CLI reaches pool workers even under ``spawn``.
@@ -72,14 +70,12 @@ KNOWN_SITES = frozenset(
         "store.append",
         "cache.load",
         "cache.save",
-        "transport.recv",
     }
 )
 
 ACTION_CRASH = "crash"
 ACTION_DELAY = "delay"
-ACTION_CORRUPT = "corrupt"
-KNOWN_ACTIONS = frozenset({ACTION_CRASH, ACTION_DELAY, ACTION_CORRUPT})
+KNOWN_ACTIONS = frozenset({ACTION_CRASH, ACTION_DELAY})
 
 
 class ChaosError(RuntimeError):
@@ -258,16 +254,14 @@ class FaultPlan:
         return None
 
     def fire(self, site: str, data: Any = None) -> Any:
-        """Synchronous site visit: crash, sleep, or corrupt ``data``."""
+        """Synchronous site visit: crash or sleep; returns ``data``."""
         rule = self._arm(site)
         if rule is None:
             return data
         if rule.action == ACTION_CRASH:
             raise ChaosError(f"injected crash at {site}")
-        if rule.action == ACTION_DELAY:
-            time.sleep(rule.seconds)
-            return data
-        return _corrupt(data)
+        time.sleep(rule.seconds)
+        return data
 
     async def afire(self, site: str, data: Any = None) -> Any:
         """Coroutine site visit (delays must not block the event loop)."""
@@ -278,10 +272,8 @@ class FaultPlan:
             return data
         if rule.action == ACTION_CRASH:
             raise ChaosError(f"injected crash at {site}")
-        if rule.action == ACTION_DELAY:
-            await asyncio.sleep(rule.seconds)
-            return data
-        return _corrupt(data)
+        await asyncio.sleep(rule.seconds)
+        return data
 
     def fired(self, site: Optional[str] = None) -> int:
         """How many faults fired (at one site, or overall)."""
@@ -294,21 +286,6 @@ class FaultPlan:
             f"FaultPlan(seed={self.seed}, rules={len(self.rules)}, "
             f"fired={len(self.log)})"
         )
-
-
-def _corrupt(data: Any) -> Any:
-    """Deterministically garble a site payload.
-
-    Corruptions must be *detectable-or-harmless*: for protocol/file text
-    the result is guaranteed-invalid JSON, so parsers hit their error
-    paths rather than silently accepting altered content.  Payload types
-    without a meaningful corruption pass through unchanged.
-    """
-    if isinstance(data, str):
-        return "\x00chaos!" + data[::-1]
-    if isinstance(data, (bytes, bytearray)):
-        return b"\x00chaos!" + bytes(data)[::-1]
-    return data
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +331,7 @@ def ensure_env_plan() -> Optional[FaultPlan]:
 
 
 def fire(site: str, data: Any = None) -> Any:
-    """Visit ``site``; returns ``data`` (possibly corrupted).
+    """Visit ``site``; returns ``data`` unchanged.
 
     No-op (one ``is None`` check) unless a plan is installed.
     """

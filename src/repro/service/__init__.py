@@ -1,24 +1,19 @@
-"""The batch verification service: async sharded job runtime.
+"""The batch verification service: local, sharded, resumable.
 
 Layers (bottom-up):
 
 * :mod:`repro.service.jobs` — jobs, results, the batch-manifest format;
 * :mod:`repro.service.queue` — the asyncio priority queue with
-  fingerprint dedup, backpressure and graceful drain/cancel;
+  fingerprint dedup and cancel;
 * :mod:`repro.service.store` — the append-only JSONL result store that
   makes batches resumable;
-* :mod:`repro.service.lease` — per-job TTL leases with heartbeats,
-  expiry accounting and poison-job quarantine;
 * :mod:`repro.service.scheduler` — :class:`BatchRunner`, which shards
   jobs over worker lanes (a process pool by default) with per-job
-  budget slices, a shared proof cache, retry/backoff, leases and full
-  trace/metrics observability;
-* :mod:`repro.service.transport` — the newline-JSON TCP front end
-  (``repro serve --tcp``) with client and remote-worker roles.
+  budget slices, a shared proof cache, retry/backoff and full
+  trace/metrics observability.
 
 Most callers want :func:`repro.api.verify_batch` (one synchronous call)
-or the ``repro batch`` / ``repro serve`` CLI commands; this package is
-the runtime underneath them.
+or the ``repro batch`` CLI command; both run :meth:`BatchRunner.run`.
 """
 
 from repro.service.jobs import (
@@ -29,11 +24,9 @@ from repro.service.jobs import (
     load_manifest,
     parse_manifest,
 )
-from repro.service.lease import Lease, LeaseTable
 from repro.service.queue import JobQueue, QueueClosedError
 from repro.service.scheduler import BatchRunner, execute_request
 from repro.service.store import STORE_VERSION, ResultStore
-from repro.service.transport import TcpServer, parse_hostport, run_worker
 
 __all__ = [
     "BatchRunner",
@@ -41,16 +34,11 @@ __all__ = [
     "JobQueue",
     "JobResult",
     "JobState",
-    "Lease",
-    "LeaseTable",
     "MANIFEST_VERSION",
     "QueueClosedError",
     "ResultStore",
     "STORE_VERSION",
-    "TcpServer",
     "execute_request",
     "load_manifest",
-    "parse_hostport",
     "parse_manifest",
-    "run_worker",
 ]

@@ -60,7 +60,6 @@ class JobState(enum.Enum):
     CANCELLED = "cancelled"
     RESUMED = "resumed"  # replayed from the result store, not re-run
     DEDUPED = "deduped"  # collapsed onto an identical in-flight job
-    QUARANTINED = "quarantined"  # poison job: its leases kept expiring
 
 
 @dataclass
@@ -108,12 +107,13 @@ class JobResult:
 
     ``status`` is the lifecycle outcome (a :class:`JobState` value
     string: ``done`` / ``failed`` / ``cancelled`` / ``resumed`` /
-    ``deduped`` / ``quarantined``); ``report`` is the verification
-    outcome itself.  A
-    failed job still carries a report — verdict ``unknown`` with the
-    responsible ``REASON_*`` code — so batch summaries never need a
-    second error channel, and :attr:`exit_code` is always defined and
-    consistent with ``repro verify``.
+    ``deduped``); ``report`` is the verification outcome itself.  It is
+    kept a plain string, so a store line with a status this version no
+    longer produces still loads.  A failed job still carries a report —
+    verdict ``unknown`` with the responsible ``REASON_*`` code — so
+    batch summaries never need a second error channel, and
+    :attr:`exit_code` is always defined and consistent with
+    ``repro verify``.
     """
 
     name: str
@@ -148,7 +148,7 @@ class JobResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobResult":
-        """Inverse of :meth:`to_dict` (store loads, serve clients)."""
+        """Inverse of :meth:`to_dict` (store loads)."""
         report = data.get("report")
         return cls(
             name=str(data.get("name", "")),

@@ -1,17 +1,14 @@
-"""The asyncio job queue: priorities, dedup, backpressure, drain/cancel.
+"""The asyncio job queue: priorities, dedup, cancel.
 
 One :class:`JobQueue` feeds the scheduler's worker lanes.  It is a
 priority queue (higher :attr:`~repro.service.jobs.Job.priority` first,
-FIFO within a band) with three service-grade behaviours stacked on top:
+FIFO within a band) with two behaviours stacked on top:
 
 * **dedup** — submitting a request whose fingerprint is already pending
   or running does not enqueue a second solve; the duplicate is parked on
   the primary job and mirrors its result when it completes;
-* **backpressure** — an optional ``maxsize`` makes :meth:`put` await
-  until a slot frees (the ``repro serve`` stdin reader uses this so an
-  unbounded client cannot balloon memory);
-* **graceful shutdown** — :meth:`close` stops intake and lets lanes
-  drain naturally (:meth:`get` returns None once empty), while
+* **shutdown** — :meth:`close` stops intake and lets lanes drain
+  naturally (:meth:`get` returns None once empty), while
   :meth:`cancel_pending` empties the queue immediately and hands the
   un-run jobs back so the caller can record them as cancelled.
 
@@ -37,10 +34,9 @@ class QueueClosedError(RuntimeError):
 
 
 class JobQueue:
-    """Priority job queue with fingerprint dedup and bounded size."""
+    """Priority job queue with fingerprint dedup."""
 
-    def __init__(self, maxsize: int = 0) -> None:
-        self._maxsize = max(0, int(maxsize))
+    def __init__(self) -> None:
         self._heap: List[tuple] = []
         self._seq = itertools.count()
         self._cond: Optional[asyncio.Condition] = None
@@ -64,8 +60,7 @@ class JobQueue:
     def submit_nowait(self, job: Job) -> JobState:
         """Enqueue without waiting; returns PENDING or DEDUPED.
 
-        Raises :class:`QueueClosedError` after :meth:`close` and
-        ``asyncio.QueueFull`` when a bounded queue is at capacity.
+        Raises :class:`QueueClosedError` after :meth:`close`.
         """
         if self._closed:
             raise QueueClosedError("queue is closed to new jobs")
@@ -74,8 +69,6 @@ class JobQueue:
             job.state = JobState.DEDUPED
             self._duplicates.setdefault(job.fingerprint, []).append(job)
             return JobState.DEDUPED
-        if self._maxsize and len(self._heap) >= self._maxsize:
-            raise asyncio.QueueFull
         job.seq = next(self._seq)
         job.state = JobState.PENDING
         self._active[job.fingerprint] = job
@@ -86,39 +79,10 @@ class JobQueue:
             asyncio.ensure_future(self._notify())
         return JobState.PENDING
 
-    async def put(self, job: Job) -> JobState:
-        """Enqueue, awaiting a free slot on a bounded queue."""
-        while True:
-            cond = self._condition()
-            async with cond:
-                try:
-                    state = self.submit_nowait(job)
-                except asyncio.QueueFull:
-                    await cond.wait()
-                    continue
-                cond.notify_all()
-                return state
-
     async def _notify(self) -> None:
         cond = self._condition()
         async with cond:
             cond.notify_all()
-
-    def reinject(self, job: Job) -> None:
-        """Put a dispatched-but-unfinished job back on the heap.
-
-        The lease-expiry path: the job is still *active* (its dedup
-        entry, duplicates and unfinished count are untouched — it was
-        never finished), it just lost its worker.  Reinjection therefore
-        bypasses intake entirely: no closed check (a batch queue closes
-        after submission, but requeues must still land), no dedup, no
-        maxsize (the slot it occupied was already accounted).
-        """
-        job.seq = next(self._seq)  # requeue goes to the back of its band
-        job.state = JobState.PENDING
-        heapq.heappush(self._heap, (*job.sort_key(), job))
-        if self._cond is not None:
-            asyncio.ensure_future(self._notify())
 
     def close(self) -> None:
         """Stop intake; draining lanes see None once the queue is empty."""
@@ -142,7 +106,6 @@ class JobQueue:
                 if self._heap:
                     _, _, job = heapq.heappop(self._heap)
                     job.state = JobState.RUNNING
-                    cond.notify_all()  # a slot freed: wake bounded put()
                     return job
                 if self._closed:
                     return None
@@ -155,8 +118,6 @@ class JobQueue:
         self._active.pop(job.fingerprint, None)
         dups = self._duplicates.pop(job.fingerprint, [])
         self._unfinished -= 1
-        if self._cond is not None:
-            asyncio.ensure_future(self._notify())
         return dups
 
     def cancel_pending(self) -> List[Job]:
@@ -177,16 +138,7 @@ class JobQueue:
             self._unfinished -= 1
         for job in cancelled:
             job.state = JobState.CANCELLED
-        if self._cond is not None:
-            asyncio.ensure_future(self._notify())
         return cancelled
-
-    async def drain(self) -> None:
-        """Wait until every submitted job reached a terminal state."""
-        cond = self._condition()
-        async with cond:
-            while self._unfinished > 0:
-                await cond.wait()
 
     # ------------------------------------------------------------------
     # introspection
@@ -202,17 +154,3 @@ class JobQueue:
     def pending_names(self) -> List[str]:
         """Names of queued (not yet running) jobs, in schedule order."""
         return [job.name for _, _, job in sorted(self._heap)]
-
-    def snapshot(self) -> Dict[str, int]:
-        """Instantaneous queue state for the telemetry sampler.
-
-        ``running`` counts active jobs that have left the heap but not
-        yet finished — i.e. dispatched to a local or remote lane.
-        """
-        depth = len(self._heap)
-        return {
-            "depth": depth,
-            "running": max(0, len(self._active) - depth),
-            "unfinished": self._unfinished,
-            "closed": 1 if self._closed else 0,
-        }

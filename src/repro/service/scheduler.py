@@ -22,18 +22,11 @@ into the run's shared state:
   jitter, seeded per fingerprint); a job that still fails is recorded as
   ``failed`` with an ``unknown``/``worker-failure`` report, never
   dropped.
-* **leases** — with ``lease_ttl`` set, every dispatched job is covered
-  by a TTL lease (:class:`~repro.service.lease.LeaseTable`).  A job
-  whose worker hangs past the lease is *abandoned and requeued* with
-  jittered backoff; one that burns ``lease_attempts`` leases is
-  quarantined as UNKNOWN/:data:`~repro.runtime.budget.REASON_POISON_JOB`
-  instead of starving the batch — the sweep's hung-worker containment,
-  generalised to the whole service.
 * **chaos** — the dispatch path is instrumented with
   :mod:`repro.runtime.chaos` sites (``scheduler.dispatch``,
-  ``worker.entry``, ``store.append``, ``transport.recv``); under an
-  installed :class:`~repro.runtime.chaos.FaultPlan` every one of these
-  seams fails on demand, and none of them may lose a job.
+  ``worker.entry``, ``store.append``); under an installed
+  :class:`~repro.runtime.chaos.FaultPlan` every one of these seams
+  fails on demand, and none of them may lose a job.
 * **observability** — workers buffer trace events against the parent's
   epoch and the parent re-parents them with
   :meth:`~repro.obs.Tracer.adopt` under a per-job ``pair`` span; worker
@@ -42,38 +35,30 @@ into the run's shared state:
   every result is appended as it lands, and ``resume=True`` replays
   already-decided fingerprints instead of re-running them.
 
-:meth:`BatchRunner.run` is the one-shot batch entrypoint (behind
-:func:`repro.api.verify_batch`); :meth:`BatchRunner.serve` is the
-streaming JSONL loop behind ``repro serve``.
+:meth:`BatchRunner.run` is the one entrypoint, behind both
+:func:`repro.api.verify_batch` and ``repro batch``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
 import os
 import random
 import time
 import traceback
 import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, TextIO, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.api import VerifyReport, VerifyRequest, verify_pair
 from repro.core.verify import SeqVerdict
 from repro.obs.metrics import TIME_BUCKETS, MetricsRegistry
-from repro.obs.telemetry import TelemetrySampler
 from repro.obs.trace import Tracer, coerce_tracer
 from repro.runtime import chaos
-from repro.runtime.budget import (
-    REASON_POISON_JOB,
-    REASON_WORKER_FAILURE,
-    Budget,
-)
+from repro.runtime.budget import REASON_WORKER_FAILURE, Budget
 from repro.runtime.retry import run_with_retries
 from repro.service.jobs import Job, JobResult, JobState
-from repro.service.lease import LeaseTable
 from repro.service.queue import JobQueue
 from repro.service.store import ResultStore
 
@@ -84,10 +69,6 @@ RETRY_BACKOFF_SECONDS = 0.05
 
 #: Reason recorded on jobs cancelled before (or while) running.
 REASON_CANCELLED = "cancelled"
-
-#: Cap on one protocol line in ``serve`` streams; a longer line is
-#: answered with a structured error instead of ballooning memory.
-MAX_LINE_BYTES = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -163,24 +144,11 @@ def execute_request(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _swallow_result(future) -> None:
-    """Done-callback for abandoned (lease-expired) dispatch futures.
-
-    Retrieves the result/exception so a late answer from a presumed-dead
-    worker neither races the re-run nor trips asyncio's "exception was
-    never retrieved" warning.
-    """
-    try:
-        future.exception()
-    except (asyncio.CancelledError, Exception):  # noqa: BLE001
-        pass
-
-
 class BatchRunner:
     """Shards verification jobs over asyncio lanes and a worker pool.
 
-    One instance runs one batch (or one serve stream); lanes, executor
-    and store live for the duration of :meth:`run` / :meth:`serve`.
+    One instance runs one batch; lanes, executor and store live for the
+    duration of :meth:`run`.
     """
 
     def __init__(
@@ -194,35 +162,17 @@ class BatchRunner:
         use_processes: bool = True,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
-        store_config: Optional[Dict[str, Any]] = None,
-        lease_ttl: Optional[float] = None,
-        lease_attempts: int = 3,
-        lease_backoff: float = 0.05,
-        lease_backoff_cap: float = 2.0,
-        lease_seed: int = 0,
-        telemetry: Optional[TelemetrySampler] = None,
     ) -> None:
         self.lanes = max(1, int(jobs))
         self.budget = Budget.coerce(budget)
         self.cache = os.fspath(cache) if cache is not None else None
         self._store_arg = store
-        self._store_config = dict(store_config or {})
         self.resume = bool(resume)
         self.retries = max(0, int(retries))
         self.use_processes = bool(use_processes)
         self.tracer = coerce_tracer(tracer)
         self.metrics = metrics
-        # Lease policy (None TTL = leases off, today's exact behaviour).
-        self.lease_ttl = None if lease_ttl is None else float(lease_ttl)
-        self.lease_attempts = max(1, int(lease_attempts))
-        self.lease_backoff = float(lease_backoff)
-        self.lease_backoff_cap = float(lease_backoff_cap)
-        self.lease_seed = int(lease_seed)
-        self.telemetry = telemetry
 
-    # ------------------------------------------------------------------
-    # batch mode
-    # ------------------------------------------------------------------
     async def run(self, requests: Sequence[VerifyRequest]) -> List[JobResult]:
         """Run every request; returns results aligned to request order.
 
@@ -234,8 +184,6 @@ class BatchRunner:
         results: Dict[str, JobResult] = {}
         order: List[tuple] = []
         store = self._open_store()
-        leases = self._make_leases()
-        self._start_telemetry(queue, leases)
         flow_span = self.tracer.span(
             "service.batch", cat="flow", jobs=self.lanes, requests=len(requests)
         )
@@ -269,121 +217,13 @@ class BatchRunner:
                 if state is JobState.DEDUPED:
                     self._count("service.jobs.deduped")
             queue.close()
-            await self._drive(queue, store, results, leases)
+            await self._drive(queue, store, results)
         finally:
-            await self._stop_telemetry()
             if store is not None:
                 store.close()
             self._emit_run_metrics(flow_span)
             flow_span.close()
         return self._ordered_results(order, results)
-
-    # ------------------------------------------------------------------
-    # serve mode (JSONL in, JSONL out)
-    # ------------------------------------------------------------------
-    async def serve(
-        self,
-        in_stream: TextIO,
-        out_stream: TextIO,
-        queue_maxsize: int = 0,
-        max_line_bytes: int = MAX_LINE_BYTES,
-    ) -> int:
-        """Stream job rows from ``in_stream``, emit result lines as done.
-
-        Each input line is one JSON :class:`~repro.api.VerifyRequest`
-        row; each output line is ``{"type": "result", ...}`` (a
-        :meth:`~repro.service.jobs.JobResult.to_dict`) or
-        ``{"type": "error", ...}`` for a malformed row.  EOF closes the
-        queue, lanes drain, and the method returns the number of results
-        emitted.  A bounded ``queue_maxsize`` gives backpressure against
-        a fast client.
-
-        Hostile input degrades per-line, never per-stream: malformed
-        JSON, an oversized line (``max_line_bytes``), or a line truncated
-        by mid-stream EOF each produce exactly one ``error`` response and
-        the loop keeps serving; every job actually accepted is still
-        drained and answered.
-        """
-        queue = JobQueue(maxsize=queue_maxsize)
-        store = self._open_store()
-        leases = self._make_leases()
-        self._start_telemetry(queue, leases)
-        emitted = 0
-        lock = asyncio.Lock()
-
-        async def emit(result: JobResult) -> None:
-            nonlocal emitted
-            async with lock:
-                out_stream.write(
-                    json.dumps({"type": "result", **result.to_dict()}) + "\n"
-                )
-                out_stream.flush()
-                emitted += 1
-
-        def emit_error(message: str) -> None:
-            out_stream.write(
-                json.dumps({"type": "error", "error": message}) + "\n"
-            )
-            out_stream.flush()
-
-        loop = asyncio.get_running_loop()
-        flow_span = self.tracer.span("service.serve", cat="flow", jobs=self.lanes)
-        executor = self._make_executor()
-        try:
-            lanes = [
-                asyncio.ensure_future(
-                    self._lane(lane, queue, executor, store, {}, emit, leases)
-                )
-                for lane in range(self.lanes)
-            ]
-            while True:
-                line = await loop.run_in_executor(None, in_stream.readline)
-                if not line:
-                    break
-                try:
-                    line = await chaos.afire("transport.recv", line)
-                except chaos.ChaosError:
-                    break  # injected stream drop == EOF: drain what we took
-                line = line.strip()
-                if not line:
-                    continue
-                if len(line.encode("utf-8", "replace")) > max_line_bytes:
-                    emit_error(
-                        f"line exceeds {max_line_bytes} bytes; rejected"
-                    )
-                    continue
-                try:
-                    row = json.loads(line)
-                    request = VerifyRequest.from_dict(row)
-                    fingerprint = request.fingerprint()
-                except (ValueError, TypeError, OSError) as exc:
-                    emit_error(str(exc))
-                    continue
-                if self.resume and store is not None:
-                    prior = store.decided(fingerprint)
-                    if prior is not None:
-                        await emit(
-                            JobResult(
-                                name=request.name,
-                                fingerprint=fingerprint,
-                                status=JobState.RESUMED.value,
-                                report=prior.report,
-                                attempts=0,
-                            )
-                        )
-                        self._count("service.jobs.resumed")
-                        continue
-                await queue.put(Job(request=request, fingerprint=fingerprint))
-            queue.close()
-            await asyncio.gather(*lanes)
-        finally:
-            await self._stop_telemetry()
-            self._shutdown_executor(executor)
-            if store is not None:
-                store.close()
-            self._emit_run_metrics(flow_span)
-            flow_span.close()
-        return emitted
 
     # ------------------------------------------------------------------
     # lanes
@@ -393,16 +233,13 @@ class BatchRunner:
         queue: JobQueue,
         store: Optional[ResultStore],
         results: Dict[str, JobResult],
-        leases: Optional[LeaseTable] = None,
     ) -> None:
         """Run lanes to completion over an already-filled, closed queue."""
         executor = self._make_executor()
         try:
             lanes = [
                 asyncio.ensure_future(
-                    self._lane(
-                        lane, queue, executor, store, results, None, leases
-                    )
+                    self._lane(lane, queue, executor, store, results)
                 )
                 for lane in range(self.lanes)
             ]
@@ -430,31 +267,17 @@ class BatchRunner:
         executor: Optional[Executor],
         store: Optional[ResultStore],
         results: Dict[str, JobResult],
-        emit,
-        leases: Optional[LeaseTable] = None,
     ) -> None:
         loop = asyncio.get_running_loop()
         while True:
             job = await queue.get()
             if job is None:
                 return
-            result = await self._run_job(
-                lane, job, queue, executor, loop, leases
-            )
-            if result is None:
-                continue  # lease expired: the job is back on the queue
-            try:
-                terminal = JobState(result.status)
-            except ValueError:
-                terminal = JobState.FAILED
-            duplicates = queue.finish(job, terminal)
+            result = await self._run_job(lane, job, queue, executor, loop)
+            # Parked duplicates get their mirrored results in request
+            # order from _ordered_results, not here.
+            queue.finish(job, JobState(result.status))
             self._record(store, results, result)
-            if emit is not None:
-                await emit(result)
-            for dup in duplicates:
-                mirror = self._mirror_result(dup.name, result, lane=lane)
-                if emit is not None:
-                    await emit(mirror)
 
     async def _run_job(
         self,
@@ -463,31 +286,16 @@ class BatchRunner:
         queue: JobQueue,
         executor: Optional[Executor],
         loop: asyncio.AbstractEventLoop,
-        leases: Optional[LeaseTable] = None,
-    ) -> Optional[JobResult]:
-        """Dispatch one job; returns its result, or None when requeued.
-
-        The None return is the lease-expiry path: the hung dispatch was
-        abandoned, the job is already back on the queue, and the lane
-        should simply pick up its next job.
-        """
+    ) -> JobResult:
+        """Dispatch one job; returns its result, failed or cancelled ones
+        included, so every dispatched job is finished exactly once."""
         payload = self._payload_for(job, queue)
         t0 = time.perf_counter()
         try:
             # A dispatch-site fault is charged to the job (delay slows
             # it, crash degrades it to worker-failure) — never the lane.
             await chaos.afire("scheduler.dispatch", job.fingerprint)
-            future = loop.run_in_executor(executor, execute_request, payload)
-            if leases is None:
-                out = await future
-            else:
-                status, out = await self._await_leased(
-                    lane, job, queue, future, leases
-                )
-                if status == "requeued":
-                    return None
-                if status == "poisoned":
-                    return self._poisoned_result(job, lane, leases)
+            out = await loop.run_in_executor(executor, execute_request, payload)
         except asyncio.CancelledError:
             self._count("service.jobs.cancelled")
             return self._cancelled_result(job, lane=lane)
@@ -605,7 +413,7 @@ class BatchRunner:
                 store.append(result)
             except Exception as exc:  # noqa: BLE001 - durability degrades,
                 # the batch does not: the result stays in memory and is
-                # emitted; only its store line (hence resumability) is
+                # returned; only its store line (hence resumability) is
                 # lost.  Full disks and injected store faults land here.
                 self._count("service.store.append_failures")
                 warnings.warn(
@@ -614,185 +422,6 @@ class BatchRunner:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-
-    async def _await_leased(
-        self,
-        lane: int,
-        job: Job,
-        queue: JobQueue,
-        future,
-        leases: LeaseTable,
-    ):
-        """Await a dispatch under a lease; returns (status, out).
-
-        ``("done", out)`` when the worker delivered within its lease;
-        ``("requeued", None)`` when the lease expired and the job was
-        put back on the queue (after a jittered backoff pause);
-        ``("poisoned", None)`` when the job burned its last lease.
-        Worker exceptions propagate to the caller's generic handling.
-        """
-        fingerprint = job.fingerprint
-        leases.grant(fingerprint, lane=str(lane))
-        while True:
-            timeout = leases.remaining(fingerprint)
-            try:
-                out = await asyncio.wait_for(asyncio.shield(future), timeout)
-            except asyncio.TimeoutError:
-                if not leases.expired(fingerprint):
-                    continue  # a heartbeat moved the deadline meanwhile
-                expiries = leases.expire(fingerprint)
-                # Abandon the in-flight future: if the hung worker ever
-                # does answer, the stale result (and any exception) is
-                # dropped on the floor rather than racing the re-run.
-                future.add_done_callback(_swallow_result)
-                self._count("service.lease.expired")
-                self.tracer.instant(
-                    "service.lease-expired",
-                    cat="event",
-                    job=job.name,
-                    lane=lane,
-                    attempt=expiries,
-                )
-                if expiries >= leases.max_attempts:
-                    self._count("service.lease.poisoned")
-                    return "poisoned", None
-                self._count("service.lease.requeued")
-                delay = leases.backoff(expiries)
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                queue.reinject(job)
-                return "requeued", None
-            except BaseException:
-                leases.release(fingerprint)
-                raise
-            else:
-                leases.release(fingerprint)
-                return "done", out
-
-    def _poisoned_result(
-        self, job: Job, lane: int, leases: LeaseTable
-    ) -> JobResult:
-        """The canonical quarantine outcome of a poison job."""
-        expiries = leases.expiries(job.fingerprint)
-        self._count("service.jobs.quarantined")
-        return JobResult(
-            name=job.name,
-            fingerprint=job.fingerprint,
-            status=JobState.QUARANTINED.value,
-            report=VerifyReport(
-                verdict=SeqVerdict.UNKNOWN.value,
-                method="service",
-                reason=REASON_POISON_JOB,
-                name=job.name,
-                fingerprint=job.fingerprint,
-                metadata=dict(job.request.metadata),
-            ),
-            error=(
-                f"lease expired {expiries}x (ttl {leases.ttl:g}s); "
-                "job quarantined as poison"
-            ),
-            attempts=expiries,
-            lane=lane,
-        )
-
-    def _worker_failure_result(self, job: Job, lane) -> JobResult:
-        """A failed/unknown outcome for a worker that answered garbage."""
-        return JobResult(
-            name=job.name,
-            fingerprint=job.fingerprint,
-            status=JobState.FAILED.value,
-            report=VerifyReport(
-                verdict=SeqVerdict.UNKNOWN.value,
-                method="service",
-                reason=REASON_WORKER_FAILURE,
-                name=job.name,
-                fingerprint=job.fingerprint,
-                metadata=dict(job.request.metadata),
-            ),
-            error="worker returned a malformed result",
-            attempts=1,
-            lane=lane,
-        )
-
-    # ------------------------------------------------------------------
-    # telemetry
-    # ------------------------------------------------------------------
-    def _telemetry_probe(self, queue: JobQueue, leases: Optional[LeaseTable], workers=None):
-        """Build the snapshot probe over this run's queue/lease state.
-
-        ``workers`` is an optional zero-arg callable contributing the
-        ``workers`` section (the TCP server knows its connections, the
-        runner does not).
-        """
-
-        def counter(name: str) -> float:
-            return self.metrics.counter(name) if self.metrics is not None else 0.0
-
-        def probe() -> Dict[str, Dict[str, float]]:
-            body: Dict[str, Dict[str, float]] = {
-                "queue": queue.snapshot(),
-                "leases": {
-                    "live": len(leases) if leases is not None else 0,
-                    "troubled": leases.troubled if leases is not None else 0,
-                    "expired": counter("service.lease.expired"),
-                    "requeued": counter("service.lease.requeued"),
-                    "poisoned": counter("service.lease.poisoned"),
-                },
-                "jobs": {
-                    "done": counter("service.jobs.done"),
-                    "failed": counter("service.jobs.failed"),
-                    "resumed": counter("service.jobs.resumed"),
-                    "deduped": counter("service.jobs.deduped"),
-                    "quarantined": counter("service.jobs.quarantined"),
-                    "cancelled": counter("service.jobs.cancelled"),
-                },
-                "cache": {
-                    "hits": counter("service.cache.hits"),
-                    "misses": counter("service.cache.misses"),
-                },
-                "chaos": {"faults_fired": counter("chaos.faults_fired")},
-                "store": {
-                    "corrupt_lines": (
-                        self.metrics.gauge("service.store.corrupt_lines")
-                        if self.metrics is not None
-                        else 0.0
-                    ),
-                    "append_failures": counter("service.store.append_failures"),
-                },
-            }
-            if workers is not None:
-                body["workers"] = workers()
-            return body
-
-        return probe
-
-    def _start_telemetry(
-        self,
-        queue: JobQueue,
-        leases: Optional[LeaseTable],
-        workers=None,
-    ) -> None:
-        """Point the sampler at this run's state and start its loop."""
-        if self.telemetry is None:
-            return
-        self.telemetry.probe = self._telemetry_probe(queue, leases, workers)
-        self.telemetry.start()
-
-    async def _stop_telemetry(self) -> None:
-        if self.telemetry is not None:
-            await self.telemetry.aclose()
-
-    def _make_leases(self) -> Optional[LeaseTable]:
-        """A fresh lease table per run, or None when leasing is off."""
-        if self.lease_ttl is None:
-            return None
-        return LeaseTable(
-            ttl=self.lease_ttl,
-            max_attempts=self.lease_attempts,
-            backoff_base=self.lease_backoff,
-            backoff_cap=self.lease_backoff_cap,
-            rng=random.Random(self.lease_seed),
-        )
 
     def _cancelled_result(self, job: Job, lane: Optional[int] = None) -> JobResult:
         return JobResult(
@@ -830,9 +459,7 @@ class BatchRunner:
         return out
 
     @staticmethod
-    def _mirror_result(
-        name: str, base: JobResult, lane: Optional[int] = None
-    ) -> JobResult:
+    def _mirror_result(name: str, base: JobResult) -> JobResult:
         """A ``deduped`` copy of a winning result under the duplicate's name."""
         report = base.report
         if report is not None and report.name != name:
@@ -843,7 +470,7 @@ class BatchRunner:
             status=JobState.DEDUPED.value,
             report=report,
             attempts=0,
-            lane=base.lane if lane is None else lane,
+            lane=base.lane,
         )
 
     def _open_store(self) -> Optional[ResultStore]:
@@ -854,9 +481,7 @@ class BatchRunner:
             if store._handle is None:
                 store.open()
         else:
-            store = ResultStore(
-                self._store_arg, config=self._store_config
-            ).open()
+            store = ResultStore(self._store_arg).open()
         if store.corrupt_lines:
             # Skipped-but-counted is the load policy; surfacing it is
             # ours: torn writes are expected after a crash, but a store

@@ -1,16 +1,15 @@
-"""Merge algebra of the metrics registry under worker delta streaming.
+"""Merge algebra of the metrics registry when folding worker registries.
 
-The telemetry design leans on two facts proved here:
+The batch runner and the parallel sweep both fold each worker's
+registry into the run's with :meth:`MetricsRegistry.merge`, in whatever
+order the workers finish.  Two facts proved here make that safe:
 
-* :meth:`MetricsRegistry.merge` is **commutative and associative** for
-  every metric family (counters add, gauges max, histograms bucket-wise
-  add, series are order-sensitive only in sequence, not in totals) — so
-  out-of-order application of distinct worker deltas converges to the
-  same totals;
-* counter merge is **not idempotent** (merging the same delta twice
-  double-counts) — which is exactly why the protocol layer
-  (:class:`MetricsDeltaFold`) enforces exactly-once per ``(source, seq)``
-  instead of hoping the transport never re-delivers.
+* merge is **commutative and associative** for every metric family
+  (counters add, gauges max, histograms bucket-wise add, series are
+  order-sensitive only in sequence, not in totals) — so out-of-order
+  folding of distinct worker registries converges to the same totals;
+* counter merge is **not idempotent** (merging the same registry twice
+  double-counts) — so each worker result must be folded exactly once.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import random
 
 from repro.obs.metrics import MetricsRegistry, TIME_BUCKETS
-from repro.obs.telemetry import MetricsDeltaFold
 
 
 def _random_delta(rng: random.Random) -> dict:
@@ -82,7 +80,7 @@ class TestMergeAlgebra:
         delta = _random_delta(random.Random(3))
         once = _merged([delta])
         twice = _merged([delta, delta])
-        assert once != twice  # the hazard the delta fold exists to stop
+        assert once != twice  # why each worker result is folded once
 
     def test_gauge_merge_is_idempotent(self):
         reg = MetricsRegistry()
@@ -92,49 +90,3 @@ class TestMergeAlgebra:
         target.merge(delta)
         target.merge(delta)
         assert target.gauge("g") == 5.0
-
-
-class TestExactlyOnceUnderRedelivery:
-    def test_out_of_order_duplicated_deltas_converge(self):
-        """The fleet scenario: two workers, re-sent + shuffled deltas.
-
-        However the transport mangles delivery order and however many
-        times a delta is re-sent, folding through MetricsDeltaFold must
-        equal the clean in-order, exactly-once application.
-        """
-        rng = random.Random(42)
-        per_worker = {
-            "w1": [_random_delta(rng) for _ in range(5)],
-            "w2": [_random_delta(rng) for _ in range(5)],
-        }
-        clean = MetricsRegistry()
-        for deltas in per_worker.values():
-            for delta in deltas:
-                clean.merge(delta)
-
-        for seed in range(8):
-            shuffle_rng = random.Random(seed)
-            stream = [
-                (worker, seq, delta)
-                for worker, deltas in per_worker.items()
-                for seq, delta in enumerate(deltas, start=1)
-            ]
-            # Duplicate a random prefix (lease retry re-sends), shuffle all.
-            stream += stream[: shuffle_rng.randint(0, len(stream))]
-            shuffle_rng.shuffle(stream)
-            target = MetricsRegistry()
-            fold = MetricsDeltaFold(target)
-            for worker, seq, delta in stream:
-                fold.apply(worker, seq, delta)
-            assert _totals(target) == _totals(clean), f"seed {seed}"
-            assert fold.applied == 10
-
-    def test_interleaved_local_and_remote_counts_add(self):
-        # Coordinator-local increments and folded worker deltas coexist.
-        target = MetricsRegistry()
-        fold = MetricsDeltaFold(target)
-        target.inc("service.jobs.done", 3)
-        worker = MetricsRegistry()
-        worker.inc("service.jobs.done", 2)
-        fold.apply("w1", 1, worker.to_dict())
-        assert target.counter("service.jobs.done") == 5.0

@@ -1,19 +1,18 @@
-"""End-to-end batch service runs: verdicts, budgets, resume, CLI, serve.
+"""End-to-end batch service runs: verdicts, budgets, resume, CLI.
 
 Builds a small workload on disk — equivalent retimed+resynthesised
 pairs, an identical pair, a duplicate row, and a mutated (refutable)
-revision — then drives it through :func:`repro.api.verify_batch`, the
-``repro batch`` CLI and the ``repro serve`` stream loop, checking the
-service-level guarantees: per-job verdicts and exit codes, shared
-proof-cache warmth, budget-slice exhaustion surfacing ``REASON_*``
-codes, store resume, schema-valid traces, and a DeprecationWarning-free
-first-party path.
+revision — then drives it through :func:`repro.api.verify_batch` and
+the ``repro batch`` CLI, checking the service-level guarantees: per-job
+verdicts and exit codes, shared proof-cache warmth, budget-slice
+exhaustion surfacing ``REASON_*`` codes, store resume, schema-valid
+traces, and a DeprecationWarning-free first-party path.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import os
 import warnings
 
 import pytest
@@ -25,8 +24,8 @@ from repro.netlist.blif import write_blif
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate_events
 from repro.obs.trace import Tracer
+from repro.runtime import chaos
 from repro.runtime.budget import KNOWN_REASONS
-from repro.service.jobs import JobResult
 from repro.service.store import ResultStore
 
 
@@ -239,34 +238,52 @@ class TestBatchCli:
         bad.write_text(json.dumps({"version": 99, "jobs": []}))
         assert main(["batch", str(bad)]) == 2
 
+    def test_resume_without_store_exits_two(self, workload, capsys):
+        from repro.cli import main
 
-class TestServe:
-    def test_jsonl_stream_round_trip(self, workload):
-        import asyncio
+        rc = main(
+            ["batch", str(workload["manifest"]), "--in-process", "--resume"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--resume requires --store" in captured.err
+        assert "batch summary:" not in captured.out  # no job ran
 
-        from repro.service.scheduler import BatchRunner
+    @pytest.mark.parametrize("previous", [None, "earlier-plan.json"])
+    def test_chaos_plan_disarmed_after_return(
+        self, workload, tmp_path, monkeypatch, previous
+    ):
+        from repro.cli import main
 
-        rows = []
-        for request in _requests(workload)[:3]:
-            rows.append(json.dumps(request.to_dict()))
-        rows.append("{not json")
-        in_stream = io.StringIO("\n".join(rows) + "\n")
-        out_stream = io.StringIO()
-        runner = BatchRunner(jobs=2, use_processes=False)
-        emitted = asyncio.run(runner.serve(in_stream, out_stream))
-        lines = [
-            json.loads(line)
-            for line in out_stream.getvalue().splitlines()
-            if line
-        ]
-        results = [l for l in lines if l["type"] == "result"]
-        errors = [l for l in lines if l["type"] == "error"]
-        assert emitted == 3
-        assert len(results) == 3
-        assert len(errors) == 1
-        by_name = {r["name"]: r for r in results}
-        assert by_name["eq1"]["exit_code"] == 0
-        assert by_name["neq"]["exit_code"] == 1
-        # Each emitted line parses back into a JobResult.
-        for line in results:
-            JobResult.from_dict(line)
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps(
+                {
+                    "seed": 1,
+                    "faults": [
+                        {"site": "scheduler.dispatch", "action": "crash"}
+                    ],
+                }
+            )
+        )
+        if previous is None:
+            monkeypatch.delenv(chaos.ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(chaos.ENV_VAR, previous)
+        chaos.uninstall()
+        try:
+            rc = main(
+                [
+                    "batch",
+                    str(workload["manifest"]),
+                    "--in-process",
+                    "--quiet",
+                    "--chaos",
+                    str(plan),
+                ]
+            )
+            assert rc == 2  # every dispatch crashed: all jobs unknown
+            assert chaos.active() is None
+            assert os.environ.get(chaos.ENV_VAR) == previous
+        finally:
+            chaos.uninstall()

@@ -2,9 +2,8 @@
 
 One mixed ~50-row workload runs fault-free to establish a baseline, then
 re-runs under each seeded :class:`FaultPlan` in the matrix — worker
-crashes, dispatch delays, store-append crashes, cache-save crashes,
-transport drops, poison jobs.  The acceptance invariants, checked for
-every plan:
+crashes, dispatch delays and crashes, store-append crashes, cache-save
+crashes.  The acceptance invariants, checked for every plan:
 
 * **accounted** — every submitted job comes back decided, UNKNOWN with a
   ``REASON_*`` code, or failed-with-error; none vanish;
@@ -18,15 +17,12 @@ every plan:
 from __future__ import annotations
 
 import asyncio
-import io
-import json
 
 import pytest
 
 from repro.api import VerifyRequest
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime import chaos
-from repro.runtime.budget import KNOWN_REASONS, REASON_POISON_JOB
+from repro.runtime.budget import KNOWN_REASONS, REASON_WORKER_FAILURE
 from repro.runtime.chaos import FaultPlan, FaultRule
 from repro.service.jobs import JobState
 from repro.service.scheduler import BatchRunner
@@ -40,7 +36,6 @@ ACCOUNTED = {
     JobState.FAILED.value,
     JobState.DEDUPED.value,
     JobState.RESUMED.value,
-    JobState.QUARANTINED.value,
 }
 
 
@@ -203,63 +198,31 @@ class TestFaultMatrix:
         assert {r.report.verdict for r in results} == DECIDED
         assert plan.fired("cache.save") >= 1
 
-    def test_transport_drop_midstream(self, workload, baseline):
-        """The stdio stream drops mid-batch: accepted jobs still answer."""
+    def test_dispatch_crashes_fail_only_their_jobs(self, workload, baseline):
+        """A crash while shipping a job fails that job, never the batch.
+
+        The fault fires in the coordinator, outside the worker's retry
+        loop, so it lands in the pool-failure branch: the job degrades to
+        ``failed`` with an ``unknown``/``worker-failure`` report.
+        """
+        distinct = workload[:8]  # one row per fingerprint: no dedup
         plan = FaultPlan(
-            [FaultRule(site="transport.recv", action="crash", hits=[25])],
+            [FaultRule(site="scheduler.dispatch", action="crash", hits=[2, 5])],
             seed=15,
         )
-        chaos.install(plan)
-        runner = BatchRunner(jobs=2, use_processes=False, retries=2)
-        lines = "".join(
-            json.dumps(
-                {"golden": r.golden, "revised": r.revised, "name": r.name}
-            )
-            + "\n"
-            for r in workload
-        )
-        out = io.StringIO()
-        try:
-            emitted = asyncio.run(runner.serve(io.StringIO(lines), out))
-        finally:
-            chaos.uninstall()
-        rows = [json.loads(line) for line in out.getvalue().splitlines()]
-        results = [r for r in rows if r["type"] == "result"]
-        # The 25th line was dropped with the rest of the stream: exactly
-        # the 24 accepted jobs are answered — each one, exactly once.
-        assert plan.fired("transport.recv") == 1
-        assert emitted == len(results) == 24
+        results = _run_batch(distinct, plan=plan)
+        _assert_accounted(distinct, results)
+        assert plan.fired("scheduler.dispatch") == 2
+        # Equal priorities dispatch in submission order: hits 2 and 5
+        # are rows 1 and 4.
+        crashed = {"row1", "row4"}
         expected = {r.name: r.report.verdict for r in baseline}
-        names = [r["name"] for r in results]
-        assert sorted(names) == sorted(f"row{i}" for i in range(24))
-        for row in results:
-            verdict = row["report"]["verdict"]
-            if verdict in DECIDED:
-                assert verdict == expected[row["name"]]
-
-    def test_poison_jobs_quarantined(self, workload, baseline):
-        """Jobs that hang every dispatch are quarantined, not looped."""
-        poison_rows = workload[:3]
-        plan = FaultPlan(
-            [FaultRule(site="worker.entry", action="delay", seconds=0.3)],
-            seed=16,
-        )
-        metrics = MetricsRegistry()
-        results = _run_batch(
-            poison_rows,
-            plan=plan,
-            metrics=metrics,
-            retries=0,
-            lease_ttl=0.05,
-            lease_attempts=2,
-            lease_backoff=0.0,
-            lease_backoff_cap=0.0,
-        )
-        _assert_accounted(poison_rows, results)
-        primary = [r for r in results if r.status != JobState.DEDUPED.value]
-        assert primary, "workload collapsed entirely onto duplicates"
-        for result in primary:
-            assert result.status == JobState.QUARANTINED.value
-            assert result.report.verdict == "unknown"
-            assert result.report.reason == REASON_POISON_JOB
-        assert metrics.counter("service.lease.poisoned") == len(primary)
+        for result in results:
+            if result.name in crashed:
+                assert result.status == JobState.FAILED.value
+                assert result.report.verdict == "unknown"
+                assert result.report.reason == REASON_WORKER_FAILURE
+                assert result.error
+            else:
+                assert result.status == JobState.DONE.value
+                assert result.report.verdict == expected[result.name]

@@ -1,4 +1,4 @@
-"""JobQueue: priority order, dedup, backpressure, drain and cancel."""
+"""JobQueue: priority order, dedup, close and cancel."""
 
 from __future__ import annotations
 
@@ -108,45 +108,3 @@ class TestShutdown:
         assert all(j.state is JobState.CANCELLED for j in cancelled)
         assert len(queue) == 0
         assert queue.unfinished == 0
-
-    def test_drain_waits_for_in_flight_work(self):
-        async def scenario():
-            queue = JobQueue()
-            queue.submit_nowait(_job("slow"))
-            queue.close()
-            finished = []
-
-            async def worker():
-                job = await queue.get()
-                await asyncio.sleep(0.01)
-                queue.finish(job, JobState.DONE)
-                finished.append(job.name)
-
-            task = asyncio.ensure_future(worker())
-            await queue.drain()
-            assert finished == ["slow"]
-            await task
-
-        _run(scenario())
-
-
-class TestBackpressure:
-    def test_bounded_put_waits_for_a_slot(self):
-        async def scenario():
-            queue = JobQueue(maxsize=1)
-            await queue.put(_job("first"))
-            waiter = asyncio.ensure_future(queue.put(_job("second")))
-            await asyncio.sleep(0.01)
-            assert not waiter.done()  # blocked: queue is full
-            job = await queue.get()  # frees the slot
-            await asyncio.wait_for(waiter, timeout=1.0)
-            queue.finish(job, JobState.DONE)
-            assert len(queue) == 1
-
-        _run(scenario())
-
-    def test_submit_nowait_raises_when_full(self):
-        queue = JobQueue(maxsize=1)
-        queue.submit_nowait(_job("first"))
-        with pytest.raises(asyncio.QueueFull):
-            queue.submit_nowait(_job("second"))

@@ -189,7 +189,7 @@ def _minmax_pair(tmp_path):
 
 
 class TestFleetCli:
-    """The telemetry-era commands: status, bench compare, new flags."""
+    """The obligation log (``--oblog``) and ``repro bench compare``."""
 
     def test_verify_oblog_writes_feature_records(
         self, blif_file, tmp_path, capsys
@@ -206,11 +206,10 @@ class TestFleetCli:
         assert all(r.engine is not None for r in records)
         assert "obligation record(s)" in capsys.readouterr().out
 
-    def test_batch_telemetry_and_oblog(self, blif_file, tmp_path, capsys):
+    def test_batch_oblog(self, blif_file, tmp_path, capsys):
         import json
 
         from repro.obs.oblog import read_obligation_log
-        from repro.obs.telemetry import read_snapshots, validate_snapshots
 
         golden_path, revised_path = _minmax_pair(tmp_path)
         manifest = tmp_path / "m.json"
@@ -228,75 +227,18 @@ class TestFleetCli:
                 }
             )
         )
-        snap_path = tmp_path / "snap.jsonl"
         ob_path = tmp_path / "ob.jsonl"
         assert main(
             [
                 "batch",
                 str(manifest),
                 "--in-process",
-                "--telemetry",
-                str(snap_path),
-                "--telemetry-interval",
-                "0.2",
                 "--oblog",
                 str(ob_path),
             ]
         ) == 0
-        snapshots = read_snapshots(snap_path)
-        assert snapshots and validate_snapshots(snapshots) == []
-        assert snapshots[-1]["source"] == "batch"
-        assert snapshots[-1]["jobs"]["done"] == 1
         assert read_obligation_log(ob_path)
-
-    def test_status_against_live_server(self, blif_file, capsys):
-        import asyncio
-        import threading
-
-        from repro.service import BatchRunner, TcpServer
-
-        started = threading.Event()
-        stop = None
-        loop_holder = {}
-        port_holder = {}
-
-        def serve():
-            async def run():
-                nonlocal stop
-                runner = BatchRunner(jobs=1, use_processes=False, retries=0)
-                server = TcpServer(runner, port=0)
-                await server.start()
-                port_holder["port"] = server.port
-                stop = asyncio.Event()
-                loop_holder["loop"] = asyncio.get_running_loop()
-                started.set()
-                await stop.wait()
-                await server.aclose()
-
-            asyncio.run(run())
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert started.wait(10.0), "server did not start"
-        try:
-            rc = main(["status", f"127.0.0.1:{port_holder['port']}"])
-            out = capsys.readouterr().out
-            assert rc == 0
-            assert "repro fleet [serve]" in out
-            assert "queue" in out
-            rc = main(
-                ["status", f"127.0.0.1:{port_holder['port']}", "--json"]
-            )
-            out = capsys.readouterr().out
-            assert rc == 0
-            assert '"type": "snapshot"' in out
-        finally:
-            loop_holder["loop"].call_soon_threadsafe(stop.set)
-            thread.join(10.0)
-
-    def test_status_connection_refused(self, capsys):
-        assert main(["status", "127.0.0.1:1"]) == 2
-        assert "connection failed" in capsys.readouterr().err
+        assert "obligation record(s)" in capsys.readouterr().out
 
     def test_bench_compare_pass_and_fail(self, tmp_path, capsys):
         import json
@@ -352,7 +294,3 @@ class TestFleetCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"no_totals": 1}')
         assert main(["bench", "compare", str(bad), "--baseline", str(bad)]) == 2
-
-    def test_serve_prom_port_requires_tcp(self, capsys):
-        assert main(["serve", "--prom-port", "9999"]) == 2
-        assert "--prom-port requires --tcp" in capsys.readouterr().err
