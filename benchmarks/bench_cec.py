@@ -5,9 +5,9 @@ equivalents, mutated near-misses, and unrelated pairs) under deliberately
 narrow initial signatures — the regime where counterexample-guided
 refinement matters — and writes ``BENCH_cec.json``:
 
-* per-pair and aggregate ``sat_queries`` / wall time / refinement rounds
-  across the full mode matrix: refinement on/off × preprocessing on/off ×
-  serial/parallel (``n_jobs>1``);
+* per-pair and aggregate ``sat_queries`` / ``core_retired`` / refinement
+  rounds across the full mode matrix: refinement on/off × preprocessing
+  on/off × serial/parallel (``n_jobs>1``);
 * a hard assertion that every configuration returns the same verdict on
   every pair (the acceptance criterion for refinement *and* for the
   pre-sweep AIG rewriting);
@@ -22,12 +22,10 @@ refinement matters — and writes ``BENCH_cec.json``:
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_cec.py [-o BENCH_cec.json]
-                                                  [--dispatch-policy NAME]
 
-``--dispatch-policy`` folds an engine-dispatch policy into every mode
-(default ``cascade``, the historical ladder); running once per policy
-and diffing the reports with ``repro bench compare`` is how policy
-verdict-identity and SAT-query savings are gated in CI.
+The per-mode query totals are deterministic, and
+``tests/cec/test_sat_query_gate.py`` holds every mode to the totals of
+the checked-in ``BENCH_cec.json``.
 
 Exit code 0 means all verdicts agreed; 1 means a divergence (the JSON is
 still written for the post-mortem).
@@ -38,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from repro.bench.mutations import sample_mutations
@@ -51,16 +48,6 @@ from repro.synth.script import script_delay
 # One narrow 8-bit simulation round: plenty of spurious signature
 # classes, which is exactly what refinement is for.
 NARROW = dict(sim_rounds=1, sim_width=8)
-
-#: Pairs that finish faster than this are re-timed best-of-N: below a
-#: few milliseconds, interpreter warm-up and scheduler jitter dominate
-#: the single-shot reading, which made small-pair ``seconds`` rows pure
-#: noise for ``repro bench compare``.
-REPEAT_THRESHOLD_SECONDS = 0.005
-
-#: Repeat cap for the best-of-N loop (total work stays bounded even if
-#: every pair is sub-threshold).
-MAX_TIMING_REPEATS = 5
 
 #: (mode name, engine options, sweep workers).
 MODES: List[Tuple[str, CecOptions, int]] = [
@@ -220,58 +207,25 @@ def preprocess_effect(pairs) -> List[Dict]:
     return rows
 
 
-def _timed_check(
-    golden, revised, options: CecOptions, n_jobs: int
-) -> Tuple[object, float, int]:
-    """Time one mode on one pair, best-of-N for sub-threshold runs.
-
-    Returns ``(result, best_seconds, repeats)``.  The verdict must be
-    stable across repeats — a flapping verdict is a determinism bug, not
-    timing noise, and raises immediately.
-    """
-    best = None
-    result = None
-    repeats = 0
-    while True:
-        t0 = time.perf_counter()
-        res = check_equivalence(
-            golden, revised, options, n_jobs=n_jobs, **NARROW
-        )
-        elapsed = time.perf_counter() - t0
-        repeats += 1
-        if result is not None and res.verdict != result.verdict:
-            raise AssertionError(
-                f"verdict flapped across timing repeats: "
-                f"{result.verdict.value} vs {res.verdict.value}"
-            )
-        result = res
-        best = elapsed if best is None else min(best, elapsed)
-        if best >= REPEAT_THRESHOLD_SECONDS or repeats >= MAX_TIMING_REPEATS:
-            return result, best, repeats
-
-
-def run(pairs, dispatch_policy: str = "cascade") -> Dict:
+def run(pairs) -> Dict:
+    """Every mode on every pair: per-pair rows, per-mode totals."""
     rows = []
     totals = {
-        name: {"sat_queries": 0, "core_retired": 0, "seconds": 0.0}
-        for name, _, _ in MODES
+        name: {"sat_queries": 0, "core_retired": 0} for name, _, _ in MODES
     }
     divergences = []
     for name, golden, revised in pairs:
         row = {"pair": name}
         verdicts = {}
         for mode, options, n_jobs in MODES:
-            options = replace(options, dispatch_policy=dispatch_policy)
-            result, elapsed, repeats = _timed_check(
-                golden, revised, options, n_jobs
+            result = check_equivalence(
+                golden, revised, options, n_jobs=n_jobs, **NARROW
             )
             verdicts[mode] = result.verdict.value
             row[mode] = {
                 "verdict": result.verdict.value,
                 "sat_queries": int(result.stats["sat_queries"]),
                 "core_retired": int(result.stats["core_retired"]),
-                "seconds": round(elapsed, 4),
-                "repeats": repeats,
                 "refine_rounds": int(result.stats["refine_rounds"]),
                 "refine_patterns": int(result.stats["refine_patterns"]),
                 "refine_saved": int(result.stats["refine_saved"]),
@@ -281,19 +235,16 @@ def run(pairs, dispatch_policy: str = "cascade") -> Dict:
             }
             totals[mode]["sat_queries"] += int(result.stats["sat_queries"])
             totals[mode]["core_retired"] += int(result.stats["core_retired"])
-            totals[mode]["seconds"] += elapsed
         if len(set(verdicts.values())) != 1:
             divergences.append({"pair": name, "verdicts": verdicts})
         rows.append(row)
-    for mode in totals:
-        totals[mode]["seconds"] = round(totals[mode]["seconds"], 4)
     saved = (
         totals["norefine_serial"]["sat_queries"]
         - totals["refine_serial"]["sat_queries"]
     )
     return {
         "benchmark": "cec_sweep",
-        "config": dict(NARROW, dispatch_policy=dispatch_policy),
+        "config": dict(NARROW),
         "pairs": rows,
         "totals": totals,
         "sat_queries_saved_by_refinement": saved,
@@ -308,23 +259,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "-o", "--output", default="BENCH_cec.json", help="output JSON path"
     )
-    parser.add_argument(
-        "--dispatch-policy",
-        default="cascade",
-        metavar="NAME",
-        help="engine dispatch policy folded into every mode "
-        "(default: cascade, the historical ladder)",
-    )
     args = parser.parse_args(argv)
-    report = run(corpus(), dispatch_policy=args.dispatch_policy)
+    report = run(corpus())
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     totals = report["totals"]
     for mode, agg in totals.items():
         print(f"{mode:20s} sat_queries={agg['sat_queries']:6d} "
-              f"core_retired={agg['core_retired']:5d} "
-              f"seconds={agg['seconds']:.3f}")
+              f"core_retired={agg['core_retired']:5d}")
     print(f"refinement saved {report['sat_queries_saved_by_refinement']} "
           f"SAT queries (serial)")
     removed = sum(r["nodes_removed"] for r in report["preprocess"])

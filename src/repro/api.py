@@ -39,6 +39,7 @@ import hashlib
 import json
 import os
 import time
+import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from typing import (
     Any,
@@ -149,9 +150,13 @@ def _blif_bytes(circuit: Union[str, os.PathLike, Circuit]) -> bytes:
 #: VerifyRequest fields holding the two circuits (serialised separately).
 _CIRCUIT_FIELDS = ("golden", "revised")
 #: VerifyRequest fields holding a file path or a store object with a
-#: ``path`` attribute (:class:`~repro.cec.ProofCache`,
-#: :class:`~repro.cec.OutcomeStore`).
+#: ``path`` attribute (:class:`~repro.cec.ProofCache`).
 _PATH_FIELDS = ("cache", "dispatch_store")
+
+#: Deprecated VerifyRequest fields that no longer do anything, with
+#: their inert defaults.  They still load (manifests and stores written
+#: by 1.2) but warn when set; they are removed in 1.4.0.
+_INERT_FIELDS = {"dispatch_policy": "cascade", "dispatch_store": None}
 
 
 def _default(f) -> Any:
@@ -201,14 +206,24 @@ class VerifyRequest:
     bdd_node_limit: Optional[int] = None
     # Free-form caller annotations, carried through to the report.
     metadata: Dict[str, Any] = field(default_factory=dict)
-    # Engine-portfolio dispatch (verdict-preserving; not fingerprinted).
-    # ``engines`` is a list of adapter names (or a comma-separated
-    # string, normalised to a list); None lets the policy choose.
+    # The CEC engine portfolio (verdict-preserving; not fingerprinted):
+    # a list of adapter names (or a comma-separated string, normalised
+    # to a list); None runs structural then SAT.
     engines: Optional[List[str]] = None
+    # Deprecated since 1.3.0 and inert: see _INERT_FIELDS.
     dispatch_policy: str = "cascade"
     dispatch_store: Union[None, str, os.PathLike] = None
 
     def __post_init__(self) -> None:
+        for name, inert in _INERT_FIELDS.items():
+            if getattr(self, name) != inert:
+                warnings.warn(
+                    f"VerifyRequest.{name} is ignored since 1.3.0 and is "
+                    "removed in 1.4.0: it never changed a verdict; choose "
+                    "the CEC engines with engines=",
+                    DeprecationWarning,
+                    stacklevel=3,
+                )
         if isinstance(self.engines, str):
             self.engines = [
                 part.strip() for part in self.engines.split(",") if part.strip()
@@ -290,10 +305,9 @@ class VerifyRequest:
     def to_dict(self) -> Dict[str, Any]:
         """Stable JSON form; circuits given as objects become inline BLIF.
 
-        Fields at their default are left out.  ``cache`` and
-        ``dispatch_store`` are written as paths; a live store object
-        without a backing file has no JSON form and raises
-        :class:`ValueError` naming the field.
+        Fields at their default are left out.  ``cache`` is written as a
+        path; a live proof cache without a backing file has no JSON form
+        and raises :class:`ValueError` naming the field.
         """
         out: Dict[str, Any] = {}
         for f in fields(self):

@@ -20,18 +20,8 @@ from repro.bench.counterex import (
     fig14_conditional_update,
 )
 from repro.bench.random_circuits import random_acyclic_sequential, random_combinational
-from repro.bench.compare import (
-    compare_reports,
-    load_report,
-    parse_thresholds,
-    render_comparison,
-)
 
 __all__ = [
-    "compare_reports",
-    "load_report",
-    "parse_thresholds",
-    "render_comparison",
     "minmax_circuit",
     "pipeline_circuit",
     "trapped_latch_circuit",

@@ -24,28 +24,16 @@ Scaling layers on top of the serial filter pipeline:
 * :mod:`repro.cec.cache` — a persistent proof cache keyed by canonical
   structural cone hashes, so repeated checks across a flow (or across
   runs) replay proven merges instead of re-solving them;
-* :mod:`repro.cec.engines` — the pluggable engine-adapter portfolio:
-  each ladder stage (structural, sim, BDD, SAT) is a registered
-  :class:`~repro.cec.engines.EngineAdapter`, and third-party engines
-  register the same way;
-* :mod:`repro.cec.dispatch` — dispatch policies that order the portfolio
-  per obligation (``"cascade"`` reproduces the fixed ladder bit for bit;
-  ``"heuristic"`` ranks engines from obligation features and a
-  persistent :class:`~repro.cec.dispatch.OutcomeStore`);
+* :mod:`repro.cec.engines` — the pluggable engine-adapter portfolio the
+  output checks walk: each proof procedure (structural, sim, BDD, SAT) is
+  a registered :class:`~repro.cec.engines.EngineAdapter`, and
+  third-party engines register the same way.  Every check runs
+  structural then SAT unless the caller names engines;
 * :mod:`repro.cec.options` — :class:`CecOptions`, the engine options
   every caller passes as one value (``check_equivalence(c1, c2, options)``).
 """
 
 from repro.cec.cache import ProofCache
-from repro.cec.dispatch import (
-    CascadePolicy,
-    DispatchPolicy,
-    HeuristicPolicy,
-    OutcomeStore,
-    available_policies,
-    coerce_policy,
-    register_policy,
-)
 from repro.cec.engine import (
     CecVerdict,
     CheckResult,
@@ -70,30 +58,23 @@ from repro.cec.partition import Candidate, WorkUnit, partition_candidates
 
 __all__ = [
     "Candidate",
-    "CascadePolicy",
     "CecOptions",
     "CecVerdict",
     "CheckResult",
-    "DispatchPolicy",
     "EngineAdapter",
     "EngineContext",
     "EngineOutcome",
     "EngineStats",
-    "HeuristicPolicy",
     "Obligation",
-    "OutcomeStore",
     "ProofCache",
     "WorkUnit",
     "available_engines",
-    "available_policies",
     "check_equivalence",
     "check_equivalence_bdd",
     "check_miter_unsat",
     "build_miter",
-    "coerce_policy",
     "get_engine",
     "partition_candidates",
     "register_engine",
-    "register_policy",
     "resolve_portfolio",
 ]

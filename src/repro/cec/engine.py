@@ -1,25 +1,26 @@
 """The combinational equivalence-checking engine.
 
-Every proof obligation (sweep candidate or output pair) is resource
-governed when a :class:`~repro.runtime.Budget` is supplied: obligations
-walk an explicit fallback cascade — structural hash → simulation
-refutation → bounded BDD → bounded SAT — and a cascade that runs dry
-records an UNKNOWN verdict with a reason code instead of raising or
-hanging.  Without a budget the engine behaves exactly as before,
-bit-for-bit.
+:func:`check_equivalence` runs the filter pipeline of DESIGN.md phase by
+phase — build the miter, preprocess it, encode it to CNF, SAT-sweep the
+simulation classes with counterexample-guided refinement, then decide
+each output pair — and every check runs the same engine portfolio,
+structural hash (with proof-cache replay) then SAT, unless the caller
+names engines.  A :class:`~repro.runtime.Budget` only bounds that work:
+the sweep, every SAT call and a named BDD stage stop at its limits, and
+a check that runs dry records an UNKNOWN verdict with a reason code
+instead of raising or hanging.
 
 Observability: the engine counts everything into one
 :class:`~repro.obs.metrics.MetricsRegistry` (the canonical sink; the
 ``cec.*`` names are catalogued in ``docs/OBSERVABILITY.md``) and, when a
 :class:`~repro.obs.trace.Tracer` is passed, emits a span tree —
 ``cec.check`` (pair) → ``cec.phase.*`` → ``cec.obligation`` →
-``stage.sim`` / ``stage.bdd`` / ``stage.sat`` — plus instants for budget
-exhaustion and lost/requeued sweep units.  :class:`EngineStats` survives
-as the backward-compatible flat view, rebuilt from the registry at
-finish (:meth:`EngineStats.from_metrics`), so ``CheckResult.stats`` and
-``CheckResult.engine`` consumers see exactly what they always did.  The
-default tracer is the no-op :data:`~repro.obs.trace.NULL_TRACER`, so the
-uninstrumented path stays unchanged.
+``stage.<engine>`` — plus instants for budget exhaustion and
+lost/requeued sweep units.  :class:`EngineStats` is the flat view,
+rebuilt from the registry at finish (:meth:`EngineStats.from_metrics`),
+so ``CheckResult.stats`` and ``CheckResult.engine`` consumers see the
+same numbers.  The default tracer is the no-op
+:data:`~repro.obs.trace.NULL_TRACER`.
 """
 
 from __future__ import annotations
@@ -30,18 +31,13 @@ import random
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.aig.aig import AIG
 from repro.aig.rewrite import preprocess_miter
 from repro.bdd.bdd import BDD
 from repro.bdd.circuit2bdd import circuit_bdds
 from repro.cec.cache import EQ, NEQ, ProofCache
-from repro.cec.dispatch import (
-    DispatchPolicy,
-    OutcomeStore,
-    coerce_policy,
-)
 from repro.cec.engines import (
     EngineAdapter,
     EngineContext,
@@ -59,7 +55,7 @@ from repro.cec.parallel import (
 from repro.cec.partition import Candidate, WorkUnit, partition_candidates
 from repro.netlist.circuit import Circuit
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, coerce_tracer
+from repro.obs.trace import NullSpan, NullTracer, Span, Tracer, coerce_tracer
 from repro.runtime.budget import (
     REASON_BDD_BLOWUP,
     REASON_RESOURCE_LIMIT,
@@ -423,7 +419,6 @@ def _sweep_unit_serial(
     defer: bool = False,
     collect_models: bool = False,
     pi_nodes: Optional[Sequence[int]] = None,
-    engines: Optional[Sequence[str]] = None,
     cores: Optional[CoreIndex] = None,
 ) -> UnitResult:
     """Sweep one unit on the parent's incremental solver (the serial path).
@@ -432,11 +427,7 @@ def _sweep_unit_serial(
     in a signature class the class's remaining queries are deferred to
     the refinement loop, and refuting models are shipped back as
     ``{pi node: value}`` assignments (``pi_nodes`` lists the AIG's PI
-    node ids; their CNF variable is ``node + 1``).  ``engines`` names the
-    active portfolio: sweeping is SAT work, so a portfolio without the
-    ``sat`` adapter leaves every candidate UNKNOWN (no merges, no
-    queries) and the output checks settle things with whatever engines
-    remain.
+    node ids; their CNF variable is ``node + 1``).
 
     ``cores`` is the run's shared :class:`~repro.sat.cores.CoreIndex`:
     a query direction subsumed by a known core (or containing a
@@ -445,14 +436,6 @@ def _sweep_unit_serial(
     core feeds the index.
     """
     t0 = time.perf_counter()
-    if engines is not None and "sat" not in engines:
-        n = len(unit.candidates)
-        return UnitResult(
-            [UNKNOWN] * n,
-            0,
-            time.perf_counter() - t0,
-            models=[None] * n if collect_models else None,
-        )
     statuses: List[str] = []
     models: List[Optional[Dict[int, bool]]] = []
     refuted_groups: Set[int] = set()
@@ -595,153 +578,696 @@ def _refine_signatures(
     return refined, (mask << width) | new_mask, width
 
 
-def _check_outputs_portfolio(
+#: The engine portfolio of every check whose caller names none: the
+#: structural hash (with proof-cache replay), then SAT.  A budget bounds
+#: this portfolio; it never changes which engines run.
+_DEFAULT_PORTFOLIO = ("structural", "sat")
+
+
+@dataclass
+class _Check:
+    """The state one :func:`check_equivalence` call shares between phases.
+
+    The run's resources and sinks are fixed at the start; ``stats``
+    collects the flat ``CheckResult.stats`` entries as the phases produce
+    them, and the encode phase sets ``aig`` / ``solver`` / ``lit2cnf``.
+    ``cores`` gathers the assumption cores found anywhere in the check
+    (sweep, workers, output pairs); every query consults it before
+    burning a solver call.
+
+    The sweep fields persist across refinement rounds: ``active`` holds
+    the nodes still eligible for signature classes (EQ-proven nodes
+    retire onto their representative), ``resolved`` the ``(rep, node,
+    phase)`` queries already decided, so they are never re-derived, and
+    ``deferred_open`` the deferred queries that have not reappeared — at
+    exit, the SAT queries refinement saved.  ``shared_pool`` is the
+    cross-worker clause pool: normalised clause → literals, insertion
+    ordered, capped at :data:`SHARED_POOL_CAP`.
+    """
+
+    options: CecOptions
+    n_jobs: int
+    budget: Optional[Budget]
+    tracer: Union[Tracer, NullTracer]
+    registry: MetricsRegistry
+    caller_metrics: Optional[MetricsRegistry]
+    proof_cache: Optional[ProofCache]
+    root: Union[Span, NullSpan]
+    t0: float
+    stats: Dict[str, float] = field(default_factory=dict)
+    aig: Optional[AIG] = None
+    solver: Optional[Solver] = None
+    lit2cnf: Optional[Callable[[int], int]] = None
+    cores: CoreIndex = field(default_factory=CoreIndex)
+    active: Set[int] = field(default_factory=set)
+    resolved: Set[Tuple[int, int, bool]] = field(default_factory=set)
+    deferred_open: Set[Tuple[int, int, bool]] = field(default_factory=set)
+    shared_pool: Dict[Tuple[int, ...], List[int]] = field(default_factory=dict)
+
+    def expired(self) -> bool:
+        """True once the check's wall-clock budget has run out."""
+        return self.budget is not None and self.budget.expired()
+
+    def add_seconds(self, gauge: str, seconds: float) -> None:
+        """Accumulate ``seconds`` on a gauge summed over sweep rounds."""
+        total = self.registry.gauge(gauge, 0.0) + seconds
+        self.registry.set_gauge(gauge, total)
+
+    def merge(self, cand: Candidate) -> None:
+        """Teach the solver that a candidate pair is proven equal."""
+        a = self.lit2cnf(cand.rep_lit)
+        b = self.lit2cnf(cand.node_lit)
+        self.solver.add_clause([-a, b])
+        self.solver.add_clause([a, -b])
+
+
+def _exhausted(
+    check: _Check, output: str, span: Union[Span, NullSpan], reason: str
+) -> CheckResult:
+    """Record a budget exhaustion on ``output``; the check's UNKNOWN."""
+    check.registry.inc("cec.budget_exhausted")
+    check.tracer.instant("budget.exhausted", output=output, reason=reason)
+    span.annotate(verdict="unknown", reason=reason)
+    return CheckResult(CecVerdict.UNKNOWN, reason=reason)
+
+
+def _decide_obligation(
+    check: _Check,
+    ob: Obligation,
+    adapters: Sequence[EngineAdapter],
+    ctx: EngineContext,
+    span: Union[Span, NullSpan],
+) -> Optional[CheckResult]:
+    """Walk the portfolio on one output pair; None once it is proven equal.
+
+    Whatever engine decides the pair records its verdict; an engine that
+    cannot decide passes the pair along.  The check's result comes back
+    when the pair is refuted or stays undecided: an UNKNOWN outcome stops
+    the whole check (budgeted checks report the exhausted resource as the
+    reason code — nothing in here raises on resource exhaustion).
+    """
+    budget, metrics, tracer = check.budget, check.registry, check.tracer
+    budget_checked = False
+    for adapter in adapters:
+        if budget is not None and adapter.proving and not budget_checked:
+            # One wall check per pair, before the first proving engine
+            # (cache replays stay free).
+            budget_checked = True
+            if budget.expired():
+                return _exhausted(check, ob.name, span, REASON_TIMEOUT)
+        metrics.inc(f"cec.engine.{adapter.name}.attempts")
+        if adapter.proving:
+            with tracer.span(
+                f"stage.{adapter.name}", cat="stage", output=ob.name
+            ):
+                outcome = adapter.decide(ob, ctx)
+        else:
+            outcome = adapter.decide(ob, ctx)
+        if outcome.status in (EQ, NEQ):
+            metrics.inc(f"cec.engine.{adapter.name}.decided")
+            span.annotate(
+                decided_by=outcome.via or adapter.name, verdict=outcome.status
+            )
+            if (
+                outcome.via not in ("cache", "structural")
+                and check.proof_cache is not None
+                and ob.cache_key is not None
+            ):
+                check.proof_cache.put(ob.cache_key, outcome.status)
+                metrics.inc("cec.cache.stores")
+            if outcome.status == NEQ:
+                return CheckResult(
+                    CecVerdict.NOT_EQUIVALENT,
+                    counterexample=outcome.counterexample,
+                    failing_output=ob.name,
+                )
+            return None
+        if outcome.status == UNKNOWN:
+            if budget is not None:
+                return _exhausted(
+                    check, ob.name, span, outcome.reason or REASON_TIMEOUT
+                )
+            span.annotate(verdict="unknown")
+            return CheckResult(CecVerdict.UNKNOWN, reason=outcome.reason)
+        # PASS: the next engine in the portfolio gets the pair.
+    # The portfolio ran dry without a decision — e.g. a sim-only
+    # portfolio on an equivalent pair.  UNKNOWN with the generic resource
+    # code: no engine was *exhausted*, the pool simply has no complete
+    # prover for this pair.
+    span.annotate(verdict="unknown", reason=REASON_RESOURCE_LIMIT)
+    return CheckResult(CecVerdict.UNKNOWN, reason=REASON_RESOURCE_LIMIT)
+
+
+def _check_outputs(
+    check: _Check,
     miter: MiterAIG,
-    aig: AIG,
-    solver: Solver,
-    lit2cnf,
-    proof_cache: Optional[ProofCache],
+    adapters: Sequence[EngineAdapter],
     conflict_limit: Optional[int],
-    budget: Optional[Budget],
-    metrics: MetricsRegistry,
-    tracer: Union[Tracer, NullTracer],
     sim_width: int,
     seed: int,
-    adapters: Sequence[EngineAdapter],
-    policy: DispatchPolicy,
-    cores: Optional[CoreIndex] = None,
 ) -> CheckResult:
-    """Output checks over a pluggable engine portfolio.
-
-    Each output pair walks the adapters in the order the dispatch policy
-    picks for it.  Whatever engine decides the pair records its verdict;
-    an engine that cannot decide passes the pair along; an UNKNOWN stops
-    the whole check (budget-governed checks report the exhausted
-    resource as the reason code — nothing in here raises on resource
-    exhaustion).  With the default ``"cascade"`` policy this reproduces
-    the historical ladder bit for bit: structural → sim → BDD → SAT when
-    budgeted, structural (cache) → plain SAT otherwise.
-    """
+    """The output phase: every output pair walks the engine portfolio."""
+    tracer = check.tracer
     ctx = EngineContext(
-        aig=aig,
-        solver=solver,
-        lit2cnf=lit2cnf,
-        proof_cache=proof_cache,
-        metrics=metrics,
+        aig=check.aig,
+        solver=check.solver,
+        lit2cnf=check.lit2cnf,
+        proof_cache=check.proof_cache,
+        metrics=check.registry,
         tracer=tracer,
-        budget=budget,
+        budget=check.budget,
         conflict_limit=conflict_limit,
         sim_width=sim_width,
         seed=seed,
-        cores=cores,
+        cores=check.cores,
     )
-    budgeted = budget is not None
-    skip_identical = any(a.name == "structural" for a in adapters)
-
-    def record(ob: Obligation, verdict: str) -> None:
-        if proof_cache is not None and ob.cache_key is not None:
-            proof_cache.put(ob.cache_key, verdict)
-            metrics.inc("cec.cache.stores")
-
+    names = [adapter.name for adapter in adapters]
     for name, l1, l2 in miter.output_pairs:
-        if skip_identical and l1 == l2:
-            # Structural stage 1: the miter already hashed both cones
-            # onto one literal — decided before any span opens, exactly
-            # as the historical ladder did.
+        if "structural" in names and l1 == l2:
+            # The miter already hashed both cones onto one literal:
+            # decided before any span opens.
             continue
         ob = Obligation(name=name, l1=l1, l2=l2)
-        if proof_cache is not None:
-            ob.cache_key = aig.pair_cone_key(l1, l2)
+        if check.proof_cache is not None:
+            ob.cache_key = check.aig.pair_cone_key(l1, l2)
         with tracer.span(
             "cec.obligation", cat="obligation", output=name
         ) as span:
             if tracer.enabled:
-                # Obligation features (cone size, sim width) feed the
-                # per-obligation log — dispatch-policy training data.
-                if budgeted:
+                # Obligation features for the per-obligation log; the
+                # simulation width only matters to a sim stage.
+                if "sim" in names:
                     span.annotate(cone=ob.cone(ctx), width=sim_width)
                 else:
                     span.annotate(cone=ob.cone(ctx))
-            decided_eq = False
-            budget_checked = False
-            for adapter in policy.order(ob, adapters, ctx):
-                if budgeted and adapter.proving and not budget_checked:
-                    # One wall check per pair, before the first proving
-                    # engine (cache replays stay free, as always).
-                    budget_checked = True
-                    if budget.expired():
-                        metrics.inc("cec.budget_exhausted")
-                        tracer.instant(
-                            "budget.exhausted",
-                            output=name,
-                            reason=REASON_TIMEOUT,
-                        )
-                        span.annotate(
-                            verdict="unknown", reason=REASON_TIMEOUT
-                        )
-                        return CheckResult(
-                            CecVerdict.UNKNOWN, reason=REASON_TIMEOUT
-                        )
-                metrics.inc(f"cec.engine.{adapter.name}.attempts")
-                t_eng = time.perf_counter()
-                if adapter.proving:
-                    with tracer.span(
-                        f"stage.{adapter.name}", cat="stage", output=name
-                    ):
-                        outcome = adapter.decide(ob, ctx)
-                    policy.observe(
-                        ob,
-                        adapter.name,
-                        outcome,
-                        time.perf_counter() - t_eng,
-                        ctx,
-                    )
-                else:
-                    outcome = adapter.decide(ob, ctx)
-                if outcome.status in (EQ, NEQ):
-                    metrics.inc(f"cec.engine.{adapter.name}.decided")
-                    span.annotate(
-                        decided_by=outcome.via or adapter.name,
-                        verdict=outcome.status,
-                    )
-                    if outcome.via not in ("cache", "structural"):
-                        record(ob, outcome.status)
-                    if outcome.status == NEQ:
-                        return CheckResult(
-                            CecVerdict.NOT_EQUIVALENT,
-                            counterexample=outcome.counterexample,
-                            failing_output=name,
-                        )
-                    decided_eq = True
-                    break
-                if outcome.status == UNKNOWN:
-                    if budgeted:
-                        reason = outcome.reason or REASON_TIMEOUT
-                        metrics.inc("cec.budget_exhausted")
-                        tracer.instant(
-                            "budget.exhausted", output=name, reason=reason
-                        )
-                        span.annotate(verdict="unknown", reason=reason)
-                        return CheckResult(
-                            CecVerdict.UNKNOWN, reason=reason
-                        )
-                    span.annotate(verdict="unknown")
-                    return CheckResult(
-                        CecVerdict.UNKNOWN, reason=outcome.reason
-                    )
-                # PASS: the next engine in the order gets the pair.
-            if not decided_eq:
-                # The portfolio ran dry without a decision — e.g. a
-                # sim-only portfolio on an equivalent pair.  UNKNOWN with
-                # the generic resource code: no engine was *exhausted*,
-                # the pool simply has no complete prover for this pair.
-                span.annotate(
-                    verdict="unknown", reason=REASON_RESOURCE_LIMIT
-                )
-                return CheckResult(
-                    CecVerdict.UNKNOWN, reason=REASON_RESOURCE_LIMIT
-                )
+            result = _decide_obligation(check, ob, adapters, ctx, span)
+        if result is not None:
+            return result
     return CheckResult(CecVerdict.EQUIVALENT)
+
+
+def _begin(
+    c1: Circuit,
+    c2: Circuit,
+    options: CecOptions,
+    n_jobs: int,
+    budget: Union[None, int, float, Budget],
+    tracer: Union[None, Tracer, NullTracer],
+    metrics: Optional[MetricsRegistry],
+) -> _Check:
+    """Open a check: its registry, proof cache, started budget, root span."""
+    tracer = coerce_tracer(tracer)
+    registry = MetricsRegistry()
+    n_jobs = max(1, int(n_jobs))
+    registry.set_gauge("cec.n_jobs", n_jobs)
+    proof_cache = ProofCache.coerce(options.cache)
+    if proof_cache is not None:
+        proof_cache.attach_metrics(registry)
+    budget = Budget.coerce(budget)
+    if budget is not None and budget.unlimited:
+        budget = None  # an empty budget constrains nothing
+    if budget is not None:
+        budget.start()
+    root = tracer.span(
+        "cec.check",
+        cat="pair",
+        c1=getattr(c1, "name", ""),
+        c2=getattr(c2, "name", ""),
+        n_jobs=n_jobs,
+        budgeted=budget is not None,
+    )
+    return _Check(
+        options=options,
+        n_jobs=n_jobs,
+        budget=budget,
+        tracer=tracer,
+        registry=registry,
+        caller_metrics=metrics,
+        proof_cache=proof_cache,
+        root=root,
+        t0=time.perf_counter(),
+    )
+
+
+def _build(check: _Check, c1: Circuit, c2: Circuit) -> Optional[MiterAIG]:
+    """Build and preprocess the miter; None when it is already structural.
+
+    Equivalence is structural when every output pair hashes onto one
+    literal, either in the shared AIG or after the preprocessing
+    rewrites; then no solver is needed.
+    """
+    registry, tracer = check.registry, check.tracer
+    with tracer.span("cec.phase.build", cat="phase"):
+        miter = build_miter(c1, c2)
+    registry.set_gauge(
+        "cec.phase.build.seconds", time.perf_counter() - check.t0
+    )
+    check.stats["aig_nodes"] = miter.aig.num_nodes()
+    check.stats["aig_ands"] = miter.aig.num_ands()
+    if miter.trivially_equivalent:
+        check.stats["structural"] = 1
+        check.root.annotate(structural=True)
+        return None
+    if check.options.preprocess and not check.expired():
+        t_pre = time.perf_counter()
+        with tracer.span("cec.phase.preprocess", cat="phase"):
+            miter, removed = preprocess_miter(miter)
+        registry.set_gauge(
+            "cec.phase.preprocess.seconds", time.perf_counter() - t_pre
+        )
+        registry.inc("cec.preprocess.nodes_removed", removed)
+        check.stats["aig_ands_preprocessed"] = miter.aig.num_ands()
+        if miter.trivially_equivalent:
+            check.stats["structural"] = 1
+            check.root.annotate(structural=True, preprocessed=True)
+            return None
+    return miter
+
+
+def _encode(check: _Check, aig: AIG) -> None:
+    """Encode the miter AIG into CNF on a fresh incremental solver."""
+    t_enc = time.perf_counter()
+    with check.tracer.span("cec.phase.encode", cat="phase"):
+        cnf, lit2cnf = aig.to_cnf()
+        solver = Solver()
+        solver.metrics = check.registry
+        if not solver.add_cnf(cnf):
+            # The AIG CNF alone can only be UNSAT if something is deeply wrong.
+            raise RuntimeError("inconsistent AIG encoding")
+    check.registry.set_gauge(
+        "cec.phase.encode.seconds", time.perf_counter() - t_enc
+    )
+    check.aig, check.solver, check.lit2cnf = aig, solver, lit2cnf
+
+
+def _replay_cached(
+    check: _Check, class_list: List[List[Candidate]]
+) -> List[List[Candidate]]:
+    """The sweep's cache pass: replay known verdicts, return the rest."""
+    registry, aig, proof_cache = check.registry, check.aig, check.proof_cache
+    t_cache = time.perf_counter()
+    pending: List[List[Candidate]] = []
+    with check.tracer.span("cec.phase.cache", cat="phase"):
+        for cls in class_list:
+            keep: List[Candidate] = []
+            for cand in cls:
+                known = proof_cache.get(
+                    aig.pair_cone_key(cand.rep_lit, cand.node_lit)
+                )
+                if known == EQ:
+                    registry.inc("cec.cache.hits")
+                    registry.inc("cec.sweep.merges")
+                    check.merge(cand)
+                    check.active.discard(cand.node)
+                elif known == NEQ:
+                    registry.inc("cec.cache.hits")
+                    registry.inc("cec.sweep.refuted")
+                    check.resolved.add(_pair_key(cand))
+                else:
+                    registry.inc("cec.cache.misses")
+                    keep.append(cand)
+            if keep:
+                pending.append(keep)
+    check.add_seconds("cec.phase.cache.seconds", time.perf_counter() - t_cache)
+    return pending
+
+
+def _sweep_parallel(
+    check: _Check,
+    units: Sequence[WorkUnit],
+    sweep_limit: int,
+    refining: bool,
+) -> List[UnitResult]:
+    """Sweep one round's units on the worker pool."""
+    budget = check.budget
+    wall_remaining = budget.remaining() if budget is not None else None
+    # The pool window is a backstop above the in-worker deadline: it only
+    # fires when a worker is hung or dead, so give it a little slack
+    # before killing the pool.
+    unit_timeout = (
+        wall_remaining * 1.25 + 0.25 if wall_remaining is not None else None
+    )
+    telemetry: Dict[str, int] = {}
+    results = sweep_units_parallel(
+        check.solver,
+        units,
+        sweep_limit,
+        check.n_jobs,
+        wall_remaining=wall_remaining,
+        unit_timeout=unit_timeout,
+        telemetry=telemetry,
+        collect=check.tracer.enabled or check.caller_metrics is not None,
+        trace_epoch=check.tracer.epoch,
+        defer=refining,
+        collect_models=refining,
+        pi_nodes=check.aig.pis,
+        shared_clauses=(
+            list(check.shared_pool.values())
+            if check.options.share_learned
+            else None
+        ),
+        known_cores=check.cores.export(),
+    )
+    for key, value in telemetry.items():
+        check.registry.inc(_TELEMETRY_METRICS[key], value)
+    return results
+
+
+def _fold_unit(
+    check: _Check,
+    index: int,
+    unit: WorkUnit,
+    result: UnitResult,
+    sweep_span: Union[Span, NullSpan],
+    off_solver: bool,
+    collected: Optional[List[Tuple[Candidate, Dict[str, bool]]]],
+) -> bool:
+    """Fold one unit's sweep result into the check; True if it deferred.
+
+    Worker events and metrics join the parent's.  The unit's solver
+    knowledge comes home too: cores join the shared index and learned
+    clauses the cross-worker pool (worker results arrive already
+    remapped to the parent's variable space).  EQ candidates retire
+    their node, merged on the parent's solver when a worker proved them
+    ``off_solver``; NEQ and UNKNOWN ones are resolved, and NEQ models
+    land in ``collected`` as PI patterns when it is given.
+    """
+    registry, tracer, aig = check.registry, check.tracer, check.aig
+    if result.events:
+        tracer.adopt(result.events, parent=sweep_span, worker=index)
+    if result.metrics:
+        registry.merge(result.metrics)
+    if result.error:
+        tracer.instant(
+            "sweep.unit.lost",
+            unit=index,
+            error=result.error,
+            retries=result.retries,
+        )
+    elif result.retries:
+        tracer.instant(
+            "sweep.unit.requeued", unit=index, retries=result.retries
+        )
+    registry.append(_WORKER_SECONDS, result.seconds)
+    registry.inc("cec.sat_queries", result.sat_queries)
+    if result.core_retired:
+        registry.inc("cec.sat.core_retired", result.core_retired)
+    check.cores.add_many(result.cores)
+    if check.options.share_learned and result.learned:
+        registry.inc(
+            "cec.parallel.shared_clauses_exported", len(result.learned)
+        )
+        for clause in result.learned:
+            if len(check.shared_pool) >= SHARED_POOL_CAP:
+                break
+            check.shared_pool.setdefault(tuple(sorted(clause)), list(clause))
+    if result.shared_imported:
+        registry.inc(
+            "cec.parallel.shared_clauses_imported", result.shared_imported
+        )
+    deferred = False
+    for ci, (cand, status) in enumerate(zip(unit.candidates, result.statuses)):
+        if status == EQ:
+            registry.inc("cec.sweep.merges")
+            if off_solver:
+                check.merge(cand)
+            check.active.discard(cand.node)
+        elif status == NEQ:
+            registry.inc("cec.sweep.refuted")
+            check.resolved.add(_pair_key(cand))
+            model = result.model_for(ci)
+            if collected is not None and model is not None:
+                collected.append((cand, _model_to_pattern(aig, model)))
+        elif status == DEFERRED:
+            deferred = True
+            check.deferred_open.add(_pair_key(cand))
+        else:
+            registry.inc("cec.sweep.unknown")
+            check.resolved.add(_pair_key(cand))
+        if check.proof_cache is not None and status in (EQ, NEQ):
+            key = aig.pair_cone_key(cand.rep_lit, cand.node_lit)
+            check.proof_cache.put(key, status)
+            registry.inc("cec.cache.stores")
+    return deferred
+
+
+def _sweep_round(
+    check: _Check,
+    class_list: List[List[Candidate]],
+    sweep_limit: int,
+    refining: bool,
+    round_no: int,
+) -> Tuple[List[Tuple[Candidate, Dict[str, bool]]], bool]:
+    """Partition, sweep and fold one round's candidates.
+
+    Returns the round's refuting ``(candidate, PI pattern)`` pairs (only
+    when ``refining``) and whether any query was deferred.
+    """
+    registry, tracer, aig = check.registry, check.tracer, check.aig
+    t_part = time.perf_counter()
+    with tracer.span("cec.phase.partition", cat="phase"):
+        units = partition_candidates(aig, class_list, check.n_jobs)
+    registry.max_gauge("cec.n_units", len(units))
+    check.add_seconds(
+        "cec.phase.partition.seconds", time.perf_counter() - t_part
+    )
+
+    t_sweep = time.perf_counter()
+    sweep_span = tracer.span(
+        "cec.phase.sweep", cat="phase", n_units=len(units), round=round_no
+    )
+    parallel = check.n_jobs > 1 and len(units) > 1
+    if parallel:
+        results = _sweep_parallel(check, units, sweep_limit, refining)
+        check.add_seconds(
+            "cec.parallel.wall_seconds", time.perf_counter() - t_sweep
+        )
+    else:
+        deadline = check.budget.deadline if check.budget is not None else None
+        results = [
+            _sweep_unit_serial(
+                check.solver,
+                check.lit2cnf,
+                unit,
+                sweep_limit,
+                deadline=deadline,
+                defer=refining,
+                collect_models=refining,
+                pi_nodes=aig.pis,
+                cores=check.cores,
+            )
+            for unit in units
+        ]
+    collected: List[Tuple[Candidate, Dict[str, bool]]] = []
+    deferred = False
+    # Signature-class width per group id (members + representative) —
+    # an obligation feature for the per-candidate log below.
+    group_width: Dict[int, int] = {}
+    if tracer.enabled:
+        for cls in class_list:
+            if cls:
+                group_width[cls[0].group] = len(cls) + 1
+    for index, (unit, result) in enumerate(zip(units, results)):
+        if _fold_unit(
+            check,
+            index,
+            unit,
+            result,
+            sweep_span,
+            off_solver=parallel,
+            collected=collected if refining else None,
+        ):
+            deferred = True
+        if not tracer.enabled:
+            continue
+        # One feature record per sweep candidate; unit seconds are
+        # apportioned evenly — workers time the unit, not individual
+        # queries.  The serial path never computes unit cones, so derive
+        # the candidate's own cone instead.
+        seconds = result.seconds / max(1, len(unit.candidates))
+        for cand, status in zip(unit.candidates, result.statuses):
+            tracer.instant(
+                "cec.obligation.features",
+                cat="obligation",
+                kind="sweep",
+                round=round_no,
+                unit=index,
+                group=cand.group,
+                width=group_width.get(cand.group, 2),
+                cone=len(aig.cone_nodes((cand.rep_lit, cand.node_lit))),
+                engine="sat",
+                verdict=status,
+                seconds=seconds,
+            )
+    sweep_span.annotate(
+        merges=int(registry.counter("cec.sweep.merges")),
+        refuted=int(registry.counter("cec.sweep.refuted")),
+        unknown=int(registry.counter("cec.sweep.unknown")),
+    )
+    sweep_span.close()
+    check.add_seconds("cec.phase.sweep.seconds", time.perf_counter() - t_sweep)
+    return collected, deferred
+
+
+def _refine_round(
+    check: _Check,
+    classes: Dict[int, List[int]],
+    signatures: List[int],
+    sig_mask: int,
+    collected: Sequence[Tuple[Candidate, Dict[str, bool]]],
+    round_no: int,
+) -> Tuple[List[int], int]:
+    """Re-split the round's signature classes with its refuting models."""
+    t_refine = time.perf_counter()
+    with check.tracer.span(
+        "cec.phase.refine", cat="phase", round=round_no, models=len(collected)
+    ) as refine_span:
+        signatures, sig_mask, n_patterns = _refine_signatures(
+            check.aig, signatures, sig_mask, collected
+        )
+        splits = 0
+        for members in classes.values():
+            alive = [n for n in members if n in check.active]
+            if len(alive) < 2:
+                continue
+            sigs = set()
+            for n in alive:
+                s = signatures[n]
+                if s & 1:
+                    s ^= sig_mask
+                sigs.add(s)
+            if len(sigs) > 1:
+                splits += 1
+        refine_span.annotate(patterns=n_patterns, splits=splits)
+    check.registry.inc("cec.refine.rounds")
+    check.registry.inc("cec.refine.patterns", n_patterns)
+    check.registry.inc("cec.refine.splits", splits)
+    check.add_seconds(
+        "cec.phase.refine.seconds", time.perf_counter() - t_refine
+    )
+    return signatures, sig_mask
+
+
+def _sweep(
+    check: _Check,
+    sim_rounds: int,
+    sim_width: int,
+    seed: int,
+    conflict_limit: Optional[int],
+    refine_rounds: int,
+) -> None:
+    """The sweep phase: simulation classes, SAT-swept round by round.
+
+    While refinement is active, one NEQ in a signature class defers the
+    class's remaining queries, and the round's refuting models re-split
+    the classes for the next round; the loop ends when a round yields no
+    new pattern, after ``refine_rounds`` rounds, or when the budget runs
+    out.
+    """
+    registry, tracer, aig = check.registry, check.tracer, check.aig
+    t_sim = time.perf_counter()
+    with tracer.span("cec.phase.simulate", cat="phase"):
+        signatures, sig_mask = _initial_signatures(
+            aig, sim_rounds, sim_width, seed
+        )
+    sim_seconds = time.perf_counter() - t_sim
+    registry.set_gauge("cec.phase.simulate.seconds", sim_seconds)
+    # Throughput in 64-bit node-words: nodes × lanes / wall seconds.
+    sim_lanes = max(1, (sim_rounds * sim_width + 63) // 64)
+    if sim_seconds > 0:
+        registry.set_gauge(
+            "cec.sim.words_per_sec", aig.num_nodes() * sim_lanes / sim_seconds
+        )
+
+    sweep_limit = conflict_limit or 2000
+    budget = check.budget
+    if budget is not None and budget.sat_conflicts is not None:
+        sweep_limit = min(sweep_limit, budget.sat_conflicts)
+
+    check.active = set(range(aig.num_nodes()))
+    group_offset = 0
+    round_no = 0
+    force_final = False
+    while not check.expired():
+        refining = (
+            check.options.refine
+            and round_no < refine_rounds
+            and not force_final
+        )
+        classes = _signature_classes(signatures, sig_mask, check.active)
+        class_list = _class_candidates(
+            aig, classes, signatures, check.resolved, group_offset
+        )
+        group_offset += len(classes)
+        if not class_list:
+            break
+        registry.inc(
+            "cec.sweep.candidates", sum(len(cls) for cls in class_list)
+        )
+        if check.deferred_open:
+            # A deferred query that comes back as a candidate was not
+            # saved after all; it is about to be solved (or deferred
+            # again).
+            for cls in class_list:
+                for cand in cls:
+                    check.deferred_open.discard(_pair_key(cand))
+        if check.proof_cache is not None:
+            class_list = _replay_cached(check, class_list)
+        collected, deferred = _sweep_round(
+            check, class_list, sweep_limit, refining, round_no
+        )
+        if collected and refining:
+            signatures, sig_mask = _refine_round(
+                check, classes, signatures, sig_mask, collected, round_no
+            )
+            round_no += 1
+            continue
+        if deferred and refining:
+            # No usable model came back (e.g. a lost worker swallowed
+            # it) but queries were deferred on its account: finish them
+            # in one last non-deferring pass.
+            force_final = True
+            continue
+        break
+    registry.inc("cec.refine.queries_saved", len(check.deferred_open))
+    if check.options.share_learned and check.shared_pool:
+        # Fold the workers' pooled learned clauses into the coordinator's
+        # solver so the final output queries start from everything the
+        # workers learned.
+        folded = check.solver.import_learned(check.shared_pool.values())
+        if folded:
+            registry.inc("cec.parallel.shared_clauses_folded", folded)
+
+
+def _finish(check: _Check, result: CheckResult) -> CheckResult:
+    """Close a check: persist the cache, attach stats, close the root."""
+    registry = check.registry
+    if check.proof_cache is not None:
+        try:
+            check.proof_cache.save()
+        except Exception as exc:  # noqa: BLE001 - the verdict is
+            # already decided; losing cache persistence (full disk,
+            # injected save fault) must not lose the answer.
+            registry.inc("cec.cache.save_failures")
+            warnings.warn(
+                f"proof cache save failed: {exc}; verdict unaffected",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    check.stats["time"] = time.perf_counter() - check.t0
+    engine = EngineStats.from_metrics(registry)
+    check.stats.update(engine.as_dict())
+    result.stats = check.stats
+    result.engine = engine
+    if check.tracer.enabled:
+        check.tracer.metrics(registry.as_flat_dict(), name="cec.metrics")
+    check.root.annotate(verdict=result.verdict.value)
+    if result.reason:
+        check.root.annotate(reason=result.reason)
+    check.root.close()
+    if check.caller_metrics is not None:
+        check.caller_metrics.merge(registry)
+    return result
 
 
 def check_equivalence(
@@ -769,65 +1295,48 @@ def check_equivalence(
     sweep parameters (``sim_rounds``, ``sim_width``, ``sweep``,
     ``conflict_limit``, ``seed``, ``refine_rounds``) are keywords.
 
-    ``sweep=False`` skips the internal-equivalence SAT sweeping (pure
-    monolithic SAT on the miter).
-    ``n_jobs > 1`` partitions the sweep into cone-disjoint work units and
-    proves them on a process pool (verdict-identical to ``n_jobs=1``).
-    ``options.cache`` — a :class:`~repro.cec.cache.ProofCache` or a path
-    to one — replays previously-proven candidate and output verdicts by
-    structural cone hash, skipping their SAT queries entirely.
+    The check runs in phases: build the miter, preprocess it, encode it,
+    SAT-sweep its simulation classes, then decide each output pair with
+    the engine portfolio.  ``sweep=False`` skips the sweep (pure
+    monolithic SAT on the miter).  ``n_jobs > 1`` partitions the sweep
+    into cone-disjoint work units and proves them on a process pool
+    (verdict-identical to ``n_jobs=1``).  ``options.cache`` — a
+    :class:`~repro.cec.cache.ProofCache` or a path to one — replays
+    previously-proven candidate and output verdicts by structural cone
+    hash, skipping their SAT queries entirely.
 
     ``options.refine`` (default on) closes the simulation↔solver loop
     FRAIG style: every refuting SAT model from the sweep is appended as a
     new simulation-pattern column, the surviving signature classes are
     re-split, and the sweep repeats until no new pattern appears (or
-    ``refine_rounds`` is reached).  While refinement is active, one NEQ
-    inside a signature class defers the class's remaining queries — the
-    new pattern usually splits the class, so most deferred queries are
-    never spent.  ``CecOptions(refine=False)`` restores the single-pass
-    sweep.
+    ``refine_rounds`` is reached).  ``options.preprocess`` (default on)
+    rewrites the miter before any sweep — constant propagation,
+    structural hashing, local two-level rewrites and dead-node
+    elimination (:func:`repro.aig.rewrite.preprocess_miter`); the
+    AND-node reduction is recorded as ``cec.preprocess.nodes_removed``.
+    Neither changes a verdict.
 
-    ``options.preprocess`` (default on) rewrites the miter before any
-    sweep — constant propagation, structural hashing, local two-level
-    rewrites and dead-node elimination
-    (:func:`repro.aig.rewrite.preprocess_miter`) — so every downstream
-    phase works on a smaller AIG.  The rewrites
-    are semantics-preserving, so verdicts with preprocessing on and off
-    are identical; the AND-node reduction is recorded as
-    ``cec.preprocess.nodes_removed``.  ``CecOptions(preprocess=False)``
-    sweeps the raw miter.
+    ``options.engines`` names the output-check portfolio — a sequence
+    (or comma-separated string) of registered engine names, see
+    :func:`repro.cec.engines.available_engines` — walked in order for
+    each output pair.  None (the default) runs ``structural`` then
+    ``sat``.  A portfolio without ``sat`` skips the sweep (sweeping is
+    SAT work).  Unknown names raise :class:`ValueError` before any
+    solving starts.
 
     ``budget`` — a :class:`~repro.runtime.Budget` or bare wall-clock
-    seconds — switches the output checks onto the fallback cascade
-    (structural → simulation refutation → bounded BDD → bounded SAT) and
-    bounds every SAT/BDD call; exhaustion yields an UNKNOWN verdict with
-    ``CheckResult.reason`` set, never an exception or a hang.  With no
-    budget, verdicts and stats are bit-for-bit what they always were.
+    seconds — bounds the portfolio without changing it: the sweep, every
+    SAT call (conflicts, propagations, deadline), one wall check per
+    output pair before its first proving engine, and the node cap of a
+    ``bdd`` stage the caller named.  Exhaustion yields an UNKNOWN verdict
+    with ``CheckResult.reason`` set, never an exception or a hang.
 
     ``tracer`` — a :class:`~repro.obs.trace.Tracer` — records the span
-    tree of the check (None means the no-op tracer: zero overhead beyond
-    what the engine already measures).  ``metrics`` — a caller-owned
-    :class:`~repro.obs.metrics.MetricsRegistry` — receives a merge of the
-    check's full metric set at finish (the engine always counts into its
-    own per-check registry first, so passing a shared registry across
+    tree of the check (None means the no-op tracer).  ``metrics`` — a
+    caller-owned :class:`~repro.obs.metrics.MetricsRegistry` — receives
+    a merge of the check's full metric set at finish (the engine counts
+    into its own per-check registry first, so a registry shared across
     checks cannot corrupt any single check's stats).
-
-    ``options.engines`` names the adapter portfolio for the output
-    checks — a sequence (or comma-separated string) of registered engine
-    names, see :func:`repro.cec.engines.available_engines`.  None (the default)
-    lets the dispatch policy pick: the default ``"cascade"`` policy
-    reproduces the historical ladder bit for bit (structural → sim →
-    BDD → SAT when budgeted; structural → SAT otherwise).
-    ``options.dispatch_policy`` selects how engines are ordered per
-    obligation (``"cascade"``, ``"heuristic"``, or a
-    :class:`~repro.cec.dispatch.DispatchPolicy` instance);
-    ``options.dispatch_store`` — an
-    :class:`~repro.cec.dispatch.OutcomeStore` or a path to one — records
-    per-engine outcomes across runs so metrics-driven policies improve
-    with use.  A portfolio without the
-    ``sat`` adapter skips SAT sweeping entirely (sweeping is SAT work).
-    Unknown engine or policy names raise :class:`ValueError` before any
-    solving starts.
 
     Every UNSAT under assumptions feeds a shared
     :class:`~repro.sat.cores.CoreIndex`; sweep and output queries whose
@@ -842,496 +1351,39 @@ def check_equivalence(
     """
     if options is None:
         options = CecOptions()
-    engines = options.engines
-    refine = options.refine
-    share_learned = options.share_learned
-    tracer = coerce_tracer(tracer)
-    caller_metrics = metrics
-    registry = MetricsRegistry()
-    n_jobs = max(1, int(n_jobs))
-    registry.set_gauge("cec.n_jobs", n_jobs)
-    proof_cache = ProofCache.coerce(options.cache)
-    if proof_cache is not None:
-        proof_cache.attach_metrics(registry)
-    budget = Budget.coerce(budget)
-    if budget is not None and budget.unlimited:
-        budget = None  # an empty budget constrains nothing: classic path
-    if budget is not None:
-        budget.start()
-    deadline = budget.deadline if budget is not None else None
-    # Resolve the engine portfolio and dispatch policy up front so an
-    # unknown name raises before any miter/solver work happens.
-    store = OutcomeStore.coerce(options.dispatch_store)
-    policy = coerce_policy(options.dispatch_policy, store=store)
+    # Resolve the portfolio first, so an unknown engine name raises
+    # before any miter or solver work happens.
     portfolio = resolve_portfolio(
-        engines
-        if engines is not None
-        else policy.default_portfolio(budgeted=budget is not None)
+        options.engines if options.engines is not None else _DEFAULT_PORTFOLIO
     )
-    engine_names = [adapter.name for adapter in portfolio]
-    root = tracer.span(
-        "cec.check",
-        cat="pair",
-        c1=getattr(c1, "name", ""),
-        c2=getattr(c2, "name", ""),
-        n_jobs=n_jobs,
-        budgeted=budget is not None,
-    )
-    if policy.name != "cascade" or engines is not None:
-        # Only non-default dispatch shows up in the trace: the default
-        # run's span shape stays bit-identical to the pre-portfolio one.
-        root.annotate(policy=policy.name, engines=",".join(engine_names))
-    t0 = time.perf_counter()
-    with tracer.span("cec.phase.build", cat="phase"):
-        miter = build_miter(c1, c2)
-    registry.set_gauge("cec.phase.build.seconds", time.perf_counter() - t0)
-    stats: Dict[str, float] = {
-        "aig_nodes": miter.aig.num_nodes(),
-        "aig_ands": miter.aig.num_ands(),
-    }
-
-    def finish(result: CheckResult) -> CheckResult:
-        if proof_cache is not None:
-            try:
-                proof_cache.save()
-            except Exception as exc:  # noqa: BLE001 - the verdict is
-                # already decided; losing cache persistence (full disk,
-                # injected save fault) must not lose the answer.
-                registry.inc("cec.cache.save_failures")
-                warnings.warn(
-                    f"proof cache save failed: {exc}; verdict unaffected",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        if store is not None:
-            try:
-                store.save()
-            except Exception as exc:  # noqa: BLE001 - same contract as the
-                # proof cache: dispatch telemetry is advisory, the
-                # verdict is already decided.
-                registry.inc("cec.dispatch.save_failures")
-                warnings.warn(
-                    "dispatch outcome-store save failed: "
-                    f"{exc}; verdict unaffected",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        stats["time"] = time.perf_counter() - t0
-        engine = EngineStats.from_metrics(registry)
-        stats.update(engine.as_dict())
-        result.stats = stats
-        result.engine = engine
-        if tracer.enabled:
-            tracer.metrics(registry.as_flat_dict(), name="cec.metrics")
-        root.annotate(verdict=result.verdict.value)
-        if result.reason:
-            root.annotate(reason=result.reason)
-        root.close()
-        if caller_metrics is not None:
-            caller_metrics.merge(registry)
-        return result
-
-    if miter.trivially_equivalent:
-        stats["structural"] = 1
-        root.annotate(structural=True)
-        return finish(CheckResult(CecVerdict.EQUIVALENT))
-
-    if options.preprocess and (budget is None or not budget.expired()):
-        t_pre = time.perf_counter()
-        with tracer.span("cec.phase.preprocess", cat="phase"):
-            miter, removed = preprocess_miter(miter)
-        registry.set_gauge(
-            "cec.phase.preprocess.seconds", time.perf_counter() - t_pre
-        )
-        registry.inc("cec.preprocess.nodes_removed", removed)
-        stats["aig_ands_preprocessed"] = miter.aig.num_ands()
-        if miter.trivially_equivalent:
-            # The rewrites hashed every output pair onto one literal:
-            # equivalence is now structural, no solver needed.
-            stats["structural"] = 1
-            root.annotate(structural=True, preprocessed=True)
-            return finish(CheckResult(CecVerdict.EQUIVALENT))
-
-    aig = miter.aig
-    t_enc = time.perf_counter()
-    with tracer.span("cec.phase.encode", cat="phase"):
-        cnf, lit2cnf = aig.to_cnf()
-        solver = Solver()
-        solver.metrics = registry
-        if not solver.add_cnf(cnf):
-            # The AIG CNF alone can only be UNSAT if something is deeply wrong.
-            raise RuntimeError("inconsistent AIG encoding")
-    registry.set_gauge("cec.phase.encode.seconds", time.perf_counter() - t_enc)
-
-    def merge(a: int, b: int) -> None:
-        solver.add_clause([-a, b])
-        solver.add_clause([a, -b])
-
-    def bump_gauge(name: str, delta: float) -> None:
-        registry.set_gauge(name, registry.gauge(name, 0.0) + delta)
-
-    # Assumption cores discovered anywhere in this check (sweep, workers,
-    # output pairs) accumulate here; every query consults the index
-    # before burning a solver call.
-    cores = CoreIndex()
-    # Cross-worker clause pool: normalised clause → literals, insertion
-    # ordered (dict semantics), capped so an adversarial run cannot grow
-    # payloads without bound.
-    shared_pool: Dict[Tuple[int, ...], List[int]] = {}
-
+    check = _begin(c1, c2, options, n_jobs, budget, tracer, metrics)
+    if options.engines is not None:
+        check.root.annotate(engines=",".join(a.name for a in portfolio))
+    miter = _build(check, c1, c2)
+    if miter is None:
+        return _finish(check, CheckResult(CecVerdict.EQUIVALENT))
+    _encode(check, miter.aig)
     if (
         sweep
-        and "sat" in engine_names
-        and (budget is None or not budget.expired())
+        and any(adapter.name == "sat" for adapter in portfolio)
+        and not check.expired()
     ):
-        t_sim = time.perf_counter()
-        with tracer.span("cec.phase.simulate", cat="phase"):
-            signatures, sig_mask = _initial_signatures(
-                aig, sim_rounds, sim_width, seed
-            )
-        sim_seconds = time.perf_counter() - t_sim
-        registry.set_gauge("cec.phase.simulate.seconds", sim_seconds)
-        # Throughput in 64-bit node-words: nodes × lanes / wall seconds.
-        sim_lanes = max(1, (sim_rounds * sim_width + 63) // 64)
-        if sim_seconds > 0:
-            registry.set_gauge(
-                "cec.sim.words_per_sec",
-                aig.num_nodes() * sim_lanes / sim_seconds,
-            )
-
-        sweep_limit = conflict_limit or 2000
-        if budget is not None and budget.sat_conflicts is not None:
-            sweep_limit = min(sweep_limit, budget.sat_conflicts)
-
-        # The refinement loop.  ``active`` holds nodes still eligible for
-        # classes (EQ-proven nodes retire onto their representative);
-        # ``resolved`` holds (rep, node, phase) queries already decided
-        # so they are never re-derived; ``deferred_open`` tracks deferred
-        # queries that have not reappeared — at exit, those are the SAT
-        # queries refinement genuinely saved.
-        active = set(range(aig.num_nodes()))
-        resolved: Set[Tuple[int, int, bool]] = set()
-        deferred_open: Set[Tuple[int, int, bool]] = set()
-        group_offset = 0
-        round_no = 0
-        force_final = False
-        while budget is None or not budget.expired():
-            refining = refine and round_no < refine_rounds and not force_final
-            # Policies that opt into sweep deferral (heuristic) keep the
-            # one-NEQ-defers-the-class behaviour even in non-refining
-            # rounds; deferred queries that never reappear are SAT
-            # queries saved outright.
-            defer_flag = refining or (policy.sweep_defer and not force_final)
-            classes = _signature_classes(signatures, sig_mask, active)
-            class_list = _class_candidates(
-                aig, classes, signatures, resolved, group_offset
-            )
-            group_offset += len(classes)
-            if not class_list:
-                break
-            registry.inc(
-                "cec.sweep.candidates", sum(len(cls) for cls in class_list)
-            )
-            if deferred_open:
-                # A deferred query that comes back as a candidate was not
-                # saved after all; it is about to be solved (or deferred
-                # again).
-                for cls in class_list:
-                    for cand in cls:
-                        deferred_open.discard(_pair_key(cand))
-
-            # Cache pass: replay known verdicts, keep the rest for solving.
-            if proof_cache is not None:
-                t_cache = time.perf_counter()
-                with tracer.span("cec.phase.cache", cat="phase"):
-                    pending: List[List[Candidate]] = []
-                    for cls in class_list:
-                        keep: List[Candidate] = []
-                        for cand in cls:
-                            key = aig.pair_cone_key(
-                                cand.rep_lit, cand.node_lit
-                            )
-                            known = proof_cache.get(key)
-                            if known == EQ:
-                                registry.inc("cec.cache.hits")
-                                registry.inc("cec.sweep.merges")
-                                merge(
-                                    lit2cnf(cand.rep_lit),
-                                    lit2cnf(cand.node_lit),
-                                )
-                                active.discard(cand.node)
-                            elif known == NEQ:
-                                registry.inc("cec.cache.hits")
-                                registry.inc("cec.sweep.refuted")
-                                resolved.add(_pair_key(cand))
-                            else:
-                                registry.inc("cec.cache.misses")
-                                keep.append(cand)
-                        if keep:
-                            pending.append(keep)
-                    class_list = pending
-                bump_gauge(
-                    "cec.phase.cache.seconds", time.perf_counter() - t_cache
-                )
-
-            t_part = time.perf_counter()
-            with tracer.span("cec.phase.partition", cat="phase"):
-                units = partition_candidates(aig, class_list, n_jobs)
-            registry.max_gauge("cec.n_units", len(units))
-            bump_gauge(
-                "cec.phase.partition.seconds", time.perf_counter() - t_part
-            )
-
-            t_sweep = time.perf_counter()
-            sweep_span = tracer.span(
-                "cec.phase.sweep",
-                cat="phase",
-                n_units=len(units),
-                round=round_no,
-            )
-            parallel = n_jobs > 1 and len(units) > 1
-            collect = tracer.enabled or caller_metrics is not None
-            if parallel:
-                wall_remaining = (
-                    budget.remaining() if budget is not None else None
-                )
-                # The pool window is a backstop above the in-worker
-                # deadline: it only fires when a worker is hung or dead,
-                # so give it a little slack before killing the pool.
-                unit_timeout = (
-                    wall_remaining * 1.25 + 0.25
-                    if wall_remaining is not None
-                    else None
-                )
-                telemetry: Dict[str, int] = {}
-                results = sweep_units_parallel(
-                    solver,
-                    units,
-                    sweep_limit,
-                    n_jobs,
-                    wall_remaining=wall_remaining,
-                    unit_timeout=unit_timeout,
-                    telemetry=telemetry,
-                    collect=collect,
-                    trace_epoch=tracer.epoch,
-                    defer=defer_flag,
-                    collect_models=refining,
-                    pi_nodes=aig.pis,
-                    engines=engine_names,
-                    shared_clauses=(
-                        list(shared_pool.values()) if share_learned else None
-                    ),
-                    known_cores=cores.export(),
-                )
-                for tele_key, value in telemetry.items():
-                    registry.inc(_TELEMETRY_METRICS[tele_key], value)
-                bump_gauge(
-                    "cec.parallel.wall_seconds", time.perf_counter() - t_sweep
-                )
-            else:
-                results = [
-                    _sweep_unit_serial(
-                        solver,
-                        lit2cnf,
-                        unit,
-                        sweep_limit,
-                        deadline=deadline,
-                        defer=defer_flag,
-                        collect_models=refining,
-                        pi_nodes=aig.pis,
-                        engines=engine_names,
-                        cores=cores,
-                    )
-                    for unit in units
-                ]
-            collected: List[Tuple[Candidate, Dict[str, bool]]] = []
-            deferred_this_round = False
-            # Signature-class width per group id (members + representative)
-            # — an obligation feature for the per-candidate log below.
-            group_width: Dict[int, int] = {}
-            if tracer.enabled:
-                for cls in class_list:
-                    if cls:
-                        group_width[cls[0].group] = len(cls) + 1
-            for index, (unit, result) in enumerate(zip(units, results)):
-                if result.events:
-                    tracer.adopt(result.events, parent=sweep_span, worker=index)
-                if result.metrics:
-                    registry.merge(result.metrics)
-                if result.error:
-                    tracer.instant(
-                        "sweep.unit.lost",
-                        unit=index,
-                        error=result.error,
-                        retries=result.retries,
-                    )
-                elif result.retries:
-                    tracer.instant(
-                        "sweep.unit.requeued",
-                        unit=index,
-                        retries=result.retries,
-                    )
-                registry.append(_WORKER_SECONDS, result.seconds)
-                registry.inc("cec.sat_queries", result.sat_queries)
-                if result.core_retired:
-                    registry.inc("cec.sat.core_retired", result.core_retired)
-                # Fold the unit's solver knowledge home: cores join the
-                # shared index (worker results arrive already remapped to
-                # the parent's variable space), learned clauses join the
-                # cross-worker pool for the next round and the final pass.
-                cores.add_many(result.cores)
-                if share_learned and result.learned:
-                    registry.inc(
-                        "cec.parallel.shared_clauses_exported",
-                        len(result.learned),
-                    )
-                    for clause in result.learned:
-                        if len(shared_pool) >= SHARED_POOL_CAP:
-                            break
-                        shared_pool.setdefault(
-                            tuple(sorted(clause)), list(clause)
-                        )
-                if result.shared_imported:
-                    registry.inc(
-                        "cec.parallel.shared_clauses_imported",
-                        result.shared_imported,
-                    )
-                for ci, (cand, status) in enumerate(
-                    zip(unit.candidates, result.statuses)
-                ):
-                    if status == EQ:
-                        registry.inc("cec.sweep.merges")
-                        if parallel:
-                            # Worker proofs happen off-solver; merge here.
-                            merge(
-                                lit2cnf(cand.rep_lit), lit2cnf(cand.node_lit)
-                            )
-                        active.discard(cand.node)
-                    elif status == NEQ:
-                        registry.inc("cec.sweep.refuted")
-                        resolved.add(_pair_key(cand))
-                        model = result.model_for(ci)
-                        if refining and model is not None:
-                            collected.append(
-                                (cand, _model_to_pattern(aig, model))
-                            )
-                    elif status == DEFERRED:
-                        deferred_this_round = True
-                        deferred_open.add(_pair_key(cand))
-                    else:
-                        registry.inc("cec.sweep.unknown")
-                        resolved.add(_pair_key(cand))
-                    if proof_cache is not None and status in (EQ, NEQ):
-                        key = aig.pair_cone_key(cand.rep_lit, cand.node_lit)
-                        proof_cache.put(key, status)
-                        registry.inc("cec.cache.stores")
-                    if tracer.enabled:
-                        # One feature record per sweep candidate; unit
-                        # seconds are apportioned evenly — workers time
-                        # the unit, not individual queries.  The serial
-                        # path never computes unit cones, so derive the
-                        # candidate's own cone instead.
-                        tracer.instant(
-                            "cec.obligation.features",
-                            cat="obligation",
-                            kind="sweep",
-                            round=round_no,
-                            unit=index,
-                            group=cand.group,
-                            width=group_width.get(cand.group, 2),
-                            cone=len(
-                                aig.cone_nodes(
-                                    (cand.rep_lit, cand.node_lit)
-                                )
-                            ),
-                            engine="sat",
-                            verdict=status,
-                            seconds=result.seconds
-                            / max(1, len(unit.candidates)),
-                        )
-            sweep_span.annotate(
-                merges=int(registry.counter("cec.sweep.merges")),
-                refuted=int(registry.counter("cec.sweep.refuted")),
-                unknown=int(registry.counter("cec.sweep.unknown")),
-            )
-            sweep_span.close()
-            bump_gauge(
-                "cec.phase.sweep.seconds", time.perf_counter() - t_sweep
-            )
-
-            if collected and refining:
-                t_refine = time.perf_counter()
-                with tracer.span(
-                    "cec.phase.refine",
-                    cat="phase",
-                    round=round_no,
-                    models=len(collected),
-                ) as refine_span:
-                    signatures, sig_mask, n_patterns = _refine_signatures(
-                        aig, signatures, sig_mask, collected
-                    )
-                    splits = 0
-                    for members in classes.values():
-                        alive = [n for n in members if n in active]
-                        if len(alive) < 2:
-                            continue
-                        sigs = set()
-                        for n in alive:
-                            s = signatures[n]
-                            if s & 1:
-                                s ^= sig_mask
-                            sigs.add(s)
-                        if len(sigs) > 1:
-                            splits += 1
-                    refine_span.annotate(patterns=n_patterns, splits=splits)
-                registry.inc("cec.refine.rounds")
-                registry.inc("cec.refine.patterns", n_patterns)
-                registry.inc("cec.refine.splits", splits)
-                bump_gauge(
-                    "cec.phase.refine.seconds", time.perf_counter() - t_refine
-                )
-                round_no += 1
-                continue
-            if deferred_this_round and refining:
-                # No usable model came back (e.g. a lost worker swallowed
-                # it) but queries were deferred on its account: finish
-                # them in one last non-deferring pass.
-                force_final = True
-                continue
-            break
-        registry.inc("cec.refine.queries_saved", len(deferred_open))
-        if share_learned and shared_pool:
-            # Fold the workers' pooled learned clauses into the
-            # coordinator's solver so the final output queries start
-            # from everything the fleet learned.
-            folded = solver.import_learned(shared_pool.values())
-            if folded:
-                registry.inc("cec.parallel.shared_clauses_folded", folded)
-    stats["sweep_merges"] = registry.counter("cec.sweep.merges")
-    stats["sweep_refuted"] = registry.counter("cec.sweep.refuted")
-    stats["sweep_unknown"] = registry.counter("cec.sweep.unknown")
-
-    # Final output checks: walk the engine portfolio per output pair.
-    t_out = time.perf_counter()
-    with tracer.span("cec.phase.outputs", cat="phase"):
-        result = _check_outputs_portfolio(
-            miter,
-            aig,
-            solver,
-            lit2cnf,
-            proof_cache,
-            conflict_limit,
-            budget,
-            registry,
-            tracer,
-            sim_width,
-            seed,
-            portfolio,
-            policy,
-            cores=cores,
+        _sweep(
+            check, sim_rounds, sim_width, seed, conflict_limit, refine_rounds
         )
-    registry.set_gauge("cec.phase.outputs.seconds", time.perf_counter() - t_out)
-    return finish(result)
+    for key in ("merges", "refuted", "unknown"):
+        check.stats[f"sweep_{key}"] = check.registry.counter(
+            f"cec.sweep.{key}"
+        )
+    t_out = time.perf_counter()
+    with check.tracer.span("cec.phase.outputs", cat="phase"):
+        result = _check_outputs(
+            check, miter, portfolio, conflict_limit, sim_width, seed
+        )
+    check.registry.set_gauge(
+        "cec.phase.outputs.seconds", time.perf_counter() - t_out
+    )
+    return _finish(check, result)
 
 
 def check_miter_unsat(

@@ -2,8 +2,8 @@
 
 Importing this package registers the four built-in adapters —
 ``structural``, ``sim``, ``bdd``, ``sat`` — with the registry in
-:mod:`repro.cec.engines.base`.  The dispatch layer that orders them per
-obligation lives in :mod:`repro.cec.dispatch`.
+:mod:`repro.cec.engines.base`.  :func:`repro.cec.check_equivalence`
+walks a portfolio of them, in order, for every output pair.
 """
 
 from repro.cec.engines.base import (

@@ -5,8 +5,9 @@ The CEC engine's output checks used to be a fixed ladder inlined into
 → bounded SAT).  This package turns each rung into an
 :class:`EngineAdapter` — a named, registered object that tries to decide
 one :class:`Obligation` against a shared :class:`EngineContext` — so the
-cascade becomes *data*: an ordered portfolio of adapter names, reordered
-per obligation by a dispatch policy (:mod:`repro.cec.dispatch`).
+cascade becomes *data*: an ordered portfolio of adapter names, walked in
+order for every output pair (``structural`` then ``sat`` unless the
+caller names engines).
 
 Contract of an adapter (narrative form in ``docs/API.md``):
 
@@ -80,9 +81,9 @@ class Obligation:
 
     ``cache_key`` is the pair's structural cone hash when a proof cache
     is attached (the runner computes it once per pair).  :meth:`cone` is
-    the pair's fanin-cone size, computed lazily and cached — it is the
-    primary dispatch feature, and the walk only happens when a policy or
-    the tracer actually asks for it.
+    the pair's fanin-cone size, computed lazily and cached — a feature of
+    the per-obligation log, so the walk only happens when the tracer is
+    on.
     """
 
     name: str
@@ -194,10 +195,10 @@ class EngineAdapter:
 
     Subclass, set :attr:`name`, implement :meth:`decide`, and register
     with :func:`register_engine`.  ``proving`` distinguishes real proof
-    procedures (which get a ``stage.<name>`` tracer span per attempt and
-    feed the dispatch outcome store) from bookkeeping adapters like the
-    structural/cache replay, which stay span-free to preserve the
-    historical trace shape.
+    procedures — which get a ``stage.<name>`` tracer span per attempt and
+    a budget wall check before the first of them runs — from bookkeeping
+    adapters like the structural/cache replay, which stay span-free and
+    free of charge.
     """
 
     name: str = ""

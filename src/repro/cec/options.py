@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cec.cache import ProofCache
-    from repro.cec.dispatch import DispatchPolicy, OutcomeStore
 
 __all__ = ["CecOptions"]
 
@@ -41,11 +40,7 @@ class CecOptions:
     * ``share_learned`` — pool short learned clauses across parallel sweep
       workers and into the final output checks.
     * ``engines`` — the output-check adapter portfolio (names or a comma
-      list); None lets the dispatch policy choose.
-    * ``dispatch_policy`` — ``"cascade"``, ``"heuristic"`` or a
-      :class:`~repro.cec.DispatchPolicy` instance.
-    * ``dispatch_store`` — an :class:`~repro.cec.OutcomeStore` or a path
-      to one, recording per-engine outcomes across runs.
+      list), walked in order; None runs ``structural`` then ``sat``.
     """
 
     cache: Union[None, str, os.PathLike, ProofCache] = None
@@ -53,5 +48,3 @@ class CecOptions:
     preprocess: bool = True
     share_learned: bool = True
     engines: Union[None, str, Sequence[str]] = None
-    dispatch_policy: Union[str, DispatchPolicy] = "cascade"
-    dispatch_store: Union[None, str, os.PathLike, OutcomeStore] = None

@@ -84,19 +84,17 @@ DEFERRED = "deferred"
 
 # payload: (num_vars, clauses, queries, conflict_limit, wall_remaining,
 #           unit_index, collect, trace_epoch, defer, collect_models,
-#           pi_map, engines, shared_clauses, known_cores, global_vars)
+#           pi_map, shared_clauses, known_cores, global_vars)
 # — the first five fields are the original layout; the next three carry
 # observability context; the following three carry the refinement
 # context (per-group deferral and NEQ-model collection, with ``pi_map``
 # mapping the unit's dense solver variables back to global PI node ids
-# so models make sense to the parent); ``engines`` names the active
-# adapter portfolio (None = unrestricted) so workers honor the dispatch
-# selection — a portfolio without ``sat`` makes the whole unit UNKNOWN
-# without building a solver.  The final three carry the clause-sharing /
-# core context: peer learned clauses and known assumption cores already
-# sliced+remapped to the unit's variable space, and ``global_vars``
-# (local var ``i+1`` → parent CNF var ``global_vars[i]``) so the worker
-# can emit its own learned clauses and cores in the parent's space.
+# so models make sense to the parent).  The final three carry the
+# clause-sharing / core context: peer learned clauses and known
+# assumption cores already sliced+remapped to the unit's variable space,
+# and ``global_vars`` (local var ``i+1`` → parent CNF var
+# ``global_vars[i]``) so the worker can emit its own learned clauses and
+# cores in the parent's space.
 _Payload = Tuple[
     int,
     List[List[int]],
@@ -109,7 +107,6 @@ _Payload = Tuple[
     bool,
     bool,
     List[Tuple[int, int]],
-    Optional[Tuple[str, ...]],
     List[List[int]],
     List[List[int]],
     List[int],
@@ -204,7 +201,6 @@ def sweep_unit_payload(
     defer: bool = False,
     collect_models: bool = False,
     pi_nodes: Optional[Sequence[int]] = None,
-    engines: Optional[Sequence[str]] = None,
     shared_clauses: Optional[Sequence[Sequence[int]]] = None,
     known_cores: Optional[Sequence[Sequence[int]]] = None,
 ) -> _Payload:
@@ -223,10 +219,6 @@ def sweep_unit_payload(
     of every NEQ, translated back to global node ids via ``pi_nodes``
     (the AIG's PI node list — only PIs inside the unit's cone appear in a
     model, the rest are unconstrained).
-
-    ``engines`` names the active adapter portfolio; workers honor the
-    dispatch selection, so a portfolio without the ``sat`` engine turns
-    the whole unit into UNKNOWN statuses with zero queries.
 
     ``shared_clauses`` / ``known_cores`` are the engine's clause pool
     and assumption cores in the *parent's* variable space; only entries
@@ -275,7 +267,6 @@ def sweep_unit_payload(
         defer,
         collect_models,
         pi_map,
-        tuple(engines) if engines is not None else None,
         remap_all(shared_clauses),
         remap_all(known_cores),
         [node + 1 for node in nodes],
@@ -303,7 +294,6 @@ def _sweep_unit_worker(
         defer,
         collect_models,
         pi_map,
-        engines,
         shared_clauses,
         known_cores,
         global_vars,
@@ -324,31 +314,6 @@ def _sweep_unit_worker(
         tracer = Tracer(sink=[], epoch=trace_epoch)
         span = tracer.span(
             "sweep.unit", cat="worker", unit=unit_index, candidates=len(queries)
-        )
-    if engines is not None and "sat" not in engines:
-        # The dispatch portfolio excludes the SAT engine; sweeping is
-        # SAT work, so the whole unit is UNKNOWN with zero queries and
-        # no solver is ever built.
-        statuses = [UNKNOWN] * len(queries)
-        skipped_models: Optional[List[Optional[Dict[int, bool]]]] = (
-            [None] * len(queries) if collect_models else None
-        )
-        if progress is not None:
-            progress["statuses"] = statuses
-            progress["models"] = [None] * len(queries)
-            progress["sat_queries"] = 0
-        obs_out: Optional[Dict[str, Any]] = None
-        if registry is not None and tracer is not None and span is not None:
-            span.annotate(sat_queries=0, skipped="no-sat-engine")
-            span.close()
-            obs_out = {"metrics": registry.to_dict(), "events": tracer.events}
-        return (
-            statuses,
-            0,
-            time.perf_counter() - t0,
-            obs_out,
-            skipped_models,
-            None,
         )
     solver = Solver()
     if registry is not None:
@@ -548,7 +513,6 @@ def sweep_units_parallel(
     defer: bool = False,
     collect_models: bool = False,
     pi_nodes: Optional[Sequence[int]] = None,
-    engines: Optional[Sequence[str]] = None,
     shared_clauses: Optional[Sequence[Sequence[int]]] = None,
     known_cores: Optional[Sequence[Sequence[int]]] = None,
 ) -> List[UnitResult]:
@@ -565,12 +529,12 @@ def sweep_units_parallel(
     ``units_requeued`` / ``pool_failures`` counters.  ``collect`` turns on
     worker-side span/metric collection (shipped back per unit).
     ``defer`` / ``collect_models`` / ``pi_nodes`` carry the refinement
-    context into each payload, and ``engines`` the active adapter
-    portfolio (see :func:`sweep_unit_payload`).  ``shared_clauses`` /
-    ``known_cores`` (parent variable space) are sliced into every
-    payload; units requeued onto the serial path additionally fold in
-    the learned clauses their surviving pool siblings exported this
-    round, so a respawned unit starts from its peers' knowledge.
+    context into each payload (see :func:`sweep_unit_payload`).
+    ``shared_clauses`` / ``known_cores`` (parent variable space) are
+    sliced into every payload; units requeued onto the serial path
+    additionally fold in the learned clauses their surviving pool
+    siblings exported this round, so a respawned unit starts from its
+    peers' knowledge.
     """
 
     def build_payload(
@@ -589,7 +553,6 @@ def sweep_units_parallel(
             defer=defer,
             collect_models=collect_models,
             pi_nodes=pi_nodes,
-            engines=engines,
             shared_clauses=pool,
             known_cores=known_cores,
         )

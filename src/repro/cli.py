@@ -7,8 +7,7 @@
                             [--no-preprocess] [--no-share-learned]
                             [--time-limit S]
                             [--bdd-node-limit N]
-                            [--engines NAMES] [--dispatch-policy NAME]
-                            [--dispatch-store FILE]
+                            [--engines NAMES]
                             [--trace FILE] [--metrics-out FILE]
                             [--oblog FILE]
                             [--quiet] [--verbose]
@@ -19,7 +18,7 @@
     python -m repro table1  [--quick | --circuits NAME ...] [--unate]
                             [--jobs N] [--cache FILE] [--no-refine]
                             [--no-preprocess] [--no-share-learned]
-                            [--time-limit S] [--bdd-node-limit N]
+                            [--time-limit S]
                             [--on-error skip|abort] [--checkpoint FILE --resume]
                             [--trace FILE] [--metrics-out FILE]
     python -m repro table2  [--quick | --circuits NAME ...]
@@ -28,13 +27,10 @@
     python -m repro batch   manifest.json [--jobs N] [--time-limit S]
                             [--cache FILE] [--store FILE --resume]
                             [--retries N] [--in-process]
-                            [--engines NAMES] [--dispatch-policy NAME]
-                            [--dispatch-store FILE]
+                            [--engines NAMES]
                             [--chaos PLAN.json --chaos-log FILE]
                             [--trace FILE] [--metrics-out FILE]
                             [--oblog FILE]
-    python -m repro bench compare FRESH.json [--baseline BENCH_cec.json]
-                            [--threshold METRIC=PCT ...] [--json OUT]
 
 Exit codes of ``verify`` (and the per-job codes of ``batch``): 0
 equivalent, 1 not equivalent (a counterexample is printed), 2 unknown —
@@ -113,8 +109,6 @@ def _cmd_verify(args) -> int:
         time_limit=args.time_limit,
         bdd_node_limit=args.bdd_node_limit,
         engines=args.engines,
-        dispatch_policy=args.dispatch_policy,
-        dispatch_store=args.dispatch_store,
     )
     tracer = _make_tracer(
         args,
@@ -248,19 +242,15 @@ def _cmd_batch(args) -> int:
     if not requests:
         console.error(f"manifest {args.manifest} has no jobs")
         return 2
-    # CLI dispatch overrides trump per-row manifest settings (they are
-    # verdict-preserving engine options, not obligation identity).
-    for request in requests:
-        if args.engines is not None:
+    # A CLI portfolio trumps per-row manifest settings (it is a
+    # verdict-preserving engine option, not obligation identity).
+    if args.engines is not None:
+        for request in requests:
             request.engines = [
                 part.strip()
                 for part in args.engines.split(",")
                 if part.strip()
             ]
-        if args.dispatch_policy is not None:
-            request.dispatch_policy = args.dispatch_policy
-        if args.dispatch_store is not None:
-            request.dispatch_store = args.dispatch_store
     tracer = _make_tracer(
         args,
         meta={"command": "batch", "manifest": args.manifest, "jobs": args.jobs},
@@ -324,44 +314,6 @@ def _cmd_batch(args) -> int:
     if counts[2]:
         return 2
     return 0
-
-
-def _cmd_bench_compare(args) -> int:
-    from repro.bench.compare import (
-        compare_reports,
-        load_report,
-        parse_thresholds,
-        render_comparison,
-    )
-
-    console = _console(args)
-    try:
-        thresholds = parse_thresholds(args.threshold)
-        baseline = load_report(args.baseline)
-        fresh = load_report(args.fresh)
-    except (OSError, ValueError) as exc:
-        console.error(f"bench compare: {exc}")
-        return 2
-    deltas, failures = compare_reports(baseline, fresh, thresholds)
-    console.result(render_comparison(deltas, failures))
-    if args.json:
-        import json as _json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(
-                {
-                    "baseline": args.baseline,
-                    "fresh": args.fresh,
-                    "passed": not failures,
-                    "failures": failures,
-                    "deltas": [d.to_dict() for d in deltas],
-                },
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-        console.info(f"wrote comparison to {args.json}")
-    return 1 if failures else 0
 
 
 def _cmd_profile(args) -> int:
@@ -547,28 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="live-node cap for the engine's bounded BDD attempts",
+        help="live-node cap of a 'bdd' stage named in --engines "
+        "(default 100000); bounds nothing otherwise",
     )
     p.add_argument(
         "--engines",
         default=None,
         metavar="NAMES",
-        help="comma-separated CEC engine portfolio (e.g. 'sim,sat'); "
-        "default: the dispatch policy picks (structural,sim,bdd,sat)",
-    )
-    p.add_argument(
-        "--dispatch-policy",
-        default="cascade",
-        metavar="NAME",
-        help="engine dispatch policy: 'cascade' (fixed ladder, default) "
-        "or 'heuristic' (feature/outcome-driven ordering)",
-    )
-    p.add_argument(
-        "--dispatch-store",
-        default=None,
-        metavar="FILE",
-        help="persistent per-engine outcome store; repeated runs train "
-        "metrics-driven dispatch policies",
+        help="comma-separated CEC engine portfolio, walked in order per "
+        "output (e.g. 'structural,sim,bdd,sat'); default: structural,sat",
     )
     p.add_argument(
         "--trace",
@@ -720,20 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(comma-separated adapter names, e.g. 'sim,sat')",
     )
     p.add_argument(
-        "--dispatch-policy",
-        default=None,
-        metavar="NAME",
-        help="override every job's engine dispatch policy "
-        "('cascade' or 'heuristic')",
-    )
-    p.add_argument(
-        "--dispatch-store",
-        default=None,
-        metavar="FILE",
-        help="per-engine outcome store shared by every job; repeated "
-        "batch runs train metrics-driven dispatch policies",
-    )
-    p.add_argument(
         "--chaos",
         default=None,
         metavar="PLAN",
@@ -764,42 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write per-obligation feature records (JSONL)",
     )
     p.set_defaults(func=_cmd_batch)
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark utilities (see `repro bench compare`)",
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    p = bench_sub.add_parser(
-        "compare",
-        parents=[verbosity],
-        help="diff a fresh benchmark report against the checked-in "
-        "baseline; exit 1 on regression",
-    )
-    p.add_argument(
-        "fresh", help="fresh report JSON (benchmarks/bench_cec.py -o)"
-    )
-    p.add_argument(
-        "--baseline",
-        default="BENCH_cec.json",
-        metavar="FILE",
-        help="baseline report to compare against (default BENCH_cec.json)",
-    )
-    p.add_argument(
-        "--threshold",
-        action="append",
-        default=None,
-        metavar="METRIC=PCT",
-        help="per-metric regression threshold in percent over baseline "
-        "(repeatable; defaults: sat_queries=20, seconds=20)",
-    )
-    p.add_argument(
-        "--json",
-        default=None,
-        metavar="OUT",
-        help="also write the comparison as machine-readable JSON",
-    )
-    p.set_defaults(func=_cmd_bench_compare)
 
     return parser
 

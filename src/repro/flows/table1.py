@@ -77,13 +77,11 @@ def table1_row(
     )
 
 
-def _row_budget(
-    time_limit: Optional[float], bdd_node_limit: Optional[int]
-) -> Optional[Budget]:
+def _row_budget(time_limit: Optional[float]) -> Optional[Budget]:
     """A fresh per-row budget (deadlines are single-use, so never shared)."""
-    if time_limit is None and bdd_node_limit is None:
+    if time_limit is None:
         return None
-    return Budget(wall_seconds=time_limit, bdd_nodes=bdd_node_limit)
+    return Budget(wall_seconds=time_limit)
 
 
 def run_table1(
@@ -94,7 +92,6 @@ def run_table1(
     *,
     n_jobs: int = 1,
     time_limit: Optional[float] = None,
-    bdd_node_limit: Optional[int] = None,
     on_error: str = "skip",
     checkpoint=None,
     resume: bool = False,
@@ -110,12 +107,11 @@ def run_table1(
     every row and flushed at the end, so a second run of the harness
     replays the proven merges instead of re-solving them.
 
-    ``time_limit`` / ``bdd_node_limit`` build a fresh per-row
-    :class:`~repro.runtime.Budget` for the verification step; a row whose
-    budget runs dry is recorded with status ``"timeout"``.  ``on_error``
-    selects the containment policy for a row whose flow raises:
-    ``"skip"`` records an ERROR row and moves on, ``"abort"`` re-raises
-    after flushing the checkpoint.  ``checkpoint`` (path or
+    ``time_limit`` builds a fresh per-row :class:`~repro.runtime.Budget`
+    for the verification step; a row whose budget runs dry is recorded
+    with status ``"timeout"``.  ``on_error`` selects the containment
+    policy for a row whose flow raises: ``"skip"`` records an ERROR row
+    and moves on, ``"abort"`` re-raises after flushing the checkpoint.  ``checkpoint`` (path or
     :class:`~repro.flows.checkpoint.Checkpoint`) records every finished
     row immediately; with ``resume=True`` already-recorded rows are
     replayed instead of recomputed.
@@ -168,7 +164,7 @@ def run_table1(
                 effort,
                 options,
                 n_jobs=n_jobs,
-                budget=_row_budget(time_limit, bdd_node_limit),
+                budget=_row_budget(time_limit),
                 tracer=tracer,
                 metrics=metrics,
             )
@@ -318,13 +314,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "exhaustion records a TIMEOUT row instead of hanging",
     )
     parser.add_argument(
-        "--bdd-node-limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="live-node cap for the engine's bounded BDD attempts",
-    )
-    parser.add_argument(
         "--on-error",
         choices=("skip", "abort"),
         default="skip",
@@ -399,7 +388,6 @@ def run_args(args: argparse.Namespace) -> int:
             options=options,
             n_jobs=args.jobs,
             time_limit=args.time_limit,
-            bdd_node_limit=args.bdd_node_limit,
             on_error=args.on_error,
             checkpoint=args.checkpoint,
             resume=args.resume,

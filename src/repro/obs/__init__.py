@@ -15,7 +15,7 @@ The cross-cutting layer the rest of the stack reports through:
   (``repro profile run.jsonl``);
 * :mod:`repro.obs.oblog` — the per-obligation feature log (cone size,
   class width, cascade stage, engine, verdict, seconds) extracted from
-  traces — training data for learned engine dispatch;
+  traces;
 * :mod:`repro.obs.console` — the ``--quiet`` / ``--verbose`` aware line
   writer the flows and the CLI print through.
 

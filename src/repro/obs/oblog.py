@@ -1,18 +1,14 @@
-"""The per-obligation feature log: training data for engine dispatch.
+"""The per-obligation feature log: a plain view of the trace.
 
 Every proof obligation a CEC run decides — an output pair walking the
-cascade, or a sweep candidate proved/refuted inside a work unit — leaves
-structured evidence in the trace: ``cec.obligation`` spans and
-``cec.obligation.features`` instants.  This module distils those events
-into flat :class:`ObligationRecord` rows (cone size, signature-class
-width, cascade stage reached, deciding engine, verdict, seconds, origin
-host/pid) and reads/writes them as JSONL.
-
-The rows are the raw material for a learned engine-dispatch policy
-(ROADMAP item 4, after the Datapath-CEC line of work): given an
-obligation's cheap static features, predict which engine decides it
-fastest.  Until such a policy exists, ``repro verify --oblog`` and
-``repro batch --oblog`` make the dataset collectable from any run.
+engine portfolio, or a sweep candidate proved/refuted inside a work
+unit — leaves structured evidence in the trace: ``cec.obligation`` spans
+and ``cec.obligation.features`` instants.  This module distils those
+events into flat :class:`ObligationRecord` rows (cone size,
+signature-class width, cascade stage reached, deciding engine, verdict,
+seconds, origin host/pid) and reads/writes them as JSONL, so
+``repro verify --oblog`` and ``repro batch --oblog`` show which engines
+decide which cones, and at what cost, without reading the span tree.
 """
 
 from __future__ import annotations
@@ -30,8 +26,7 @@ __all__ = [
 ]
 
 #: How far down the cascade each deciding engine sits.  ``stage`` is the
-#: ordinal of the stage that decided the obligation — the label a
-#: dispatch policy would train to predict.
+#: ordinal of the stage that decided the obligation.
 CASCADE_STAGES = {
     "structural": 0,
     "cache": 0,

@@ -1,4 +1,4 @@
-"""The asyncio job queue: priorities, dedup, cancel.
+"""The batch job queue: priorities, dedup, cancel.
 
 One :class:`JobQueue` feeds the scheduler's worker lanes.  It is a
 priority queue (higher :attr:`~repro.service.jobs.Job.priority` first,
@@ -7,19 +7,18 @@ FIFO within a band) with two behaviours stacked on top:
 * **dedup** — submitting a request whose fingerprint is already pending
   or running does not enqueue a second solve; the duplicate is parked on
   the primary job and mirrors its result when it completes;
-* **shutdown** — :meth:`close` stops intake and lets lanes drain
-  naturally (:meth:`get` returns None once empty), while
+* **shutdown** — :meth:`close` stops intake, while
   :meth:`cancel_pending` empties the queue immediately and hands the
   un-run jobs back so the caller can record them as cancelled.
 
-The queue is asyncio-native and single-loop; cross-process distribution
-is the scheduler's job (it ships work to a process pool), not the
-queue's.
+The batch runner fills and closes the queue before any lane starts, so
+:meth:`get` never waits: it pops the next job, or returns None once the
+queue is drained.  Cross-process distribution is the scheduler's job (it
+ships work to a process pool), not the queue's.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import itertools
 from typing import Dict, List, Optional
@@ -39,20 +38,12 @@ class JobQueue:
     def __init__(self) -> None:
         self._heap: List[tuple] = []
         self._seq = itertools.count()
-        self._cond: Optional[asyncio.Condition] = None
         self._closed = False
         # fingerprint -> primary job, for every job not yet finished.
         self._active: Dict[str, Job] = {}
         # fingerprint -> duplicate jobs parked on the primary.
         self._duplicates: Dict[str, List[Job]] = {}
         self._unfinished = 0
-
-    # The condition is created lazily so a queue can be built outside a
-    # running event loop (e.g. in synchronous setup code).
-    def _condition(self) -> asyncio.Condition:
-        if self._cond is None:
-            self._cond = asyncio.Condition()
-        return self._cond
 
     # ------------------------------------------------------------------
     # intake
@@ -74,21 +65,11 @@ class JobQueue:
         self._active[job.fingerprint] = job
         heapq.heappush(self._heap, (*job.sort_key(), job))
         self._unfinished += 1
-        if self._cond is not None:
-            # Wake one waiting lane (scheduling-safe: notify needs the lock).
-            asyncio.ensure_future(self._notify())
         return JobState.PENDING
 
-    async def _notify(self) -> None:
-        cond = self._condition()
-        async with cond:
-            cond.notify_all()
-
     def close(self) -> None:
-        """Stop intake; draining lanes see None once the queue is empty."""
+        """Stop intake; :meth:`submit_nowait` raises from now on."""
         self._closed = True
-        if self._cond is not None:
-            asyncio.ensure_future(self._notify())
 
     @property
     def closed(self) -> bool:
@@ -98,18 +79,13 @@ class JobQueue:
     # ------------------------------------------------------------------
     # consumption
     # ------------------------------------------------------------------
-    async def get(self) -> Optional[Job]:
-        """Next job by priority, or None when closed and fully drained."""
-        cond = self._condition()
-        async with cond:
-            while True:
-                if self._heap:
-                    _, _, job = heapq.heappop(self._heap)
-                    job.state = JobState.RUNNING
-                    return job
-                if self._closed:
-                    return None
-                await cond.wait()
+    def get(self) -> Optional[Job]:
+        """Next job by priority (now RUNNING), or None once drained."""
+        if not self._heap:
+            return None
+        _, _, job = heapq.heappop(self._heap)
+        job.state = JobState.RUNNING
+        return job
 
     def finish(self, job: Job, state: JobState) -> List[Job]:
         """Mark a job terminal; returns its parked duplicates (now also

@@ -270,7 +270,7 @@ class BatchRunner:
     ) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            job = await queue.get()
+            job = queue.get()
             if job is None:
                 return
             result = await self._run_job(lane, job, queue, executor, loop)

@@ -275,7 +275,7 @@ class TestWorkerSharing:
             clause = next(
                 cl for cl in payload[1] if 1 < len(cl) <= 4
             )
-            reshipped = payload[:12] + ([list(clause)],) + payload[13:]
+            reshipped = payload[:11] + ([list(clause)],) + payload[12:]
             statuses, _nq, _el, _obs, _models, extras = _sweep_unit_worker(
                 reshipped
             )

@@ -1,56 +1,39 @@
-"""Engine-adapter portfolio and dispatch-policy tests (PR 9 tentpole).
+"""Engine-adapter portfolio tests.
 
-Pins the redesign's guarantees:
+Pins the portfolio's guarantees:
 
 * the registry round-trips the built-in adapters and rejects unknown
   names loudly (``engines=["nope"]`` raises instead of skipping);
-* cascade and heuristic policies return identical EQ/NEQ verdicts,
-  serially and with ``n_jobs > 1`` — only UNKNOWNs may differ;
+* the default portfolio (structural → SAT) returns the same verdict
+  serially and with ``n_jobs > 1``, and a budget that does not run out
+  changes nothing about its outcome;
 * restricted portfolios behave as selected: SAT-only still decides,
   sim-only refutes but cannot prove, and a portfolio without ``sat``
-  skips the sweep entirely (zero SAT queries, including in workers);
+  skips the sweep entirely (zero SAT queries);
 * ``cec.cascade.sat`` is counted at a single site (the SAT adapter), so
-  it always equals the engine's decided count;
-* the heuristic never spends more SAT queries than the cascade and the
-  :class:`OutcomeStore` reorders engines once it holds enough data.
+  it always equals the engine's decided count.
 """
 
 from __future__ import annotations
-
-import json
-import warnings
 
 import pytest
 
 from repro.bench.random_circuits import random_combinational
 from repro.cec import CecOptions
 from repro.cec.cache import EQ, NEQ
-from repro.cec.dispatch import (
-    CascadePolicy,
-    HeuristicPolicy,
-    OutcomeStore,
-    available_policies,
-    coerce_policy,
-)
 from repro.cec.engine import CecVerdict, check_equivalence
 from repro.cec.engines.base import (
     _REGISTRY,
     EngineAdapter,
     EngineOutcome,
-    Obligation,
     PASS,
     available_engines,
     get_engine,
     register_engine,
     resolve_portfolio,
 )
-from repro.cec.miter import build_miter
-from repro.cec.parallel import UNKNOWN as SWEEP_UNKNOWN
-from repro.cec.parallel import _sweep_unit_worker, sweep_unit_payload
-from repro.cec.partition import partition_candidates
 from repro.netlist.build import CircuitBuilder
 from repro.runtime.budget import Budget, REASON_RESOURCE_LIMIT
-from repro.sat.solver import Solver
 from repro.sim.logic2 import simulate
 
 
@@ -116,14 +99,6 @@ class TestRegistry:
         names = [a.name for a in resolve_portfolio("sim, sat")]
         assert names == ["sim", "sat"]
 
-    def test_unknown_policy_lists_available(self):
-        with pytest.raises(ValueError, match="unknown dispatch policy"):
-            coerce_policy("nope")
-        with pytest.raises(ValueError, match="unknown dispatch policy"):
-            check_equivalence(
-                xor_chain(4), xor_tree(4), CecOptions(dispatch_policy="nope")
-            )
-
     def test_third_party_engine_pluggable(self):
         """A registered custom adapter slots into a portfolio end to end."""
 
@@ -154,7 +129,7 @@ class TestRegistry:
 
 
 class TestPolicyVerdictParity:
-    """Cascade and heuristic must agree on every decided verdict."""
+    """The default portfolio decides alike serially and on the pool."""
 
     CASES = [
         ("eq-xor", lambda: (xor_chain(12, "a"), xor_tree(12, "b")), EQ),
@@ -169,21 +144,22 @@ class TestPolicyVerdictParity:
                 random_combinational(seed=3, name="a"),
                 random_combinational(seed=77, name="b"),
             ),
-            None,  # whatever cascade says, heuristic must match
+            None,  # whatever the serial run says, the pool must match
         ),
     ]
 
-    @pytest.mark.parametrize("policy", ["cascade", "heuristic"])
+    # ``cascade`` names the default structural → SAT portfolio.
+    @pytest.mark.parametrize("engines", [pytest.param(None, id="cascade")])
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize(
         "case", CASES, ids=[case[0] for case in CASES]
     )
-    def test_same_verdict(self, case, policy, n_jobs):
+    def test_same_verdict(self, case, engines, n_jobs):
         _, make, expect = case
         c1, c2 = make()
         reference = check_equivalence(c1, c2)
         r = check_equivalence(
-            c1, c2, CecOptions(dispatch_policy=policy), n_jobs=n_jobs
+            c1, c2, CecOptions(engines=engines), n_jobs=n_jobs
         )
         assert r.verdict is reference.verdict
         if expect == EQ:
@@ -197,21 +173,33 @@ class TestPolicyVerdictParity:
                 != simulate(c2, [vec]).outputs[0]
             )
 
-    def test_heuristic_never_spends_more_sat_queries(self):
-        pairs = [
-            (xor_chain(10, "a"), xor_tree(10, "b")),
-            (xor_chain(8, "a"), complement_chain(8, "b")),
-        ]
-        for c1, c2 in pairs:
-            cascade = check_equivalence(c1, c2)
-            heuristic = check_equivalence(
-                c1, c2, CecOptions(dispatch_policy="heuristic")
-            )
-            assert heuristic.verdict is cascade.verdict
-            assert (
-                heuristic.stats["sat_queries"]
-                <= cascade.stats["sat_queries"]
-            )
+
+class TestBudgetOnlyBounds:
+    """A budget bounds the default portfolio; it never changes it."""
+
+    @pytest.mark.parametrize(
+        "case",
+        TestPolicyVerdictParity.CASES,
+        ids=[case[0] for case in TestPolicyVerdictParity.CASES],
+    )
+    def test_unspent_budget_changes_nothing(self, case):
+        _, make, _ = case
+        c1, c2 = make()
+        free = check_equivalence(c1, c2)
+        bounded = check_equivalence(c1, c2, budget=Budget(wall_seconds=1e4))
+        assert bounded.verdict is free.verdict
+        assert bounded.counterexample == free.counterexample
+        assert bounded.failing_output == free.failing_output
+        keys = {
+            key
+            for stats in (free.stats, bounded.stats)
+            for key in stats
+            if key in ("sat_queries", "core_retired")
+            or key.startswith(("engine_", "cascade_"))
+        }
+        assert "engine_sat" in keys
+        for key in sorted(keys):
+            assert bounded.stats.get(key) == free.stats.get(key), key
 
 
 class TestPortfolioSelection:
@@ -249,47 +237,19 @@ class TestPortfolioSelection:
         assert r.verdict is CecVerdict.NOT_EQUIVALENT
         assert r.stats["sat_queries"] == 0
 
-    def test_worker_honors_portfolio(self):
-        """A sweep payload without ``sat`` decides nothing, queries nothing."""
-        m = build_miter(xor_chain(8), xor_tree(8))
-        cnf, _ = m.aig.to_cnf()
-        solver = Solver()
-        assert solver.add_cnf(cnf)
-        from repro.cec.engine import (
-            _class_candidates,
-            _initial_signatures,
-            _signature_classes,
-        )
-
-        signatures, mask = _initial_signatures(m.aig, 4, 64, 0)
-        classes = _signature_classes(
-            signatures, mask, range(m.aig.num_nodes())
-        )
-        units = partition_candidates(
-            m.aig, _class_candidates(m.aig, classes, signatures), 2
-        )
-        assert units
-        for unit in units:
-            payload = sweep_unit_payload(
-                solver, unit, 2000, engines=("structural", "sim")
-            )
-            statuses, n_queries, _elapsed, _obs, _models, _extras = (
-                _sweep_unit_worker(payload)
-            )
-            assert n_queries == 0
-            assert statuses == [SWEEP_UNKNOWN] * len(unit.candidates)
-
 
 class TestSingleSiteSatCounting:
     """Satellite 2: ``cec.cascade.sat`` is incremented only in the adapter."""
 
     def test_cascade_sat_equals_engine_decided(self):
-        # A tiny BDD node bound forces the budgeted ladder past the BDD
+        # A tiny BDD node bound forces the full ladder past the BDD
         # stage, so the SAT adapter decides (and counts) the outputs.
         r = check_equivalence(
             xor_chain(10, "a"),
             xor_tree(10, "b"),
-            CecOptions(preprocess=False),
+            CecOptions(
+                engines=("structural", "sim", "bdd", "sat"), preprocess=False
+            ),
             budget=Budget(wall_seconds=60.0, bdd_nodes=4),
         )
         assert r.equivalent
@@ -307,92 +267,3 @@ class TestSingleSiteSatCounting:
         assert r.equivalent
         assert r.stats.get("engine_sat", 0) >= 1
         assert r.stats["cascade_sat"] == r.stats["engine_sat"]
-
-
-class TestOutcomeStore:
-    def test_record_and_attempts(self):
-        store = OutcomeStore()
-        assert store.attempts("sat", 100) == 0
-        store.record("sat", 100, decided=True, seconds=0.25)
-        store.record("sat", 120, decided=False, seconds=0.75)  # same bucket
-        assert store.attempts("sat", 100) == 2
-        assert store.attempts("sat", 100_000) == 0  # different bucket
-
-    def test_expected_cost_prices_per_decision(self):
-        store = OutcomeStore()
-        assert store.expected_cost("sat", 100) is None
-        store.record("sat", 100, decided=True, seconds=0.2)
-        store.record("sat", 100, decided=True, seconds=0.4)
-        assert store.expected_cost("sat", 100) == pytest.approx(0.3)
-        # An engine that never decides is expensive but not infinite.
-        store.record("bdd", 100, decided=False, seconds=0.1)
-        cost = store.expected_cost("bdd", 100)
-        assert cost is not None and cost > 0.1
-
-    def test_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "outcomes.json"
-        store = OutcomeStore(path)
-        store.record("sat", 100, decided=True, seconds=0.5)
-        store.save()
-        assert not store.dirty
-        reloaded = OutcomeStore(path)
-        assert reloaded.attempts("sat", 100) == 1
-        assert reloaded.expected_cost("sat", 100) == pytest.approx(0.5)
-
-    def test_save_without_path_is_noop(self):
-        store = OutcomeStore()
-        store.record("sat", 1, decided=True, seconds=0.1)
-        store.save()  # must not raise
-        assert store.dirty  # nothing was persisted
-
-    def test_bad_file_rejected(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"not": "a store"}))
-        with pytest.raises(ValueError, match="not a dispatch outcome store"):
-            OutcomeStore(path)
-
-    def test_ingest_oblog_rows(self):
-        store = OutcomeStore()
-        rows = [
-            {"engine": "sat", "verdict": EQ, "cone": 90, "seconds": 0.2},
-            {"engine": "sat", "verdict": "unknown", "cone": 90, "seconds": 1.0},
-            {"engine": "", "verdict": EQ, "cone": 90, "seconds": 0.1},  # skip
-        ]
-        assert store.ingest_records(rows) == 2
-        assert store.attempts("sat", 90) == 2
-
-    def test_store_reorders_heuristic(self):
-        """Enough recorded data flips the static BDD-before-SAT rank."""
-        adapters = resolve_portfolio(["structural", "sim", "bdd", "sat"])
-        ob = Obligation("o", 2, 4, _cone=100)  # small cone: bdd first
-
-        static = HeuristicPolicy()
-        assert [a.name for a in static.order(ob, adapters, None)] == [
-            "structural", "sim", "bdd", "sat",
-        ]
-
-        store = OutcomeStore()
-        for _ in range(HeuristicPolicy.min_attempts):
-            store.record("sim", 100, decided=False, seconds=0.001)
-            store.record("bdd", 100, decided=False, seconds=1.0)  # costly
-            store.record("sat", 100, decided=True, seconds=0.01)  # cheap
-        trained = HeuristicPolicy(store=store)
-        ordered = [a.name for a in trained.order(ob, adapters, None)]
-        assert ordered.index("sat") < ordered.index("bdd")
-        assert ordered[0] == "structural"  # passive adapters stay first
-
-    def test_cascade_policy_records_into_store(self):
-        """Outcome recording is policy-independent — cascade trains too."""
-        store = OutcomeStore()
-        r = check_equivalence(
-            xor_chain(8, "a"),
-            xor_tree(8, "b"),
-            CecOptions(dispatch_store=store, preprocess=False),
-        )
-        assert r.equivalent
-        assert any(key.startswith("sat|") for key in store.cells)
-
-    def test_available_policy_names(self):
-        assert {"cascade", "heuristic"} <= set(available_policies())
-        assert CascadePolicy.name == "cascade"
-        assert coerce_policy(None).name == "cascade"

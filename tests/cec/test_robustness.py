@@ -318,7 +318,9 @@ class TestBudgetedEngine:
         result = check_equivalence(
             c1,
             c2,
+            CecOptions(engines=("structural", "sim", "bdd", "sat")),
             sweep=False,
+            conflict_limit=1,
             budget=Budget(wall_seconds=20.0),
         )
         assert result.verdict is CecVerdict.EQUIVALENT
@@ -329,6 +331,7 @@ class TestBudgetedEngine:
         result = check_equivalence(
             c1,
             c2,
+            CecOptions(engines=("structural", "sim", "bdd", "sat")),
             sweep=False,
             budget=Budget(wall_seconds=20.0, bdd_nodes=8),
         )

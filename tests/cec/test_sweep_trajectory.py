@@ -3,9 +3,10 @@
 The sweep's query count, its core retirements and the solver's total
 conflicts, decisions and propagations follow from the exact search
 trajectory of every SAT call: which pairs get queried depends on earlier
-answers, cores and refinement patterns.  ``BENCH_cec.json`` gates SAT-query
-counts in CI, so a solver change that alters its search moves a hard
-gate.  These values were recorded from the solver before its hot loops
+answers, cores and refinement patterns.  The tier-1 test
+``tests/cec/test_sat_query_gate.py`` holds SAT-query counts to
+``BENCH_cec.json``, so a solver change that alters its search moves a
+hard gate.  These values were recorded from the solver before its hot loops
 were rewritten for speed and must not move unless the search is meant to.
 They do not depend on ``PYTHONHASHSEED``.
 """

@@ -63,31 +63,35 @@ def pair(tmp_path_factory):
 
 class TestRequestRoundTrip:
     def test_to_from_dict(self, pair):
-        request = VerifyRequest(
-            golden=pair[0],
-            revised=pair[1],
-            name="row",
-            priority=3,
-            prepare=False,
-            use_unateness=False,
-            event_rewrite=True,
-            validate_cex=False,
-            jobs=2,
-            cache="proofs.json",
-            refine=False,
-            preprocess=False,
-            share_learned=False,
-            time_limit=5.0,
-            sat_conflicts=100,
-            sat_propagations=1000,
-            bdd_node_limit=500,
-            metadata={"suite": "unit"},
-            engines=["structural", "sat"],
-            dispatch_policy="heuristic",
-            dispatch_store="outcomes.json",
-        )
+        # The deprecated inert fields still round-trip (1.2 manifests
+        # keep loading); setting them warns.
+        with pytest.warns(DeprecationWarning):
+            request = VerifyRequest(
+                golden=pair[0],
+                revised=pair[1],
+                name="row",
+                priority=3,
+                prepare=False,
+                use_unateness=False,
+                event_rewrite=True,
+                validate_cex=False,
+                jobs=2,
+                cache="proofs.json",
+                refine=False,
+                preprocess=False,
+                share_learned=False,
+                time_limit=5.0,
+                sat_conflicts=100,
+                sat_propagations=1000,
+                bdd_node_limit=500,
+                metadata={"suite": "unit"},
+                engines=["structural", "sat"],
+                dispatch_policy="heuristic",
+                dispatch_store="outcomes.json",
+            )
         data = json.loads(json.dumps(request.to_dict()))
-        back = VerifyRequest.from_dict(data)
+        with pytest.warns(DeprecationWarning):
+            back = VerifyRequest.from_dict(data)
         for f in fields(VerifyRequest):
             value = getattr(request, f.name)
             if f.default is not MISSING:
@@ -304,9 +308,46 @@ class TestDeprecationShims:
                 revised=pair[1],
                 cache=str(tmp_path / "proofs.json"),
                 engines=["sat"],
-                dispatch_policy="heuristic",
             )
         assert request.engines == ["sat"]
+
+    def test_manifest_row_with_dispatch_policy_loads_and_warns(self, pair):
+        # A 1.2 manifest row naming the deleted dispatch layer still
+        # loads; the value is inert and the warning says so.
+        with pytest.warns(DeprecationWarning) as caught:
+            request = VerifyRequest.from_dict(
+                {
+                    "golden": pair[0],
+                    "revised": pair[1],
+                    "dispatch_policy": "heuristic",
+                }
+            )
+        message = str(caught[0].message)
+        assert "dispatch_policy is ignored since 1.3.0" in message
+        assert "never changed a verdict" in message
+        assert "engines=" in message
+        assert request.dispatch_policy == "heuristic"
+        assert request.cec_options() == CecOptions()
+
+    def test_dispatch_fields_are_inert(self, pair, tmp_path):
+        store = tmp_path / "outcomes.json"
+        with pytest.warns(DeprecationWarning) as caught:
+            tweaked = verify_pair(
+                pair[0],
+                pair[1],
+                dispatch_policy="heuristic",
+                dispatch_store=str(store),
+            )
+        assert not store.exists()
+        assert {str(w.message).split()[0] for w in caught} == {
+            "VerifyRequest.dispatch_policy",
+            "VerifyRequest.dispatch_store",
+        }
+        default = verify_pair(pair[0], pair[1])
+        assert tweaked.verdict == default.verdict
+        for key in ("sat_queries", "cec_sat_queries"):
+            assert tweaked.stats.get(key) == default.stats.get(key)
+        assert tweaked.engine_used == default.engine_used
 
     def test_manifest_row_with_cec_cache_rejected(self, pair):
         with pytest.raises(ValueError, match="cec_cache"):
@@ -320,7 +361,8 @@ class TestDeprecationShims:
 
 
 class TestEngineDispatchKnobs:
-    """Satellite 1: engines / dispatch_policy on the request and report."""
+    """The ``engines`` portfolio, and the deprecated dispatch fields, on
+    the request and report."""
 
     def test_engines_string_normalised_to_list(self, pair):
         request = VerifyRequest(
@@ -329,28 +371,31 @@ class TestEngineDispatchKnobs:
         assert request.engines == ["sim", "sat"]
 
     def test_round_trip_preserves_dispatch_fields(self, pair, tmp_path):
-        request = VerifyRequest(
-            golden=pair[0],
-            revised=pair[1],
-            engines=["structural", "sat"],
-            dispatch_policy="heuristic",
-            dispatch_store=str(tmp_path / "outcomes.json"),
-        )
+        with pytest.warns(DeprecationWarning):
+            request = VerifyRequest(
+                golden=pair[0],
+                revised=pair[1],
+                engines=["structural", "sat"],
+                dispatch_policy="heuristic",
+                dispatch_store=str(tmp_path / "outcomes.json"),
+            )
         data = json.loads(json.dumps(request.to_dict()))
-        back = VerifyRequest.from_dict(data)
+        with pytest.warns(DeprecationWarning):
+            back = VerifyRequest.from_dict(data)
         assert back.engines == ["structural", "sat"]
         assert back.dispatch_policy == "heuristic"
         assert back.dispatch_store == str(tmp_path / "outcomes.json")
 
     def test_dispatch_knobs_do_not_change_fingerprint(self, pair):
         base = VerifyRequest(golden=pair[0], revised=pair[1])
-        tweaked = VerifyRequest(
-            golden=pair[0],
-            revised=pair[1],
-            engines=["structural", "sim", "bdd", "sat"],
-            dispatch_policy="heuristic",
-            dispatch_store="outcomes.json",
-        )
+        with pytest.warns(DeprecationWarning):
+            tweaked = VerifyRequest(
+                golden=pair[0],
+                revised=pair[1],
+                engines=["structural", "sim", "bdd", "sat"],
+                dispatch_policy="heuristic",
+                dispatch_store="outcomes.json",
+            )
         assert base.fingerprint() == tweaked.fingerprint()
 
     def test_report_engine_used_breakdown(self, pair):
@@ -362,13 +407,6 @@ class TestEngineDispatchKnobs:
         )
         data = json.loads(json.dumps(report.as_dict()))
         assert VerifyReport.from_dict(data).engine_used == report.engine_used
-
-    def test_heuristic_policy_same_verdict(self, pair):
-        default = verify_pair(pair[0], pair[1])
-        heuristic = verify_pair(
-            pair[0], pair[1], dispatch_policy="heuristic"
-        )
-        assert heuristic.verdict == default.verdict
 
     def test_sat_only_portfolio_through_facade(self, pair):
         report = verify_pair(pair[0], pair[1], engines=["sat"])

@@ -22,7 +22,7 @@ import pytest
 import repro.core.verify as core_verify
 from repro.api import VerifyRequest, verify_pair
 from repro.bench.pipeline import pipeline_circuit
-from repro.cec import CecOptions, CecVerdict, CheckResult, OutcomeStore, ProofCache
+from repro.cec import CecOptions, CecVerdict, CheckResult, ProofCache
 from repro.flows.flow import run_flow
 
 #: Every option away from its default (``CecOptions()`` must differ in
@@ -33,8 +33,6 @@ OPTIONS = CecOptions(
     preprocess=False,
     share_learned=False,
     engines=["structural", "sat"],
-    dispatch_policy="heuristic",
-    dispatch_store=OutcomeStore(),
 )
 N_JOBS = 3
 

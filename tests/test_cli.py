@@ -189,7 +189,7 @@ def _minmax_pair(tmp_path):
 
 
 class TestFleetCli:
-    """The obligation log (``--oblog``) and ``repro bench compare``."""
+    """The obligation log (``--oblog``) on ``verify`` and ``batch``."""
 
     def test_verify_oblog_writes_feature_records(
         self, blif_file, tmp_path, capsys
@@ -239,58 +239,3 @@ class TestFleetCli:
         ) == 0
         assert read_obligation_log(ob_path)
         assert "obligation record(s)" in capsys.readouterr().out
-
-    def test_bench_compare_pass_and_fail(self, tmp_path, capsys):
-        import json
-
-        base = {
-            "totals": {"serial": {"sat_queries": 100, "seconds": 1.0}},
-            "verdict_divergences": [],
-        }
-        base_path = tmp_path / "base.json"
-        base_path.write_text(json.dumps(base))
-        assert main(
-            ["bench", "compare", str(base_path), "--baseline", str(base_path)]
-        ) == 0
-        assert "PASS" in capsys.readouterr().out
-
-        worse = json.loads(json.dumps(base))
-        worse["totals"]["serial"]["sat_queries"] = 130  # +30%
-        worse_path = tmp_path / "worse.json"
-        worse_path.write_text(json.dumps(worse))
-        json_out = tmp_path / "cmp.json"
-        rc = main(
-            [
-                "bench",
-                "compare",
-                str(worse_path),
-                "--baseline",
-                str(base_path),
-                "--json",
-                str(json_out),
-            ]
-        )
-        assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
-        verdict = json.loads(json_out.read_text())
-        assert verdict["passed"] is False
-        # A looser explicit threshold lets the same report through.
-        assert main(
-            [
-                "bench",
-                "compare",
-                str(worse_path),
-                "--baseline",
-                str(base_path),
-                "--threshold",
-                "sat_queries=50",
-            ]
-        ) == 0
-
-    def test_bench_compare_bad_inputs(self, tmp_path, capsys):
-        assert main(
-            ["bench", "compare", str(tmp_path / "missing.json")]
-        ) == 2
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"no_totals": 1}')
-        assert main(["bench", "compare", str(bad), "--baseline", str(bad)]) == 2

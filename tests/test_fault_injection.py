@@ -144,14 +144,17 @@ class TestResourceFaults:
         return circuit, list(sample_mutations(circuit, count=count, seed=seed))
 
     def test_bdd_starvation_never_flips_verdicts(self):
+        from repro.cec import CecOptions
         from repro.runtime.budget import Budget
 
         circuit, pairs = self._mutant_pairs(seed=11)
+        ladder = CecOptions(engines=("structural", "sim", "bdd", "sat"))
         for mutation, mutant in pairs:
             baseline = check_sequential_equivalence(circuit, mutant)
             starved = check_sequential_equivalence(
                 circuit,
                 mutant,
+                options=ladder,
                 budget=Budget(wall_seconds=30.0, bdd_nodes=4),
             )
             assert starved.verdict in (
