@@ -30,7 +30,10 @@ from repro.core.expose import prepare_circuit
 from repro.core.verify import SeqVerdict
 from repro.netlist.circuit import Circuit
 from repro.obs.trace import coerce_tracer
-from repro.retime.apply import retime_min_area, retime_min_period
+from repro.retime.apply import apply_retiming, retime_min_area, retime_min_period
+from repro.retime.minarea import min_area_retiming
+from repro.retime.minperiod import min_period_retiming
+from repro.retime.rgraph import build_retiming_graph
 from repro.synth.depth import circuit_depth
 from repro.synth.script import optimize_sequential_delay
 from repro.synth.techmap import mapped_stats, tech_map
@@ -197,6 +200,8 @@ def run_flow(
         result.latches["B"] = b_circuit.num_latches() + n_exposed
 
         # Step 3 first: D = combinational optimisation of A (baseline delay).
+        # Synthesis is deterministic, and tech_map and the retimers return new
+        # circuits, so copies of D serve as F0 and G0 and a copy of C0 as E0.
         opt_span = tracer.span("flow.phase.optimize", cat="phase")
         d_circuit = optimize_sequential_delay(circuit, effort, name=circuit.name + "_D")
         _measure(result, "D", d_circuit)
@@ -205,10 +210,10 @@ def run_flow(
         # Step 2: C = synth(B) -> min-period retiming -> resynthesis.  Circuits
         # whose remodelled latches carry derived enables fall back to the
         # class-aware incremental retimer (the capability the paper lacked).
-        c_circuit = optimize_sequential_delay(
+        c0_circuit = optimize_sequential_delay(
             b_circuit, effort, name=circuit.name + "_C0"
         )
-        c_circuit = _retime_min_period_any(c_circuit, result)
+        c_circuit = _retime_min_period_any(c0_circuit, result)
         c_circuit = optimize_sequential_delay(
             c_circuit, effort, name=circuit.name + "_C"
         )
@@ -216,25 +221,22 @@ def run_flow(
         result.latches["C"] = result.latches.get("C", 0) + n_exposed
 
         # Step 4: E = constrained min-area retiming of synth(B) at D's delay.
-        e_base = optimize_sequential_delay(b_circuit, effort, name=circuit.name + "_E0")
+        e_base = c0_circuit.copy(circuit.name + "_E0")
         e_period = max(d_depth, 1)
         try:
             e_retimed, _ = retime_min_area(e_base, period=e_period)
         except ValueError:
             e_retimed = None
             result.notes += "E needs class-aware min-area (not available); "
-        if e_retimed is None and "class-aware" in result.notes:
-            pass
-        elif e_retimed is None:
-            # Infeasible at D's delay: relax to E0's own min period.
-            from repro.retime.rgraph import build_retiming_graph
-            from repro.retime.minperiod import min_period_retiming
-            from repro.retime.apply import apply_retiming
-
-            graph = build_retiming_graph(e_base)
-            feas_period, _ = min_period_retiming(graph)
-            e_retimed, _ = retime_min_area(e_base, period=max(feas_period, e_period))
-            result.notes += "E relaxed; "
+        else:
+            if e_retimed is None:
+                # Infeasible at D's delay: relax to E0's own min period.
+                graph = build_retiming_graph(e_base)
+                feas_period, _ = min_period_retiming(graph)
+                r = min_area_retiming(graph, max(feas_period, e_period))
+                if r is not None:
+                    e_retimed = apply_retiming(e_base, graph, r)
+                result.notes += "E relaxed; "
         e_circuit = (
             optimize_sequential_delay(e_retimed, effort, name=circuit.name + "_E")
             if e_retimed is not None
@@ -247,10 +249,9 @@ def run_flow(
         # Steps 5-6: F and G on the unmodified A (optimisation-loss probes).
         if build_unexposed_variants:
             try:
-                f_circuit = optimize_sequential_delay(
-                    circuit, effort, name=circuit.name + "_F0"
+                f_circuit, _, _ = retime_min_period(
+                    d_circuit.copy(circuit.name + "_F0")
                 )
-                f_circuit, _, _ = retime_min_period(f_circuit)
                 f_circuit = optimize_sequential_delay(
                     f_circuit, effort, name=circuit.name + "_F"
                 )
@@ -258,10 +259,9 @@ def run_flow(
             except ValueError as exc:
                 result.notes += f"F skipped ({exc}); "
             try:
-                g_base = optimize_sequential_delay(
-                    circuit, effort, name=circuit.name + "_G0"
+                g_retimed, _ = retime_min_area(
+                    d_circuit.copy(circuit.name + "_G0"), period=max(d_depth, 1)
                 )
-                g_retimed, _ = retime_min_area(g_base, period=max(d_depth, 1))
                 if g_retimed is not None:
                     _measure(result, "G", g_retimed)
                 else:

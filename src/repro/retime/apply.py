@@ -18,9 +18,9 @@ is exactly why retiming needs no initial-state computation here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.netlist.circuit import Circuit, Gate, Latch
+from repro.netlist.circuit import Circuit
 from repro.netlist.cube import Sop
 from repro.retime.minarea import min_area_retiming
 from repro.retime.minperiod import clock_period, min_period_retiming

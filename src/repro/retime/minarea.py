@@ -37,9 +37,16 @@ def _solve_lp(
     constraints: List[Tuple[str, str, int]],  # (u, v, b): x_u - x_v <= b
     bound: float,
 ) -> Optional[Dict[str, int]]:
-    """Min Σ c_x·x subject to difference constraints (integral optimum)."""
+    """Min Σ c_x·x subject to difference constraints (integral optimum).
+
+    Row ``i`` of the constraint matrix holds +1 at ``x_u`` and −1 at
+    ``x_v``.  Building it sparse sums duplicate entries, and dropping the
+    explicit zeros that leaves (a ``u == v`` row) gives HiGHS the same
+    matrix it would get from the dense array.
+    """
     import numpy as np
     from scipy.optimize import linprog
+    from scipy.sparse import csc_array
 
     index = {v: i for i, v in enumerate(variables)}
     n = len(variables)
@@ -47,12 +54,15 @@ def _solve_lp(
     for v, coeff in objective.items():
         c[index[v]] += coeff
     rows = len(constraints)
-    a_ub = np.zeros((rows, n))
-    b_ub = np.zeros(rows)
-    for i, (u, v, b) in enumerate(constraints):
-        a_ub[i, index[u]] += 1.0
-        a_ub[i, index[v]] -= 1.0
-        b_ub[i] = b
+    cols = np.fromiter(
+        (index[x] for u, v, _ in constraints for x in (u, v)), np.intp, 2 * rows
+    )
+    a_ub = csc_array(
+        (np.tile([1.0, -1.0], rows), (np.repeat(np.arange(rows), 2), cols)),
+        shape=(rows, n),
+    )
+    a_ub.eliminate_zeros()
+    b_ub = np.fromiter((b for _, _, b in constraints), float, rows)
     result = linprog(
         c,
         A_ub=a_ub,
@@ -154,6 +164,7 @@ def min_area_retiming(
 
     bound = float(sum(e.weight for e in graph.edges) + len(graph.vertices) + 10)
     constraints = list(base_constraints)
+    existing = set(constraints)
     for _ in range(_MAX_ROUNDS):
         solution = _solve_lp(variables, objective, constraints, bound)
         if solution is None:
@@ -167,7 +178,6 @@ def min_area_retiming(
             return r
         extra = _critical_path_constraints(graph, r, period)
         added = False
-        existing = set(constraints)
         for con in extra:
             if con not in existing:
                 constraints.append(con)

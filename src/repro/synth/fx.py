@@ -6,6 +6,11 @@ divisors* (cube-free two-cube kernels arising from cube pairs) — count how
 many literals each saves across the whole network, extract the best as a
 new node, rewrite all users by algebraic division, and iterate until no
 candidate saves literals.
+
+Weak division by a divisor yields a quotient only on a cover that holds
+every literal of the divisor, so each iteration indexes the covers by
+literal and divides only those.  Savings, the tie-break and the extracted
+network are the same as dividing every cover.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.circuit import Circuit, Gate
-from repro.netlist.cube import Sop, cube_from_literals, cube_literals
-from repro.synth.division import common_cube, weak_divide
+from repro.netlist.cube import Sop, cube_from_literals
+from repro.synth.division import weak_divide
 from repro.synth.network import require_combinational
 
 __all__ = ["fast_extract"]
@@ -55,8 +60,23 @@ def _candidates_of(cover: Sequence[AlgCube]) -> Set[Divisor]:
     return found
 
 
+def _literal_index(covers: Dict[str, List[AlgCube]]) -> Dict[int, Set[str]]:
+    """Literal → names of the covers with that literal in some cube."""
+    index: Dict[int, Set[str]] = {}
+    for name, cover in covers.items():
+        for lit in frozenset().union(*cover):
+            index.setdefault(lit, set()).add(name)
+    return index
+
+
+def _holders(index: Dict[int, Set[str]], divisor: Divisor) -> Set[str]:
+    """Names of the covers holding every literal of the divisor."""
+    sets = sorted((index[lit] for cube in divisor for lit in cube), key=len)
+    return sets[0].intersection(*sets[1:])
+
+
 def _divisor_saving(
-    covers: Dict[str, List[AlgCube]], divisor: Divisor
+    covers: Dict[str, List[AlgCube]], index: Dict[int, Set[str]], divisor: Divisor
 ) -> int:
     """Literals saved by extracting the divisor as a node.
 
@@ -64,11 +84,14 @@ def _divisor_saving(
     literals) into ``|q|`` cubes of ``lits(q_i)+1`` literals, saving
     ``(|d|−1)·Σ lits(q) + |q|·lits(d) − |q|``.
     """
+    holders = _holders(index, divisor)
+    if len(holders) < 2:
+        return -1
     div_lits = sum(len(c) for c in divisor)
     saved = 0
     uses = 0
-    for cover in covers.values():
-        q, _ = weak_divide(cover, list(divisor))
+    for name in holders:
+        q, _ = weak_divide(covers[name], list(divisor))
         if q:
             uses += 1
             q_lits = sum(len(c) for c in q)
@@ -98,9 +121,10 @@ def fast_extract(
         candidates: Set[Divisor] = set()
         for cover in covers.values():
             candidates |= _candidates_of(cover)
+        index = _literal_index(covers)
         best: Optional[Tuple[int, Divisor]] = None
         for divisor in candidates:
-            saving = _divisor_saving(covers, divisor)
+            saving = _divisor_saving(covers, index, divisor)
             if saving > 0 and (
                 best is None
                 or saving > best[0]

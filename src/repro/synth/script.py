@@ -15,15 +15,13 @@ combinational-synthesis step of the retime-and-resynthesise loop).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.transform import combinational_core, rebuild_from_core
 from repro.synth.cse import strash
 from repro.synth.decomp import algebraic_decomp, tech_decomp
-from repro.synth.depth import circuit_depth, reduce_depth
+from repro.synth.depth import reduce_depth
 from repro.synth.eliminate import eliminate
 from repro.synth.fx import fast_extract
 from repro.synth.resub import resubstitute

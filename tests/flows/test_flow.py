@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench.iscas_like import build_table1_circuit
 from repro.bench.minmax import minmax_circuit
 from repro.core.verify import SeqVerdict
+from repro.flows import flow
 from repro.flows.flow import run_flow
 from repro.flows.report import render_table
-from repro.flows.table1 import format_table1, table1_row
+from repro.flows.table1 import QUICK_SET, format_table1, table1_row
 from repro.flows.table2 import format_table2, table2_row
+
+#: The deterministic columns of the ``--quick`` Table 1 rows.
+QUICK_COLUMNS = json.loads(
+    (Path(__file__).parents[1] / "data" / "table1_quick.json").read_text()
+)
 
 
 class TestRunFlow:
@@ -54,6 +63,52 @@ class TestRunFlow:
         assert "F" not in result.latches
         assert result.verify_verdict is SeqVerdict.EQUIVALENT
 
+    @pytest.mark.parametrize(
+        "unexposed, variants", [(True, "D C0 C E F"), (False, "D C0 C E")]
+    )
+    def test_synthesises_a_and_b_once(self, monkeypatch, unexposed, variants):
+        names = []
+        synthesise = flow.optimize_sequential_delay
+
+        def recording(circuit, effort="medium", name=None):
+            names.append(name)
+            return synthesise(circuit, effort, name=name)
+
+        monkeypatch.setattr(flow, "optimize_sequential_delay", recording)
+        run_flow(minmax_circuit(3), verify=False, build_unexposed_variants=unexposed)
+        assert names == ["minmax3_" + v for v in variants.split()]
+
+    def _e_flow(self, monkeypatch, first_e_call):
+        """The flow with the first min-area call (E's) replaced."""
+        retime = flow.retime_min_area
+        calls = []
+
+        def patched(circuit, period=None):
+            calls.append(period)
+            if len(calls) == 1:
+                return first_e_call(period)
+            return retime(circuit, period=period)
+
+        monkeypatch.setattr(flow, "retime_min_area", patched)
+        result = run_flow(
+            minmax_circuit(3), verify=False, build_unexposed_variants=False
+        )
+        assert len(calls) == 1
+        return result
+
+    def test_e_relaxed_when_infeasible_at_d_delay(self, monkeypatch):
+        result = self._e_flow(monkeypatch, lambda period: (None, period))
+        assert result.notes == "E relaxed; "
+        assert "E" in result.area
+
+    def test_e_skipped_without_classic_retiming(self, monkeypatch):
+        def derived_enables(period):
+            raise ValueError("derived logic")
+
+        result = self._e_flow(monkeypatch, derived_enables)
+        assert result.notes == "E needs class-aware min-area (not available); "
+        assert "E" not in result.area
+
     def test_flow_with_unateness(self):
         result = run_flow(minmax_circuit(3), use_unateness=True, verify=True)
         # minmax MIN/MAX updates are not positive unate bit-wise in general,
@@ -62,6 +117,25 @@ class TestRunFlow:
             SeqVerdict.EQUIVALENT,
             SeqVerdict.INCONCLUSIVE,
         )
+
+
+class TestQuickColumns:
+    def test_pins_every_quick_row(self):
+        assert sorted(QUICK_COLUMNS) == sorted(QUICK_SET)
+
+    @pytest.mark.parametrize("name", QUICK_SET)
+    def test_row_columns_unchanged(self, name):
+        row = table1_row(name)
+        assert {
+            "latches_a": row.latches_a,
+            "pct_exposed": row.pct_exposed,
+            "latches": row.latches,
+            "area": row.area,
+            "delay": row.delay,
+            "verdict": row.verify_verdict.value,
+            "notes": row.notes,
+            "status": row.status,
+        } == QUICK_COLUMNS[name]
 
 
 class TestHarnessFormatting:

@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+import scipy.optimize
+from scipy.sparse import csc_array
 
+from repro.bench.iscas_like import build_table1_circuit
 from repro.bench.pipeline import pipeline_circuit
 from repro.core.verify import check_sequential_equivalence
 from repro.netlist.build import CircuitBuilder
 from repro.netlist.validate import validate_circuit
+from repro.retime import minarea
 from repro.retime.apply import apply_retiming, retime_min_area, retime_min_period
 from repro.retime.minarea import min_area_retiming
 from repro.retime.minperiod import clock_period, feasible_retiming, min_period_retiming
 from repro.retime.rgraph import HOST, build_retiming_graph
+from repro.synth.script import optimize_sequential_delay
 
 
 def correlator():
@@ -177,3 +183,75 @@ class TestMinArea:
         r = min_area_retiming(g, period=clock_period(g), fixed=gates)
         assert r is not None
         assert all(r[v] == 0 for v in gates)
+
+
+def _solve_lp_dense(variables, objective, constraints, bound):
+    """Reference ``_solve_lp``: the same LP with a dense constraint matrix."""
+    index = {v: i for i, v in enumerate(variables)}
+    n = len(variables)
+    c = np.zeros(n)
+    for v, coeff in objective.items():
+        c[index[v]] += coeff
+    a_ub = np.zeros((len(constraints), n))
+    b_ub = np.zeros(len(constraints))
+    for i, (u, v, b) in enumerate(constraints):
+        a_ub[i, index[u]] += 1.0
+        a_ub[i, index[v]] -= 1.0
+        b_ub[i] = b
+    result = scipy.optimize.linprog(
+        c, A_ub=a_ub, b_ub=b_ub, bounds=[(-bound, bound)] * n, method="highs"
+    )
+    if not result.success:
+        return None
+    return {v: int(round(result.x[index[v]])) for v in variables}
+
+
+class TestSparseLp:
+    @pytest.mark.parametrize("name", ["minmax10", "s1423"])
+    def test_same_retiming_as_the_dense_lp(self, name, monkeypatch):
+        """Every LP of a min-area run on a synthesised Table 1 circuit."""
+        sparse = minarea._solve_lp
+        rounds = []
+
+        def both(variables, objective, constraints, bound):
+            solution = sparse(variables, objective, constraints, bound)
+            assert solution == _solve_lp_dense(variables, objective, constraints, bound)
+            rounds.append(len(constraints))
+            return solution
+
+        monkeypatch.setattr(minarea, "_solve_lp", both)
+        graph = build_retiming_graph(optimize_sequential_delay(build_table1_circuit(name)))
+        min_period, _ = min_period_retiming(graph)
+        for period in (min_period, clock_period(graph)):
+            assert min_area_retiming(graph, period) is not None
+        assert len(rounds) >= 2
+
+    def test_self_loop_and_repeated_rows(self, monkeypatch):
+        """A ``u == v`` row sums to zeros and a repeated row stays two rows:
+        HiGHS gets the matrix the dense array would give it."""
+        variables = ["a", "b", "c"]
+        objective = {"a": 1.0, "b": -2.0, "c": 1.0}
+        constraints = [
+            ("a", "a", 0),
+            ("a", "b", 1),
+            ("b", "c", 2),
+            ("a", "b", 1),
+            ("c", "a", -1),
+            ("b", "b", 3),
+        ]
+        linprog = scipy.optimize.linprog
+        matrices = []
+
+        def recording(c, A_ub, **kwargs):
+            matrices.append(csc_array(A_ub))
+            return linprog(c, A_ub=A_ub, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", recording)
+        solution = minarea._solve_lp(variables, objective, constraints, 10.0)
+        assert solution == _solve_lp_dense(variables, objective, constraints, 10.0)
+        assert solution is not None
+        sparse, dense = matrices
+        assert sparse.shape == dense.shape == (6, 3)
+        assert sparse.nnz == dense.nnz == 8
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sparse, field), getattr(dense, field))

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.iscas_like import build_table1_circuit
 from repro.bench.random_circuits import random_combinational
 from repro.cec.engine import check_equivalence
 from repro.netlist.build import CircuitBuilder
-from repro.netlist.circuit import Gate
+from repro.netlist.circuit import Circuit, Gate
 from repro.netlist.cube import Sop
 from repro.netlist.validate import validate_circuit
+from repro.synth import fx, script
 from repro.synth.decomp import algebraic_decomp, tech_decomp
 from repro.synth.depth import circuit_depth, reduce_depth
+from repro.synth.division import weak_divide
 from repro.synth.eliminate import eliminate, node_value
 from repro.synth.fx import fast_extract
 from repro.synth.network import compose_sop, fanout_counts
@@ -232,6 +237,110 @@ class TestResub:
         resubstitute(c)
         assert c.gates == reference.gates
         assert list(c.gates) == list(reference.gates)
+
+
+def _saving_all_covers(covers, divisor):
+    """Reference ``_divisor_saving``: weak-divides every cover."""
+    div_lits = sum(len(c) for c in divisor)
+    saved = 0
+    uses = 0
+    for cover in covers.values():
+        q, _ = weak_divide(cover, list(divisor))
+        if q:
+            uses += 1
+            q_lits = sum(len(c) for c in q)
+            saved += (len(divisor) - 1) * q_lits + len(q) * div_lits - len(q)
+    if uses < 2:
+        return -1
+    return saved - div_lits
+
+
+def _fx_all_covers(circuit, max_iterations=50, max_node_cubes=40):
+    """Reference ``fast_extract``: no literal index, every cover scanned."""
+    for counter in range(1, max_iterations + 1):
+        signals = list(circuit.signals())
+        global_index = {s: i for i, s in enumerate(signals)}
+        covers = {
+            name: fx._node_alg(gate, global_index)
+            for name, gate in circuit.gates.items()
+            if 2 <= len(gate.sop.cubes) <= max_node_cubes
+        }
+        best = None
+        for divisor in set().union(*map(fx._candidates_of, covers.values())):
+            saving = _saving_all_covers(covers, divisor)
+            if saving > 0 and (
+                best is None
+                or saving > best[0]
+                or (saving == best[0] and fx._div_key(divisor) < fx._div_key(best[1]))
+            ):
+                best = (saving, divisor)
+        if best is None:
+            return
+        fx._extract(circuit, best[1], signals, global_index, covers, counter)
+
+
+def _sop_network(seed, n_inputs=7, n_gates=10):
+    """Multi-cube gates over a few shared inputs, so fx finds divisors."""
+    rng = random.Random(seed)
+    c = Circuit(f"sop{seed}")
+    inputs = [f"x{i}" for i in range(n_inputs)]
+    for x in inputs:
+        c.add_input(x)
+    for g in range(n_gates):
+        fanins = tuple(rng.sample(inputs, rng.randint(3, 5)))
+        cubes = {"1" + "-" * (len(fanins) - 1), "-0" + "-" * (len(fanins) - 2)}
+        for _ in range(rng.randint(1, 5)):
+            cubes.add("".join(rng.choice("01--") for _ in fanins))
+        c.add_gate(f"g{g}", fanins, Sop(len(fanins), tuple(sorted(cubes))))
+        c.add_output(f"g{g}")
+    return c
+
+
+def _extracted(circuit):
+    return [
+        (g.output, g.inputs, g.sop.cubes)
+        for name, g in circuit.gates.items()
+        if name.startswith("__fx")
+    ]
+
+
+class TestFx:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_same_network_as_the_all_covers_scan(self, seed):
+        c = _sop_network(seed)
+        reference = c.copy("ref")
+        _fx_all_covers(reference)
+        fast_extract(c)
+        assert c.gates == reference.gates
+        assert list(c.gates) == list(reference.gates)
+
+    def test_sop_networks_give_fx_work(self):
+        extracted = [len(_extracted(fast_extract(_sop_network(s)))) for s in range(16)]
+        assert sum(extracted) >= 16
+
+    def test_minmax_row_divisors_pinned(self, monkeypatch):
+        """The divisors fx extracts while synthesising the minmax10 row's A."""
+        fx_inputs = []
+
+        def recording(circuit):
+            fx_inputs.append(circuit.copy())
+            return fast_extract(circuit)
+
+        monkeypatch.setattr(script, "fast_extract", recording)
+        script.optimize_sequential_delay(build_table1_circuit("minmax10"))
+        (c,) = fx_inputs
+        reference = c.copy("ref")
+        _fx_all_covers(reference)
+        fast_extract(c)
+        assert c.gates == reference.gates
+        assert list(c.gates) == list(reference.gates)
+        assert _extracted(c) == [
+            ("__fx1", ("r3", "max3"), ("1-", "-0")),
+            ("__fx2", ("r4", "min4"), ("0-", "-1")),
+            ("__fx3", ("r6", "max6"), ("1-", "-0")),
+            ("__fx4", ("r7", "min7"), ("0-", "-1")),
+            ("__fx5", ("r9", "max9"), ("1-", "-0")),
+        ]
 
 
 class TestComposeSop:
