@@ -16,11 +16,13 @@ The engine follows the filter architecture of the tools the paper cites
 A BDD-based engine (:func:`check_equivalence_bdd`) provides an independent
 cross-check for small circuits.
 
-Scaling layers on top of the serial filter pipeline:
+Scaling layers on top of the filter pipeline:
 
-* :mod:`repro.cec.partition` — cone-disjoint work units over the miter AIG;
-* :mod:`repro.cec.parallel` — a ``multiprocessing`` sweep dispatcher
-  (``check_equivalence(..., n_jobs=N)``), verdict-identical to serial;
+* :mod:`repro.cec.partition` — one work unit per cone-disjoint cluster
+  of signature classes over the miter AIG;
+* :mod:`repro.cec.parallel` — every unit swept on its own cone-sliced
+  solver, in-process at ``n_jobs=1`` or on a ``multiprocessing`` pool
+  (``check_equivalence(..., n_jobs=N)``), verdict-identical either way;
 * :mod:`repro.cec.cache` — a persistent proof cache keyed by canonical
   structural cone hashes, so repeated checks across a flow (or across
   runs) replay proven merges instead of re-solving them;

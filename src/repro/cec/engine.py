@@ -50,7 +50,8 @@ from repro.cec.parallel import (
     DEFERRED,
     UNKNOWN,
     UnitResult,
-    sweep_units_parallel,
+    sweep_unit_payloads,
+    sweep_units,
 )
 from repro.cec.partition import Candidate, WorkUnit, partition_candidates
 from repro.netlist.circuit import Circuit
@@ -63,7 +64,7 @@ from repro.runtime.budget import (
     Budget,
 )
 from repro.runtime.errors import BddBlowupError
-from repro.sat.cores import CoreIndex, core_retires
+from repro.sat.cores import CoreIndex
 from repro.sat.solver import Solver
 
 __all__ = [
@@ -120,7 +121,7 @@ _COUNTER_METRICS: Dict[str, str] = {
     "pool_failures": "cec.worker.pool_failures",
 }
 
-#: Parallel-sweep telemetry key (from ``sweep_units_parallel``) → metric.
+#: Sweep dispatch telemetry key (from ``sweep_units``) → metric.
 _TELEMETRY_METRICS: Dict[str, str] = {
     "worker_failures": "cec.worker.failures",
     "worker_timeouts": "cec.worker.timeouts",
@@ -182,7 +183,7 @@ class EngineStats:
     shared_clauses_folded: int = 0
     bdd_blowups: int = 0
     budget_exhausted: int = 0
-    # Fault-tolerance telemetry from the parallel sweep.
+    # Fault-tolerance telemetry from the sweep dispatch.
     worker_failures: int = 0
     worker_timeouts: int = 0
     worker_retries: int = 0
@@ -220,7 +221,7 @@ class EngineStats:
         return stats
 
     def worker_utilisation(self) -> float:
-        """Busy fraction of the worker pool during the parallel sweep."""
+        """Busy fraction of the ``n_jobs`` sweep lanes over the sweep wall."""
         if not self.worker_seconds or self.parallel_wall <= 0 or self.n_jobs < 1:
             return 0.0
         busy = sum(self.worker_seconds)
@@ -410,113 +411,6 @@ def _pair_key(cand: Candidate) -> Tuple[int, int, bool]:
     return (cand.rep, cand.node, cand.phase_equal)
 
 
-def _sweep_unit_serial(
-    solver: Solver,
-    lit2cnf,
-    unit: WorkUnit,
-    conflict_limit: Optional[int],
-    deadline: Optional[float] = None,
-    defer: bool = False,
-    collect_models: bool = False,
-    pi_nodes: Optional[Sequence[int]] = None,
-    cores: Optional[CoreIndex] = None,
-) -> UnitResult:
-    """Sweep one unit on the parent's incremental solver (the serial path).
-
-    ``defer`` / ``collect_models`` mirror the worker path: after one NEQ
-    in a signature class the class's remaining queries are deferred to
-    the refinement loop, and refuting models are shipped back as
-    ``{pi node: value}`` assignments (``pi_nodes`` lists the AIG's PI
-    node ids; their CNF variable is ``node + 1``).
-
-    ``cores`` is the run's shared :class:`~repro.sat.cores.CoreIndex`:
-    a query direction subsumed by a known core (or containing a
-    root-false assumption) is retired as UNSAT without a solver call —
-    counted on :attr:`UnitResult.core_retired` — and every fresh UNSAT
-    core feeds the index.
-    """
-    t0 = time.perf_counter()
-    statuses: List[str] = []
-    models: List[Optional[Dict[int, bool]]] = []
-    refuted_groups: Set[int] = set()
-    pi_vars = (
-        [(node + 1, node) for node in pi_nodes]
-        if collect_models and pi_nodes is not None
-        else []
-    )
-    sat_queries = 0
-    core_retired = 0
-
-    def record_neq(model: Optional[Dict[int, bool]]) -> None:
-        statuses.append(NEQ)
-        if collect_models and model is not None:
-            models.append(
-                {node: bool(model.get(var, False)) for var, node in pi_vars}
-            )
-        else:
-            models.append(None)
-
-    def query(assumptions: List[int]):
-        # One direction: "unsat" from a subsuming core or the solver,
-        # "sat" with the model, "unknown" on a resource limit.
-        nonlocal sat_queries, core_retired
-        if core_retires(solver, cores, assumptions):
-            core_retired += 1
-            return "unsat", None
-        res = solver.solve(
-            assumptions=assumptions,
-            conflict_limit=conflict_limit,
-            deadline=deadline,
-        )
-        sat_queries += 1
-        if solver.last_unknown:
-            return "unknown", None
-        if res.satisfiable:
-            return "sat", res.model
-        if cores is not None and res.core is not None:
-            cores.add(res.core)
-        return "unsat", None
-
-    for cand in unit.candidates:
-        if defer and cand.group in refuted_groups:
-            statuses.append(DEFERRED)
-            models.append(None)
-            continue
-        a = lit2cnf(cand.rep_lit)
-        b = lit2cnf(cand.node_lit)
-        # UNSAT(a != b) in both directions means equal.
-        outcome, model = query([a, -b])
-        if outcome == "sat":
-            record_neq(model)
-            refuted_groups.add(cand.group)
-            continue
-        if outcome == "unknown":
-            statuses.append(UNKNOWN)
-            models.append(None)
-            continue
-        outcome, model = query([-a, b])
-        if outcome == "sat":
-            record_neq(model)
-            refuted_groups.add(cand.group)
-            continue
-        if outcome == "unknown":
-            statuses.append(UNKNOWN)
-            models.append(None)
-            continue
-        # Proven equal: add merge clauses to help later queries.
-        solver.add_clause([-a, b])
-        solver.add_clause([a, -b])
-        statuses.append(EQ)
-        models.append(None)
-    return UnitResult(
-        statuses,
-        sat_queries,
-        time.perf_counter() - t0,
-        models=models if collect_models else None,
-        core_retired=core_retired,
-    )
-
-
 def _model_to_pattern(aig: AIG, model: Dict[int, bool]) -> Dict[str, bool]:
     """Translate a ``{pi node: value}`` model into a named PI assignment.
 
@@ -601,7 +495,7 @@ class _Check:
     phase)`` queries already decided, so they are never re-derived, and
     ``deferred_open`` the deferred queries that have not reappeared — at
     exit, the SAT queries refinement saved.  ``shared_pool`` is the
-    cross-worker clause pool: normalised clause → literals, insertion
+    sweep units' shared clause pool: normalised clause → literals, insertion
     ordered, capped at :data:`SHARED_POOL_CAP`.
     """
 
@@ -892,30 +786,23 @@ def _replay_cached(
     return pending
 
 
-def _sweep_parallel(
+def _sweep_units(
     check: _Check,
     units: Sequence[WorkUnit],
     sweep_limit: int,
     refining: bool,
 ) -> List[UnitResult]:
-    """Sweep one round's units on the worker pool."""
+    """Slice one round's units off the parent solver and sweep each one.
+
+    Every unit runs on its own solver over only its cone — in-process
+    at ``n_jobs=1``, on the worker pool otherwise.
+    """
     budget = check.budget
-    wall_remaining = budget.remaining() if budget is not None else None
-    # The pool window is a backstop above the in-worker deadline: it only
-    # fires when a worker is hung or dead, so give it a little slack
-    # before killing the pool.
-    unit_timeout = (
-        wall_remaining * 1.25 + 0.25 if wall_remaining is not None else None
-    )
-    telemetry: Dict[str, int] = {}
-    results = sweep_units_parallel(
+    payloads = sweep_unit_payloads(
         check.solver,
         units,
         sweep_limit,
-        check.n_jobs,
-        wall_remaining=wall_remaining,
-        unit_timeout=unit_timeout,
-        telemetry=telemetry,
+        deadline=budget.deadline if budget is not None else None,
         collect=check.tracer.enabled or check.caller_metrics is not None,
         trace_epoch=check.tracer.epoch,
         defer=refining,
@@ -928,6 +815,17 @@ def _sweep_parallel(
         ),
         known_cores=check.cores.export(),
     )
+    # The pool window is a backstop above the in-unit deadline: it only
+    # fires when a worker is hung or dead, so give it a little slack
+    # before killing the pool.
+    wall_remaining = budget.remaining() if budget is not None else None
+    unit_timeout = (
+        wall_remaining * 1.25 + 0.25 if wall_remaining is not None else None
+    )
+    telemetry: Dict[str, int] = {}
+    results = sweep_units(
+        payloads, check.n_jobs, unit_timeout=unit_timeout, telemetry=telemetry
+    )
     for key, value in telemetry.items():
         check.registry.inc(_TELEMETRY_METRICS[key], value)
     return results
@@ -939,18 +837,17 @@ def _fold_unit(
     unit: WorkUnit,
     result: UnitResult,
     sweep_span: Union[Span, NullSpan],
-    off_solver: bool,
     collected: Optional[List[Tuple[Candidate, Dict[str, bool]]]],
 ) -> bool:
     """Fold one unit's sweep result into the check; True if it deferred.
 
-    Worker events and metrics join the parent's.  The unit's solver
+    Unit events and metrics join the parent's.  The unit's solver
     knowledge comes home too: cores join the shared index and learned
-    clauses the cross-worker pool (worker results arrive already
-    remapped to the parent's variable space).  EQ candidates retire
-    their node, merged on the parent's solver when a worker proved them
-    ``off_solver``; NEQ and UNKNOWN ones are resolved, and NEQ models
-    land in ``collected`` as PI patterns when it is given.
+    clauses the shared pool (unit results arrive already remapped to
+    the parent's variable space).  EQ candidates retire their node and
+    are merged on the parent's solver; NEQ and UNKNOWN ones are
+    resolved, and NEQ models land in ``collected`` as PI patterns when
+    it is given.
     """
     registry, tracer, aig = check.registry, check.tracer, check.aig
     if result.events:
@@ -989,8 +886,7 @@ def _fold_unit(
     for ci, (cand, status) in enumerate(zip(unit.candidates, result.statuses)):
         if status == EQ:
             registry.inc("cec.sweep.merges")
-            if off_solver:
-                check.merge(cand)
+            check.merge(cand)
             check.active.discard(cand.node)
         elif status == NEQ:
             registry.inc("cec.sweep.refuted")
@@ -1026,7 +922,7 @@ def _sweep_round(
     registry, tracer, aig = check.registry, check.tracer, check.aig
     t_part = time.perf_counter()
     with tracer.span("cec.phase.partition", cat="phase"):
-        units = partition_candidates(aig, class_list, check.n_jobs)
+        units = partition_candidates(aig, class_list)
     registry.max_gauge("cec.n_units", len(units))
     check.add_seconds(
         "cec.phase.partition.seconds", time.perf_counter() - t_part
@@ -1036,28 +932,10 @@ def _sweep_round(
     sweep_span = tracer.span(
         "cec.phase.sweep", cat="phase", n_units=len(units), round=round_no
     )
-    parallel = check.n_jobs > 1 and len(units) > 1
-    if parallel:
-        results = _sweep_parallel(check, units, sweep_limit, refining)
-        check.add_seconds(
-            "cec.parallel.wall_seconds", time.perf_counter() - t_sweep
-        )
-    else:
-        deadline = check.budget.deadline if check.budget is not None else None
-        results = [
-            _sweep_unit_serial(
-                check.solver,
-                check.lit2cnf,
-                unit,
-                sweep_limit,
-                deadline=deadline,
-                defer=refining,
-                collect_models=refining,
-                pi_nodes=aig.pis,
-                cores=check.cores,
-            )
-            for unit in units
-        ]
+    results = _sweep_units(check, units, sweep_limit, refining)
+    check.add_seconds(
+        "cec.parallel.wall_seconds", time.perf_counter() - t_sweep
+    )
     collected: List[Tuple[Candidate, Dict[str, bool]]] = []
     deferred = False
     # Signature-class width per group id (members + representative) —
@@ -1074,16 +952,14 @@ def _sweep_round(
             unit,
             result,
             sweep_span,
-            off_solver=parallel,
             collected=collected if refining else None,
         ):
             deferred = True
         if not tracer.enabled:
             continue
         # One feature record per sweep candidate; unit seconds are
-        # apportioned evenly — workers time the unit, not individual
-        # queries.  The serial path never computes unit cones, so derive
-        # the candidate's own cone instead.
+        # apportioned evenly — units are timed whole, not per query.
+        # The cone is the candidate's own, not its unit's.
         seconds = result.seconds / max(1, len(unit.candidates))
         for cand, status in zip(unit.candidates, result.statuses):
             tracer.instant(
@@ -1298,9 +1174,11 @@ def check_equivalence(
     The check runs in phases: build the miter, preprocess it, encode it,
     SAT-sweep its simulation classes, then decide each output pair with
     the engine portfolio.  ``sweep=False`` skips the sweep (pure
-    monolithic SAT on the miter).  ``n_jobs > 1`` partitions the sweep
-    into cone-disjoint work units and proves them on a process pool
-    (verdict-identical to ``n_jobs=1``).  ``options.cache`` — a
+    monolithic SAT on the miter).  The sweep partitions its candidates
+    into cone-disjoint work units and proves each on its own solver over
+    only the unit's cone: one unit at a time in-process at ``n_jobs=1``,
+    on a process pool of ``n_jobs`` workers otherwise (verdict-identical
+    either way).  ``options.cache`` — a
     :class:`~repro.cec.cache.ProofCache` or a path to one — replays
     previously-proven candidate and output verdicts by structural cone
     hash, skipping their SAT queries entirely.
@@ -1342,9 +1220,9 @@ def check_equivalence(
     :class:`~repro.sat.cores.CoreIndex`; sweep and output queries whose
     assumptions a known core subsumes are retired without a solver call
     (``cec.sat.core_retired``).  ``options.share_learned`` (default on)
-    adds cross-worker clause sharing on top for parallel sweeps: each
-    worker's short/low-LBD learned clauses join a deduplicated pool that
-    seeds the next round's workers, respawned units, and — before the
+    adds clause sharing between the sweep's unit solvers on top: each
+    unit's short/low-LBD learned clauses join a deduplicated pool that
+    seeds the next round's units, respawned units, and — before the
     final output checks — the coordinator's own solver
     (``cec.parallel.shared_clauses_*``).  Both reduce work only; they
     never change a verdict.

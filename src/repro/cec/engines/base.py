@@ -275,10 +275,20 @@ def resolve_portfolio(
 # ----------------------------------------------------------------------
 # Counterexample plumbing shared by the proving adapters
 # ----------------------------------------------------------------------
-def extract_counterexample(aig, model: Dict[int, bool], lit2cnf):
-    """Named PI assignment from a SAT model (absent PIs default False)."""
+def extract_counterexample(
+    aig, model: Dict[int, bool], lit2cnf, lits: Sequence[int]
+) -> Dict[str, bool]:
+    """Named PI assignment from a SAT model, over the cone of ``lits``.
+
+    ``lits`` are the failing obligation's two literals.  PIs outside
+    their fanin cone cannot affect the pair, so they are False whatever
+    the model's saved phases say, as are PIs the model leaves unset: a
+    witness carries only the failing cone, and the sequential lift has
+    no stray True bits to minimise away.
+    """
+    cone = aig.cone_nodes(lits)
     return {
-        pi: bool(model.get(lit2cnf(2 * node), False))
+        pi: node in cone and bool(model.get(lit2cnf(2 * node), False))
         for node, pi in zip(aig.pis, aig.pi_names)
     }
 

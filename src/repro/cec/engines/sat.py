@@ -70,7 +70,9 @@ class SatEngine(EngineAdapter):
                 return EngineOutcome(UNKNOWN, reason=reason)
             if res.satisfiable:
                 assert res.model is not None
-                cex = extract_counterexample(ctx.aig, res.model, ctx.lit2cnf)
+                cex = extract_counterexample(
+                    ctx.aig, res.model, ctx.lit2cnf, (ob.l1, ob.l2)
+                )
                 validate_counterexample(ctx.aig, cex, ob.l1, ob.l2, ob.name)
                 ctx.metrics.inc("cec.cascade.sat")
                 return EngineOutcome(NEQ, counterexample=cex)

@@ -1,35 +1,30 @@
-"""Cone-aware partitioning of sweep candidates into parallel work units.
+"""Cone-disjoint partitioning of sweep candidates into work units.
 
 SAT sweeping proves candidate equivalences one signature class at a time,
 and each query only ever touches the CNF slice of the candidate pair's
-transitive fanin cone.  That makes the sweep embarrassingly parallel as
-long as work units are *cone-disjoint*: two classes whose cones share no
-AND node constrain disjoint clause sets, so solving them on separate
-solvers cannot change any outcome (the hybrid-sweeping parallelisation of
-Chen et al., arXiv:2501.14740).
+transitive fanin cone.  Two classes whose cones share no AND node
+constrain disjoint clause sets, so solving them on separate solvers
+cannot change any outcome (the hybrid-sweeping partitioning of Chen et
+al., arXiv:2501.14740).  Every sweep runs on such units, one solver per
+unit, whether the units are swept in-process or on a worker pool: a
+solver that holds only its unit's cone never decides, propagates or
+builds models over the rest of the miter.
 
-The partitioner therefore:
-
-1. computes the combined fanin cone of every signature class;
-2. clusters classes that share AND nodes (union-find), which yields the
-   finest cone-disjoint decomposition;
-3. greedily bins clusters into ``n_units`` units balanced by cone size
-   (the dominant solve-cost proxy).  When the union-find collapses nearly
-   everything into one cluster — common for tightly shared miters — the
-   oversized cluster is split at class granularity; the resulting units
-   overlap in cone nodes (duplicated clauses, never shared queries), which
-   costs redundant clause copies but preserves correctness and load
-   balance.
+The partitioner returns one unit per *cone-disjoint cluster*: classes
+whose cones share an AND node (transitively) land in the same unit,
+shared PIs and the constant never force a merge.  No AND node lies in
+two units' cones, so a merge proven in one unit can only matter to
+later queries of that same unit.
 
 Everything is deterministic: classes are processed in their given order,
-ties break on the lowest class index, and units list their candidates in
-topological (node id) order.
+units are listed by their first class, and each unit lists its
+candidates in topological (node id) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from repro.aig.aig import AIG
 
@@ -70,11 +65,6 @@ class WorkUnit:
     candidates: List[Candidate] = field(default_factory=list)
     cone: Set[int] = field(default_factory=set)
 
-    @property
-    def cost(self) -> int:
-        """Load-balancing proxy: clause volume plus query count."""
-        return len(self.cone) + len(self.candidates)
-
 
 def _find(parent: List[int], i: int) -> int:
     root = i
@@ -86,83 +76,47 @@ def _find(parent: List[int], i: int) -> int:
 
 
 def partition_candidates(
-    aig: AIG,
-    class_list: Sequence[Sequence[Candidate]],
-    n_units: int,
+    aig: AIG, class_list: Sequence[Sequence[Candidate]]
 ) -> List[WorkUnit]:
-    """Split signature classes into at most ``n_units`` work units.
+    """One work unit per cone-disjoint cluster of signature classes.
 
-    ``class_list`` holds one candidate list per signature class.  With
-    ``n_units <= 1`` (the serial path) everything lands in one unit and no
-    cones are computed — the caller sweeps on its own incremental solver.
+    ``class_list`` holds one candidate list per signature class.  Each
+    class walks its fanin cone and claims the AND nodes nobody owns yet;
+    reaching a node another class owns unions the two classes, and the
+    walk stops there (the owner's cluster already holds that node's whole
+    cone).  So every AND node is walked once per call, and a unit's cone
+    is its classes' owned AND nodes plus the PIs and constant they reach.
     """
-    flat = [cand for cls in class_list for cand in cls]
-    if n_units <= 1 or len(class_list) <= 1:
-        unit = WorkUnit(0, sorted(flat, key=lambda c: (c.node, c.rep)))
-        if n_units > 1 and flat:
-            unit.cone = aig.cone_nodes(
-                lit for c in flat for lit in (c.rep_lit, c.node_lit)
-            )
-        return [unit] if unit.candidates else []
-
-    cones: List[Set[int]] = []
-    for cls in class_list:
-        lits = [lit for c in cls for lit in (c.rep_lit, c.node_lit)]
-        cones.append(aig.cone_nodes(lits))
-
-    # Union-find over classes; two classes merge when their cones share an
-    # AND node.  Shared PIs (free variables) never force a merge.
     parent = list(range(len(class_list)))
     owner: Dict[int, int] = {}
-    for idx, cone in enumerate(cones):
-        for node in sorted(cone):
+    leaves: List[Set[int]] = []
+    for idx, cls in enumerate(class_list):
+        reached: Set[int] = set()
+        stack = [lit >> 1 for c in cls for lit in (c.rep_lit, c.node_lit)]
+        while stack:
+            node = stack.pop()
             if node == 0 or aig.is_pi_node(node):
+                reached.add(node)
                 continue
             prev = owner.get(node)
-            if prev is None:
-                owner[node] = idx
-            else:
+            if prev is not None:
                 ra, rb = _find(parent, prev), _find(parent, idx)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
+                continue
+            owner[node] = idx
+            f0, f1 = aig.fanins(node)
+            stack.append(f0 >> 1)
+            stack.append(f1 >> 1)
+        leaves.append(reached)
 
-    clusters: Dict[int, List[int]] = {}
-    for idx in range(len(class_list)):
-        clusters.setdefault(_find(parent, idx), []).append(idx)
-
-    # Pieces to bin: whole clusters, except oversized ones which are split
-    # back into their classes (sacrificing disjointness for balance).
-    total_cost = sum(len(c) for c in cones) + len(flat)
-    fair_share = max(1, (2 * total_cost) // n_units)
-    pieces: List[Tuple[int, List[int]]] = []  # (cost, class indices)
-    for root in sorted(clusters):
-        members = clusters[root]
-        cost = sum(len(cones[i]) + len(class_list[i]) for i in members)
-        if cost > fair_share and len(members) > 1:
-            for i in members:
-                pieces.append((len(cones[i]) + len(class_list[i]), [i]))
-        else:
-            pieces.append((cost, members))
-
-    # Greedy longest-processing-time binning, deterministic tie-breaks.
-    pieces.sort(key=lambda p: (-p[0], p[1][0]))
-    bins: List[List[int]] = [[] for _ in range(min(n_units, len(pieces)))]
-    loads = [0] * len(bins)
-    for cost, members in pieces:
-        b = loads.index(min(loads))
-        bins[b].extend(members)
-        loads[b] += cost
-
-    units: List[WorkUnit] = []
-    for bin_members in bins:
-        if not bin_members:
-            continue
-        candidates = sorted(
-            (cand for i in bin_members for cand in class_list[i]),
-            key=lambda c: (c.node, c.rep),
-        )
-        cone: Set[int] = set()
-        for i in bin_members:
-            cone |= cones[i]
-        units.append(WorkUnit(len(units), candidates, cone))
-    return units
+    units: Dict[int, WorkUnit] = {}
+    for idx, cls in enumerate(class_list):
+        unit = units.setdefault(_find(parent, idx), WorkUnit(len(units)))
+        unit.candidates.extend(cls)
+        unit.cone |= leaves[idx]
+    for node, idx in owner.items():
+        units[_find(parent, idx)].cone.add(node)
+    for unit in units.values():
+        unit.candidates.sort(key=lambda c: (c.node, c.rep))
+    return list(units.values())

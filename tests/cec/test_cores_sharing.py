@@ -32,7 +32,7 @@ from repro.cec.engine import (
     check_equivalence,
 )
 from repro.cec.miter import build_miter
-from repro.cec.parallel import _sweep_unit_worker, sweep_unit_payload
+from repro.cec.parallel import _sweep_unit_worker, sweep_unit_payloads
 from repro.cec.partition import partition_candidates
 from repro.netlist.build import CircuitBuilder
 from repro.sat.cores import CoreIndex, core_retires
@@ -225,13 +225,10 @@ def _unit_payloads(c1, c2, **payload_kwargs):
     signatures, mask = _initial_signatures(m.aig, 4, 64, 0)
     classes = _signature_classes(signatures, mask, range(m.aig.num_nodes()))
     units = partition_candidates(
-        m.aig, _class_candidates(m.aig, classes, signatures), 2
+        m.aig, _class_candidates(m.aig, classes, signatures)
     )
     assert units
-    return solver, [
-        sweep_unit_payload(solver, unit, 2000, **payload_kwargs)
-        for unit in units
-    ]
+    return solver, sweep_unit_payloads(solver, units, 2000, **payload_kwargs)
 
 
 class TestWorkerSharing:
@@ -273,9 +270,9 @@ class TestWorkerSharing:
         _, payloads = _unit_payloads(c1, c2)
         for payload, expected in zip(payloads, baseline):
             clause = next(
-                cl for cl in payload[1] if 1 < len(cl) <= 4
+                cl for cl in payload.clauses if 1 < len(cl) <= 4
             )
-            reshipped = payload[:11] + ([list(clause)],) + payload[12:]
+            reshipped = payload._replace(shared_clauses=[list(clause)])
             statuses, _nq, _el, _obs, _models, extras = _sweep_unit_worker(
                 reshipped
             )

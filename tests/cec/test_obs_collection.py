@@ -19,22 +19,24 @@ from repro.cec.engine import (
     check_equivalence,
 )
 from repro.cec.miter import build_miter
-from repro.cec.parallel import EQ, NEQ, UNKNOWN, sweep_units_parallel
+from repro.cec.parallel import (
+    EQ,
+    NEQ,
+    UNKNOWN,
+    sweep_unit_payloads,
+    sweep_units,
+)
 from repro.cec.partition import partition_candidates
 from repro.obs.schema import validate_events
 from repro.obs.trace import Tracer
 from repro.sat.solver import Solver
 
+from tests.cec.test_robustness import multi_block_pair
 from tests.cec.test_sweep_parallel import xor_chain, xor_tree
 
 
-def solver_and_units(n_units=2, n=8):
-    """A loaded parent solver plus self-contained work units.
-
-    ``n_units`` must be >= 2: a 1-way partition skips cone computation
-    (the serial sweep never ships payloads), so its units cannot be
-    exported to workers.
-    """
+def solver_and_units(n=8):
+    """A loaded parent solver plus its cone-disjoint work units."""
     miter = build_miter(xor_chain(n), xor_tree(n))
     cnf, _ = miter.aig.to_cnf()
     solver = Solver()
@@ -42,16 +44,16 @@ def solver_and_units(n_units=2, n=8):
     signatures, mask = _initial_signatures(miter.aig, 4, 64, 0)
     classes = _signature_classes(signatures, mask, range(miter.aig.num_nodes()))
     units = partition_candidates(
-        miter.aig, _class_candidates(miter.aig, classes, signatures), n_units
+        miter.aig, _class_candidates(miter.aig, classes, signatures)
     )
     return solver, units
 
 
 class TestWorkerCollection:
     def test_collect_ships_metrics_and_spans(self):
-        solver, units = solver_and_units(n_units=2)
-        results = sweep_units_parallel(
-            solver, units, 2000, n_jobs=1, collect=True, trace_epoch=0.0
+        solver, units = solver_and_units()
+        results = sweep_units(
+            sweep_unit_payloads(solver, units, 2000, collect=True), n_jobs=1
         )
         assert len(results) == len(units)
         for index, (unit, result) in enumerate(zip(units, results)):
@@ -67,25 +69,28 @@ class TestWorkerCollection:
 
     def test_collect_off_ships_nothing(self):
         solver, units = solver_and_units()
-        for result in sweep_units_parallel(solver, units, 2000, n_jobs=1):
+        payloads = sweep_unit_payloads(solver, units, 2000)
+        for result in sweep_units(payloads, n_jobs=1):
             assert result.events is None
             assert result.metrics is None
             assert result.error is None
 
     def test_worker_spans_land_in_engine_trace(self):
-        tracer = Tracer(sink=[])
-        result = check_equivalence(
-            xor_chain(16), xor_tree(16), n_jobs=4, tracer=tracer
-        )
-        tracer.close()
-        events = tracer.events
-        assert validate_events(events) == []
-        unit_spans = [
-            e
-            for e in events
-            if e["type"] == "span" and e["name"] == "sweep.unit"
-        ]
-        if result.stats["n_units"] > 1:
+        # One sweep round of one unit per block, pooled or in-process.
+        for n_jobs in (1, 4):
+            tracer = Tracer(sink=[])
+            result = check_equivalence(
+                *multi_block_pair(), n_jobs=n_jobs, tracer=tracer
+            )
+            tracer.close()
+            events = tracer.events
+            assert validate_events(events) == []
+            unit_spans = [
+                e
+                for e in events
+                if e["type"] == "span" and e["name"] == "sweep.unit"
+            ]
+            assert result.stats["n_units"] == 4
             assert len(unit_spans) == result.stats["n_units"]
             sweep = next(
                 e
@@ -117,14 +122,16 @@ class FailingSolver(Solver):
 
 class TestPartialStatPreservation:
     def test_lost_unit_keeps_partial_statuses_and_queries(self, monkeypatch):
-        solver, units = solver_and_units(n_units=2)
-        (unit,) = units  # the 8-input pair partitions into one real unit
+        solver, units = solver_and_units()
+        (unit,) = units  # the 8-input pair is one cone-disjoint cluster
         assert len(unit.candidates) >= 2
         FailingSolver.calls = 0
         FailingSolver.fail_after = 3  # first candidate decided, then die
         monkeypatch.setattr(parallel, "Solver", FailingSolver)
-        (result,) = sweep_units_parallel(
-            solver, units, 2000, n_jobs=1, backoff_seconds=0.0
+        (result,) = sweep_units(
+            sweep_unit_payloads(solver, units, 2000),
+            n_jobs=1,
+            backoff_seconds=0.0,
         )
         assert result.error is not None
         assert len(result.statuses) == len(unit.candidates)
@@ -137,13 +144,15 @@ class TestPartialStatPreservation:
         assert result.seconds > 0.0
 
     def test_immediate_death_degrades_to_all_unknown(self, monkeypatch):
-        solver, units = solver_and_units(n_units=2)
+        solver, units = solver_and_units()
         (unit,) = units
         FailingSolver.calls = 0
         FailingSolver.fail_after = 0
         monkeypatch.setattr(parallel, "Solver", FailingSolver)
-        (result,) = sweep_units_parallel(
-            solver, units, 2000, n_jobs=1, backoff_seconds=0.0
+        (result,) = sweep_units(
+            sweep_unit_payloads(solver, units, 2000),
+            n_jobs=1,
+            backoff_seconds=0.0,
         )
         assert result.error is not None
         assert result.statuses == [UNKNOWN] * len(unit.candidates)
@@ -152,17 +161,17 @@ class TestPartialStatPreservation:
     def test_lost_units_surface_in_engine_stats_and_trace(self, monkeypatch):
         # Engine level: dying workers must show up as contained failures
         # (telemetry counters, sweep unknowns, lost-unit instants) while
-        # the verdict stays identical to the serial run.
-        plain = check_equivalence(xor_chain(16), xor_tree(16))
+        # the verdict stays identical to the serial run.  The pool only
+        # runs with two units or more, so the miter has one per block.
+        plain = check_equivalence(*multi_block_pair())
         FailingSolver.calls = 0
         FailingSolver.fail_after = 1  # die mid-candidate, retries too
         monkeypatch.setattr(parallel, "Solver", FailingSolver)
         tracer = Tracer(sink=[])
-        faulty = check_equivalence(
-            xor_chain(16), xor_tree(16), n_jobs=4, tracer=tracer
-        )
+        faulty = check_equivalence(*multi_block_pair(), n_jobs=4, tracer=tracer)
         tracer.close()
         assert faulty.verdict is plain.verdict
+        assert faulty.stats["n_units"] >= 2
         assert faulty.stats["worker_failures"] > 0
         assert faulty.stats["units_requeued"] > 0
         assert faulty.stats["sweep_unknown"] > 0

@@ -228,8 +228,8 @@ class TestWorkerFaults:
         serial = check_equivalence(c1, c2, n_jobs=1)
 
         def hang_in_pool(payload):
-            # The hook runs in fork children AND on the serial requeue
-            # path; hang only in children so the requeue succeeds.
+            # The hook runs in fork children AND on the in-process
+            # requeue; hang only in children so the requeue succeeds.
             import multiprocessing
 
             if multiprocessing.parent_process() is not None:

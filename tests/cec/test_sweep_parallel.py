@@ -24,7 +24,7 @@ from repro.cec.engine import (
 )
 from repro.cec.engines import validate_counterexample
 from repro.cec.miter import build_miter
-from repro.cec.parallel import sweep_unit_payload
+from repro.cec.parallel import sweep_unit_payloads
 from repro.cec.partition import partition_candidates
 from repro.core.cbf import compute_cbf
 from repro.core.eq2comb import cbf_to_circuit
@@ -34,7 +34,7 @@ from repro.netlist.build import CircuitBuilder
 from repro.retime.apply import retime_min_period
 from repro.sat.solver import Solver
 from repro.sim.logic2 import simulate
-from repro.synth.script import optimize_sequential_delay
+from repro.synth.script import optimize_sequential_delay, script_delay
 
 
 def xor_chain(n, name="chain"):
@@ -78,54 +78,104 @@ def retimed_resynthesised_pair(seed=0):
     return lowered_cbf_pair(c1, resynth)
 
 
+def _sweep_classes(aig):
+    """Signature-class candidates straight from the engine's helpers."""
+    from repro.cec.engine import (
+        _class_candidates,
+        _initial_signatures,
+        _signature_classes,
+    )
+
+    signatures, mask = _initial_signatures(aig, rounds=4, width=64, seed=0)
+    classes = _signature_classes(signatures, mask, range(aig.num_nodes()))
+    return _class_candidates(aig, classes, signatures)
+
+
+def _partition_miters():
+    """XOR chain/tree miters plus seeded random ones, some multi-cluster."""
+    yield build_miter(xor_chain(16), xor_tree(16))
+    yield build_miter(xor_chain(9, "a"), xor_tree(9, "b"))
+    for seed in range(3):
+        c1 = random_combinational(n_inputs=8, n_gates=60, seed=seed)
+        resynth = c1.copy("resynth")
+        script_delay(resynth)
+        yield build_miter(c1, resynth)
+        other = random_combinational(
+            n_inputs=8, n_gates=60, seed=seed + 10, name="other"
+        )
+        yield build_miter(c1, other)
+
+
+def _reference_clusters(aig, class_list):
+    """Cone-disjoint clusters the slow way: full cones, pairwise overlap."""
+    ands = [
+        {
+            n
+            for n in aig.cone_nodes(
+                lit for c in cls for lit in (c.rep_lit, c.node_lit)
+            )
+            if n and not aig.is_pi_node(n)
+        }
+        for cls in class_list
+    ]
+    cluster = list(range(len(class_list)))
+    for i in range(len(class_list)):
+        for j in range(i):
+            if ands[i] & ands[j] and cluster[i] != cluster[j]:
+                old, new = cluster[i], cluster[j]
+                cluster = [new if c == old else c for c in cluster]
+    return len(set(cluster))
+
+
 class TestPartition:
-    def _classes(self, aig, n=None):
-        """Signature-class candidates straight from the engine's helpers."""
-        from repro.cec.engine import (
-            _class_candidates,
-            _initial_signatures,
-            _signature_classes,
-        )
-
-        signatures, mask = _initial_signatures(aig, rounds=4, width=64, seed=0)
-        classes = _signature_classes(signatures, mask, range(aig.num_nodes()))
-        return _class_candidates(aig, classes, signatures)
-
     def test_units_cover_all_candidates_once(self):
-        m = build_miter(xor_chain(16), xor_tree(16))
-        class_list = self._classes(m.aig)
-        flat = sorted(
-            (c.rep, c.node, c.phase_equal)
-            for cls in class_list
-            for c in cls
-        )
-        for n_units in (1, 2, 4, 8):
-            units = partition_candidates(m.aig, class_list, n_units)
+        for m in _partition_miters():
+            class_list = _sweep_classes(m.aig)
+            units = partition_candidates(m.aig, class_list)
+            flat = sorted(
+                (c.rep, c.node, c.phase_equal)
+                for cls in class_list
+                for c in cls
+            )
             got = sorted(
                 (c.rep, c.node, c.phase_equal)
                 for u in units
                 for c in u.candidates
             )
             assert got == flat
-            assert len(units) <= max(1, n_units)
+
+    def test_one_unit_per_cone_disjoint_cluster(self):
+        counts = []
+        for m in _partition_miters():
+            class_list = _sweep_classes(m.aig)
+            units = partition_candidates(m.aig, class_list)
+            seen = set()
+            for unit in units:
+                unit_ands = {
+                    n for n in unit.cone if n and not m.aig.is_pi_node(n)
+                }
+                assert not unit_ands & seen  # no AND node in two units
+                seen |= unit_ands
+            assert len(units) == _reference_clusters(m.aig, class_list)
+            assert [u.index for u in units] == list(range(len(units)))
+            counts.append(len(units))
+        assert max(counts) > 1  # some miter has several clusters
 
     def test_units_contain_their_cones(self):
-        m = build_miter(xor_chain(16), xor_tree(16))
-        class_list = self._classes(m.aig)
-        units = partition_candidates(m.aig, class_list, 4)
-        assert len(units) > 1
-        for unit in units:
-            for cand in unit.candidates:
-                cone = m.aig.cone_nodes([cand.rep_lit, cand.node_lit])
-                assert cone <= unit.cone
+        for m in _partition_miters():
+            units = partition_candidates(m.aig, _sweep_classes(m.aig))
+            for unit in units:
+                for cand in unit.candidates:
+                    cone = m.aig.cone_nodes([cand.rep_lit, cand.node_lit])
+                    assert cone <= unit.cone
 
     def test_partition_is_deterministic(self):
-        m = build_miter(xor_chain(16), xor_tree(16))
-        class_list = self._classes(m.aig)
-        a = partition_candidates(m.aig, class_list, 4)
-        b = partition_candidates(m.aig, class_list, 4)
-        assert [u.candidates for u in a] == [u.candidates for u in b]
-        assert [u.cone for u in a] == [u.cone for u in b]
+        for m in _partition_miters():
+            class_list = _sweep_classes(m.aig)
+            a = partition_candidates(m.aig, class_list)
+            b = partition_candidates(m.aig, class_list)
+            assert [u.candidates for u in a] == [u.candidates for u in b]
+            assert [u.cone for u in a] == [u.cone for u in b]
 
 
 class TestParallelSweep:
@@ -174,26 +224,13 @@ class TestParallelSweep:
         cnf, _ = m.aig.to_cnf()
         solver = Solver()
         assert solver.add_cnf(cnf)
-        from repro.cec.engine import (
-            _class_candidates,
-            _initial_signatures,
-            _signature_classes,
-        )
-
-        signatures, mask = _initial_signatures(m.aig, 4, 64, 0)
-        classes = _signature_classes(
-            signatures, mask, range(m.aig.num_nodes())
-        )
-        units = partition_candidates(
-            m.aig, _class_candidates(m.aig, classes, signatures), 2
-        )
-        for unit in units:
-            num_vars, clauses, queries = sweep_unit_payload(
-                solver, unit, 2000
-            )[:3]
-            assert len(queries) == len(unit.candidates)
-            for clause in clauses:
-                assert all(1 <= abs(lit) <= num_vars for lit in clause)
+        units = partition_candidates(m.aig, _sweep_classes(m.aig))
+        for unit, payload in zip(
+            units, sweep_unit_payloads(solver, units, 2000)
+        ):
+            assert len(payload.queries) == len(unit.candidates)
+            for clause in payload.clauses:
+                assert all(1 <= abs(lit) <= payload.num_vars for lit in clause)
 
 
 class TestProofCache:
