@@ -1,4 +1,4 @@
-"""CEC sweep benchmark: refine × preprocess × jobs matrix + sim throughput.
+"""CEC sweep benchmark: refine × preprocess matrix + sim throughput.
 
 Runs the sweep engine over a corpus of random-circuit pairs (resynthesised
 equivalents, mutated near-misses, and unrelated pairs) under deliberately
@@ -7,7 +7,7 @@ refinement matters — and writes ``BENCH_cec.json``:
 
 * per-pair and aggregate ``sat_queries`` / ``core_retired`` / refinement
   rounds across the full mode matrix: refinement on/off × preprocessing
-  on/off × serial/parallel (``n_jobs>1``);
+  on/off;
 * a hard assertion that every configuration returns the same verdict on
   every pair (the acceptance criterion for refinement *and* for the
   pre-sweep AIG rewriting);
@@ -49,16 +49,13 @@ from repro.synth.script import script_delay
 # classes, which is exactly what refinement is for.
 NARROW = dict(sim_rounds=1, sim_width=8)
 
-#: (mode name, engine options, sweep workers).
-MODES: List[Tuple[str, CecOptions, int]] = [
-    ("refine_serial", CecOptions(refine=True, preprocess=True), 1),
-    ("norefine_serial", CecOptions(refine=False, preprocess=True), 1),
-    ("refine_parallel", CecOptions(refine=True, preprocess=True), 4),
-    ("norefine_parallel", CecOptions(refine=False, preprocess=True), 4),
-    ("refine_serial_nopre", CecOptions(refine=True, preprocess=False), 1),
-    ("norefine_serial_nopre", CecOptions(refine=False, preprocess=False), 1),
-    ("refine_parallel_nopre", CecOptions(refine=True, preprocess=False), 4),
-    ("norefine_parallel_nopre", CecOptions(refine=False, preprocess=False), 4),
+#: (mode name, engine options).  The names keep their ``serial`` tag so
+#: the keys of ``BENCH_cec.json`` stay stable.
+MODES: List[Tuple[str, CecOptions]] = [
+    ("refine_serial", CecOptions(refine=True, preprocess=True)),
+    ("norefine_serial", CecOptions(refine=False, preprocess=True)),
+    ("refine_serial_nopre", CecOptions(refine=True, preprocess=False)),
+    ("norefine_serial_nopre", CecOptions(refine=False, preprocess=False)),
 ]
 
 #: Sizes (AND nodes) of the synthetic deep AIGs the throughput section
@@ -210,17 +207,13 @@ def preprocess_effect(pairs) -> List[Dict]:
 def run(pairs) -> Dict:
     """Every mode on every pair: per-pair rows, per-mode totals."""
     rows = []
-    totals = {
-        name: {"sat_queries": 0, "core_retired": 0} for name, _, _ in MODES
-    }
+    totals = {name: {"sat_queries": 0, "core_retired": 0} for name, _ in MODES}
     divergences = []
     for name, golden, revised in pairs:
         row = {"pair": name}
         verdicts = {}
-        for mode, options, n_jobs in MODES:
-            result = check_equivalence(
-                golden, revised, options, n_jobs=n_jobs, **NARROW
-            )
+        for mode, options in MODES:
+            result = check_equivalence(golden, revised, options, **NARROW)
             verdicts[mode] = result.verdict.value
             row[mode] = {
                 "verdict": result.verdict.value,
@@ -269,7 +262,7 @@ def main(argv=None) -> int:
         print(f"{mode:20s} sat_queries={agg['sat_queries']:6d} "
               f"core_retired={agg['core_retired']:5d}")
     print(f"refinement saved {report['sat_queries_saved_by_refinement']} "
-          f"SAT queries (serial)")
+          f"SAT queries")
     removed = sum(r["nodes_removed"] for r in report["preprocess"])
     print(f"preprocessing removed {removed} AND nodes across "
           f"{len(report['preprocess'])} miters")

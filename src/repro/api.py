@@ -151,12 +151,23 @@ def _blif_bytes(circuit: Union[str, os.PathLike, Circuit]) -> bytes:
 _CIRCUIT_FIELDS = ("golden", "revised")
 #: VerifyRequest fields holding a file path or a store object with a
 #: ``path`` attribute (:class:`~repro.cec.ProofCache`).
-_PATH_FIELDS = ("cache", "dispatch_store")
+_PATH_FIELDS = ("cache",)
 
-#: Deprecated VerifyRequest fields that no longer do anything, with
-#: their inert defaults.  They still load (manifests and stores written
-#: by 1.2) but warn when set; they are removed in 1.4.0.
-_INERT_FIELDS = {"dispatch_policy": "cascade", "dispatch_store": None}
+#: Deprecated VerifyRequest fields that no longer do anything: their
+#: inert default and why.  They still load (manifests and stores written
+#: by 1.3) but warn when set; they are removed in 1.5.0.
+_INERT_FIELDS = {
+    "jobs": (
+        1,
+        "the CEC sweep runs in-process; `repro batch --jobs` sets the "
+        "batch's worker lanes",
+    ),
+    "share_learned": (
+        True,
+        "learned-clause sharing between sweep units is gone; it never "
+        "changed a verdict or a SAT-query count",
+    ),
+}
 
 
 def _default(f) -> Any:
@@ -173,12 +184,11 @@ class VerifyRequest:
     :func:`repro.core.verify.check_sequential_equivalence`.  The engine
     fields carry the names and defaults of the
     :class:`~repro.cec.CecOptions` fields and become one value through
-    :meth:`cec_options`.  ``jobs`` and the resource fields describe the
-    run: the worker count and the per-request
-    :class:`~repro.runtime.Budget`.  A request serialises to a stable
-    JSON dict (:meth:`to_dict`) — the batch-manifest row format — and
-    hashes to a content-addressed :meth:`fingerprint` used for dedup and
-    store resume.
+    :meth:`cec_options`.  The resource fields describe the run: the
+    per-request :class:`~repro.runtime.Budget`.  A request serialises to
+    a stable JSON dict (:meth:`to_dict`) — the batch-manifest row format
+    — and hashes to a content-addressed :meth:`fingerprint` used for
+    dedup and store resume.
     """
 
     golden: Union[str, os.PathLike, Circuit]
@@ -190,7 +200,7 @@ class VerifyRequest:
     use_unateness: bool = True
     event_rewrite: bool = False
     validate_cex: bool = True
-    # Sweep worker processes: a run resource, not an engine option.
+    # Deprecated since 1.4.0 and inert: see _INERT_FIELDS.
     jobs: int = 1
     # Engine options (verdict-preserving; not fingerprinted), named as in
     # CecOptions.  ``cache`` may also be a live ProofCache (the Table 1
@@ -198,6 +208,7 @@ class VerifyRequest:
     cache: Union[None, str, os.PathLike, ProofCache] = None
     refine: bool = True
     preprocess: bool = True
+    # Deprecated since 1.4.0 and inert: see _INERT_FIELDS.
     share_learned: bool = True
     # Resource budget (None = unlimited).
     time_limit: Optional[float] = None
@@ -210,17 +221,13 @@ class VerifyRequest:
     # a list of adapter names (or a comma-separated string, normalised
     # to a list); None runs structural then SAT.
     engines: Optional[List[str]] = None
-    # Deprecated since 1.3.0 and inert: see _INERT_FIELDS.
-    dispatch_policy: str = "cascade"
-    dispatch_store: Union[None, str, os.PathLike] = None
 
     def __post_init__(self) -> None:
-        for name, inert in _INERT_FIELDS.items():
+        for name, (inert, why) in _INERT_FIELDS.items():
             if getattr(self, name) != inert:
                 warnings.warn(
-                    f"VerifyRequest.{name} is ignored since 1.3.0 and is "
-                    "removed in 1.4.0: it never changed a verdict; choose "
-                    "the CEC engines with engines=",
+                    f"VerifyRequest.{name} is ignored since 1.4.0 and is "
+                    f"removed in 1.5.0: {why}",
                     DeprecationWarning,
                     stacklevel=3,
                 )
@@ -283,9 +290,9 @@ class VerifyRequest:
         option, so two manifest rows naming byte-identical files dedup
         even under different names/paths, while requests differing in a
         way that can change the verdict never collide.  The engine
-        options (the :class:`~repro.cec.CecOptions` fields), ``jobs`` and
-        budgets are deliberately excluded: they affect *whether* a
-        verdict is reached, not which one.
+        options (the :class:`~repro.cec.CecOptions` fields), the inert
+        deprecated fields and budgets are deliberately excluded: they
+        affect *whether* a verdict is reached, not which one.
         """
         h = hashlib.sha256()
         h.update(_blif_bytes(self.golden))
@@ -550,7 +557,6 @@ def verify_pair(
         event_rewrite=request.event_rewrite,
         validate_cex=request.validate_cex,
         options=request.cec_options(),
-        n_jobs=request.jobs,
         budget=Budget.coerce(budget) if budget is not None else request.budget(),
         tracer=tracer,
         metrics=metrics,

@@ -20,9 +20,8 @@ Scaling layers on top of the filter pipeline:
 
 * :mod:`repro.cec.partition` — one work unit per cone-disjoint cluster
   of signature classes over the miter AIG;
-* :mod:`repro.cec.parallel` — every unit swept on its own cone-sliced
-  solver, in-process at ``n_jobs=1`` or on a ``multiprocessing`` pool
-  (``check_equivalence(..., n_jobs=N)``), verdict-identical either way;
+* :mod:`repro.cec.parallel` — every unit swept in-process, one at a
+  time, on its own cone-sliced solver;
 * :mod:`repro.cec.cache` — a persistent proof cache keyed by canonical
   structural cone hashes, so repeated checks across a flow (or across
   runs) replay proven merges instead of re-solving them;

@@ -15,8 +15,8 @@ Observability: the engine counts everything into one
 ``cec.*`` names are catalogued in ``docs/OBSERVABILITY.md``) and, when a
 :class:`~repro.obs.trace.Tracer` is passed, emits a span tree —
 ``cec.check`` (pair) → ``cec.phase.*`` → ``cec.obligation`` →
-``stage.<engine>`` — plus instants for budget exhaustion and
-lost/requeued sweep units.  :class:`EngineStats` is the flat view,
+``stage.<engine>`` — plus instants for budget exhaustion and lost
+sweep units.  :class:`EngineStats` is the flat view,
 rebuilt from the registry at finish (:meth:`EngineStats.from_metrics`),
 so ``CheckResult.stats`` and ``CheckResult.engine`` consumers see the
 same numbers.  The default tracer is the no-op
@@ -83,11 +83,6 @@ __all__ = [
 #: worst cases.
 DEFAULT_REFINE_ROUNDS = 8
 
-#: Cap on the cross-worker shared-clause pool.  Clause sharing is an
-#: accelerator; past this point the payload cost of shipping more peer
-#: clauses outweighs their pruning value, so later exports are dropped.
-SHARED_POOL_CAP = 4096
-
 #: EngineStats counter field → canonical registry metric.  One table used
 #: in both directions so the flat stats view and the metrics sink can
 #: never drift apart.
@@ -109,30 +104,13 @@ _COUNTER_METRICS: Dict[str, str] = {
     "cascade_bdd": "cec.cascade.bdd",
     "cascade_sat": "cec.cascade.sat",
     "core_retired": "cec.sat.core_retired",
-    "shared_clauses_exported": "cec.parallel.shared_clauses_exported",
-    "shared_clauses_imported": "cec.parallel.shared_clauses_imported",
-    "shared_clauses_folded": "cec.parallel.shared_clauses_folded",
     "bdd_blowups": "cec.bdd_blowups",
     "budget_exhausted": "cec.budget_exhausted",
     "worker_failures": "cec.worker.failures",
-    "worker_timeouts": "cec.worker.timeouts",
-    "worker_retries": "cec.worker.retries",
-    "units_requeued": "cec.worker.requeued",
-    "pool_failures": "cec.worker.pool_failures",
-}
-
-#: Sweep dispatch telemetry key (from ``sweep_units``) → metric.
-_TELEMETRY_METRICS: Dict[str, str] = {
-    "worker_failures": "cec.worker.failures",
-    "worker_timeouts": "cec.worker.timeouts",
-    "worker_retries": "cec.worker.retries",
-    "units_requeued": "cec.worker.requeued",
-    "pool_failures": "cec.worker.pool_failures",
 }
 
 _PHASE_PREFIX = "cec.phase."
 _PHASE_SUFFIX = ".seconds"
-_WORKER_SECONDS = "cec.worker.seconds"
 _ENGINE_PREFIX = "cec.engine."
 _ENGINE_DECIDED_SUFFIX = ".decided"
 
@@ -150,14 +128,13 @@ class EngineStats:
     Threaded through :func:`check_equivalence` into
     :class:`CheckResult.stats` (flattened via :meth:`as_dict`) so the flow
     harnesses and the CLI can report where the engine spends its time and
-    how much work the proof cache and the worker pool save.
+    how much work the proof cache and core retirement save.
 
     This is now a *view*: the engine counts into a
     :class:`~repro.obs.metrics.MetricsRegistry` and rebuilds this object
     from it at finish (:meth:`from_metrics`).
     """
 
-    n_jobs: int = 1
     n_units: int = 0
     sat_queries: int = 0
     sweep_candidates: int = 0
@@ -176,22 +153,13 @@ class EngineStats:
     cascade_sim: int = 0
     cascade_bdd: int = 0
     cascade_sat: int = 0
-    # Assumption-core retirement and cross-worker clause sharing.
+    # Assumption-core retirement.
     core_retired: int = 0
-    shared_clauses_exported: int = 0
-    shared_clauses_imported: int = 0
-    shared_clauses_folded: int = 0
     bdd_blowups: int = 0
     budget_exhausted: int = 0
-    # Fault-tolerance telemetry from the sweep dispatch.
+    # Sweep units lost to an exception.
     worker_failures: int = 0
-    worker_timeouts: int = 0
-    worker_retries: int = 0
-    units_requeued: int = 0
-    pool_failures: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    worker_seconds: List[float] = field(default_factory=list)
-    parallel_wall: float = 0.0
     #: Output obligations decided per engine adapter name (from the
     #: ``cec.engine.<name>.decided`` counters); sweep-decided candidates
     #: are not included — they are always SAT-decided by construction.
@@ -203,9 +171,7 @@ class EngineStats:
         stats = cls()
         for field_name, metric in _COUNTER_METRICS.items():
             setattr(stats, field_name, int(metrics.counter(metric)))
-        stats.n_jobs = int(metrics.gauge("cec.n_jobs", 1))
         stats.n_units = int(metrics.gauge("cec.n_units", 0))
-        stats.parallel_wall = metrics.gauge("cec.parallel.wall_seconds", 0.0)
         for name in metrics.names():
             if name.startswith(_PHASE_PREFIX) and name.endswith(_PHASE_SUFFIX):
                 phase = name[len(_PHASE_PREFIX) : -len(_PHASE_SUFFIX)]
@@ -217,15 +183,7 @@ class EngineStats:
                     len(_ENGINE_PREFIX) : -len(_ENGINE_DECIDED_SUFFIX)
                 ]
                 stats.engines_used[engine] = int(metrics.counter(name))
-        stats.worker_seconds = metrics.series(_WORKER_SECONDS)
         return stats
-
-    def worker_utilisation(self) -> float:
-        """Busy fraction of the ``n_jobs`` sweep lanes over the sweep wall."""
-        if not self.worker_seconds or self.parallel_wall <= 0 or self.n_jobs < 1:
-            return 0.0
-        busy = sum(self.worker_seconds)
-        return min(1.0, busy / (self.parallel_wall * self.n_jobs))
 
     def as_dict(self) -> Dict[str, float]:
         """Flatten to the numeric key/value form ``CheckResult.stats`` uses.
@@ -235,11 +193,9 @@ class EngineStats:
         compact view suppresses zeros at *render* time (see
         ``repro.flows.report.compact_stats``).
         """
-        out: Dict[str, float] = {"n_jobs": self.n_jobs, "n_units": self.n_units}
+        out: Dict[str, float] = {"n_units": self.n_units}
         for key in _COUNTER_METRICS:
             out[key] = getattr(self, key)
-        if self.worker_seconds:
-            out["worker_utilisation"] = self.worker_utilisation()
         for phase, seconds in self.phase_seconds.items():
             out[f"time_{phase}"] = seconds
         for engine, count in sorted(self.engines_used.items()):
@@ -486,21 +442,18 @@ class _Check:
     collects the flat ``CheckResult.stats`` entries as the phases produce
     them, and the encode phase sets ``aig`` / ``solver`` / ``lit2cnf``.
     ``cores`` gathers the assumption cores found anywhere in the check
-    (sweep, workers, output pairs); every query consults it before
-    burning a solver call.
+    (sweep units, output pairs); every query consults it before burning
+    a solver call.
 
     The sweep fields persist across refinement rounds: ``active`` holds
     the nodes still eligible for signature classes (EQ-proven nodes
     retire onto their representative), ``resolved`` the ``(rep, node,
     phase)`` queries already decided, so they are never re-derived, and
     ``deferred_open`` the deferred queries that have not reappeared — at
-    exit, the SAT queries refinement saved.  ``shared_pool`` is the
-    sweep units' shared clause pool: normalised clause → literals, insertion
-    ordered, capped at :data:`SHARED_POOL_CAP`.
+    exit, the SAT queries refinement saved.
     """
 
     options: CecOptions
-    n_jobs: int
     budget: Optional[Budget]
     tracer: Union[Tracer, NullTracer]
     registry: MetricsRegistry
@@ -516,7 +469,6 @@ class _Check:
     active: Set[int] = field(default_factory=set)
     resolved: Set[Tuple[int, int, bool]] = field(default_factory=set)
     deferred_open: Set[Tuple[int, int, bool]] = field(default_factory=set)
-    shared_pool: Dict[Tuple[int, ...], List[int]] = field(default_factory=dict)
 
     def expired(self) -> bool:
         """True once the check's wall-clock budget has run out."""
@@ -664,7 +616,6 @@ def _begin(
     c1: Circuit,
     c2: Circuit,
     options: CecOptions,
-    n_jobs: int,
     budget: Union[None, int, float, Budget],
     tracer: Union[None, Tracer, NullTracer],
     metrics: Optional[MetricsRegistry],
@@ -672,8 +623,6 @@ def _begin(
     """Open a check: its registry, proof cache, started budget, root span."""
     tracer = coerce_tracer(tracer)
     registry = MetricsRegistry()
-    n_jobs = max(1, int(n_jobs))
-    registry.set_gauge("cec.n_jobs", n_jobs)
     proof_cache = ProofCache.coerce(options.cache)
     if proof_cache is not None:
         proof_cache.attach_metrics(registry)
@@ -687,12 +636,10 @@ def _begin(
         cat="pair",
         c1=getattr(c1, "name", ""),
         c2=getattr(c2, "name", ""),
-        n_jobs=n_jobs,
         budgeted=budget is not None,
     )
     return _Check(
         options=options,
-        n_jobs=n_jobs,
         budget=budget,
         tracer=tracer,
         registry=registry,
@@ -786,102 +733,29 @@ def _replay_cached(
     return pending
 
 
-def _sweep_units(
-    check: _Check,
-    units: Sequence[WorkUnit],
-    sweep_limit: int,
-    refining: bool,
-) -> List[UnitResult]:
-    """Slice one round's units off the parent solver and sweep each one.
-
-    Every unit runs on its own solver over only its cone — in-process
-    at ``n_jobs=1``, on the worker pool otherwise.
-    """
-    budget = check.budget
-    payloads = sweep_unit_payloads(
-        check.solver,
-        units,
-        sweep_limit,
-        deadline=budget.deadline if budget is not None else None,
-        collect=check.tracer.enabled or check.caller_metrics is not None,
-        trace_epoch=check.tracer.epoch,
-        defer=refining,
-        collect_models=refining,
-        pi_nodes=check.aig.pis,
-        shared_clauses=(
-            list(check.shared_pool.values())
-            if check.options.share_learned
-            else None
-        ),
-        known_cores=check.cores.export(),
-    )
-    # The pool window is a backstop above the in-unit deadline: it only
-    # fires when a worker is hung or dead, so give it a little slack
-    # before killing the pool.
-    wall_remaining = budget.remaining() if budget is not None else None
-    unit_timeout = (
-        wall_remaining * 1.25 + 0.25 if wall_remaining is not None else None
-    )
-    telemetry: Dict[str, int] = {}
-    results = sweep_units(
-        payloads, check.n_jobs, unit_timeout=unit_timeout, telemetry=telemetry
-    )
-    for key, value in telemetry.items():
-        check.registry.inc(_TELEMETRY_METRICS[key], value)
-    return results
-
-
 def _fold_unit(
     check: _Check,
     index: int,
     unit: WorkUnit,
     result: UnitResult,
-    sweep_span: Union[Span, NullSpan],
     collected: Optional[List[Tuple[Candidate, Dict[str, bool]]]],
 ) -> bool:
     """Fold one unit's sweep result into the check; True if it deferred.
 
-    Unit events and metrics join the parent's.  The unit's solver
-    knowledge comes home too: cores join the shared index and learned
-    clauses the shared pool (unit results arrive already remapped to
-    the parent's variable space).  EQ candidates retire their node and
-    are merged on the parent's solver; NEQ and UNKNOWN ones are
-    resolved, and NEQ models land in ``collected`` as PI patterns when
-    it is given.
+    The unit's cores join the shared index (unit results arrive already
+    remapped to the parent's variable space).  EQ candidates retire
+    their node and are merged on the parent's solver; NEQ and UNKNOWN
+    ones are resolved, and NEQ models land in ``collected`` as PI
+    patterns when it is given.
     """
-    registry, tracer, aig = check.registry, check.tracer, check.aig
-    if result.events:
-        tracer.adopt(result.events, parent=sweep_span, worker=index)
-    if result.metrics:
-        registry.merge(result.metrics)
+    registry, aig = check.registry, check.aig
     if result.error:
-        tracer.instant(
-            "sweep.unit.lost",
-            unit=index,
-            error=result.error,
-            retries=result.retries,
-        )
-    elif result.retries:
-        tracer.instant(
-            "sweep.unit.requeued", unit=index, retries=result.retries
-        )
-    registry.append(_WORKER_SECONDS, result.seconds)
+        registry.inc("cec.worker.failures")
+        check.tracer.instant("sweep.unit.lost", unit=index, error=result.error)
     registry.inc("cec.sat_queries", result.sat_queries)
     if result.core_retired:
         registry.inc("cec.sat.core_retired", result.core_retired)
     check.cores.add_many(result.cores)
-    if check.options.share_learned and result.learned:
-        registry.inc(
-            "cec.parallel.shared_clauses_exported", len(result.learned)
-        )
-        for clause in result.learned:
-            if len(check.shared_pool) >= SHARED_POOL_CAP:
-                break
-            check.shared_pool.setdefault(tuple(sorted(clause)), list(clause))
-    if result.shared_imported:
-        registry.inc(
-            "cec.parallel.shared_clauses_imported", result.shared_imported
-        )
     deferred = False
     for ci, (cand, status) in enumerate(zip(unit.candidates, result.statuses)):
         if status == EQ:
@@ -929,13 +803,24 @@ def _sweep_round(
     )
 
     t_sweep = time.perf_counter()
+    budget = check.budget
     sweep_span = tracer.span(
         "cec.phase.sweep", cat="phase", n_units=len(units), round=round_no
     )
-    results = _sweep_units(check, units, sweep_limit, refining)
-    check.add_seconds(
-        "cec.parallel.wall_seconds", time.perf_counter() - t_sweep
+    payloads = sweep_unit_payloads(
+        check.solver,
+        units,
+        sweep_limit,
+        deadline=budget.deadline if budget is not None else None,
+        defer=refining,
+        collect_models=refining,
+        pi_nodes=aig.pis,
+        known_cores=check.cores.export(),
     )
+    # Unit solvers count ``sat.*`` only when a trace or the caller reads
+    # the registry: counting is ~2% of an untraced check's Python calls.
+    observed = tracer.enabled or check.caller_metrics is not None
+    results = sweep_units(payloads, tracer, registry if observed else None)
     collected: List[Tuple[Candidate, Dict[str, bool]]] = []
     deferred = False
     # Signature-class width per group id (members + representative) —
@@ -951,7 +836,6 @@ def _sweep_round(
             index,
             unit,
             result,
-            sweep_span,
             collected=collected if refining else None,
         ):
             deferred = True
@@ -1099,20 +983,13 @@ def _sweep(
             round_no += 1
             continue
         if deferred and refining:
-            # No usable model came back (e.g. a lost worker swallowed
-            # it) but queries were deferred on its account: finish them
-            # in one last non-deferring pass.
+            # No usable model came back (e.g. a lost unit swallowed it)
+            # but queries were deferred on its account: finish them in
+            # one last non-deferring pass.
             force_final = True
             continue
         break
     registry.inc("cec.refine.queries_saved", len(check.deferred_open))
-    if check.options.share_learned and check.shared_pool:
-        # Fold the workers' pooled learned clauses into the coordinator's
-        # solver so the final output queries start from everything the
-        # workers learned.
-        folded = check.solver.import_learned(check.shared_pool.values())
-        if folded:
-            registry.inc("cec.parallel.shared_clauses_folded", folded)
 
 
 def _finish(check: _Check, result: CheckResult) -> CheckResult:
@@ -1151,7 +1028,6 @@ def check_equivalence(
     c2: Circuit,
     options: Optional[CecOptions] = None,
     *,
-    n_jobs: int = 1,
     budget: Union[None, int, float, Budget] = None,
     tracer: Union[None, Tracer, NullTracer] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -1167,7 +1043,7 @@ def check_equivalence(
     The main entry point of the CEC substrate.  ``options`` — a
     :class:`~repro.cec.CecOptions`, None for the defaults — carries the
     engine options the layers above pass through; the run resources
-    (``n_jobs``, ``budget``, ``tracer``, ``metrics``) and the low-level
+    (``budget``, ``tracer``, ``metrics``) and the low-level
     sweep parameters (``sim_rounds``, ``sim_width``, ``sweep``,
     ``conflict_limit``, ``seed``, ``refine_rounds``) are keywords.
 
@@ -1175,10 +1051,8 @@ def check_equivalence(
     SAT-sweep its simulation classes, then decide each output pair with
     the engine portfolio.  ``sweep=False`` skips the sweep (pure
     monolithic SAT on the miter).  The sweep partitions its candidates
-    into cone-disjoint work units and proves each on its own solver over
-    only the unit's cone: one unit at a time in-process at ``n_jobs=1``,
-    on a process pool of ``n_jobs`` workers otherwise (verdict-identical
-    either way).  ``options.cache`` — a
+    into cone-disjoint work units and proves each, one at a time, on its
+    own solver over only the unit's cone.  ``options.cache`` — a
     :class:`~repro.cec.cache.ProofCache` or a path to one — replays
     previously-proven candidate and output verdicts by structural cone
     hash, skipping their SAT queries entirely.
@@ -1219,13 +1093,8 @@ def check_equivalence(
     Every UNSAT under assumptions feeds a shared
     :class:`~repro.sat.cores.CoreIndex`; sweep and output queries whose
     assumptions a known core subsumes are retired without a solver call
-    (``cec.sat.core_retired``).  ``options.share_learned`` (default on)
-    adds clause sharing between the sweep's unit solvers on top: each
-    unit's short/low-LBD learned clauses join a deduplicated pool that
-    seeds the next round's units, respawned units, and — before the
-    final output checks — the coordinator's own solver
-    (``cec.parallel.shared_clauses_*``).  Both reduce work only; they
-    never change a verdict.
+    (``cec.sat.core_retired``).  Retirement reduces work only; it never
+    changes a verdict.
     """
     if options is None:
         options = CecOptions()
@@ -1234,7 +1103,7 @@ def check_equivalence(
     portfolio = resolve_portfolio(
         options.engines if options.engines is not None else _DEFAULT_PORTFOLIO
     )
-    check = _begin(c1, c2, options, n_jobs, budget, tracer, metrics)
+    check = _begin(c1, c2, options, budget, tracer, metrics)
     if options.engines is not None:
         check.root.annotate(engines=",".join(a.name for a in portfolio))
     miter = _build(check, c1, c2)

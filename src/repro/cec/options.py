@@ -8,9 +8,9 @@ and the flows and :func:`repro.core.verify.check_sequential_equivalence`
 pass it whole to :func:`repro.cec.check_equivalence`, the only reader of
 its fields.
 
-Run resources — worker count, budget, tracer, metrics — are not engine
-options: they describe the host running a check, not the check, and stay
-separate keywords next to ``options``.
+Run resources — budget, tracer, metrics — are not engine options: they
+describe the run of a check, not the check, and stay separate keywords
+next to ``options``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ class CecOptions:
       re-split the simulation classes between sweep rounds.
     * ``preprocess`` — rewrite the miter AIG before sweeping (constant
       propagation, strashing, two-level rewrites, dead-node removal).
-    * ``share_learned`` — pool short learned clauses across parallel sweep
-      workers and into the final output checks.
     * ``engines`` — the output-check adapter portfolio (names or a comma
       list), walked in order; None runs ``structural`` then ``sat``.
     """
@@ -46,5 +44,4 @@ class CecOptions:
     cache: Union[None, str, os.PathLike, ProofCache] = None
     refine: bool = True
     preprocess: bool = True
-    share_learned: bool = True
     engines: Union[None, str, Sequence[str]] = None

@@ -6,9 +6,8 @@ transitive fanin cone.  Two classes whose cones share no AND node
 constrain disjoint clause sets, so solving them on separate solvers
 cannot change any outcome (the hybrid-sweeping partitioning of Chen et
 al., arXiv:2501.14740).  Every sweep runs on such units, one solver per
-unit, whether the units are swept in-process or on a worker pool: a
-solver that holds only its unit's cone never decides, propagates or
-builds models over the rest of the miter.
+unit: a solver that holds only its unit's cone never decides, propagates
+or builds models over the rest of the miter.
 
 The partitioner returns one unit per *cone-disjoint cluster*: classes
 whose cones share an AND node (transitively) land in the same unit,

@@ -3,9 +3,8 @@
 ::
 
     python -m repro verify  golden.blif revised.blif [--rewrite] [--no-unate]
-                            [--jobs N] [--cec-cache FILE] [--no-refine]
-                            [--no-preprocess] [--no-share-learned]
-                            [--time-limit S]
+                            [--cec-cache FILE] [--no-refine]
+                            [--no-preprocess] [--time-limit S]
                             [--bdd-node-limit N]
                             [--engines NAMES]
                             [--trace FILE] [--metrics-out FILE]
@@ -16,9 +15,8 @@
     python -m repro expose  circuit.blif [--weighted] [--no-unate] [-o out.blif]
     python -m repro stats   circuit.blif
     python -m repro table1  [--quick | --circuits NAME ...] [--unate]
-                            [--jobs N] [--cache FILE] [--no-refine]
-                            [--no-preprocess] [--no-share-learned]
-                            [--time-limit S]
+                            [--cache FILE] [--no-refine]
+                            [--no-preprocess] [--time-limit S]
                             [--on-error skip|abort] [--checkpoint FILE --resume]
                             [--trace FILE] [--metrics-out FILE]
     python -m repro table2  [--quick | --circuits NAME ...]
@@ -101,11 +99,9 @@ def _cmd_verify(args) -> int:
         revised=args.revised,
         use_unateness=not args.no_unate,
         event_rewrite=args.rewrite,
-        jobs=args.jobs,
         cache=args.cec_cache,
         refine=not args.no_refine,
         preprocess=not args.no_preprocess,
-        share_learned=not args.no_share_learned,
         time_limit=args.time_limit,
         bdd_node_limit=args.bdd_node_limit,
         engines=args.engines,
@@ -460,12 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vcd", default=None, help="dump a counterexample waveform to this VCD file")
     p.add_argument("--report", default=None, help="write a Markdown verification report")
     p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the CEC SAT sweep (default 1: serial)",
-    )
-    p.add_argument(
         "--cec-cache",
         default=None,
         help="persistent CEC proof-cache file (reused across runs)",
@@ -479,12 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-preprocess",
         action="store_true",
         help="disable pre-sweep AIG rewriting of the CEC miter",
-    )
-    p.add_argument(
-        "--no-share-learned",
-        action="store_true",
-        help="disable learned-clause and assumption-core pooling "
-        "across sweep workers",
     )
     p.add_argument(
         "--time-limit",

@@ -124,7 +124,6 @@ def check_sequential_equivalence(
     pinned: Sequence[str] = (),
     options: Optional[CecOptions] = None,
     *,
-    n_jobs: int = 1,
     budget=None,
     tracer=None,
     metrics=None,
@@ -143,12 +142,11 @@ def check_sequential_equivalence(
     ``options`` — a :class:`repro.cec.CecOptions` — is handed unchanged
     to :func:`repro.cec.check_equivalence` for the combinational check of
     the lowered pair; none of its settings changes a verdict.  The run
-    resources go to the same call: ``n_jobs`` worker processes for the
-    SAT sweep, and ``budget`` — a :class:`repro.runtime.Budget` or bare
-    wall-clock seconds — which resource-governs the CEC step; exhaustion
-    yields verdict UNKNOWN with :attr:`SeqCheckResult.reason` set instead
-    of a hang.  ``tracer`` / ``metrics`` — a
-    :class:`repro.obs.trace.Tracer` and a
+    resources go to the same call: ``budget`` — a
+    :class:`repro.runtime.Budget` or bare wall-clock seconds —
+    resource-governs the CEC step; exhaustion yields verdict UNKNOWN with
+    :attr:`SeqCheckResult.reason` set instead of a hang.  ``tracer`` /
+    ``metrics`` — a :class:`repro.obs.trace.Tracer` and a
     :class:`repro.obs.metrics.MetricsRegistry` — record the span tree
     (``seq.check`` → preparation/lowering phases → the CEC engine's own
     spans) and the full metric set; both default to no-ops.
@@ -196,7 +194,7 @@ def check_sequential_equivalence(
         else:
             c1p, c2p = c1, c2
 
-        run = dict(n_jobs=n_jobs, budget=budget, tracer=tracer, metrics=metrics)
+        run = dict(budget=budget, tracer=tracer, metrics=metrics)
         if "acyclic-enabled" in (kind1, kind2):
             result = _check_via_edbf(
                 c1p, c2p, event_rewrite, stats, options, **run
@@ -223,7 +221,6 @@ def _check_via_cbf(
     orig2: Circuit,
     options: Optional[CecOptions] = None,
     *,
-    n_jobs: int = 1,
     budget=None,
     tracer=None,
     metrics=None,
@@ -249,7 +246,6 @@ def _check_via_cbf(
         comb1,
         comb2,
         options,
-        n_jobs=n_jobs,
         budget=budget,
         tracer=tracer,
         metrics=metrics,
@@ -342,7 +338,6 @@ def _check_via_edbf(
     stats: Dict[str, float],
     options: Optional[CecOptions] = None,
     *,
-    n_jobs: int = 1,
     budget=None,
     tracer=None,
     metrics=None,
@@ -366,7 +361,6 @@ def _check_via_edbf(
         comb1,
         comb2,
         options,
-        n_jobs=n_jobs,
         budget=budget,
         tracer=tracer,
         metrics=metrics,

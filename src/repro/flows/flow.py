@@ -84,7 +84,7 @@ class FlowResult:
     verify_verdict: Optional[SeqVerdict] = None
     verify_reason: Optional[str] = None
     # Verification stats, including the CEC engine's ``cec_``-prefixed
-    # tracing fields (phase times, cache hits, worker utilisation).
+    # tracing fields (phase times, cache hits, sweep queries).
     verify_stats: Dict[str, float] = field(default_factory=dict)
     notes: str = ""
     status: str = "ok"
@@ -159,7 +159,6 @@ def run_flow(
     build_unexposed_variants: bool = True,
     options: Optional[CecOptions] = None,
     *,
-    n_jobs: int = 1,
     budget=None,
     tracer=None,
     metrics=None,
@@ -174,13 +173,13 @@ def run_flow(
     ``options`` (a :class:`repro.cec.CecOptions`) reaches the CEC engine
     inside the verification step unchanged — e.g. a proof cache shared
     across rows (and across runs) skips already-proven merges of
-    structurally recurring cones.  ``n_jobs`` sets the sweep's worker
-    processes and ``budget`` (a :class:`repro.runtime.Budget` or bare
-    seconds) resource-governs the verification step; exhaustion yields an
-    UNKNOWN verdict with :attr:`FlowResult.verify_reason` set, never a
-    hang.  ``tracer`` / ``metrics`` thread the observability sinks through
-    the flow: the row gets a ``flow.row`` span enclosing exposure,
-    synthesis, and the verification step's full span tree.
+    structurally recurring cones.  ``budget`` (a
+    :class:`repro.runtime.Budget` or bare seconds) resource-governs the
+    verification step; exhaustion yields an UNKNOWN verdict with
+    :attr:`FlowResult.verify_reason` set, never a hang.  ``tracer`` /
+    ``metrics`` thread the observability sinks through the flow: the row
+    gets a ``flow.row`` span enclosing exposure, synthesis, and the
+    verification step's full span tree.
     """
     tracer = coerce_tracer(tracer)
     with tracer.span("flow.row", cat="flow", circuit=circuit.name) as row_span:
@@ -279,7 +278,6 @@ def run_flow(
                     golden=b_circuit,
                     revised=c_circuit,
                     name=circuit.name,
-                    jobs=n_jobs,
                     **{f.name: getattr(cec, f.name) for f in fields(cec)},
                 ),
                 budget=budget,

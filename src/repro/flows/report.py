@@ -17,10 +17,6 @@ SUPPRESS_WHEN_ZERO = frozenset(
         "bdd_blowups",
         "budget_exhausted",
         "worker_failures",
-        "worker_timeouts",
-        "worker_retries",
-        "units_requeued",
-        "pool_failures",
     }
 )
 
@@ -80,7 +76,7 @@ def summarize_engine_stats(
     layer re-exports them as ``cec_sat_queries``, ``cec_cache_hits``, …).
     Returns a one-block summary: total SAT queries, sweep outcomes, cache
     traffic with hit rate, and the accumulated per-phase engine time —
-    the numbers that show what the partition/parallel/cache layers saved.
+    the numbers that show what the partition/cache layers saved.
     """
     totals: dict = {}
     phase_totals: dict = {}

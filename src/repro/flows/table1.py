@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import time
+import warnings
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -64,13 +65,23 @@ def table1_row(
     tracer=None,
     metrics=None,
 ) -> FlowResult:
-    """Run the flow for one Table 1 circuit (arguments as :func:`run_flow`)."""
+    """Run the flow for one Table 1 circuit (arguments as :func:`run_flow`).
+
+    ``n_jobs`` is inert: the CEC sweep runs in-process since 1.4.0.  Any
+    value but 1 warns; the keyword is removed in 1.5.0.
+    """
+    if n_jobs != 1:
+        warnings.warn(
+            "table1_row(n_jobs=...) is ignored since 1.4.0 and is removed "
+            "in 1.5.0: the CEC sweep runs in-process",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     return run_flow(
         build_table1_circuit(name),
         use_unateness=use_unateness,
         effort=effort,
         options=options,
-        n_jobs=n_jobs,
         budget=budget,
         tracer=tracer,
         metrics=metrics,
@@ -90,7 +101,6 @@ def run_table1(
     effort: str = "medium",
     options: Optional[CecOptions] = None,
     *,
-    n_jobs: int = 1,
     time_limit: Optional[float] = None,
     on_error: str = "skip",
     checkpoint=None,
@@ -101,8 +111,8 @@ def run_table1(
 ) -> List[FlowResult]:
     """Run the Table 1 harness and print the table.
 
-    ``options`` (a :class:`repro.cec.CecOptions`) and ``n_jobs`` reach
-    every row's verification step.  A proof cache in ``options.cache``
+    ``options`` (a :class:`repro.cec.CecOptions`) reaches every row's
+    verification step.  A proof cache in ``options.cache``
     (path or :class:`repro.cec.ProofCache`) is opened once, shared by
     every row and flushed at the end, so a second run of the harness
     replays the proven merges instead of re-solving them.
@@ -163,7 +173,6 @@ def run_table1(
                 use_unateness,
                 effort,
                 options,
-                n_jobs=n_jobs,
                 budget=_row_budget(time_limit),
                 tracer=tracer,
                 metrics=metrics,
@@ -279,12 +288,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--circuits", nargs="*", help="explicit circuit names")
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the CEC sweep (default 1: serial)",
-    )
-    parser.add_argument(
         "--cache",
         default=None,
         help="persistent CEC proof-cache file shared across rows and runs",
@@ -298,12 +301,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-preprocess",
         action="store_true",
         help="disable pre-sweep AIG rewriting of the CEC miter",
-    )
-    parser.add_argument(
-        "--no-share-learned",
-        action="store_true",
-        help="disable learned-clause and assumption-core pooling "
-        "across sweep workers",
     )
     parser.add_argument(
         "--time-limit",
@@ -379,14 +376,12 @@ def run_args(args: argparse.Namespace) -> int:
         cache=args.cache,
         refine=not args.no_refine,
         preprocess=not args.no_preprocess,
-        share_learned=not args.no_share_learned,
     )
     try:
         run_table1(
             names,
             use_unateness=args.unate,
             options=options,
-            n_jobs=args.jobs,
             time_limit=args.time_limit,
             on_error=args.on_error,
             checkpoint=args.checkpoint,

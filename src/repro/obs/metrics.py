@@ -14,12 +14,12 @@ Metric kinds:
 * **histogram** — fixed bucket boundaries, cumulative-style counts plus
   count/sum/min/max (``observe``); bucket layouts never change at
   runtime, so worker histograms merge bucket-by-bucket;
-* **series** — a small append-only list of floats (``append``) for the
-  handful of places that need raw samples (per-worker busy seconds).
+* **series** — a small append-only list of floats (``append``) for
+  places that need raw samples.
 
 Registries serialise to plain JSON (:meth:`MetricsRegistry.to_dict` /
-:meth:`from_dict`) so sweep workers can collect their own metrics and
-ship them back with the unit result for :meth:`merge`.
+:meth:`from_dict`) so batch workers can collect their own metrics and
+ship them back with the job result for :meth:`merge`.
 
 Naming convention (see ``docs/OBSERVABILITY.md`` for the catalog):
 dot-separated lowercase paths, ``<subsystem>.<area>.<what>``, e.g.

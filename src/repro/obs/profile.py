@@ -10,7 +10,8 @@ The report answers the questions the paper's Tables 1–2 are really about
 * the top-N slowest proof obligations, by output name;
 * solver-effort histograms (conflicts / propagations / decisions per
   call) from the metrics snapshots embedded in the trace;
-* fault-tolerance incidents (worker requeues, budget exhaustion).
+* sweep units: how many ran and the seconds spent inside them;
+* fault-tolerance incidents (lost sweep units, budget exhaustion).
 
 Used by ``repro profile run.jsonl`` and by the golden-trace tests.
 """
@@ -50,7 +51,7 @@ def profile_events(
     pair_spans = _spans(events, "pair")
     obligation_spans = _spans(events, "obligation")
     stage_spans = _spans(events, "stage")
-    worker_spans = _spans(events, "worker")
+    unit_spans = _spans(events, "worker")
 
     stages: Dict[str, Tuple[int, float]] = {}
     for span in stage_spans:
@@ -89,8 +90,8 @@ def profile_events(
             }
             for s in slowest
         ],
-        "n_worker_units": len(worker_spans),
-        "worker_seconds": sum(float(s.get("dur", 0.0)) for s in worker_spans),
+        "n_sweep_units": len(unit_spans),
+        "unit_seconds": sum(float(s.get("dur", 0.0)) for s in unit_spans),
         "metrics": metrics_args,
         "incidents": [
             {
@@ -178,11 +179,11 @@ def render_profile(
         lines.append("solver effort per call:")
         lines.extend(effort)
 
-    if prof["n_worker_units"]:
+    if prof["n_sweep_units"]:
         lines.append("")
         lines.append(
-            f"parallel sweep: {prof['n_worker_units']} work unit(s), "
-            f"{prof['worker_seconds']:.3f}s worker-busy time"
+            f"sweep: {prof['n_sweep_units']} unit(s), "
+            f"{prof['unit_seconds']:.3f}s in units"
         )
 
     if prof["incidents"]:

@@ -26,9 +26,9 @@ EVENT_CATEGORIES = (
     "phase",       # an engine phase (build/simulate/cache/partition/sweep/outputs)
     "obligation",  # one output-pair proof obligation
     "stage",       # one cascade stage attempt (sim/bdd/sat)
-    "worker",      # sweep worker-side spans (one per work unit)
+    "worker",      # sweep-unit spans (one per work unit)
     "solver",      # solver-level events
-    "event",       # generic instants (requeues, budget exhaustion, ...)
+    "event",       # generic instants (lost units, budget exhaustion, ...)
 )
 
 TRACE_EVENT_SCHEMA: Dict[str, Any] = {

@@ -16,7 +16,7 @@ Event kinds:
     tracer's epoch), ``dur`` its length, ``id``/``parent`` the hierarchy.
     Spans are emitted on *close*, so a crash loses at most the open spans.
 ``instant``
-    A point event (worker requeued, budget expired, reorder picked, ...).
+    A point event (sweep unit lost, budget expired, reorder picked, ...).
 ``metrics``
     A flattened metrics snapshot (see :mod:`repro.obs.metrics`), usually
     one at the end of an enclosing span.
@@ -333,7 +333,7 @@ class Tracer:
 
         Span ids are rebased into this tracer's id space and roots are
         re-parented under ``parent`` (a span or id); ``extra_args`` (e.g.
-        the worker/unit index) are merged into every adopted event's args.
+        the batch lane) are merged into every adopted event's args.
         """
         parent_id = parent.id if isinstance(parent, (Span, NullSpan)) else parent
         # Two passes: spans are emitted on close (children before their
@@ -408,10 +408,10 @@ def export_chrome_trace(
     """Convert a JSONL trace to Chrome ``trace_event`` JSON.
 
     Spans become complete (``ph="X"``) events in microseconds; instants
-    become thread-scoped ``ph="i"`` marks.  Events carrying a ``worker``
-    arg land on their own thread track so the parallel sweep renders as
-    lanes; each distinct ``(host, pid)`` origin gets its own process
-    track so multi-host service traces don't collide.  Returns the
+    become thread-scoped ``ph="i"`` marks.  Events carrying an integer
+    ``worker`` arg land on their own thread track (lane ``worker + 1``);
+    each distinct ``(host, pid)`` origin gets its own process track so
+    multi-host service traces don't collide.  Returns the
     number of exported events.
     """
     events = read_events(source)
@@ -424,7 +424,7 @@ def export_chrome_trace(
         kind = event.get("type")
         args = event.get("args") or {}
         worker = args.get("worker")
-        # Main-process events on tid 0; each sweep worker on its own lane.
+        # Main-process events on tid 0; each worker on its own lane.
         tid = worker + 1 if isinstance(worker, int) else 0
         origin = (event.get("host"), event.get("pid"))
         pid = (

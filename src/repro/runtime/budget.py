@@ -15,8 +15,7 @@ Reason codes (stable strings, used in reports/checkpoints):
 ``conflict-limit``          the SAT conflict cap was reached
 ``propagation-limit``       the SAT propagation cap was reached
 ``bdd-blowup``              BDD construction exceeded the node limit
-``worker-failure``          a sweep or batch worker crashed/hung past its
-                            retries
+``worker-failure``          a batch worker crashed/hung past its retries
 ``resource-limit``          generic/unclassified resource exhaustion
 ==========================  ==============================================
 

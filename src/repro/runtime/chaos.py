@@ -1,13 +1,13 @@
 """Deterministic fault injection for the verification runtime.
 
 Robustness claims are only as good as the faults they were tested
-against, and ad-hoc monkeypatching (the old private ``_fault_hook`` seam
-in :mod:`repro.cec.parallel`) does not scale past one call site.  This
-module is the shared registry that replaces it: production code is
+against, and ad-hoc monkeypatching does not scale past one call site.
+This module is the shared registry of fault seams: production code is
 instrumented with *named sites* —
 
 ==========================  ==============================================
-``worker.entry``            a batch/sweep worker function begins a job
+``worker.entry``            a batch worker begins a job, or a CEC sweep
+                            unit begins (in the calling process)
 ``scheduler.dispatch``      the batch scheduler ships a job to a worker
 ``store.append``            a result line is about to be written
 ``cache.load``              a proof-cache file is about to be read
@@ -26,9 +26,9 @@ Sites call :func:`fire` (or :func:`afire` from coroutines, which uses
 ``None`` check — chaos is zero-overhead when off.  Activation:
 
 * explicitly, via :func:`install` (tests, ``repro batch --chaos``);
-* by environment, via ``REPRO_CHAOS=/path/to/plan.json`` — worker
-  processes check it on entry (:func:`ensure_env_plan`), so a plan
-  installed by the CLI reaches pool workers even under ``spawn``.
+* by environment, via ``REPRO_CHAOS=/path/to/plan.json`` — batch
+  worker processes check it on entry (:func:`ensure_env_plan`), so a
+  plan installed by the CLI reaches pool workers even under ``spawn``.
 
 Every firing is appended to the plan's :attr:`~FaultPlan.log` (the
 chaos-trace artifact CI uploads) and counted as ``chaos.faults_fired``

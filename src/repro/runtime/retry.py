@@ -1,9 +1,9 @@
 """Bounded retry with backoff for fault-tolerant dispatch.
 
-Used by the parallel sweep and the batch service to requeue crashed or
-timed-out work: a few quick attempts with a pause between them, then
-give up and let the caller degrade (record UNKNOWN verdicts) instead of
-looping forever on a deterministic failure.
+Used by the batch service to retry crashed or timed-out jobs: a few
+quick attempts with a pause between them, then give up and let the
+caller degrade (record UNKNOWN verdicts) instead of looping forever on a
+deterministic failure.
 
 Two pause policies:
 

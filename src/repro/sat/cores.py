@@ -63,7 +63,7 @@ class CoreIndex:
             self._wide.setdefault(min(key), []).append(key)
 
     def add_many(self, cores: Iterable[Iterable[int]]) -> None:
-        """Record a batch of cores (e.g. shipped home by a worker)."""
+        """Record a batch of cores (e.g. brought home by a sweep unit)."""
         for core in cores:
             self.add(core)
 

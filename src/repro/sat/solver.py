@@ -9,9 +9,7 @@ Implements the standard modern architecture:
   max-heap, with a MiniSat-style decay ramp) and phase saving that skips
   assumption levels so one query's polarity cannot pollute the next;
 * Luby-sequence restarts;
-* learned-clause garbage collection by activity, with LBD tracked per
-  clause for quality-filtered sharing (:meth:`Solver.export_learned` /
-  :meth:`Solver.import_learned`).
+* learned-clause garbage collection by activity.
 
 The solver supports incremental solving under assumptions, which the CEC
 engine uses for equivalence sweeping (one CNF, many queries).  When a
@@ -114,16 +112,12 @@ def _luby(i: int) -> int:
 
 
 class _Clause:
-    __slots__ = ("lits", "learned", "activity", "lbd")
+    __slots__ = ("lits", "learned", "activity")
 
     def __init__(self, lits: List[int], learned: bool) -> None:
         self.lits = lits
         self.learned = learned
         self.activity = 0.0
-        #: Literal block distance (distinct decision levels at learn
-        #: time); the clause-quality measure ``export_learned`` filters
-        #: on.  0 for original clauses.
-        self.lbd = 0
 
 
 class _VarOrder:
@@ -318,10 +312,13 @@ class Solver:
         by the original (non-learned) clauses — everything a fresh solver
         needs to reproduce this solver's problem.  With ``variables``, the
         snapshot is restricted to clauses mentioning only those variables:
-        the CNF slice a sweep worker needs for one fanin cone.  Learned
+        the CNF slice a sweep unit needs for one fanin cone.  Learned
         clauses are deliberately excluded (they are consequences and would
-        only be valid for the full formula anyway).
+        only be valid for the full formula anyway).  A solver already UNSAT
+        at the root exports the empty clause alone.
         """
+        if not self._ok:
+            return [[]]
         var_set = set(variables) if variables is not None else None
         clauses: List[List[int]] = []
         root_len = self._trail_lim[0] if self._trail_lim else len(self._trail)
@@ -332,97 +329,6 @@ class Solver:
             if var_set is None or all(abs(l) in var_set for l in clause.lits):
                 clauses.append(list(clause.lits))
         return clauses
-
-    def export_learned(
-        self,
-        variables: Optional[Iterable[int]] = None,
-        max_len: int = 8,
-        max_lbd: int = 4,
-    ) -> List[List[int]]:
-        """Quality-filtered snapshot of the learned-clause database.
-
-        Returns copies of learned clauses no longer than ``max_len``
-        literals and no "wider" than ``max_lbd`` decision levels at
-        learn time — the short, low-LBD clauses worth shipping to a
-        sibling solver.  With ``variables``, only clauses falling
-        entirely inside that variable set are returned: since every
-        learned clause is a logical consequence of the clause database,
-        a clause scoped to a work unit's variable slice stays valid on
-        any peer whose slice subsumes those variables.  Clauses imported
-        via :meth:`import_learned` carry a pessimistic LBD and are not
-        re-exported, which keeps shared clauses from echoing between
-        workers.
-        """
-        var_set = set(variables) if variables is not None else None
-        out: List[List[int]] = []
-        for clause in self._learned:
-            lits = clause.lits
-            if len(lits) > max_len or clause.lbd > max_lbd:
-                continue
-            if var_set is not None and not all(abs(l) in var_set for l in lits):
-                continue
-            out.append(list(lits))
-        return out
-
-    def import_learned(self, clauses: Iterable[Iterable[int]]) -> int:
-        """Install peer-learned clauses; returns how many were added.
-
-        Each clause must be a logical consequence of this solver's
-        problem (the :meth:`export_learned` contract).  Clauses are
-        root-simplified like :meth:`add_clause` — satisfied ones are
-        skipped, root-false literals dropped — then added as learned
-        (garbage-collectable) clauses; units are enqueued at the root.
-        A clause emptied by simplification proves the formula UNSAT.
-        Raises :class:`ValueError`, before installing any clause, when one
-        holds literal 0.
-        """
-        clauses = [_checked(literals) for literals in clauses]
-        if not self._ok:
-            return 0
-        if self._decision_level() != 0:
-            raise RuntimeError("learned clauses must be imported at root level")
-        added = 0
-        for literals in clauses:
-            lits: List[int] = []
-            seen = set()
-            skip = False
-            for lit in literals:
-                self.ensure_vars(abs(lit))
-                if -lit in seen:
-                    skip = True  # tautological
-                    break
-                if lit in seen:
-                    continue
-                seen.add(lit)
-                val = self._value(lit)
-                if self._level[abs(lit) - 1] == 0:
-                    if val == 1:
-                        skip = True  # satisfied at root
-                        break
-                    if val == 0:
-                        continue  # falsified at root: drop literal
-                lits.append(lit)
-            if skip:
-                continue
-            if not lits:
-                self._ok = False
-                return added
-            if len(lits) == 1:
-                if not self._enqueue(lits[0], None):
-                    self._ok = False
-                    return added
-                if self._propagate() is not None:
-                    self._ok = False
-                    return added
-                added += 1
-                continue
-            clause = _Clause(lits, learned=True)
-            clause.activity = self._cla_inc
-            clause.lbd = len(lits)  # pessimistic: blocks re-export echo
-            self._learned.append(clause)
-            self._watch(clause)
-            added += 1
-        return added
 
     def root_value(self, lit: int) -> int:
         """``lit``'s value *at the root level*: -1 unknown, 0 false, 1 true.
@@ -956,7 +862,6 @@ class Solver:
         lits[1], lits[max_idx] = lits[max_idx], lits[1]
         clause = _Clause(lits, learned=True)
         clause.activity = self._cla_inc
-        clause.lbd = len({self._level[abs(l) - 1] for l in lits})
         self._learned.append(clause)
         self._watch(clause)
         self._enqueue(lits[0], clause)

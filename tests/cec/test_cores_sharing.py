@@ -1,28 +1,23 @@
-"""Assumption-core retirement and cross-worker clause sharing (PR 10).
+"""Assumption-core retirement in the sweep and its units.
 
-Pins the tentpole's guarantees:
+Pins the guarantees:
 
 * :class:`~repro.sat.cores.CoreIndex` subsumption semantics — the empty
   core retires everything, singletons retire by membership, wide cores
   by subset, and ``core_retires`` records root-false assumptions;
 * stuck-at-constant signature classes retire sweep queries without a
-  solver call (``cec.sat.core_retired`` > 0) while the verdict and the
-  serial/parallel identity are untouched;
-* a worker fed ``known_cores`` retires at least as much as a cold one
-  and answers identically; a worker fed valid ``shared_clauses``
-  imports them and still answers identically;
-* worker extras (learned clauses, cores) come home in the *parent*
-  variable space;
-* ``share_learned=False`` changes no verdict, serially or in parallel.
+  solver call (``cec.sat.core_retired`` > 0) while the verdict is
+  untouched;
+* a sweep unit fed ``known_cores`` retires at least as much as a cold
+  one and answers identically;
+* a unit's cores come home in the *parent* variable space.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.random_circuits import random_combinational
 from repro.cec import CecOptions
 from repro.cec.engine import (
     CecVerdict,
@@ -32,34 +27,11 @@ from repro.cec.engine import (
     check_equivalence,
 )
 from repro.cec.miter import build_miter
-from repro.cec.parallel import _sweep_unit_worker, sweep_unit_payloads
+from repro.cec.parallel import sweep_unit_payloads, sweep_units
 from repro.cec.partition import partition_candidates
 from repro.netlist.build import CircuitBuilder
 from repro.sat.cores import CoreIndex, core_retires
 from repro.sat.solver import Solver
-from repro.synth.script import script_delay
-
-
-def xor_chain(n, name="chain"):
-    b = CircuitBuilder(name)
-    xs = b.inputs(*[f"x{i}" for i in range(n)])
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = b.XOR(acc, x)
-    b.output(acc, name="o")
-    return b.circuit
-
-
-def xor_tree(n, name="tree"):
-    b = CircuitBuilder(name)
-    xs = list(b.inputs(*[f"x{i}" for i in range(n)]))
-    while len(xs) > 1:
-        nxt = [b.XOR(xs[i], xs[i + 1]) for i in range(0, len(xs) - 1, 2)]
-        if len(xs) % 2:
-            nxt.append(xs[-1])
-        xs = nxt
-    b.output(xs[0], name="o")
-    return b.circuit
 
 
 def hidden_const_circuit(name, decorated):
@@ -175,49 +147,9 @@ class TestConstantClassRetirement:
         # below what two directions per candidate would cost.
         assert r.stats["sat_queries"] < 2 * r.stats["sweep_candidates"] + 2
 
-    def test_retirement_identical_in_parallel(self):
-        options = CecOptions(preprocess=False)
-        serial = check_equivalence(
-            hidden_const_circuit("l", True),
-            hidden_const_circuit("r", False),
-            options,
-        )
-        parallel = check_equivalence(
-            hidden_const_circuit("l", True),
-            hidden_const_circuit("r", False),
-            options,
-            n_jobs=2,
-        )
-        assert serial.verdict is parallel.verdict is CecVerdict.EQUIVALENT
-        assert parallel.stats["core_retired"] >= 1
-
-
-class TestShareLearnedKnob:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_verdicts_identical_with_and_without_sharing(self, seed):
-        c1 = random_combinational(n_inputs=8, n_gates=60, seed=seed, name="g")
-        c2 = c1.copy("r")
-        script_delay(c2)
-        baseline = check_equivalence(c1, c2)
-        for share, n_jobs in ((False, 1), (True, 2), (False, 2)):
-            r = check_equivalence(
-                c1, c2, CecOptions(share_learned=share), n_jobs=n_jobs
-            )
-            assert r.verdict is baseline.verdict
-
-    def test_neq_verdict_survives_sharing_modes(self):
-        c1 = random_combinational(n_inputs=8, n_gates=60, seed=0, name="g")
-        c3 = random_combinational(n_inputs=8, n_gates=60, seed=9, name="u")
-        baseline = check_equivalence(c1, c3)
-        for share, n_jobs in ((False, 1), (True, 2), (False, 2)):
-            r = check_equivalence(
-                c1, c3, CecOptions(share_learned=share), n_jobs=n_jobs
-            )
-            assert r.verdict is baseline.verdict
-
 
 def _unit_payloads(c1, c2, **payload_kwargs):
-    """Worker payloads for the miter's sweep units (test scaffolding)."""
+    """Payloads for the miter's sweep units (test scaffolding)."""
     m = build_miter(c1, c2)
     cnf, _ = m.aig.to_cnf()
     solver = Solver()
@@ -236,56 +168,25 @@ class TestWorkerSharing:
         c1 = hidden_const_circuit("l", True)
         c2 = hidden_const_circuit("r", False)
         _, payloads = _unit_payloads(c1, c2)
-        cold_statuses, cores, retired_cold = [], [], 0
-        for payload in payloads:
-            statuses, _nq, _el, _obs, _models, extras = _sweep_unit_worker(
-                payload
-            )
-            cold_statuses.append(statuses)
-            assert extras is not None
-            cores.extend(extras["cores"])
-            retired_cold += extras["core_retired"]
+        cold = sweep_units(payloads)
+        retired_cold = sum(result.core_retired for result in cold)
         assert retired_cold >= 1  # constant-class directions retire cold
         # A second pass fed the harvested cores answers identically and
         # retires at least as much.
+        cores = [core for result in cold for core in result.cores]
         _, payloads = _unit_payloads(c1, c2, known_cores=cores)
-        retired_warm = 0
-        for payload, expected in zip(payloads, cold_statuses):
-            statuses, _nq, _el, _obs, _models, extras = _sweep_unit_worker(
-                payload
-            )
-            assert statuses == expected
-            retired_warm += extras["core_retired"]
-        assert retired_warm >= retired_cold
-
-    def test_shared_clauses_imported_without_changing_answers(self):
-        c1, c2 = xor_chain(8, "a"), xor_tree(8, "b")
-        _, payloads = _unit_payloads(c1, c2)
-        baseline = [
-            _sweep_unit_worker(payload)[0] for payload in payloads
-        ]
-        # Feed each worker a clause it already owns — trivially valid,
-        # short enough for the import filter — and check it is counted
-        # and harmless.
-        _, payloads = _unit_payloads(c1, c2)
-        for payload, expected in zip(payloads, baseline):
-            clause = next(
-                cl for cl in payload.clauses if 1 < len(cl) <= 4
-            )
-            reshipped = payload._replace(shared_clauses=[list(clause)])
-            statuses, _nq, _el, _obs, _models, extras = _sweep_unit_worker(
-                reshipped
-            )
-            assert statuses == expected
-            assert extras["shared_imported"] >= 1
+        warm = sweep_units(payloads)
+        for result, expected in zip(warm, cold):
+            assert result.statuses == expected.statuses
+        assert sum(result.core_retired for result in warm) >= retired_cold
 
     def test_worker_extras_come_home_in_parent_space(self):
         c1 = hidden_const_circuit("l", True)
         c2 = hidden_const_circuit("r", False)
         solver, payloads = _unit_payloads(c1, c2)
-        for payload in payloads:
-            _st, _nq, _el, _obs, _models, extras = _sweep_unit_worker(payload)
-            for group in (extras["learned"], extras["cores"]):
-                for lits in group:
-                    for lit in lits:
-                        assert 1 <= abs(lit) <= solver._num_vars
+        results = sweep_units(payloads)
+        assert any(result.cores for result in results)
+        for result in results:
+            for lits in result.cores:
+                for lit in lits:
+                    assert 1 <= abs(lit) <= solver._num_vars

@@ -4,9 +4,9 @@ Pins the portfolio's guarantees:
 
 * the registry round-trips the built-in adapters and rejects unknown
   names loudly (``engines=["nope"]`` raises instead of skipping);
-* the default portfolio (structural → SAT) returns the same verdict
-  serially and with ``n_jobs > 1``, and a budget that does not run out
-  changes nothing about its outcome;
+* the default portfolio (structural → SAT), named or not, returns the
+  same verdict, and a budget that does not run out changes nothing
+  about its outcome;
 * restricted portfolios behave as selected: SAT-only still decides,
   sim-only refutes but cannot prove, and a portfolio without ``sat``
   skips the sweep entirely (zero SAT queries);
@@ -129,7 +129,7 @@ class TestRegistry:
 
 
 class TestPolicyVerdictParity:
-    """The default portfolio decides alike serially and on the pool."""
+    """The default portfolio decides alike whether or not it is named."""
 
     CASES = [
         ("eq-xor", lambda: (xor_chain(12, "a"), xor_tree(12, "b")), EQ),
@@ -144,23 +144,27 @@ class TestPolicyVerdictParity:
                 random_combinational(seed=3, name="a"),
                 random_combinational(seed=77, name="b"),
             ),
-            None,  # whatever the serial run says, the pool must match
+            None,  # whatever the unnamed run says, the named must match
         ),
     ]
 
-    # ``cascade`` names the default structural → SAT portfolio.
-    @pytest.mark.parametrize("engines", [pytest.param(None, id="cascade")])
-    @pytest.mark.parametrize("n_jobs", [1, 2])
+    # ``cascade`` leaves the portfolio unnamed (structural → SAT);
+    # ``named`` spells the same portfolio out.
+    @pytest.mark.parametrize(
+        "engines",
+        [
+            pytest.param(None, id="cascade"),
+            pytest.param(["structural", "sat"], id="named"),
+        ],
+    )
     @pytest.mark.parametrize(
         "case", CASES, ids=[case[0] for case in CASES]
     )
-    def test_same_verdict(self, case, engines, n_jobs):
+    def test_same_verdict(self, case, engines):
         _, make, expect = case
         c1, c2 = make()
         reference = check_equivalence(c1, c2)
-        r = check_equivalence(
-            c1, c2, CecOptions(engines=engines), n_jobs=n_jobs
-        )
+        r = check_equivalence(c1, c2, CecOptions(engines=engines))
         assert r.verdict is reference.verdict
         if expect == EQ:
             assert r.equivalent

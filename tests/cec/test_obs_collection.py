@@ -1,15 +1,14 @@
-"""Worker-side observability collection and partial-stat preservation.
+"""Sweep-unit observability and partial-stat preservation.
 
-Dispatcher-level tests for the two sweep-path guarantees added with the
-observability stack: (a) when collection is on, every unit ships back its
-own metrics snapshot and span buffer; (b) a unit whose attempts all die
-keeps the SAT queries, wall time, and independently-proven statuses its
-attempts managed instead of degrading to a zero-stat all-UNKNOWN row.
+Unit-level tests for the two sweep-path guarantees of the observability
+stack: (a) every unit records straight onto the sinks it is given — its
+``sweep.unit`` span on the tracer, its solver's ``sat.*`` counters on the
+registry — and records nothing without them; (b) a unit that dies keeps
+the SAT queries, wall time, and independently-proven statuses it managed
+instead of degrading to a zero-stat all-UNKNOWN row.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.cec import parallel
 from repro.cec.engine import (
@@ -27,11 +26,13 @@ from repro.cec.parallel import (
     sweep_units,
 )
 from repro.cec.partition import partition_candidates
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate_events
 from repro.obs.trace import Tracer
+from repro.runtime import chaos
 from repro.sat.solver import Solver
 
-from tests.cec.test_robustness import multi_block_pair
+from tests.cec.test_robustness import crash_at_unit_entry, multi_block_pair
 from tests.cec.test_sweep_parallel import xor_chain, xor_tree
 
 
@@ -52,63 +53,69 @@ def solver_and_units(n=8):
 class TestWorkerCollection:
     def test_collect_ships_metrics_and_spans(self):
         solver, units = solver_and_units()
+        tracer = Tracer(sink=[])
+        registry = MetricsRegistry()
         results = sweep_units(
-            sweep_unit_payloads(solver, units, 2000, collect=True), n_jobs=1
+            sweep_unit_payloads(solver, units, 2000), tracer, registry
         )
+        tracer.close()
         assert len(results) == len(units)
-        for index, (unit, result) in enumerate(zip(units, results)):
+        spans = [e for e in tracer.events if e["type"] == "span"]
+        assert len(spans) == len(units)
+        for index, (unit, result, span) in enumerate(
+            zip(units, results, spans)
+        ):
             assert len(result.statuses) == len(unit.candidates)
-            assert result.metrics is not None
-            assert result.metrics["counters"]["sat.calls"] == result.sat_queries
-            assert result.events is not None
-            (span,) = [e for e in result.events if e["type"] == "span"]
             assert span["name"] == "sweep.unit"
             assert span["cat"] == "worker"
             assert span["args"]["unit"] == index
             assert span["args"]["sat_queries"] == result.sat_queries
+            assert "worker" not in span["args"]
+        assert registry.counter("sat.calls") == sum(
+            r.sat_queries for r in results
+        )
 
     def test_collect_off_ships_nothing(self):
+        # No sinks, no recording — and the same answers as with sinks.
         solver, units = solver_and_units()
         payloads = sweep_unit_payloads(solver, units, 2000)
-        for result in sweep_units(payloads, n_jobs=1):
-            assert result.events is None
-            assert result.metrics is None
+        plain = sweep_units(payloads)
+        observed = sweep_units(payloads, Tracer(sink=[]), MetricsRegistry())
+        for result, twin in zip(plain, observed):
             assert result.error is None
+            assert (result.statuses, result.sat_queries) == (
+                twin.statuses,
+                twin.sat_queries,
+            )
 
     def test_worker_spans_land_in_engine_trace(self):
-        # One sweep round of one unit per block, pooled or in-process.
-        for n_jobs in (1, 4):
-            tracer = Tracer(sink=[])
-            result = check_equivalence(
-                *multi_block_pair(), n_jobs=n_jobs, tracer=tracer
-            )
-            tracer.close()
-            events = tracer.events
-            assert validate_events(events) == []
-            unit_spans = [
-                e
-                for e in events
-                if e["type"] == "span" and e["name"] == "sweep.unit"
-            ]
-            assert result.stats["n_units"] == 4
-            assert len(unit_spans) == result.stats["n_units"]
-            sweep = next(
-                e
-                for e in events
-                if e["type"] == "span" and e["name"] == "cec.phase.sweep"
-            )
-            for span in unit_spans:
-                assert span["parent"] == sweep["id"]
-                assert isinstance(span["args"]["worker"], int)
+        # One sweep round of one unit per block, all in-process.
+        tracer = Tracer(sink=[])
+        result = check_equivalence(*multi_block_pair(), tracer=tracer)
+        tracer.close()
+        events = tracer.events
+        assert validate_events(events) == []
+        unit_spans = [
+            e
+            for e in events
+            if e["type"] == "span" and e["name"] == "sweep.unit"
+        ]
+        assert result.stats["n_units"] == 4
+        assert len(unit_spans) == result.stats["n_units"]
+        sweep = next(
+            e
+            for e in events
+            if e["type"] == "span" and e["name"] == "cec.phase.sweep"
+        )
+        for index, span in enumerate(unit_spans):
+            assert span["parent"] == sweep["id"]
+            assert span["args"]["unit"] == index
+            # Drawn on the main lane of a Chrome export, where it ran.
+            assert "worker" not in span["args"]
 
 
 class FailingSolver(Solver):
-    """A solver whose ``solve`` dies after a fixed number of calls.
-
-    The counter is class-level on purpose: the dispatcher builds a fresh
-    solver per attempt, and the retries must keep failing for the unit to
-    be recorded as lost.
-    """
+    """A solver whose ``solve`` dies after a fixed number of calls."""
 
     calls = 0
     fail_after = 0
@@ -128,19 +135,16 @@ class TestPartialStatPreservation:
         FailingSolver.calls = 0
         FailingSolver.fail_after = 3  # first candidate decided, then die
         monkeypatch.setattr(parallel, "Solver", FailingSolver)
-        (result,) = sweep_units(
-            sweep_unit_payloads(solver, units, 2000),
-            n_jobs=1,
-            backoff_seconds=0.0,
-        )
+        (result,) = sweep_units(sweep_unit_payloads(solver, units, 2000))
         assert result.error is not None
         assert len(result.statuses) == len(unit.candidates)
         # The decided prefix survives; only the remainder is UNKNOWN.
         assert result.statuses[0] in (EQ, NEQ)
         assert UNKNOWN in result.statuses
-        # Partial effort is preserved, not zeroed: the first attempt got
-        # three queries in before dying (retries add theirs on top).
-        assert result.sat_queries >= 3
+        # Partial effort is preserved, not zeroed: the unit got three
+        # queries in before dying, and it is not retried.
+        assert result.sat_queries == 3
+        assert FailingSolver.calls == 4
         assert result.seconds > 0.0
 
     def test_immediate_death_degrades_to_all_unknown(self, monkeypatch):
@@ -149,31 +153,26 @@ class TestPartialStatPreservation:
         FailingSolver.calls = 0
         FailingSolver.fail_after = 0
         monkeypatch.setattr(parallel, "Solver", FailingSolver)
-        (result,) = sweep_units(
-            sweep_unit_payloads(solver, units, 2000),
-            n_jobs=1,
-            backoff_seconds=0.0,
-        )
+        (result,) = sweep_units(sweep_unit_payloads(solver, units, 2000))
         assert result.error is not None
         assert result.statuses == [UNKNOWN] * len(unit.candidates)
         assert result.sat_queries == 0
 
-    def test_lost_units_surface_in_engine_stats_and_trace(self, monkeypatch):
-        # Engine level: dying workers must show up as contained failures
-        # (telemetry counters, sweep unknowns, lost-unit instants) while
-        # the verdict stays identical to the serial run.  The pool only
-        # runs with two units or more, so the miter has one per block.
+    def test_lost_units_surface_in_engine_stats_and_trace(self):
+        # Engine level: units dying at entry must show up as contained
+        # failures (telemetry counters, sweep unknowns, lost-unit
+        # instants) while the verdict stays identical to a clean run.
         plain = check_equivalence(*multi_block_pair())
-        FailingSolver.calls = 0
-        FailingSolver.fail_after = 1  # die mid-candidate, retries too
-        monkeypatch.setattr(parallel, "Solver", FailingSolver)
         tracer = Tracer(sink=[])
-        faulty = check_equivalence(*multi_block_pair(), n_jobs=4, tracer=tracer)
+        chaos.install(crash_at_unit_entry())
+        try:
+            faulty = check_equivalence(*multi_block_pair(), tracer=tracer)
+        finally:
+            chaos.uninstall()
         tracer.close()
         assert faulty.verdict is plain.verdict
         assert faulty.stats["n_units"] >= 2
-        assert faulty.stats["worker_failures"] > 0
-        assert faulty.stats["units_requeued"] > 0
+        assert faulty.stats["worker_failures"] == faulty.stats["n_units"]
         assert faulty.stats["sweep_unknown"] > 0
         lost = [
             e

@@ -1,10 +1,10 @@
-"""Robustness of the CEC engine: poisoned caches, dying workers, budgets.
+"""Robustness of the CEC engine: poisoned caches, dying sweep units, budgets.
 
 The invariant under test everywhere: faults and resource exhaustion may
 cost wall time or decidedness (UNKNOWN), but they must never change a
-decided verdict — a crashed worker, a corrupted cache file, or a
+decided verdict — a crashed sweep unit, a corrupted cache file, or a
 conflict-limited solve must leave the engine verdict-identical to a
-clean serial run.
+clean run.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ import time
 
 import pytest
 
-from repro.cec import CecOptions, parallel
+from repro.cec import CecOptions
 from repro.cec.cache import EQ, NEQ, SCHEMA_VERSION, ProofCache
 from repro.cec.engine import (
     CecVerdict,
     check_equivalence,
     check_equivalence_bdd,
 )
+from repro.runtime import chaos
 from repro.runtime.budget import (
     KNOWN_REASONS,
     REASON_BDD_BLOWUP,
@@ -28,6 +29,7 @@ from repro.runtime.budget import (
     REASON_TIMEOUT,
     Budget,
 )
+from repro.runtime.chaos import FaultPlan, FaultRule
 
 from tests.cec.test_sweep_parallel import xor_chain, xor_tree
 
@@ -148,8 +150,7 @@ def multi_block_pair(blocks=4, width=10):
     """Equivalent multi-output pairs with cone-disjoint outputs.
 
     Each output is an independent XOR block (chain on one side, tree on
-    the other), so the sweep partitions into multiple work units and the
-    pool path genuinely engages under ``n_jobs > 1``.
+    the other), so the sweep partitions into one work unit per block.
     """
     from repro.netlist.build import CircuitBuilder
 
@@ -177,75 +178,41 @@ def multi_block_pair(blocks=4, width=10):
     return build("chain", "mchain"), build("tree", "mtree")
 
 
+def crash_at_unit_entry(**when):
+    """A fault plan crashing sweep units at ``worker.entry`` (every hit
+    unless ``when`` narrows it, e.g. ``hits=[1]``)."""
+    return FaultPlan([FaultRule(site="worker.entry", action="crash", **when)])
+
+
 class TestWorkerFaults:
-    def _pair(self):
-        return multi_block_pair()
+    @pytest.fixture(autouse=True)
+    def _disarm(self):
+        yield
+        chaos.uninstall()
 
-    def test_crashing_workers_preserve_verdict(self, monkeypatch):
-        c1, c2 = self._pair()
-        serial = check_equivalence(c1, c2, n_jobs=1)
+    def test_crashing_workers_preserve_verdict(self):
+        c1, c2 = multi_block_pair()
+        clean = check_equivalence(c1, c2)
+        plan = chaos.install(crash_at_unit_entry())
+        faulty = check_equivalence(c1, c2)
+        assert faulty.verdict is clean.verdict
+        # Every unit died at entry, once (no retry): the telemetry must
+        # show contained failures, not silence.
+        assert plan.fired("worker.entry") == faulty.stats["n_units"] == 4
+        assert faulty.stats["worker_failures"] == 4
 
-        def crash(payload):
-            raise RuntimeError("injected worker crash")
-
-        monkeypatch.setattr(parallel, "_fault_hook", crash)
-        faulty = check_equivalence(c1, c2, n_jobs=2)
-        assert faulty.verdict is serial.verdict
-        # Every unit died in the pool AND on the serial retries, so the
-        # telemetry must show contained failures, not silence.
-        assert faulty.stats.get("worker_failures", 0) > 0
-
-    def test_inconsistent_cnf_slice_is_contained(self, monkeypatch):
-        # Satellite regression: the sweep worker's CNF sanity check used
-        # to kill the whole sweep; now it costs only that unit's merges.
-        c1, c2 = self._pair()
-        serial = check_equivalence(c1, c2, n_jobs=1)
-
-        def poison(payload):
-            raise RuntimeError("inconsistent CNF slice in sweep worker")
-
-        monkeypatch.setattr(parallel, "_fault_hook", poison)
-        faulty = check_equivalence(c1, c2, n_jobs=2)
-        assert faulty.verdict is serial.verdict
-        assert faulty.stats.get("sweep_unknown", 0) > 0
-
-    def test_intermittent_crash_recovers_via_retry(self, monkeypatch):
-        c1, c2 = self._pair()
-        serial = check_equivalence(c1, c2, n_jobs=1)
-        state = {"calls": 0}
-
-        def flaky(payload):
-            state["calls"] += 1
-            if state["calls"] % 2 == 1:
-                raise RuntimeError("flaky worker")
-
-        monkeypatch.setattr(parallel, "_fault_hook", flaky)
-        faulty = check_equivalence(c1, c2, n_jobs=2)
-        assert faulty.verdict is serial.verdict
-
-    def test_hung_worker_is_killed_and_requeued(self, monkeypatch):
-        c1, c2 = self._pair()
-        serial = check_equivalence(c1, c2, n_jobs=1)
-
-        def hang_in_pool(payload):
-            # The hook runs in fork children AND on the in-process
-            # requeue; hang only in children so the requeue succeeds.
-            import multiprocessing
-
-            if multiprocessing.parent_process() is not None:
-                time.sleep(60)
-
-        monkeypatch.setattr(parallel, "_fault_hook", hang_in_pool)
-        t0 = time.monotonic()
-        result = check_equivalence(
-            c1, c2, n_jobs=2, budget=Budget(wall_seconds=2.0)
-        )
-        elapsed = time.monotonic() - t0
-        assert elapsed < 15.0  # 60s sleeps must not be waited out
-        assert result.verdict is serial.verdict or (
-            result.verdict is CecVerdict.UNKNOWN
-            and result.reason in KNOWN_REASONS
-        )
+    def test_inconsistent_cnf_slice_is_contained(self):
+        # Satellite regression: an exception inside one sweep unit (its
+        # CNF sanity check, say) used to kill the whole sweep; now it
+        # costs only that unit's merges.
+        c1, c2 = multi_block_pair()
+        clean = check_equivalence(c1, c2)
+        chaos.install(crash_at_unit_entry(hits=[1]))
+        faulty = check_equivalence(c1, c2)
+        assert faulty.verdict is clean.verdict
+        assert faulty.stats["worker_failures"] == 1
+        assert faulty.stats["sweep_unknown"] > 0
+        assert faulty.stats["sweep_merges"] > 0  # the other units merged
 
 
 class TestBudgetedEngine:

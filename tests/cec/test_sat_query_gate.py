@@ -1,12 +1,12 @@
 """The SAT-query gate: the sweep benchmark's query totals, exactly.
 
-``benchmarks/bench_cec.py`` runs 11 circuit pairs under 8 engine modes
-(refinement × preprocessing × serial/parallel) and records every mode's
-SAT-query and core-retirement totals in the checked-in
-``BENCH_cec.json``.  The totals follow from the exact search trajectory,
-so they are deterministic: this test re-runs the matrix and holds each
-mode to its recorded totals — a change that spends even one more query,
-or retires one fewer, fails here.  It also asserts the benchmark's
+``benchmarks/bench_cec.py`` runs 11 circuit pairs under 4 engine modes
+(refinement × preprocessing) and records every mode's SAT-query and
+core-retirement totals in the checked-in ``BENCH_cec.json``.  The totals
+follow from the exact search trajectory, so they are deterministic: this
+test re-runs the matrix and holds each mode to its recorded totals — a
+change that spends even one more query, or retires one fewer, fails
+here.  It also asserts the benchmark's
 acceptance criterion, that no pair's verdict depends on the mode.
 """
 
@@ -26,15 +26,11 @@ BASELINE = Path(__file__).resolve().parents[2] / "BENCH_cec.json"
 @pytest.fixture(scope="module")
 def matrix():
     """``{mode: {"sat_queries", "core_retired"}}`` totals plus verdicts."""
-    totals = {
-        mode: {"sat_queries": 0, "core_retired": 0} for mode, _, _ in MODES
-    }
+    totals = {mode: {"sat_queries": 0, "core_retired": 0} for mode, _ in MODES}
     verdicts = {}
     for name, golden, revised in corpus():
-        for mode, options, n_jobs in MODES:
-            result = check_equivalence(
-                golden, revised, options, n_jobs=n_jobs, **NARROW
-            )
+        for mode, options in MODES:
+            result = check_equivalence(golden, revised, options, **NARROW)
             verdicts.setdefault(name, {})[mode] = result.verdict.value
             for key in totals[mode]:
                 totals[mode][key] += int(result.stats[key])
@@ -52,7 +48,7 @@ def test_no_verdict_depends_on_the_mode(matrix):
     assert not split
 
 
-@pytest.mark.parametrize("mode", [mode for mode, _, _ in MODES])
+@pytest.mark.parametrize("mode", [mode for mode, _ in MODES])
 def test_totals_equal_the_checked_in_baseline(matrix, mode):
     totals, _ = matrix
     recorded = json.loads(BASELINE.read_text())["totals"][mode]

@@ -1,20 +1,20 @@
 """One sweep path: every cone-disjoint unit on its own cone-sliced solver.
 
 The sweep slices every unit's CNF off the parent solver in one pass per
-round and runs each unit on a fresh solver over only its cone, at every
-``n_jobs``.  These tests hold the one-pass slices to the per-unit
-reference filter, ``n_jobs=1`` to the pool's answers, the parent solver
-to answering no sweep query, and a refuting witness to its failing cone.
+round and runs each unit, in-process, on a fresh solver over only its
+cone.  These tests hold the one-pass slices to the per-unit reference
+filter, the parent solver to answering no sweep query, and a refuting
+witness to its failing cone.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.bench_cec import NARROW, corpus
+from benchmarks.bench_cec import corpus
 from repro.bench.iscas_like import build_table1_circuit
 from repro.bench.mutations import sample_mutations
-from repro.cec import CecOptions, engine
+from repro.cec import engine
 from repro.cec.engine import CecVerdict, check_equivalence
 from repro.cec.miter import build_miter
 from repro.cec.parallel import sweep_unit_payloads
@@ -50,18 +50,16 @@ class TestOnePassSlices:
         solver = Solver()
         assert solver.add_cnf(cnf)
         # A merge clause across two units (in no slice), a clause over
-        # shared PIs only (in every unit holding both) and a root unit.
+        # shared PIs only (in every unit holding both) and a root unit;
+        # cores inside one unit, across two, over PIs only, and empty.
         a = lit2cnf(units[0].candidates[0].node_lit)
         b = lit2cnf(units[1].candidates[0].node_lit)
         pis = [node + 1 for node in m.aig.pis]
         assert solver.add_clause([-a, b])
         assert solver.add_clause([pis[0], -pis[1]])
         assert solver.add_clause([pis[2]])
-        pool = [[-a, b], [pis[0], pis[3]], [a, pis[0]], [-pis[4]]]
-        cores = [[a], [-b, pis[1]], [pis[5], -pis[6]], []]
-        payloads = sweep_unit_payloads(
-            solver, units, 2000, shared_clauses=pool, known_cores=cores
-        )
+        cores = [[a], [-a, b], [-b, pis[1]], [pis[5], -pis[6]], []]
+        payloads = sweep_unit_payloads(solver, units, 2000, known_cores=cores)
         assert len(payloads) == len(units)
         for unit, payload in zip(units, payloads):
             nodes = sorted(unit.cone)
@@ -70,7 +68,6 @@ class TestOnePassSlices:
             assert payload.clauses == _remap(
                 solver.export_clauses(var_of), var_of
             )
-            assert payload.shared_clauses == _remap(pool, var_of)
             assert payload.known_cores == _remap(cores, var_of)
             assert payload.unit_index == unit.index
 
@@ -87,45 +84,6 @@ class TestOnePassSlices:
             assert payload.clauses == _remap(
                 solver.export_clauses(var_of), var_of
             )
-
-
-def _candidate_statuses(monkeypatch):
-    """Record ``(rep, node, phase, status)`` of every folded sweep query."""
-    folded = []
-    fold = engine._fold_unit
-
-    def recording_fold(check, index, unit, result, *args, **kwargs):
-        folded.extend(
-            (c.rep, c.node, c.phase_equal, status)
-            for c, status in zip(unit.candidates, result.statuses)
-        )
-        return fold(check, index, unit, result, *args, **kwargs)
-
-    monkeypatch.setattr(engine, "_fold_unit", recording_fold)
-    return folded
-
-
-class TestJobsParity:
-    @pytest.mark.parametrize("refine", [True, False])
-    def test_serial_and_pool_sweep_alike_on_the_bench_corpus(
-        self, monkeypatch, refine
-    ):
-        folded = _candidate_statuses(monkeypatch)
-        options = CecOptions(refine=refine, preprocess=False)
-        for name, golden, revised in corpus():
-            runs = {}
-            for n_jobs in (1, 2):
-                folded.clear()
-                result = check_equivalence(
-                    golden, revised, options, n_jobs=n_jobs, **NARROW
-                )
-                runs[n_jobs] = (
-                    result.verdict,
-                    list(folded),
-                    result.stats["sweep_merges"],
-                    result.stats["sat_queries"],
-                )
-            assert runs[1] == runs[2], name
 
 
 class TestParentSolverOffTheSweep:
@@ -150,7 +108,7 @@ class TestParentSolverOffTheSweep:
         monkeypatch.setattr(engine, "Solver", ParentSolver)
         monkeypatch.setattr(engine, "_sweep", tracked_sweep)
         metrics = MetricsRegistry()
-        result = check_equivalence(*multi_block_pair(), n_jobs=1, metrics=metrics)
+        result = check_equivalence(*multi_block_pair(), metrics=metrics)
         assert result.verdict is CecVerdict.EQUIVALENT
         assert "sweep" not in parent_calls
         # Every solver call is a counted query; the sweep asked real

@@ -1,8 +1,8 @@
-"""Parallel / cache-aware sweeping tests plus sweep-path regressions.
+"""Partitioned / cache-aware sweeping tests plus sweep-path regressions.
 
 Covers the scaling layers of :mod:`repro.cec` (partitioning, the
-multiprocessing dispatcher, the persistent proof cache) and pins down the
-three sweep/miter bugfixes: union-of-inputs miter matching, the
+per-unit sweep, the persistent proof cache) and pins down the three
+sweep/miter bugfixes: union-of-inputs miter matching, the
 ``sweep_unknown`` / ``sweep_refuted`` distinction, and counterexample
 re-validation.
 """
@@ -179,45 +179,41 @@ class TestPartition:
 
 
 class TestParallelSweep:
-    @pytest.mark.parametrize("n_jobs", [2, 4])
-    def test_verdicts_match_serial_equivalent(self, n_jobs):
-        c1, c2 = xor_chain(16), xor_tree(16)
-        serial = check_equivalence(c1, c2)
-        parallel = check_equivalence(c1, c2, n_jobs=n_jobs)
-        assert serial.verdict is CecVerdict.EQUIVALENT
-        assert parallel.verdict is serial.verdict
-        assert parallel.stats["sweep_merges"] == serial.stats["sweep_merges"]
-
     @pytest.mark.parametrize("seed", range(4))
     def test_verdicts_match_serial_random(self, seed):
+        # The unit-by-unit sweep against monolithic SAT on the whole
+        # miter: same verdict, and a refutation replays.
         c1 = random_combinational(n_inputs=8, n_gates=60, seed=seed)
         c2 = random_combinational(
             n_inputs=8, n_gates=60, seed=seed + 10, name="other"
         )
         serial = check_equivalence(c1, c2)
-        parallel = check_equivalence(c1, c2, n_jobs=3)
-        assert parallel.verdict is serial.verdict
-        if parallel.verdict is CecVerdict.NOT_EQUIVALENT:
-            vec = parallel.counterexample
+        monolithic = check_equivalence(c1, c2, sweep=False)
+        assert monolithic.verdict is serial.verdict
+        if serial.verdict is CecVerdict.NOT_EQUIVALENT:
+            vec = serial.counterexample
             o1 = simulate(c1, [vec]).outputs[0]
             o2 = simulate(c2, [vec]).outputs[0]
             assert o1 != o2
 
     def test_serial_runs_are_deterministic(self):
         c1, c2 = xor_chain(12), xor_tree(12)
-        a = check_equivalence(c1, c2, n_jobs=1)
-        b = check_equivalence(c1, c2, n_jobs=1)
+        a = check_equivalence(c1, c2)
+        b = check_equivalence(c1, c2)
         assert a.verdict is b.verdict
         for key in ("sweep_merges", "sweep_refuted", "sweep_unknown",
                     "sat_queries"):
             assert a.stats[key] == b.stats[key]
 
     def test_worker_stats_reported(self):
-        r = check_equivalence(xor_chain(16), xor_tree(16), n_jobs=4)
+        from tests.cec.test_robustness import multi_block_pair
+
+        r = check_equivalence(*multi_block_pair())
         assert r.engine is not None
-        assert r.stats["n_units"] >= 1
-        if r.stats["n_units"] > 1:
-            assert 0.0 < r.stats["worker_utilisation"] <= 1.0
+        assert r.stats["n_units"] == 4
+        assert r.stats["worker_failures"] == 0
+        for gone in ("n_jobs", "worker_utilisation", "units_requeued"):
+            assert gone not in r.stats
 
     def test_unit_payload_is_self_contained(self):
         m = build_miter(xor_chain(8), xor_tree(8))
@@ -318,11 +314,9 @@ class TestRetimedSweepCoverage:
         comb1, comb2 = retimed_resynthesised_pair(seed)
         swept = check_equivalence(comb1, comb2, sweep=True)
         monolithic = check_equivalence(comb1, comb2, sweep=False)
-        parallel = check_equivalence(comb1, comb2, sweep=True, n_jobs=2)
         bdd = check_equivalence_bdd(comb1, comb2)
         assert swept.verdict is CecVerdict.EQUIVALENT
         assert monolithic.verdict is swept.verdict
-        assert parallel.verdict is swept.verdict
         assert bdd.verdict is swept.verdict
 
     def test_mutated_pair_detected_in_all_modes(self):
@@ -337,7 +331,6 @@ class TestRetimedSweepCoverage:
         for result in (
             check_equivalence(comb1, mutated, sweep=True),
             check_equivalence(comb1, mutated, sweep=False),
-            check_equivalence(comb1, mutated, n_jobs=2),
             check_equivalence_bdd(comb1, mutated),
         ):
             assert result.verdict is CecVerdict.NOT_EQUIVALENT
@@ -356,14 +349,17 @@ class TestRetimedSweepCoverage:
         resynth = optimize_sequential_delay(retimed, "medium", name="resynth")
         options = CecOptions(cache=ProofCache())
         cold = check_sequential_equivalence(c1, resynth, options=options)
-        warm = check_sequential_equivalence(
-            c1, resynth, options=options, n_jobs=2
-        )
+        warm = check_sequential_equivalence(c1, resynth, options=options)
         assert cold.equivalent and warm.equivalent
         assert warm.stats.get("cec_cache_hits", 0) > 0
-        # The pre-facade ``cec_cache=`` spelling is gone, not ignored.
+        # The pre-facade ``cec_cache=`` spelling and the sweep's worker
+        # count (``n_jobs=``, removed in 1.4.0) are gone, not ignored.
         with pytest.raises(TypeError, match="cec_cache"):
             check_sequential_equivalence(c1, resynth, cec_cache=ProofCache())
+        with pytest.raises(TypeError, match="n_jobs"):
+            check_sequential_equivalence(
+                c1, resynth, options=options, n_jobs=2
+            )
 
 
 class TestBugfixRegressions:

@@ -37,7 +37,7 @@ def table1_pair(name):
 @pytest.mark.parametrize(
     "name, queries, retired, conflicts, decisions, propagations",
     [
-        ("s3271", 568, 187, 438, 864, 16982),
+        ("s3271", 568, 187, 439, 865, 16984),
         ("s9234", 291, 113, 205, 361, 6188),
     ],
 )
@@ -45,7 +45,7 @@ def test_sweep_effort_is_pinned(name, queries, retired, conflicts, decisions, pr
     golden, revised = table1_pair(name)
     metrics = MetricsRegistry()
     report = verify_pair(
-        VerifyRequest(golden=golden, revised=revised, name=name, jobs=1),
+        VerifyRequest(golden=golden, revised=revised, name=name),
         metrics=metrics,
     )
     assert report.verdict == "equivalent"

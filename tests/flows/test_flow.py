@@ -119,6 +119,31 @@ class TestRunFlow:
         )
 
 
+class TestInertRowJobs:
+    """``table1_row(n_jobs=)`` is inert since 1.4.0: 1 is silent, any
+    other value warns, and neither reaches the flow."""
+
+    @pytest.fixture
+    def flow_calls(self, monkeypatch):
+        import repro.flows.table1 as table1
+
+        calls = []
+        monkeypatch.setattr(
+            table1, "run_flow", lambda circuit, **kw: calls.append(kw)
+        )
+        return calls
+
+    def test_default_is_silent(self, flow_calls, recwarn):
+        table1_row("s953", n_jobs=1)
+        assert not [w for w in recwarn if w.category is DeprecationWarning]
+        assert "n_jobs" not in flow_calls[0]
+
+    def test_other_values_warn(self, flow_calls):
+        with pytest.warns(DeprecationWarning, match="n_jobs"):
+            table1_row("s953", n_jobs=2)
+        assert "n_jobs" not in flow_calls[0]
+
+
 class TestQuickColumns:
     def test_pins_every_quick_row(self):
         assert sorted(QUICK_COLUMNS) == sorted(QUICK_SET)

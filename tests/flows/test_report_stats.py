@@ -60,8 +60,8 @@ class TestCompactStats:
         assert compact_stats(stats) == {"sat_queries": 10}
 
     def test_nonzero_robustness_counters_kept(self):
-        stats = {"cascade_sat": 3, "worker_timeouts": 1, "cascade_sim": 0}
-        assert compact_stats(stats) == {"cascade_sat": 3, "worker_timeouts": 1}
+        stats = {"cascade_sat": 3, "worker_failures": 1, "cascade_sim": 0}
+        assert compact_stats(stats) == {"cascade_sat": 3, "worker_failures": 1}
 
     def test_prefixed_keys_suppressed_too(self):
         stats = {"cec_cascade_sat": 0, "cec_sat_queries": 5}

@@ -96,7 +96,7 @@ class TestGoldenTrace:
         assert plain.verdict == traced_result.verdict
         assert set(plain.stats) == set(traced_result.stats)
         for key, value in plain.stats.items():
-            if key.startswith("time") or key in ("worker_utilisation",):
+            if key.startswith("time"):
                 continue
             assert traced_result.stats[key] == value, key
 

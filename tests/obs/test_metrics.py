@@ -57,15 +57,15 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.inc("cec.sat_queries")
         reg.inc("cec.sat_queries", 4)
-        reg.set_gauge("cec.n_jobs", 2)
+        reg.set_gauge("cec.n_units", 2)
         reg.max_gauge("bdd.peak_nodes", 10)
         reg.max_gauge("bdd.peak_nodes", 5)  # lower: ignored
-        reg.append("cec.worker.seconds", 0.5)
+        reg.append("x.samples", 0.5)
         assert reg.counter("cec.sat_queries") == 5
         assert reg.counter("never.seen") == 0
-        assert reg.gauge("cec.n_jobs") == 2
+        assert reg.gauge("cec.n_units") == 2
         assert reg.gauge("bdd.peak_nodes") == 10
-        assert reg.series("cec.worker.seconds") == [0.5]
+        assert reg.series("x.samples") == [0.5]
         assert bool(reg)
         assert not bool(MetricsRegistry())
 
@@ -100,14 +100,14 @@ class TestRegistry:
         reg.inc("sat.calls", 2)
         reg.observe("sat.conflicts_per_call", 10)
         reg.observe("sat.conflicts_per_call", 30)
-        reg.append("cec.worker.seconds", 1.5)
+        reg.append("x.samples", 1.5)
         flat = reg.as_flat_dict()
         assert flat["sat.calls"] == 2
         assert flat["sat.conflicts_per_call.count"] == 2
         assert flat["sat.conflicts_per_call.sum"] == 40
         assert flat["sat.conflicts_per_call.mean"] == 20
         assert flat["sat.conflicts_per_call.max"] == 30
-        assert flat["cec.worker.seconds.count"] == 1
-        assert flat["cec.worker.seconds.sum"] == 1.5
+        assert flat["x.samples.count"] == 1
+        assert flat["x.samples.sum"] == 1.5
         prefixed = reg.as_flat_dict(prefix="x.")
         assert set(prefixed) == {"x." + k for k in flat}

@@ -1,8 +1,7 @@
 """Merge algebra of the metrics registry when folding worker registries.
 
-The batch runner and the parallel sweep both fold each worker's
-registry into the run's with :meth:`MetricsRegistry.merge`, in whatever
-order the workers finish.  Two facts proved here make that safe:
+The batch runner folds each worker's registry into the run's with
+:meth:`MetricsRegistry.merge`, in whatever order the workers finish.  Two facts proved here make that safe:
 
 * merge is **commutative and associative** for every metric family
   (counters add, gauges max, histograms bucket-wise add, series are

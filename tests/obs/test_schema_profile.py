@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.obs.profile import phase_breakdown, profile_events, render_profile
 from repro.obs.schema import validate_event, validate_events
 from repro.obs.trace import Tracer
@@ -16,7 +18,9 @@ def tiny_trace():
                 with tracer.span("stage.sat", cat="stage"):
                     pass
                 ob.annotate(decided_by="sat", verdict="eq")
-            tracer.instant("sweep.unit.requeued", unit=0)
+            with tracer.span("sweep.unit", cat="worker", unit=0):
+                pass
+            tracer.instant("sweep.unit.lost", unit=1, error="boom")
         tracer.metrics(
             {
                 "sat.conflicts_per_call.count": 4,
@@ -91,8 +95,9 @@ class TestProfile:
         assert ob["output"] == "o0"
         assert ob["decided_by"] == "sat"
         assert ob["verdict"] == "eq"
+        assert prof["n_sweep_units"] == 1
         (incident,) = prof["incidents"]
-        assert incident["name"] == "sweep.unit.requeued"
+        assert incident["name"] == "sweep.unit.lost"
         assert prof["metrics"]["sat.conflicts_per_call.count"] == 4
 
     def test_top_limits_obligations(self):
@@ -110,4 +115,7 @@ class TestProfile:
         assert "stage.sat" in text
         assert "o0" in text
         assert "solver effort per call:" in text
-        assert "sweep.unit.requeued" in text
+        assert re.search(
+            r"^sweep: 1 unit\(s\), \d+\.\d{3}s in units$", text, re.M
+        )
+        assert "sweep.unit.lost" in text

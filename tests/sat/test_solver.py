@@ -108,13 +108,6 @@ class TestZeroLiteral:
             s.add_clause([0, 1])
         assert s.export_clauses() == []
 
-    def test_import_learned_rejects_zero_before_installing(self):
-        s = Solver()
-        s.add_clause([1, 2])
-        with pytest.raises(ValueError):
-            s.import_learned([[1, -2, 3], [0, 2]])
-        assert s.export_learned() == []
-
     def test_zero_assumption_rejected(self):
         # x2 is false at the root, and _assign[-1] is x2's slot.
         s = Solver()

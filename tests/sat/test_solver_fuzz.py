@@ -6,9 +6,12 @@ occasional mid-sequence clause additions, and occasional tiny conflict
 limits.  Every decided answer is cross-checked against exhaustive
 enumeration; every UNSAT core is checked for soundness (a subset of the
 assumptions that is UNSAT on its own) and for being no wider than the
-assumption set.  A final pass cross-checks ``export_learned`` /
-``import_learned``: a fresh solver seeded with the first solver's
-exported clauses must still agree with enumeration on every query.
+assumption set.  A final pass cross-checks ``export_clauses``, the
+round trip every sweep unit's CNF slice makes: a fresh solver loaded
+with the first solver's exported root state (root-level units, derived
+ones included, plus the original clauses) must still agree with
+enumeration on every query, and a scoped export is exactly the full
+export's clauses inside the scope.
 
 Deterministically seeded and small (n <= 6 variables) so the whole
 module stays well under the CI smoke budget.
@@ -104,15 +107,14 @@ def test_export_import_preserves_answers(seed):
     donor.ensure_vars(n)
     for cl in clauses:
         donor.add_clause(cl)
-    for _ in range(4):  # build up some learned clauses
+    for _ in range(4):  # learn, and derive some root-level units
         donor.solve(assumptions=random_assumptions(rng, n))
-    exported = donor.export_learned(max_len=8, max_lbd=4)
+    exported = donor.export_clauses()
 
     recipient = Solver()
     recipient.ensure_vars(n)
-    for cl in clauses:
+    for cl in exported:
         recipient.add_clause(cl)
-    recipient.import_learned(exported)
     for _ in range(6):
         assumptions = random_assumptions(rng, n)
         r = recipient.solve(assumptions=assumptions)
@@ -134,5 +136,9 @@ def test_scoped_export_stays_inside_variable_slice(seed):
     for _ in range(4):
         s.solve(assumptions=random_assumptions(rng, n))
     scope = {1, 2, 3}
-    for cl in s.export_learned(variables=scope):
+    scoped = s.export_clauses(variables=scope)
+    for cl in scoped:
         assert {abs(l) for l in cl} <= scope
+    assert scoped == [
+        cl for cl in s.export_clauses() if {abs(l) for l in cl} <= scope
+    ]

@@ -63,7 +63,7 @@ def pair(tmp_path_factory):
 
 class TestRequestRoundTrip:
     def test_to_from_dict(self, pair):
-        # The deprecated inert fields still round-trip (1.2 manifests
+        # The deprecated inert fields still round-trip (1.3 manifests
         # keep loading); setting them warns.
         with pytest.warns(DeprecationWarning):
             request = VerifyRequest(
@@ -86,8 +86,6 @@ class TestRequestRoundTrip:
                 bdd_node_limit=500,
                 metadata={"suite": "unit"},
                 engines=["structural", "sat"],
-                dispatch_policy="heuristic",
-                dispatch_store="outcomes.json",
             )
         data = json.loads(json.dumps(request.to_dict()))
         with pytest.warns(DeprecationWarning):
@@ -150,7 +148,9 @@ class TestRequestRoundTrip:
 
 class TestFingerprint:
     def test_name_and_engine_knobs_do_not_change_it(self, pair):
-        a = VerifyRequest(golden=pair[0], revised=pair[1], name="a", jobs=4)
+        a = VerifyRequest(
+            golden=pair[0], revised=pair[1], name="a", refine=False
+        )
         b = VerifyRequest(
             golden=pair[0], revised=pair[1], name="b", time_limit=1.0
         )
@@ -311,41 +311,59 @@ class TestDeprecationShims:
             )
         assert request.engines == ["sat"]
 
-    def test_manifest_row_with_dispatch_policy_loads_and_warns(self, pair):
-        # A 1.2 manifest row naming the deleted dispatch layer still
-        # loads; the value is inert and the warning says so.
+    def test_manifest_row_with_dispatch_policy_rejected(self, pair):
+        # Deprecated in 1.3.0 and removed in 1.4.0, as the notice said.
+        for field_name, value in (
+            ("dispatch_policy", "heuristic"),
+            ("dispatch_store", "outcomes.json"),
+        ):
+            with pytest.raises(ValueError, match=field_name):
+                VerifyRequest.from_dict(
+                    {"golden": pair[0], "revised": pair[1], field_name: value}
+                )
+            with pytest.raises(TypeError, match=field_name):
+                VerifyRequest(
+                    golden=pair[0], revised=pair[1], **{field_name: value}
+                )
+
+    def test_manifest_row_with_sweep_fields_loads_and_warns(self, pair):
+        # A 1.3 manifest row naming the sweep's worker count and clause
+        # sharing still loads: one warning per field, each with its own
+        # reason, and the same fingerprint and verdict as a plain row.
+        row = {"golden": pair[0], "revised": pair[1]}
         with pytest.warns(DeprecationWarning) as caught:
             request = VerifyRequest.from_dict(
-                {
-                    "golden": pair[0],
-                    "revised": pair[1],
-                    "dispatch_policy": "heuristic",
-                }
+                {**row, "jobs": 2, "share_learned": False}
             )
-        message = str(caught[0].message)
-        assert "dispatch_policy is ignored since 1.3.0" in message
-        assert "never changed a verdict" in message
-        assert "engines=" in message
-        assert request.dispatch_policy == "heuristic"
-        assert request.cec_options() == CecOptions()
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2
+        jobs, share = messages
+        assert jobs.startswith("VerifyRequest.jobs is ignored since 1.4.0")
+        assert "repro batch --jobs" in jobs
+        assert share.startswith(
+            "VerifyRequest.share_learned is ignored since 1.4.0"
+        )
+        assert "sharing" in share
+        assert all("removed in 1.5.0" in m for m in messages)
+        plain = VerifyRequest.from_dict(row)
+        assert request.fingerprint() == plain.fingerprint()
+        assert request.cec_options() == plain.cec_options() == CecOptions()
+        assert verify_pair(request).verdict == verify_pair(plain).verdict
 
-    def test_dispatch_fields_are_inert(self, pair, tmp_path):
-        store = tmp_path / "outcomes.json"
+    def test_dispatch_fields_are_inert(self, pair):
+        # The sweep-dispatch fields (``jobs`` chose the process pool,
+        # ``share_learned`` fed it) change nothing about the run.
         with pytest.warns(DeprecationWarning) as caught:
             tweaked = verify_pair(
-                pair[0],
-                pair[1],
-                dispatch_policy="heuristic",
-                dispatch_store=str(store),
+                pair[0], pair[1], jobs=2, share_learned=False
             )
-        assert not store.exists()
         assert {str(w.message).split()[0] for w in caught} == {
-            "VerifyRequest.dispatch_policy",
-            "VerifyRequest.dispatch_store",
+            "VerifyRequest.jobs",
+            "VerifyRequest.share_learned",
         }
         default = verify_pair(pair[0], pair[1])
         assert tweaked.verdict == default.verdict
-        for key in ("sat_queries", "cec_sat_queries"):
+        for key in ("sat_queries", "cec_sat_queries", "cec_core_retired"):
             assert tweaked.stats.get(key) == default.stats.get(key)
         assert tweaked.engine_used == default.engine_used
 
@@ -361,8 +379,8 @@ class TestDeprecationShims:
 
 
 class TestEngineDispatchKnobs:
-    """The ``engines`` portfolio, and the deprecated dispatch fields, on
-    the request and report."""
+    """The ``engines`` portfolio, and the deprecated sweep-dispatch
+    fields (``jobs``, ``share_learned``), on the request and report."""
 
     def test_engines_string_normalised_to_list(self, pair):
         request = VerifyRequest(
@@ -370,21 +388,21 @@ class TestEngineDispatchKnobs:
         )
         assert request.engines == ["sim", "sat"]
 
-    def test_round_trip_preserves_dispatch_fields(self, pair, tmp_path):
+    def test_round_trip_preserves_dispatch_fields(self, pair):
         with pytest.warns(DeprecationWarning):
             request = VerifyRequest(
                 golden=pair[0],
                 revised=pair[1],
                 engines=["structural", "sat"],
-                dispatch_policy="heuristic",
-                dispatch_store=str(tmp_path / "outcomes.json"),
+                jobs=3,
+                share_learned=False,
             )
         data = json.loads(json.dumps(request.to_dict()))
+        assert (data["jobs"], data["share_learned"]) == (3, False)
         with pytest.warns(DeprecationWarning):
             back = VerifyRequest.from_dict(data)
         assert back.engines == ["structural", "sat"]
-        assert back.dispatch_policy == "heuristic"
-        assert back.dispatch_store == str(tmp_path / "outcomes.json")
+        assert (back.jobs, back.share_learned) == (3, False)
 
     def test_dispatch_knobs_do_not_change_fingerprint(self, pair):
         base = VerifyRequest(golden=pair[0], revised=pair[1])
@@ -393,8 +411,8 @@ class TestEngineDispatchKnobs:
                 golden=pair[0],
                 revised=pair[1],
                 engines=["structural", "sim", "bdd", "sat"],
-                dispatch_policy="heuristic",
-                dispatch_store="outcomes.json",
+                jobs=4,
+                share_learned=False,
             )
         assert base.fingerprint() == tweaked.fingerprint()
 

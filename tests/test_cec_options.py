@@ -7,10 +7,9 @@ them on whole.  These tests pin that contract:
 
 * every ``CecOptions`` field is a ``VerifyRequest`` field with the same
   default;
-* each option, and the worker count, set on a request or on
-  :func:`repro.flows.flow.run_flow`, reaches
-  :func:`repro.cec.check_equivalence` unchanged — on a CBF pair and on an
-  EDBF pair.
+* each option set on a request or on :func:`repro.flows.flow.run_flow`
+  reaches :func:`repro.cec.check_equivalence` unchanged, next to the
+  run resources only — on a CBF pair and on an EDBF pair.
 """
 
 from __future__ import annotations
@@ -31,10 +30,10 @@ OPTIONS = CecOptions(
     cache=ProofCache(),
     refine=False,
     preprocess=False,
-    share_learned=False,
     engines=["structural", "sat"],
 )
-N_JOBS = 3
+#: The run keywords the engine receives besides the options.
+RUN_KEYWORDS = {"budget", "tracer", "metrics"}
 
 
 def test_every_option_is_a_request_field_with_the_same_default():
@@ -88,24 +87,21 @@ def test_request_options_reach_the_engine(engine_calls, enable, method):
     request = VerifyRequest(
         golden=golden,
         revised=revised,
-        jobs=N_JOBS,
         **{f.name: getattr(OPTIONS, f.name) for f in fields(CecOptions)},
     )
     report = verify_pair(request)
     assert report.method == method
     ((options, run),) = engine_calls
     assert options == OPTIONS
-    assert run["n_jobs"] == N_JOBS
+    assert set(run) == RUN_KEYWORDS
 
 
 @pytest.mark.parametrize("enable, stat", [(False, "depth1"), (True, "events")])
 def test_flow_options_reach_the_engine(engine_calls, enable, stat):
     circuit, _ = _pair(enable)
-    result = run_flow(
-        circuit, build_unexposed_variants=False, options=OPTIONS, n_jobs=N_JOBS
-    )
+    result = run_flow(circuit, build_unexposed_variants=False, options=OPTIONS)
     # ``depth1`` is recorded by the CBF lowering, ``events`` by the EDBF one.
     assert stat in result.verify_stats
     ((options, run),) = engine_calls
     assert options == OPTIONS
-    assert run["n_jobs"] == N_JOBS
+    assert set(run) == RUN_KEYWORDS

@@ -141,6 +141,31 @@ class TestTableCommands:
         assert "--resume requires --checkpoint" in capsys.readouterr().err
 
 
+class TestRemovedSweepFlags:
+    """The sweep's ``--jobs`` and ``--no-share-learned`` are gone (1.4.0);
+    ``repro batch --jobs`` keeps setting the batch's worker lanes."""
+
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--no-share-learned"]])
+    @pytest.mark.parametrize("command", ["verify", "table1"])
+    def test_sweep_flags_are_unknown_arguments(
+        self, command, flag, blif_file, capsys
+    ):
+        if command == "verify":
+            args = ["verify", str(blif_file), str(blif_file)]
+        else:
+            args = ["table1", "--circuits", "s953"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_batch_keeps_its_lanes(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["batch", "m.json", "--jobs", "3"])
+        assert args.jobs == 3
+
+
 class TestWeightedExposure:
     def test_weighted_prefers_cheap_latches(self):
         """Two latches in a ring; the one with the big cone should be kept."""

@@ -199,22 +199,22 @@ class TestResourceFaults:
                 mutation.describe()
             )
 
-    def test_killed_sweep_worker_preserves_seq_verdict(self, monkeypatch):
-        from repro.cec import parallel
+    def test_killed_sweep_worker_preserves_seq_verdict(self):
+        from repro.runtime import chaos
+        from repro.runtime.chaos import FaultPlan, FaultRule
 
         circuit = pipeline_circuit(stages=2, width=3, seed=21)
         pairs = sample_mutations(circuit, count=4, seed=21)
+        fired = 0
         for mutation, mutant in pairs:
-            serial = check_sequential_equivalence(circuit, mutant, n_jobs=1)
-
-            def crash(payload):
-                raise RuntimeError("injected worker crash")
-
-            monkeypatch.setattr(parallel, "_fault_hook", crash)
+            clean = check_sequential_equivalence(circuit, mutant)
+            plan = chaos.install(
+                FaultPlan([FaultRule(site="worker.entry", action="crash")])
+            )
             try:
-                faulty = check_sequential_equivalence(
-                    circuit, mutant, n_jobs=2
-                )
+                faulty = check_sequential_equivalence(circuit, mutant)
             finally:
-                monkeypatch.setattr(parallel, "_fault_hook", None)
-            assert faulty.verdict is serial.verdict, mutation.describe()
+                chaos.uninstall()
+            assert faulty.verdict is clean.verdict, mutation.describe()
+            fired += plan.fired("worker.entry")
+        assert fired > 0  # some sweep unit really died
