@@ -18,11 +18,15 @@ use a Lee-Reddy-style greedy heuristic [22]:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.core.feedback import analyze_feedback_latch, remodel_feedback_latches
+from repro.core.feedback import (
+    analyze_feedback_latch,
+    remodel_feedback_latches,
+    topo_rank,
+)
 from repro.netlist.circuit import Circuit
 from repro.netlist.graph import latch_dependency_graph
 from repro.netlist.transform import ExposedCircuit, expose_latches
@@ -48,35 +52,44 @@ def minimum_feedback_vertex_set(
     cut comparably many cycles.
     """
     g = graph.copy()
-    fvs: Set[str] = set()
-    # Self-loops first: each is unavoidable.
-    for node in list(g.nodes):
-        if g.has_edge(node, node):
-            fvs.add(node)
-            g.remove_node(node)
+    # Self-loops first: each is unavoidable.  Deleting a node never makes
+    # a new one, so one scan finds them all.
+    fvs: Set[str] = {node for node in g.nodes if g.has_edge(node, node)}
+    g.remove_nodes_from(fvs)
 
-    def score(n: str) -> float:
+    def key(n: str) -> Tuple[float, str]:
         base = g.in_degree(n) * g.out_degree(n)
         if weight is None:
-            return float(base)
-        return base / max(weight.get(n, 1.0), 1e-9)
+            return float(base), str(n)
+        return base / max(weight.get(n, 1.0), 1e-9), str(n)
 
-    while True:
-        # Restrict attention to non-trivial SCCs.
-        cyclic_nodes: Set[str] = set()
-        for comp in nx.strongly_connected_components(g):
+    # Node -> its non-trivial SCC (with no self-loops left, every SCC of
+    # two or more nodes is cyclic and no single node is).  Deleting a node
+    # only splits its own SCC and changes only its neighbours' keys, so
+    # each pick re-splits one SCC and re-scores those neighbours.
+    component: Dict[str, Set[str]] = {}
+
+    def split(sccs: Iterable[Set[str]]) -> None:
+        for comp in sccs:
             if len(comp) > 1:
-                cyclic_nodes |= comp
-        if not cyclic_nodes:
-            break
-        best = max(cyclic_nodes, key=lambda n: (score(n), str(n)))
+                for node in comp:
+                    component[node] = comp
+
+    split(nx.strongly_connected_components(g))
+    keys = {node: key(node) for node in component}
+    while component:
+        best = max(component, key=keys.__getitem__)
         fvs.add(best)
+        rest = component[best]
+        for node in rest:
+            del component[node]
+        neighbours = [*g.pred[best], *g.succ[best]]
         g.remove_node(best)
-        # New self-loops cannot appear (we removed nodes), but keep safe:
-        for node in list(g.nodes):
-            if g.has_edge(node, node):
-                fvs.add(node)
-                g.remove_node(node)
+        rest.discard(best)
+        split(nx.strongly_connected_components(g.subgraph(rest)))
+        for node in neighbours:
+            if node in component:
+                keys[node] = key(node)
     return fvs
 
 
@@ -133,9 +146,10 @@ def choose_latches_to_expose(
 
     to_remodel: Set[str] = set()
     if use_unateness:
+        rank = topo_rank(circuit)
         for node in list(g.nodes):
             if g.has_edge(node, node):
-                analysis = analyze_feedback_latch(circuit, node)
+                analysis = analyze_feedback_latch(circuit, node, rank=rank)
                 if analysis.positive_unate:
                     # Remodelling removes only the self-loop edge; paths
                     # through other latches remain.

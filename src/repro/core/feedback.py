@@ -35,6 +35,7 @@ __all__ = [
     "remodel_feedback_latches",
     "unate_decomposition",
     "next_state_bdd",
+    "topo_rank",
 ]
 
 
@@ -50,20 +51,43 @@ class FeedbackAnalysis:
     manager: Optional[BDD] = None
 
 
+def topo_rank(circuit: Circuit) -> Dict[str, int]:
+    """Each gate's position in ``circuit.topo_gates()``.
+
+    Adding gates that no existing gate reads leaves every position as it
+    is, so one rank serves all :func:`next_state_bdd` calls on a circuit
+    that only grows that way.
+    """
+    return {gate.output: i for i, gate in enumerate(circuit.topo_gates())}
+
+
 def next_state_bdd(
-    circuit: Circuit, latch_name: str, manager: Optional[BDD] = None
+    circuit: Circuit,
+    latch_name: str,
+    manager: Optional[BDD] = None,
+    rank: Optional[Dict[str, int]] = None,
 ) -> Tuple[BDD, int]:
     """BDD of a latch's next-state function over PIs and latch outputs.
 
     For a load-enabled latch the *effective* next-state function
     ``e·data + ē·x`` is returned, so the unateness test covers Fig. 14-style
     conditional-update structures uniformly.
+
+    Only the latch's cone is built, its gates in :func:`topo_rank` order:
+    the order of the whole circuit's ``topo_gates()``, so the BDD's node
+    ids do not depend on anything outside the cone.  ``rank`` is computed
+    when not given.
     """
     if manager is None:
         manager = BDD()
     latch = circuit.latches[latch_name]
     roots = [latch.data] + ([latch.enable] if latch.enable is not None else [])
     cone = combinational_fanin_cone(circuit, roots)
+    gates = [sig for sig in cone if sig in circuit.gates]
+    if rank is None or not all(sig in rank for sig in gates):
+        # None given, or taken before some of these gates were added.
+        rank = topo_rank(circuit)
+    gates.sort(key=rank.__getitem__)
     nodes: Dict[str, int] = {}
 
     # Leaves of the cone (PIs and latch outputs) become variables, ordered
@@ -85,9 +109,8 @@ def next_state_bdd(
 
     for leaf in leaf_order():
         nodes[leaf] = manager.add_var(leaf)
-    for gate in circuit.topo_gates():
-        if gate.output not in cone:
-            continue
+    for sig in gates:
+        gate = circuit.gates[sig]
         fanins = [nodes[s] for s in gate.inputs]
         nodes[gate.output] = manager.from_sop(gate.sop, fanins)
     data = nodes[latch.data]
@@ -143,10 +166,16 @@ def unate_decomposition(
 
 
 def analyze_feedback_latch(
-    circuit: Circuit, latch_name: str, manager: Optional[BDD] = None
+    circuit: Circuit,
+    latch_name: str,
+    manager: Optional[BDD] = None,
+    rank: Optional[Dict[str, int]] = None,
 ) -> FeedbackAnalysis:
-    """Check the paper's feedback condition for one self-loop latch."""
-    manager, f = next_state_bdd(circuit, latch_name, manager)
+    """Check the paper's feedback condition for one self-loop latch.
+
+    ``rank`` is passed on to :func:`next_state_bdd`.
+    """
+    manager, f = next_state_bdd(circuit, latch_name, manager, rank)
     if latch_name not in manager.support(f):
         # No true dependence on itself: trivially fine (enable = 1).
         return FeedbackAnalysis(
@@ -176,10 +205,13 @@ def remodel_feedback_latches(
     if latches is None:
         latches = sorted(self_loop_latches(circuit))
     result = circuit.copy(circuit.name + "_remodel")
+    # Remodelling removes no gate, and only the remodelled latch reads the
+    # gates it adds, so one rank lasts the loop.
+    rank = topo_rank(result)
     remodelled: List[str] = []
     failed: List[str] = []
     for name in latches:
-        analysis = analyze_feedback_latch(result, name)
+        analysis = analyze_feedback_latch(result, name, rank=rank)
         if not analysis.positive_unate:
             failed.append(name)
             continue
@@ -188,13 +220,9 @@ def remodel_feedback_latches(
         assert analysis.enable_bdd is not None and analysis.data_bdd is not None
         e_sig = _materialize(manager, analysis.enable_bdd, result, f"__fb_en_{name}")
         d_sig = _materialize(manager, analysis.data_bdd, result, f"__fb_d_{name}")
-        old = result.latches[name]
-        if old.enable is not None:
-            # Already enabled (Fig. 14 conditional update): the effective
-            # next-state decomposition replaces both enable and data.
-            result.replace_latch(Latch(name, d_sig, e_sig))
-        else:
-            result.replace_latch(Latch(name, d_sig, e_sig))
+        # On an already-enabled latch (Fig. 14 conditional update) the
+        # effective next-state decomposition replaces enable and data both.
+        result.replace_latch(Latch(name, d_sig, e_sig))
         remodelled.append(name)
     return result, remodelled, failed
 

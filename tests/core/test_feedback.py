@@ -8,14 +8,20 @@ import pytest
 
 from repro.bdd.bdd import BDD
 from repro.bench.counterex import fig14_conditional_update
+from repro.bench.industrial import build_table2_circuit
 from repro.core.feedback import (
     analyze_feedback_latch,
     next_state_bdd,
     remodel_feedback_latches,
+    topo_rank,
     unate_decomposition,
 )
 from repro.netlist.build import CircuitBuilder
-from repro.netlist.graph import feedback_latches
+from repro.netlist.graph import (
+    combinational_fanin_cone,
+    feedback_latches,
+    self_loop_latches,
+)
 from repro.netlist.validate import validate_circuit
 from repro.sim.exact3 import exact3_equivalent
 
@@ -37,6 +43,62 @@ def toggle_circuit():
     b.NOT("q", name="nq")
     b.output(b.AND("q", i), name="o")
     return b.circuit
+
+
+def whole_order_next_state_bdd(circuit, latch_name):
+    """:func:`next_state_bdd` built in the whole circuit's ``topo_gates()``
+    order, skipping the gates outside the latch's cone."""
+    manager = BDD()
+    latch = circuit.latches[latch_name]
+    roots = [latch.data] + ([latch.enable] if latch.enable is not None else [])
+    cone = combinational_fanin_cone(circuit, roots)
+    leaves, seen, stack = [], set(), list(roots)
+    while stack:
+        sig = stack.pop()
+        if sig in seen:
+            continue
+        seen.add(sig)
+        if sig in circuit.gates:
+            stack.extend(reversed(circuit.gates[sig].inputs))
+        elif sig not in leaves:
+            leaves.append(sig)
+    nodes = {leaf: manager.add_var(leaf) for leaf in leaves}
+    for gate in circuit.topo_gates():
+        if gate.output in cone:
+            fanins = [nodes[s] for s in gate.inputs]
+            nodes[gate.output] = manager.from_sop(gate.sop, fanins)
+    data = nodes[latch.data]
+    if latch.enable is None:
+        return manager, data
+    x = manager.add_var(latch_name)
+    return manager, manager.ite(nodes[latch.enable], data, x)
+
+
+def node_table(manager, root):
+    """Everything that names a BDD node: its arrays, variables and root."""
+    return manager._level, manager._low, manager._high, manager.var_names, root
+
+
+class TestSharedRank:
+    @pytest.mark.parametrize("name", ["ex2", "ex3", "ex7", "ex9"])
+    def test_node_identical_to_whole_circuit_order(self, name):
+        circuit = build_table2_circuit(name)
+        rank = topo_rank(circuit)
+        latches = sorted(self_loop_latches(circuit))
+        assert latches
+        for latch in latches:
+            built = next_state_bdd(circuit, latch, rank=rank)
+            assert node_table(*built) == node_table(
+                *whole_order_next_state_bdd(circuit, latch)
+            ), latch
+
+    def test_rank_taken_before_the_cone_grew(self):
+        """A latch remodelled twice reads gates the loop's rank predates."""
+        c = conditional_update_circuit()
+        rank = topo_rank(c)
+        new, _, _ = remodel_feedback_latches(c)
+        built = next_state_bdd(new, "q", rank=rank)
+        assert node_table(*built) == node_table(*whole_order_next_state_bdd(new, "q"))
 
 
 class TestUnateDecomposition:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.industrial import TABLE2_CIRCUITS
 from repro.bench.iscas_like import build_table1_circuit
 from repro.bench.minmax import minmax_circuit
 from repro.core.verify import SeqVerdict
@@ -14,12 +15,18 @@ from repro.flows import flow
 from repro.flows.flow import run_flow
 from repro.flows.report import render_table
 from repro.flows.table1 import QUICK_SET, format_table1, table1_row
-from repro.flows.table2 import format_table2, table2_row
+from repro.flows.table2 import Table2Row, format_table2, table2_row
 
 #: The deterministic columns of the ``--quick`` Table 1 rows.
 QUICK_COLUMNS = json.loads(
     (Path(__file__).parents[1] / "data" / "table1_quick.json").read_text()
 )
+#: Latches and exposed latches (structural, then unate) of every Table 2
+#: row, as ``repro table2`` prints them.
+TABLE2_COLUMNS = json.loads(
+    (Path(__file__).parents[1] / "data" / "table2.json").read_text()
+)
+EXPERIMENTS = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 
 class TestRunFlow:
@@ -161,6 +168,39 @@ class TestQuickColumns:
             "notes": row.notes,
             "status": row.status,
         } == QUICK_COLUMNS[name]
+
+
+class TestTable2Columns:
+    def test_pins_every_row(self):
+        assert sorted(TABLE2_COLUMNS) == sorted(e[0] for e in TABLE2_CIRCUITS)
+
+    @pytest.mark.parametrize("name", [e[0] for e in TABLE2_CIRCUITS])
+    def test_row_columns_unchanged(self, name):
+        row = table2_row(name)
+        assert row.status == "ok"
+        assert {
+            "latches": row.latches,
+            "exposed_structural": row.exposed_structural,
+            "exposed_unate": row.exposed_unate,
+        } == TABLE2_COLUMNS[name]
+
+    def test_experiments_block_matches(self):
+        """EXPERIMENTS.md's Table 2 block is the table of the pinned rows."""
+        rows = [
+            Table2Row(
+                name,
+                TABLE2_COLUMNS[name]["latches"],
+                TABLE2_COLUMNS[name]["exposed_structural"],
+                TABLE2_COLUMNS[name]["exposed_unate"],
+                paper_exposed,
+                0.0,
+            )
+            for name, _, paper_exposed in TABLE2_CIRCUITS
+        ]
+        expected = [line.rstrip() for line in format_table2(rows).splitlines()[1:]]
+        section = EXPERIMENTS.read_text(encoding="utf-8").split("## Table 2")[1]
+        block = section.split("```")[1].strip("\n").splitlines()
+        assert [line.rstrip() for line in block] == expected
 
 
 class TestHarnessFormatting:
