@@ -14,7 +14,6 @@ from repro.bench.random_circuits import random_combinational
 from repro.bdd.bdd import BDD
 from repro.bdd.circuit2bdd import output_bdds
 from repro.cec import CecOptions
-from repro.cec.cache import ProofCache
 from repro.cec.engine import check_equivalence
 from repro.netlist.build import CircuitBuilder
 from repro.core.cbf import compute_cbf
@@ -93,16 +92,6 @@ def test_cec_sweep_units(benchmark):
     result = benchmark(check_equivalence, c1, c2)
     assert result.equivalent
     assert result.stats["n_units"] >= 1
-
-
-def test_cec_warm_proof_cache(benchmark):
-    c1, c2 = _xor_chain_tree_pair(32)
-    options = CecOptions(cache=ProofCache())
-    cold = check_equivalence(c1, c2, options)
-    result = benchmark(check_equivalence, c1, c2, options)
-    assert result.verdict is cold.verdict
-    assert result.stats["cache_hits"] > 0
-    assert result.stats["sat_queries"] < cold.stats["sat_queries"]
 
 
 def test_cbf_computation(benchmark):

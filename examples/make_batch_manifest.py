@@ -16,11 +16,12 @@ Usage::
 
     python examples/make_batch_manifest.py OUTDIR [--seeds N] [--mutants N]
     python -m repro batch OUTDIR/manifest.json --jobs 4 \
-        --cache OUTDIR/cache.json --store OUTDIR/results.jsonl
+        --store OUTDIR/results.jsonl
 
-The default workload is 11 pairs — big enough that lane sharding, the
-shared proof cache and store resume are all observable, small enough to
-finish in seconds.
+The default workload is 11 pairs — big enough that lane sharding,
+fingerprint dedup and store resume are all observable, small enough to
+finish in seconds.  Rerun with ``--resume`` to replay all 11 from the
+store.
 """
 
 from __future__ import annotations

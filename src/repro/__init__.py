@@ -59,7 +59,7 @@ from repro.api import (
     verify_pair,
 )
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "Circuit",

@@ -11,7 +11,6 @@ SAT effort (the "structural" filter of the CEC engines the paper cites).
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -166,42 +165,6 @@ class AIG:
             1,
         )
         return [bool(words[lit >> 1] ^ (lit & 1)) for lit in lits]
-
-    def pair_cone_key(self, lit_a: int, lit_b: int) -> str:
-        """Canonical structural hash of a candidate pair's fanin cone.
-
-        Nodes are renumbered in deterministic DFS discovery order from the
-        pair, so the key depends only on the cone's structure, the
-        complementation pattern, and which leaves are shared — not on node
-        ids or input names.  Structurally identical pairs from unrelated
-        circuits (or unrelated runs) therefore hash equal, which is what
-        makes the proof cache reusable across whole flows.
-        """
-        ids: Dict[int, int] = {}
-        parts: List[str] = []
-        for root in (lit_a >> 1, lit_b >> 1):
-            # Iterative post-order DFS (cones can exceed recursion limits).
-            stack: List[Tuple[int, bool]] = [(root, False)]
-            while stack:
-                node, expanded = stack.pop()
-                if node in ids:
-                    continue
-                if node == 0 or self._is_pi[node]:
-                    ids[node] = len(ids)
-                    parts.append("c" if node == 0 else "i")
-                    continue
-                f0, f1 = self._fanin0[node], self._fanin1[node]
-                if expanded:
-                    ids[node] = len(ids)
-                    parts.append(
-                        f"a{ids[f0 >> 1]}.{f0 & 1}.{ids[f1 >> 1]}.{f1 & 1}"
-                    )
-                else:
-                    stack.append((node, True))
-                    stack.append((f1 >> 1, False))
-                    stack.append((f0 >> 1, False))
-        parts.append(f"q{ids[lit_a >> 1]}.{lit_a & 1}.{ids[lit_b >> 1]}.{lit_b & 1}")
-        return hashlib.sha256("|".join(parts).encode("ascii")).hexdigest()
 
     # ------------------------------------------------------------------
     # simulation

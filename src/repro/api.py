@@ -54,7 +54,6 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.cec.cache import ProofCache
 from repro.cec.options import CecOptions
 from repro.core.verify import (
     SeqCheckResult,
@@ -149,25 +148,46 @@ def _blif_bytes(circuit: Union[str, os.PathLike, Circuit]) -> bytes:
 
 #: VerifyRequest fields holding the two circuits (serialised separately).
 _CIRCUIT_FIELDS = ("golden", "revised")
-#: VerifyRequest fields holding a file path or a store object with a
-#: ``path`` attribute (:class:`~repro.cec.ProofCache`).
-_PATH_FIELDS = ("cache",)
 
 #: Deprecated VerifyRequest fields that no longer do anything: their
-#: inert default and why.  They still load (manifests and stores written
-#: by 1.3) but warn when set; they are removed in 1.5.0.
+#: inert default, the release that made them inert, and why.  They still
+#: load (manifests and stores written by older releases) but warn when
+#: set, and are never fingerprinted.
 _INERT_FIELDS = {
     "jobs": (
         1,
+        "1.4.0",
         "the CEC sweep runs in-process; `repro batch --jobs` sets the "
         "batch's worker lanes",
     ),
     "share_learned": (
         True,
+        "1.4.0",
         "learned-clause sharing between sweep units is gone; it never "
         "changed a verdict or a SAT-query count",
     ),
+    "cache": (
+        None,
+        "1.5.0",
+        "the proof cache is gone; `repro batch --store F --resume` "
+        "replays pairs already decided",
+    ),
 }
+#: The release that drops every inert field.  Not 1.5.0, as 1.4.0
+#: announced: the repository benchmark still passes ``jobs=1`` and
+#: ``table1_row(n_jobs=1)``, so those spellings stay until it stops.
+_INERT_REMOVAL = "1.6.0"
+
+
+def _warn_inert(what: str, name: str, stacklevel: int) -> None:
+    """The one deprecation notice of inert field ``name``, set as ``what``."""
+    _, since, why = _INERT_FIELDS[name]
+    warnings.warn(
+        f"{what} is ignored since {since} and is removed in "
+        f"{_INERT_REMOVAL}: {why}",
+        DeprecationWarning,
+        stacklevel=stacklevel + 1,
+    )
 
 
 def _default(f) -> Any:
@@ -202,10 +222,10 @@ class VerifyRequest:
     validate_cex: bool = True
     # Deprecated since 1.4.0 and inert: see _INERT_FIELDS.
     jobs: int = 1
+    # Deprecated since 1.5.0 and inert: see _INERT_FIELDS.
+    cache: Union[None, str, os.PathLike] = None
     # Engine options (verdict-preserving; not fingerprinted), named as in
-    # CecOptions.  ``cache`` may also be a live ProofCache (the Table 1
-    # harness shares one across rows).
-    cache: Union[None, str, os.PathLike, ProofCache] = None
+    # CecOptions.
     refine: bool = True
     preprocess: bool = True
     # Deprecated since 1.4.0 and inert: see _INERT_FIELDS.
@@ -223,14 +243,9 @@ class VerifyRequest:
     engines: Optional[List[str]] = None
 
     def __post_init__(self) -> None:
-        for name, (inert, why) in _INERT_FIELDS.items():
+        for name, (inert, *_) in _INERT_FIELDS.items():
             if getattr(self, name) != inert:
-                warnings.warn(
-                    f"VerifyRequest.{name} is ignored since 1.4.0 and is "
-                    f"removed in 1.5.0: {why}",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
+                _warn_inert(f"VerifyRequest.{name}", name, 3)
         if isinstance(self.engines, str):
             self.engines = [
                 part.strip() for part in self.engines.split(",") if part.strip()
@@ -312,9 +327,8 @@ class VerifyRequest:
     def to_dict(self) -> Dict[str, Any]:
         """Stable JSON form; circuits given as objects become inline BLIF.
 
-        Fields at their default are left out.  ``cache`` is written as a
-        path; a live proof cache without a backing file has no JSON form
-        and raises :class:`ValueError` naming the field.
+        Fields at their default are left out; an inert ``cache`` is
+        written as a path string.
         """
         out: Dict[str, Any] = {}
         for f in fields(self):
@@ -327,13 +341,7 @@ class VerifyRequest:
                 continue
             if value == _default(f):
                 continue
-            if f.name in _PATH_FIELDS:
-                value = getattr(value, "path", value)
-                if value is None:
-                    raise ValueError(
-                        f"VerifyRequest.{f.name} is a store with no file "
-                        "path; it cannot be serialised"
-                    )
+            if f.name == "cache":
                 value = os.fspath(value)
             elif f.name == "metadata":
                 value = dict(value)
@@ -403,9 +411,9 @@ class VerifyReport:
     fingerprint: str = ""
     elapsed_seconds: float = 0.0
     metadata: Dict[str, Any] = field(default_factory=dict)
-    # Output obligations decided per engine adapter name (cache replays
-    # count under "structural"); empty when the core path did not run
-    # the CEC portfolio (e.g. structural short-circuits).
+    # Output obligations decided per engine adapter name; empty when the
+    # core path did not run the CEC portfolio (e.g. structural
+    # short-circuits).
     engine_used: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -588,11 +596,11 @@ def verify_batch(
     ``use_processes=False`` keeps execution in-process for tests and
     tiny batches).  ``budget`` is the *batch* budget — each job receives
     an even :meth:`~repro.runtime.Budget.slice` of the remaining wall
-    time.  ``cache`` shares one persistent proof-cache file across all
-    jobs; ``store``/``resume`` persist results to a JSONL
+    time.  ``store``/``resume`` persist results to a JSONL
     :class:`repro.service.store.ResultStore` and skip already-decided
     fingerprints.  Returns one report per request, in request order
-    (deduplicated requests share the winning report).
+    (deduplicated requests share the winning report).  ``cache`` is
+    inert since 1.5.0: setting it warns once and changes nothing.
 
     This is the synchronous convenience wrapper over
     :meth:`repro.service.scheduler.BatchRunner.run`, which ``repro batch``
@@ -602,10 +610,11 @@ def verify_batch(
 
     from repro.service.scheduler import BatchRunner
 
+    if cache is not None:
+        _warn_inert("verify_batch(cache=...)", "cache", 2)
     runner = BatchRunner(
         jobs=jobs,
         budget=Budget.coerce(budget),
-        cache=cache,
         store=store,
         resume=resume,
         retries=retries,

@@ -22,9 +22,6 @@ Scaling layers on top of the filter pipeline:
   of signature classes over the miter AIG;
 * :mod:`repro.cec.parallel` — every unit swept in-process, one at a
   time, on its own cone-sliced solver;
-* :mod:`repro.cec.cache` — a persistent proof cache keyed by canonical
-  structural cone hashes, so repeated checks across a flow (or across
-  runs) replay proven merges instead of re-solving them;
 * :mod:`repro.cec.engines` — the pluggable engine-adapter portfolio the
   output checks walk: each proof procedure (structural, sim, BDD, SAT) is
   a registered :class:`~repro.cec.engines.EngineAdapter`, and
@@ -34,7 +31,6 @@ Scaling layers on top of the filter pipeline:
   every caller passes as one value (``check_equivalence(c1, c2, options)``).
 """
 
-from repro.cec.cache import ProofCache
 from repro.cec.engine import (
     CecVerdict,
     CheckResult,
@@ -67,7 +63,6 @@ __all__ = [
     "EngineOutcome",
     "EngineStats",
     "Obligation",
-    "ProofCache",
     "WorkUnit",
     "available_engines",
     "check_equivalence",

@@ -4,11 +4,11 @@
 phase — build the miter, preprocess it, encode it to CNF, SAT-sweep the
 simulation classes with counterexample-guided refinement, then decide
 each output pair — and every check runs the same engine portfolio,
-structural hash (with proof-cache replay) then SAT, unless the caller
-names engines.  A :class:`~repro.runtime.Budget` only bounds that work:
-the sweep, every SAT call and a named BDD stage stop at its limits, and
-a check that runs dry records an UNKNOWN verdict with a reason code
-instead of raising or hanging.
+structural hash then SAT, unless the caller names engines.  A
+:class:`~repro.runtime.Budget` only bounds that work: the sweep, every
+SAT call and a named BDD stage stop at its limits, and a check that runs
+dry records an UNKNOWN verdict with a reason code instead of raising or
+hanging.
 
 Observability: the engine counts everything into one
 :class:`~repro.obs.metrics.MetricsRegistry` (the canonical sink; the
@@ -29,7 +29,6 @@ import enum
 import hashlib
 import random
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -37,7 +36,6 @@ from repro.aig.aig import AIG
 from repro.aig.rewrite import preprocess_miter
 from repro.bdd.bdd import BDD
 from repro.bdd.circuit2bdd import circuit_bdds
-from repro.cec.cache import EQ, NEQ, ProofCache
 from repro.cec.engines import (
     EngineAdapter,
     EngineContext,
@@ -48,6 +46,8 @@ from repro.cec.miter import MiterAIG, build_miter
 from repro.cec.options import CecOptions
 from repro.cec.parallel import (
     DEFERRED,
+    EQ,
+    NEQ,
     UNKNOWN,
     UnitResult,
     sweep_unit_payloads,
@@ -92,9 +92,6 @@ _COUNTER_METRICS: Dict[str, str] = {
     "sweep_merges": "cec.sweep.merges",
     "sweep_refuted": "cec.sweep.refuted",
     "sweep_unknown": "cec.sweep.unknown",
-    "cache_hits": "cec.cache.hits",
-    "cache_misses": "cec.cache.misses",
-    "cache_stores": "cec.cache.stores",
     "refine_rounds": "cec.refine.rounds",
     "refine_patterns": "cec.refine.patterns",
     "refine_splits": "cec.refine.splits",
@@ -123,12 +120,12 @@ class CecVerdict(enum.Enum):
 
 @dataclass
 class EngineStats:
-    """Per-check tracing: phase wall times, query counts, cache traffic.
+    """Per-check tracing: phase wall times, query counts, sweep outcomes.
 
     Threaded through :func:`check_equivalence` into
     :class:`CheckResult.stats` (flattened via :meth:`as_dict`) so the flow
     harnesses and the CLI can report where the engine spends its time and
-    how much work the proof cache and core retirement save.
+    how much work core retirement saves.
 
     This is now a *view*: the engine counts into a
     :class:`~repro.obs.metrics.MetricsRegistry` and rebuilds this object
@@ -141,9 +138,6 @@ class EngineStats:
     sweep_merges: int = 0
     sweep_refuted: int = 0
     sweep_unknown: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stores: int = 0
     # Counterexample-guided refinement (fraiging) telemetry.
     refine_rounds: int = 0
     refine_patterns: int = 0
@@ -429,7 +423,7 @@ def _refine_signatures(
 
 
 #: The engine portfolio of every check whose caller names none: the
-#: structural hash (with proof-cache replay), then SAT.  A budget bounds
+#: structural hash, then SAT.  A budget bounds
 #: this portfolio; it never changes which engines run.
 _DEFAULT_PORTFOLIO = ("structural", "sat")
 
@@ -458,7 +452,6 @@ class _Check:
     tracer: Union[Tracer, NullTracer]
     registry: MetricsRegistry
     caller_metrics: Optional[MetricsRegistry]
-    proof_cache: Optional[ProofCache]
     root: Union[Span, NullSpan]
     t0: float
     stats: Dict[str, float] = field(default_factory=dict)
@@ -516,8 +509,7 @@ def _decide_obligation(
     budget_checked = False
     for adapter in adapters:
         if budget is not None and adapter.proving and not budget_checked:
-            # One wall check per pair, before the first proving engine
-            # (cache replays stay free).
+            # One wall check per pair, before the first proving engine.
             budget_checked = True
             if budget.expired():
                 return _exhausted(check, ob.name, span, REASON_TIMEOUT)
@@ -531,16 +523,7 @@ def _decide_obligation(
             outcome = adapter.decide(ob, ctx)
         if outcome.status in (EQ, NEQ):
             metrics.inc(f"cec.engine.{adapter.name}.decided")
-            span.annotate(
-                decided_by=outcome.via or adapter.name, verdict=outcome.status
-            )
-            if (
-                outcome.via not in ("cache", "structural")
-                and check.proof_cache is not None
-                and ob.cache_key is not None
-            ):
-                check.proof_cache.put(ob.cache_key, outcome.status)
-                metrics.inc("cec.cache.stores")
+            span.annotate(decided_by=adapter.name, verdict=outcome.status)
             if outcome.status == NEQ:
                 return CheckResult(
                     CecVerdict.NOT_EQUIVALENT,
@@ -578,7 +561,6 @@ def _check_outputs(
         aig=check.aig,
         solver=check.solver,
         lit2cnf=check.lit2cnf,
-        proof_cache=check.proof_cache,
         metrics=check.registry,
         tracer=tracer,
         budget=check.budget,
@@ -594,18 +576,9 @@ def _check_outputs(
             # decided before any span opens.
             continue
         ob = Obligation(name=name, l1=l1, l2=l2)
-        if check.proof_cache is not None:
-            ob.cache_key = check.aig.pair_cone_key(l1, l2)
         with tracer.span(
             "cec.obligation", cat="obligation", output=name
         ) as span:
-            if tracer.enabled:
-                # Obligation features for the per-obligation log; the
-                # simulation width only matters to a sim stage.
-                if "sim" in names:
-                    span.annotate(cone=ob.cone(ctx), width=sim_width)
-                else:
-                    span.annotate(cone=ob.cone(ctx))
             result = _decide_obligation(check, ob, adapters, ctx, span)
         if result is not None:
             return result
@@ -620,12 +593,9 @@ def _begin(
     tracer: Union[None, Tracer, NullTracer],
     metrics: Optional[MetricsRegistry],
 ) -> _Check:
-    """Open a check: its registry, proof cache, started budget, root span."""
+    """Open a check: its registry, started budget and root span."""
     tracer = coerce_tracer(tracer)
     registry = MetricsRegistry()
-    proof_cache = ProofCache.coerce(options.cache)
-    if proof_cache is not None:
-        proof_cache.attach_metrics(registry)
     budget = Budget.coerce(budget)
     if budget is not None and budget.unlimited:
         budget = None  # an empty budget constrains nothing
@@ -644,7 +614,6 @@ def _begin(
         tracer=tracer,
         registry=registry,
         caller_metrics=metrics,
-        proof_cache=proof_cache,
         root=root,
         t0=time.perf_counter(),
     )
@@ -701,38 +670,6 @@ def _encode(check: _Check, aig: AIG) -> None:
     check.aig, check.solver, check.lit2cnf = aig, solver, lit2cnf
 
 
-def _replay_cached(
-    check: _Check, class_list: List[List[Candidate]]
-) -> List[List[Candidate]]:
-    """The sweep's cache pass: replay known verdicts, return the rest."""
-    registry, aig, proof_cache = check.registry, check.aig, check.proof_cache
-    t_cache = time.perf_counter()
-    pending: List[List[Candidate]] = []
-    with check.tracer.span("cec.phase.cache", cat="phase"):
-        for cls in class_list:
-            keep: List[Candidate] = []
-            for cand in cls:
-                known = proof_cache.get(
-                    aig.pair_cone_key(cand.rep_lit, cand.node_lit)
-                )
-                if known == EQ:
-                    registry.inc("cec.cache.hits")
-                    registry.inc("cec.sweep.merges")
-                    check.merge(cand)
-                    check.active.discard(cand.node)
-                elif known == NEQ:
-                    registry.inc("cec.cache.hits")
-                    registry.inc("cec.sweep.refuted")
-                    check.resolved.add(_pair_key(cand))
-                else:
-                    registry.inc("cec.cache.misses")
-                    keep.append(cand)
-            if keep:
-                pending.append(keep)
-    check.add_seconds("cec.phase.cache.seconds", time.perf_counter() - t_cache)
-    return pending
-
-
 def _fold_unit(
     check: _Check,
     index: int,
@@ -774,10 +711,6 @@ def _fold_unit(
         else:
             registry.inc("cec.sweep.unknown")
             check.resolved.add(_pair_key(cand))
-        if check.proof_cache is not None and status in (EQ, NEQ):
-            key = aig.pair_cone_key(cand.rep_lit, cand.node_lit)
-            check.proof_cache.put(key, status)
-            registry.inc("cec.cache.stores")
     return deferred
 
 
@@ -823,13 +756,6 @@ def _sweep_round(
     results = sweep_units(payloads, tracer, registry if observed else None)
     collected: List[Tuple[Candidate, Dict[str, bool]]] = []
     deferred = False
-    # Signature-class width per group id (members + representative) —
-    # an obligation feature for the per-candidate log below.
-    group_width: Dict[int, int] = {}
-    if tracer.enabled:
-        for cls in class_list:
-            if cls:
-                group_width[cls[0].group] = len(cls) + 1
     for index, (unit, result) in enumerate(zip(units, results)):
         if _fold_unit(
             check,
@@ -839,26 +765,6 @@ def _sweep_round(
             collected=collected if refining else None,
         ):
             deferred = True
-        if not tracer.enabled:
-            continue
-        # One feature record per sweep candidate; unit seconds are
-        # apportioned evenly — units are timed whole, not per query.
-        # The cone is the candidate's own, not its unit's.
-        seconds = result.seconds / max(1, len(unit.candidates))
-        for cand, status in zip(unit.candidates, result.statuses):
-            tracer.instant(
-                "cec.obligation.features",
-                cat="obligation",
-                kind="sweep",
-                round=round_no,
-                unit=index,
-                group=cand.group,
-                width=group_width.get(cand.group, 2),
-                cone=len(aig.cone_nodes((cand.rep_lit, cand.node_lit))),
-                engine="sat",
-                verdict=status,
-                seconds=seconds,
-            )
     sweep_span.annotate(
         merges=int(registry.counter("cec.sweep.merges")),
         refuted=int(registry.counter("cec.sweep.refuted")),
@@ -971,8 +877,6 @@ def _sweep(
             for cls in class_list:
                 for cand in cls:
                     check.deferred_open.discard(_pair_key(cand))
-        if check.proof_cache is not None:
-            class_list = _replay_cached(check, class_list)
         collected, deferred = _sweep_round(
             check, class_list, sweep_limit, refining, round_no
         )
@@ -993,20 +897,8 @@ def _sweep(
 
 
 def _finish(check: _Check, result: CheckResult) -> CheckResult:
-    """Close a check: persist the cache, attach stats, close the root."""
+    """Close a check: attach stats, close the root span."""
     registry = check.registry
-    if check.proof_cache is not None:
-        try:
-            check.proof_cache.save()
-        except Exception as exc:  # noqa: BLE001 - the verdict is
-            # already decided; losing cache persistence (full disk,
-            # injected save fault) must not lose the answer.
-            registry.inc("cec.cache.save_failures")
-            warnings.warn(
-                f"proof cache save failed: {exc}; verdict unaffected",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     check.stats["time"] = time.perf_counter() - check.t0
     engine = EngineStats.from_metrics(registry)
     check.stats.update(engine.as_dict())
@@ -1052,10 +944,7 @@ def check_equivalence(
     the engine portfolio.  ``sweep=False`` skips the sweep (pure
     monolithic SAT on the miter).  The sweep partitions its candidates
     into cone-disjoint work units and proves each, one at a time, on its
-    own solver over only the unit's cone.  ``options.cache`` — a
-    :class:`~repro.cec.cache.ProofCache` or a path to one — replays
-    previously-proven candidate and output verdicts by structural cone
-    hash, skipping their SAT queries entirely.
+    own solver over only the unit's cone.
 
     ``options.refine`` (default on) closes the simulation↔solver loop
     FRAIG style: every refuting SAT model from the sweep is appended as a

@@ -39,10 +39,10 @@ addressable from every layer (``CecOptions(engines=[...])``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cec.cache import EQ, NEQ
+from repro.cec.parallel import EQ, NEQ
 
 __all__ = [
     "DEFAULT_BDD_NODE_LIMIT",
@@ -77,26 +77,11 @@ UNKNOWN = "unknown"
 
 @dataclass
 class Obligation:
-    """One output pair to decide: the unit of work adapters receive.
-
-    ``cache_key`` is the pair's structural cone hash when a proof cache
-    is attached (the runner computes it once per pair).  :meth:`cone` is
-    the pair's fanin-cone size, computed lazily and cached — a feature of
-    the per-obligation log, so the walk only happens when the tracer is
-    on.
-    """
+    """One output pair to decide: the unit of work adapters receive."""
 
     name: str
     l1: int
     l2: int
-    cache_key: Optional[str] = None
-    _cone: Optional[int] = field(default=None, repr=False)
-
-    def cone(self, ctx: "EngineContext") -> int:
-        """Fanin-cone node count of the pair (lazy, cached)."""
-        if self._cone is None:
-            self._cone = len(ctx.aig.cone_nodes((self.l1, self.l2)))
-        return self._cone
 
 
 class EngineContext:
@@ -124,7 +109,6 @@ class EngineContext:
         aig,
         solver,
         lit2cnf,
-        proof_cache,
         metrics,
         tracer,
         budget,
@@ -136,7 +120,6 @@ class EngineContext:
         self.aig = aig
         self.solver = solver
         self.lit2cnf = lit2cnf
-        self.proof_cache = proof_cache
         self.metrics = metrics
         self.tracer = tracer
         self.budget = budget
@@ -176,18 +159,11 @@ class EngineContext:
 
 @dataclass
 class EngineOutcome:
-    """What one adapter concluded about one obligation.
-
-    ``via`` names the mechanism when it differs from the adapter itself
-    (the structural adapter reports ``"cache"`` for proof-cache replays);
-    the runner uses it for the ``decided_by`` span annotation and to
-    skip re-storing verdicts that came *from* the cache.
-    """
+    """What one adapter concluded about one obligation."""
 
     status: str  # EQ | NEQ | PASS | UNKNOWN
     counterexample: Optional[Dict[str, bool]] = None
     reason: Optional[str] = None
-    via: Optional[str] = None
 
 
 class EngineAdapter:
@@ -197,7 +173,7 @@ class EngineAdapter:
     with :func:`register_engine`.  ``proving`` distinguishes real proof
     procedures — which get a ``stage.<name>`` tracer span per attempt and
     a budget wall check before the first of them runs — from bookkeeping
-    adapters like the structural/cache replay, which stay span-free and
+    adapters like the structural literal check, which stay span-free and
     free of charge.
     """
 
@@ -300,7 +276,7 @@ def validate_counterexample(
 
     A SAT/BDD model is only a counterexample if replaying it through the
     AIG actually drives the paired output literals apart — anything else
-    means the encoding, the model extraction, or a cached merge is
+    means the encoding, the model extraction, or a sweep merge is
     corrupt, and returning it would be reporting NOT_EQUIVALENT on
     fiction.
     """

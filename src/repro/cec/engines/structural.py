@@ -1,11 +1,8 @@
-"""Structural adapter: literal identity and proof-cache replay.
+"""Structural adapter: literal identity.
 
 Stage 1 of the historical ladder.  Not a proving engine — it only
 recognises pairs the miter's structural hashing already merged onto one
-literal, and replays previously-proven EQ verdicts from the persistent
-proof cache by structural cone hash.  A cached NEQ is *not* replayed:
-the caller needs a fresh model for the counterexample, so only EQ skips
-the downstream engines (same asymmetry as the pre-adapter engine).
+literal, and hands every other pair to the next engine.
 """
 
 from __future__ import annotations
@@ -29,17 +26,7 @@ class StructuralEngine(EngineAdapter):
     proving = False
 
     def decide(self, ob: Obligation, ctx: EngineContext) -> EngineOutcome:
-        """EQ when both literals already coincide or the proof cache
-        replays a stored verdict for the pair's cone hash; PASS otherwise.
-        """
+        """EQ when both literals already coincide; PASS otherwise."""
         if ob.l1 == ob.l2:
-            return EngineOutcome(EQ, via="structural")
-        if ctx.proof_cache is not None:
-            if (
-                ob.cache_key is not None
-                and ctx.proof_cache.get(ob.cache_key) == EQ
-            ):
-                ctx.metrics.inc("cec.cache.hits")
-                return EngineOutcome(EQ, via="cache")
-            ctx.metrics.inc("cec.cache.misses")
+            return EngineOutcome(EQ)
         return EngineOutcome(PASS)

@@ -15,12 +15,8 @@ next to ``options``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.cec.cache import ProofCache
+from typing import Sequence, Union
 
 __all__ = ["CecOptions"]
 
@@ -31,8 +27,6 @@ class CecOptions:
 
     None of these changes a verdict; they change the effort spent on it.
 
-    * ``cache`` — a :class:`~repro.cec.ProofCache` or a path to one:
-      replay proven candidate and output verdicts by structural cone hash.
     * ``refine`` — counterexample-guided refinement: refuting SAT models
       re-split the simulation classes between sweep rounds.
     * ``preprocess`` — rewrite the miter AIG before sweeping (constant
@@ -41,7 +35,6 @@ class CecOptions:
       list), walked in order; None runs ``structural`` then ``sat``.
     """
 
-    cache: Union[None, str, os.PathLike, ProofCache] = None
     refine: bool = True
     preprocess: bool = True
     engines: Union[None, str, Sequence[str]] = None

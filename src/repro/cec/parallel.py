@@ -33,7 +33,6 @@ solver counts into the check's metrics registry when one is passed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -106,7 +105,6 @@ class UnitResult:
 
     statuses: List[str] = field(default_factory=list)
     sat_queries: int = 0
-    seconds: float = 0.0
     error: Optional[str] = None
     models: Optional[List[Optional[Dict[int, bool]]]] = None
     cores: List[List[int]] = field(default_factory=list)
@@ -314,7 +312,6 @@ def sweep_units(
     results: List[UnitResult] = []
     for payload in payloads:
         result = UnitResult(models=[] if payload.collect_models else None)
-        t0 = time.perf_counter()
         try:
             with tracer.span(
                 "sweep.unit",
@@ -334,6 +331,5 @@ def sweep_units(
             result.statuses.extend([UNKNOWN] * missing)
             if result.models is not None:
                 result.models.extend([None] * missing)
-        result.seconds = time.perf_counter() - t0
         results.append(result)
     return results

@@ -3,32 +3,28 @@
 ::
 
     python -m repro verify  golden.blif revised.blif [--rewrite] [--no-unate]
-                            [--cec-cache FILE] [--no-refine]
-                            [--no-preprocess] [--time-limit S]
-                            [--bdd-node-limit N]
+                            [--no-refine] [--no-preprocess]
+                            [--time-limit S] [--bdd-node-limit N]
                             [--engines NAMES]
                             [--trace FILE] [--metrics-out FILE]
-                            [--oblog FILE]
                             [--quiet] [--verbose]
     python -m repro retime  circuit.blif -o out.blif [--min-area] [--period N]
     python -m repro synth   circuit.blif -o out.blif [--effort medium]
     python -m repro expose  circuit.blif [--weighted] [--no-unate] [-o out.blif]
     python -m repro stats   circuit.blif
     python -m repro table1  [--quick | --circuits NAME ...] [--unate]
-                            [--cache FILE] [--no-refine]
-                            [--no-preprocess] [--time-limit S]
+                            [--no-refine] [--no-preprocess] [--time-limit S]
                             [--on-error skip|abort] [--checkpoint FILE --resume]
                             [--trace FILE] [--metrics-out FILE]
     python -m repro table2  [--quick | --circuits NAME ...]
                             [--on-error skip|abort] [--trace FILE]
     python -m repro profile run.jsonl [--top N] [--chrome OUT] [--validate]
     python -m repro batch   manifest.json [--jobs N] [--time-limit S]
-                            [--cache FILE] [--store FILE --resume]
+                            [--store FILE --resume]
                             [--retries N] [--in-process]
                             [--engines NAMES]
                             [--chaos PLAN.json --chaos-log FILE]
                             [--trace FILE] [--metrics-out FILE]
-                            [--oblog FILE]
 
 Exit codes of ``verify`` (and the per-job codes of ``batch``): 0
 equivalent, 1 not equivalent (a counterexample is printed), 2 unknown —
@@ -64,28 +60,12 @@ def _console(args) -> Console:
 
 
 def _make_tracer(args, meta):
-    """The command's tracer: file-backed for --trace, in-memory when only
-    --oblog needs the event stream, None when neither is asked for."""
+    """The command's tracer: file-backed for --trace, else None."""
     from repro.obs.trace import Tracer
 
     if args.trace:
         return Tracer(path=args.trace, meta=meta)
-    if getattr(args, "oblog", None):
-        return Tracer(sink=[], meta=meta)
     return None
-
-
-def _write_oblog(args, tracer, console) -> None:
-    """Distil the closed tracer's events into the --oblog JSONL file."""
-    out = getattr(args, "oblog", None)
-    if not out or tracer is None:
-        return
-    from repro.obs.oblog import extract_obligation_records, write_obligation_log
-    from repro.obs.trace import read_events
-
-    events = read_events(args.trace) if args.trace else tracer.events
-    count = write_obligation_log(extract_obligation_records(events), out)
-    console.info(f"wrote {count} obligation record(s) to {out}")
 
 
 def _cmd_verify(args) -> int:
@@ -99,7 +79,6 @@ def _cmd_verify(args) -> int:
         revised=args.revised,
         use_unateness=not args.no_unate,
         event_rewrite=args.rewrite,
-        cache=args.cec_cache,
         refine=not args.no_refine,
         preprocess=not args.no_preprocess,
         time_limit=args.time_limit,
@@ -119,7 +98,6 @@ def _cmd_verify(args) -> int:
         if registry is not None:
             with open(args.metrics_out, "w", encoding="utf-8") as handle:
                 handle.write(registry.to_json(indent=2))
-        _write_oblog(args, tracer, console)
     console.result(f"verdict: {report.verdict} (method: {report.method})")
     if report.reason is not None:
         console.result(f"  reason: {report.reason}")
@@ -259,7 +237,6 @@ def _cmd_batch(args) -> int:
     runner = BatchRunner(
         jobs=args.jobs,
         budget=args.time_limit,
-        cache=args.cache,
         store=args.store,
         resume=args.resume,
         retries=args.retries,
@@ -281,7 +258,6 @@ def _cmd_batch(args) -> int:
                 handle.write(registry.to_json(indent=2))
         _write_chaos_log(args, plan, console)
         _teardown_chaos(plan, previous_chaos_env)
-        _write_oblog(args, tracer, console)
     # Per-job summary: one line per manifest row, every row accounted for.
     counts = {0: 0, 1: 0, 2: 0}
     for result in results:
@@ -294,11 +270,6 @@ def _cmd_batch(args) -> int:
         f"batch summary: {counts[0]} equivalent, "
         f"{counts[1]} not equivalent, {counts[2]} unknown"
     )
-    if registry is not None:
-        hits = registry.counter("service.cache.hits")
-        misses = registry.counter("service.cache.misses")
-        if hits or misses:
-            console.info(f"proof cache: {hits:g} hit(s), {misses:g} miss(es)")
     if args.trace:
         console.info(f"wrote trace to {args.trace} (see: repro profile {args.trace})")
     if args.metrics_out:
@@ -456,11 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vcd", default=None, help="dump a counterexample waveform to this VCD file")
     p.add_argument("--report", default=None, help="write a Markdown verification report")
     p.add_argument(
-        "--cec-cache",
-        default=None,
-        help="persistent CEC proof-cache file (reused across runs)",
-    )
-    p.add_argument(
         "--no-refine",
         action="store_true",
         help="disable counterexample-guided refinement in the CEC sweep",
@@ -504,13 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="write the run's metrics registry as JSON",
-    )
-    p.add_argument(
-        "--oblog",
-        default=None,
-        metavar="FILE",
-        help="write per-obligation feature records (JSONL): cone size, "
-        "class width, cascade stage, engine, verdict, seconds",
     )
     p.set_defaults(func=_cmd_verify)
 
@@ -607,12 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the remaining time (exhaustion = verdict 'unknown')",
     )
     p.add_argument(
-        "--cache",
-        default=None,
-        metavar="FILE",
-        help="shared persistent CEC proof cache, warmed across jobs",
-    )
-    p.add_argument(
         "--store",
         default=None,
         metavar="FILE",
@@ -665,12 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="write the run's aggregated metrics registry as JSON",
-    )
-    p.add_argument(
-        "--oblog",
-        default=None,
-        metavar="FILE",
-        help="write per-obligation feature records (JSONL)",
     )
     p.set_defaults(func=_cmd_batch)
 

@@ -14,7 +14,7 @@ On-disk format — a versioned JSON envelope::
 (harness name, unateness, effort).  A checkpoint whose config differs
 from the resuming run is ignored wholesale — resuming a ``--unate`` run
 from a structural-exposure checkpoint would silently mix incomparable
-rows.  Loads are as paranoid as the proof cache's: unparseable files,
+rows.  Loads are paranoid: unparseable files,
 missing envelopes, and wrong schema versions all degrade to "no
 checkpoint", never to corrupt rows.  Writes go through a temp file +
 ``os.replace`` so an interrupt mid-write cannot destroy the file.

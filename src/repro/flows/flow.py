@@ -84,7 +84,7 @@ class FlowResult:
     verify_verdict: Optional[SeqVerdict] = None
     verify_reason: Optional[str] = None
     # Verification stats, including the CEC engine's ``cec_``-prefixed
-    # tracing fields (phase times, cache hits, sweep queries).
+    # tracing fields (phase times, sweep queries, core retirements).
     verify_stats: Dict[str, float] = field(default_factory=dict)
     notes: str = ""
     status: str = "ok"
@@ -171,9 +171,7 @@ def run_flow(
     the paper predicts from functional analysis.
 
     ``options`` (a :class:`repro.cec.CecOptions`) reaches the CEC engine
-    inside the verification step unchanged — e.g. a proof cache shared
-    across rows (and across runs) skips already-proven merges of
-    structurally recurring cones.  ``budget`` (a
+    inside the verification step unchanged.  ``budget`` (a
     :class:`repro.runtime.Budget` or bare seconds) resource-governs the
     verification step; exhaustion yields an UNKNOWN verdict with
     :attr:`FlowResult.verify_reason` set, never a hang.  ``tracer`` /

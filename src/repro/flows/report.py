@@ -73,10 +73,9 @@ def summarize_engine_stats(
 
     ``stats_list`` is typically the ``verify_stats`` of every flow result;
     ``prefix`` selects the engine's fields inside those dicts (the verify
-    layer re-exports them as ``cec_sat_queries``, ``cec_cache_hits``, …).
-    Returns a one-block summary: total SAT queries, sweep outcomes, cache
-    traffic with hit rate, and the accumulated per-phase engine time —
-    the numbers that show what the partition/cache layers saved.
+    layer re-exports them as ``cec_sat_queries``, ``cec_sweep_merges``,
+    …).  Returns a one-block summary: total SAT queries, sweep outcomes
+    and the accumulated per-phase engine time.
     """
     totals: dict = {}
     phase_totals: dict = {}
@@ -102,15 +101,6 @@ def summarize_engine_stats(
         f"  sat queries {queries}  sweep merges {merges}  "
         f"refuted {refuted}  unknown {unknown}"
     )
-    hits = int(totals.get("cache_hits", 0))
-    misses = int(totals.get("cache_misses", 0))
-    if hits or misses:
-        rate = 100.0 * hits / max(1, hits + misses)
-        lines.append(
-            f"  cache hits {hits}  misses {misses}  "
-            f"stores {int(totals.get('cache_stores', 0))}  "
-            f"hit rate {rate:.0f}%"
-        )
     if phase_totals:
         phases = "  ".join(
             f"{name} {seconds:.2f}s"

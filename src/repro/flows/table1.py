@@ -24,11 +24,9 @@ from __future__ import annotations
 import argparse
 import time
 import warnings
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.bench.iscas_like import TABLE1_CIRCUITS, build_table1_circuit
-from repro.cec.cache import ProofCache
 from repro.cec.options import CecOptions
 from repro.flows.checkpoint import Checkpoint
 from repro.flows.flow import FlowResult, run_flow
@@ -68,12 +66,14 @@ def table1_row(
     """Run the flow for one Table 1 circuit (arguments as :func:`run_flow`).
 
     ``n_jobs`` is inert: the CEC sweep runs in-process since 1.4.0.  Any
-    value but 1 warns; the keyword is removed in 1.5.0.
+    value but 1 warns; the keyword is removed in 1.6.0, not 1.5.0 as
+    first announced, because the repository benchmark still passes
+    ``n_jobs=1``.
     """
     if n_jobs != 1:
         warnings.warn(
             "table1_row(n_jobs=...) is ignored since 1.4.0 and is removed "
-            "in 1.5.0: the CEC sweep runs in-process",
+            "in 1.6.0: the CEC sweep runs in-process",
             DeprecationWarning,
             stacklevel=2,
         )
@@ -112,10 +112,7 @@ def run_table1(
     """Run the Table 1 harness and print the table.
 
     ``options`` (a :class:`repro.cec.CecOptions`) reaches every row's
-    verification step.  A proof cache in ``options.cache``
-    (path or :class:`repro.cec.ProofCache`) is opened once, shared by
-    every row and flushed at the end, so a second run of the harness
-    replays the proven merges instead of re-solving them.
+    verification step.
 
     ``time_limit`` builds a fresh per-row :class:`~repro.runtime.Budget`
     for the verification step; a row whose budget runs dry is recorded
@@ -135,10 +132,6 @@ def run_table1(
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     if console is None:
         console = Console.null()
-    # One live proof cache for every row: opened once, flushed at the end.
-    options = options if options is not None else CecOptions()
-    cache = ProofCache.coerce(options.cache)
-    options = replace(options, cache=cache)
     tracer = coerce_tracer(tracer)
     if names is None:
         names = [entry[0] for entry in TABLE1_CIRCUITS]
@@ -183,8 +176,6 @@ def run_table1(
             raise
         except Exception as exc:
             if on_error == "abort":
-                if cache is not None:
-                    cache.save()
                 run_span.close()
                 raise
             result = FlowResult(name, status="error", error=repr(exc))
@@ -207,8 +198,6 @@ def run_table1(
         if store is not None:
             store.record(name, result.to_dict())
     run_span.close()
-    if cache is not None:
-        cache.save()
     console.result(format_table1(results))
     console.result(summarize_engine_stats(r.verify_stats for r in results))
     return results
@@ -287,11 +276,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="remodel positive-unate feedback latches instead of exposing them",
     )
     parser.add_argument("--circuits", nargs="*", help="explicit circuit names")
-    parser.add_argument(
-        "--cache",
-        default=None,
-        help="persistent CEC proof-cache file shared across rows and runs",
-    )
     parser.add_argument(
         "--no-refine",
         action="store_true",
@@ -373,7 +357,6 @@ def run_args(args: argparse.Namespace) -> int:
     )
     registry = MetricsRegistry() if args.metrics_out else None
     options = CecOptions(
-        cache=args.cache,
         refine=not args.no_refine,
         preprocess=not args.no_preprocess,
     )

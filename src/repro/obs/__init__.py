@@ -7,15 +7,12 @@ The cross-cutting layer the rest of the stack reports through:
   exporter; the no-op :data:`~repro.obs.trace.NULL_TRACER` is the default
   everywhere, so the uninstrumented path is unchanged;
 * :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket histograms
-  / series behind one :class:`~repro.obs.metrics.MetricsRegistry`, the
+  behind one :class:`~repro.obs.metrics.MetricsRegistry`, the
   canonical sink that still flattens back to ``CheckResult.stats``;
 * :mod:`repro.obs.schema` — the trace-event JSON schema and a
   dependency-free validator (used by tests and the CI trace job);
 * :mod:`repro.obs.profile` — per-stage hotspot reports from a trace
   (``repro profile run.jsonl``);
-* :mod:`repro.obs.oblog` — the per-obligation feature log (cone size,
-  class width, cascade stage, engine, verdict, seconds) extracted from
-  traces;
 * :mod:`repro.obs.console` — the ``--quiet`` / ``--verbose`` aware line
   writer the flows and the CLI print through.
 
@@ -24,12 +21,6 @@ See ``docs/OBSERVABILITY.md`` for the span hierarchy and metric catalog.
 
 from repro.obs.console import Console
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry, TIME_BUCKETS
-from repro.obs.oblog import (
-    ObligationRecord,
-    extract_obligation_records,
-    read_obligation_log,
-    write_obligation_log,
-)
 from repro.obs.profile import phase_breakdown, profile_events, render_profile
 from repro.obs.schema import TRACE_EVENT_SCHEMA, validate_event, validate_events
 from repro.obs.trace import (
@@ -49,20 +40,16 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "ObligationRecord",
     "Span",
     "TIME_BUCKETS",
     "TRACE_EVENT_SCHEMA",
     "Tracer",
     "coerce_tracer",
     "export_chrome_trace",
-    "extract_obligation_records",
     "phase_breakdown",
     "profile_events",
     "read_events",
-    "read_obligation_log",
     "render_profile",
     "validate_event",
     "validate_events",
-    "write_obligation_log",
 ]

@@ -1,8 +1,8 @@
-"""A metrics registry: counters, gauges, fixed-bucket histograms, series.
+"""A metrics registry: counters, gauges and fixed-bucket histograms.
 
 One :class:`MetricsRegistry` is the canonical sink for everything the
 verification stack counts — SAT conflicts/propagations/decisions per
-call, BDD node growth and blow-ups, cache hits/misses, cascade outcomes,
+call, BDD node growth and blow-ups, sweep and cascade outcomes,
 per-phase wall time — replacing the ad-hoc stats-dict plumbing while
 still flattening back to the numeric ``CheckResult.stats`` form the rest
 of the repo (and its tests) rely on.
@@ -13,9 +13,7 @@ Metric kinds:
 * **gauge** — last-write-wins value (``set_gauge`` / ``max_gauge``);
 * **histogram** — fixed bucket boundaries, cumulative-style counts plus
   count/sum/min/max (``observe``); bucket layouts never change at
-  runtime, so worker histograms merge bucket-by-bucket;
-* **series** — a small append-only list of floats (``append``) for
-  places that need raw samples.
+  runtime, so worker histograms merge bucket-by-bucket.
 
 Registries serialise to plain JSON (:meth:`MetricsRegistry.to_dict` /
 :meth:`from_dict`) so batch workers can collect their own metrics and
@@ -23,7 +21,7 @@ ship them back with the job result for :meth:`merge`.
 
 Naming convention (see ``docs/OBSERVABILITY.md`` for the catalog):
 dot-separated lowercase paths, ``<subsystem>.<area>.<what>``, e.g.
-``cec.cache.hits``, ``sat.conflicts_per_call``, ``bdd.peak_nodes``.
+``cec.sweep.merges``, ``sat.conflicts_per_call``, ``bdd.peak_nodes``.
 """
 
 from __future__ import annotations
@@ -120,13 +118,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters/gauges/histograms/series with JSON round-tripping."""
+    """Named counters/gauges/histograms with JSON round-tripping."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._series: Dict[str, List[float]] = {}
 
     # ------------------------------------------------------------------
     # recording
@@ -157,10 +154,6 @@ class MetricsRegistry:
             hist = self._histograms[name] = Histogram(bounds)
         hist.observe(value)
 
-    def append(self, name: str, value: float) -> None:
-        """Append to a raw sample series."""
-        self._series.setdefault(name, []).append(float(value))
-
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
@@ -176,23 +169,14 @@ class MetricsRegistry:
         """The named histogram, or None."""
         return self._histograms.get(name)
 
-    def series(self, name: str) -> List[float]:
-        """A copy of the named series (empty when absent)."""
-        return list(self._series.get(name, ()))
-
     def names(self) -> List[str]:
         """All metric names, sorted."""
         return sorted(
-            set(self._counters)
-            | set(self._gauges)
-            | set(self._histograms)
-            | set(self._series)
+            set(self._counters) | set(self._gauges) | set(self._histograms)
         )
 
     def __bool__(self) -> bool:
-        return bool(
-            self._counters or self._gauges or self._histograms or self._series
-        )
+        return bool(self._counters or self._gauges or self._histograms)
 
     # ------------------------------------------------------------------
     # aggregation / serialisation
@@ -204,7 +188,8 @@ class MetricsRegistry:
 
         Counters add, gauges take the max (the merge use cases — worker
         peaks, per-row peaks — all want peaks), histograms merge
-        bucket-wise, series concatenate.
+        bucket-wise.  A ``series`` key, written by registries before
+        1.5.0, is ignored.
         """
         data = other.to_dict() if isinstance(other, MetricsRegistry) else other
         for name, value in (data.get("counters") or {}).items():
@@ -217,9 +202,6 @@ class MetricsRegistry:
                 self._histograms[name] = Histogram.from_dict(hist)
             else:
                 mine.merge(hist)
-        for name, values in (data.get("series") or {}).items():
-            for value in values:
-                self.append(name, value)
 
     def to_dict(self) -> Dict[str, Any]:
         """Structured JSON-able form (the shape :meth:`merge` accepts)."""
@@ -230,7 +212,6 @@ class MetricsRegistry:
                 name: hist.to_dict()
                 for name, hist in self._histograms.items()
             },
-            "series": {name: list(v) for name, v in self._series.items()},
         }
 
     @classmethod
@@ -253,8 +234,7 @@ class MetricsRegistry:
         """Flatten to numeric key/value pairs (histograms → summary keys).
 
         A histogram ``h`` contributes ``h.count``, ``h.sum``, ``h.mean``
-        and ``h.max``; a series contributes ``.count`` and ``.sum``.  This
-        is the form metrics snapshots take inside trace files.
+        and ``h.max``.  This is the form metrics snapshots take inside trace files.
         """
         flat: Dict[str, float] = {}
         for name, value in self._counters.items():
@@ -267,7 +247,4 @@ class MetricsRegistry:
             flat[prefix + name + ".mean"] = hist.mean
             if hist.vmax is not None:
                 flat[prefix + name + ".max"] = hist.vmax
-        for name, values in self._series.items():
-            flat[prefix + name + ".count"] = len(values)
-            flat[prefix + name + ".sum"] = sum(values)
         return flat

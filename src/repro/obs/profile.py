@@ -3,8 +3,9 @@
 The report answers the questions the paper's Tables 1–2 are really about
 — *where does verification time go?* — from a trace alone:
 
-* per-phase time breakdown (build / simulate / cache / partition / sweep
-  / outputs), summed over every circuit-pair check in the trace;
+* per-phase time breakdown (build / preprocess / encode / simulate /
+  partition / sweep / refine / outputs), summed over every circuit-pair
+  check in the trace;
 * cascade-stage breakdown: how often (and for how long) obligations were
   decided by simulation, bounded BDD, or bounded SAT;
 * the top-N slowest proof obligations, by output name;

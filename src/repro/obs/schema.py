@@ -23,7 +23,7 @@ __all__ = ["TRACE_EVENT_SCHEMA", "validate_event", "validate_events"]
 EVENT_CATEGORIES = (
     "flow",        # a whole harness/verify run, or one flow row
     "pair",        # one circuit-pair equivalence check (cec.check)
-    "phase",       # an engine phase (build/simulate/cache/partition/sweep/outputs)
+    "phase",       # an engine phase (build/simulate/partition/sweep/outputs)
     "obligation",  # one output-pair proof obligation
     "stage",       # one cascade stage attempt (sim/bdd/sat)
     "worker",      # sweep-unit spans (one per work unit)

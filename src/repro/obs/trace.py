@@ -409,10 +409,11 @@ def export_chrome_trace(
 
     Spans become complete (``ph="X"``) events in microseconds; instants
     become thread-scoped ``ph="i"`` marks.  Events carrying an integer
-    ``worker`` arg land on their own thread track (lane ``worker + 1``);
-    each distinct ``(host, pid)`` origin gets its own process track so
-    multi-host service traces don't collide.  Returns the
-    number of exported events.
+    ``lane`` arg — a batch job's span and the events adopted under it —
+    land on thread track ``lane + 1``, so concurrent jobs never share a
+    track; everything else is on track 0.  Each distinct ``(host, pid)``
+    origin gets its own process track.  Returns the number of exported
+    events.
     """
     events = read_events(source)
     trace_events: List[Dict[str, Any]] = []
@@ -423,9 +424,9 @@ def export_chrome_trace(
     for event in events:
         kind = event.get("type")
         args = event.get("args") or {}
-        worker = args.get("worker")
-        # Main-process events on tid 0; each worker on its own lane.
-        tid = worker + 1 if isinstance(worker, int) else 0
+        lane = args.get("lane")
+        # Batch lanes on their own tracks; everything else on tid 0.
+        tid = lane + 1 if isinstance(lane, int) else 0
         origin = (event.get("host"), event.get("pid"))
         pid = (
             0

@@ -20,11 +20,8 @@ from repro.retime.minperiod import min_period_retiming, clock_period, feasible_r
 from repro.retime.minarea import min_area_retiming
 from repro.retime.apply import apply_retiming, retime_min_period, retime_min_area
 from repro.retime.incremental import incremental_retime_enabled
-from repro.retime.wdmatrix import exact_min_period, wd_matrices
 
 __all__ = [
-    "exact_min_period",
-    "wd_matrices",
     "RetimingGraph",
     "build_retiming_graph",
     "min_period_retiming",

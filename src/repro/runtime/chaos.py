@@ -10,8 +10,6 @@ instrumented with *named sites* —
                             unit begins (in the calling process)
 ``scheduler.dispatch``      the batch scheduler ships a job to a worker
 ``store.append``            a result line is about to be written
-``cache.load``              a proof-cache file is about to be read
-``cache.save``              a proof-cache file is about to be written
 ==========================  ==============================================
 
 — and a :class:`FaultPlan` decides, deterministically, what happens at
@@ -68,8 +66,6 @@ KNOWN_SITES = frozenset(
         "worker.entry",
         "scheduler.dispatch",
         "store.append",
-        "cache.load",
-        "cache.save",
     }
 )
 

@@ -9,7 +9,7 @@ Layers (bottom-up):
   makes batches resumable;
 * :mod:`repro.service.scheduler` — :class:`BatchRunner`, which shards
   jobs over worker lanes (a process pool by default) with per-job
-  budget slices, a shared proof cache, retry/backoff and full
+  budget slices, retry/backoff and full
   trace/metrics observability.
 
 Most callers want :func:`repro.api.verify_batch` (one synchronous call)

@@ -12,11 +12,6 @@ into the run's shared state:
   clipped by the job's own request limits.  Exhaustion inside a worker
   surfaces as an ``unknown`` verdict with a ``REASON_*`` code, exactly
   as in single-pair runs — never as a crashed job.
-* **shared proof cache** — a runner-level cache path is handed to every
-  job that does not bring its own; workers merge-save atomically
-  (:class:`repro.cec.cache.ProofCache`), so job N+1 starts warm from
-  job N's proofs.  Warm-hit totals aggregate into the
-  ``service.cache.*`` counters.
 * **retry/backoff** — each worker invocation runs under
   :func:`repro.runtime.run_with_retries` (exponential backoff with full
   jitter, seeded per fingerprint); a job that still fails is recorded as
@@ -51,7 +46,7 @@ import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.api import VerifyReport, VerifyRequest, verify_pair
+from repro.api import _INERT_FIELDS, VerifyReport, VerifyRequest, verify_pair
 from repro.core.verify import SeqVerdict
 from repro.obs.metrics import TIME_BUCKETS, MetricsRegistry
 from repro.obs.trace import Tracer, coerce_tracer
@@ -155,7 +150,6 @@ class BatchRunner:
         self,
         jobs: int = 1,
         budget: Union[None, int, float, Budget] = None,
-        cache: Union[None, str, os.PathLike] = None,
         store: Union[None, str, os.PathLike, ResultStore] = None,
         resume: bool = False,
         retries: int = 2,
@@ -165,7 +159,6 @@ class BatchRunner:
     ) -> None:
         self.lanes = max(1, int(jobs))
         self.budget = Budget.coerce(budget)
-        self.cache = os.fspath(cache) if cache is not None else None
         self._store_arg = store
         self.resume = bool(resume)
         self.retries = max(0, int(retries))
@@ -337,10 +330,16 @@ class BatchRunner:
     # helpers
     # ------------------------------------------------------------------
     def _payload_for(self, job: Job, queue: JobQueue) -> Dict[str, Any]:
-        """The serialisable worker payload: request row + sliced budget."""
-        row = job.request.to_dict()
-        if self.cache is not None and "cache" not in row:
-            row["cache"] = self.cache
+        """The serialisable worker payload: request row + sliced budget.
+
+        Inert deprecated fields stay out of the row: the request already
+        warned about them once, and they change nothing in the worker.
+        """
+        row = {
+            key: value
+            for key, value in job.request.to_dict().items()
+            if key not in _INERT_FIELDS
+        }
         if self.budget is not None:
             share = self.budget.slice(max(1, queue.unfinished))
             for key, limit in (
@@ -392,14 +391,6 @@ class BatchRunner:
         self.metrics.observe(
             "service.job.seconds", result.elapsed_seconds, bounds=TIME_BUCKETS
         )
-        if result.report is not None:
-            stats = result.report.stats
-            self.metrics.inc(
-                "service.cache.hits", float(stats.get("cec_cache_hits", 0))
-            )
-            self.metrics.inc(
-                "service.cache.misses", float(stats.get("cec_cache_misses", 0))
-            )
 
     def _record(
         self,

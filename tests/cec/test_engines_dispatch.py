@@ -20,7 +20,7 @@ import pytest
 
 from repro.bench.random_circuits import random_combinational
 from repro.cec import CecOptions
-from repro.cec.cache import EQ, NEQ
+from repro.cec.parallel import EQ, NEQ
 from repro.cec.engine import CecVerdict, check_equivalence
 from repro.cec.engines.base import (
     _REGISTRY,

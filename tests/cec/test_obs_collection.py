@@ -145,7 +145,6 @@ class TestPartialStatPreservation:
         # queries in before dying, and it is not retried.
         assert result.sat_queries == 3
         assert FailingSolver.calls == 4
-        assert result.seconds > 0.0
 
     def test_immediate_death_degrades_to_all_unknown(self, monkeypatch):
         solver, units = solver_and_units()

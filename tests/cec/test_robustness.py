@@ -1,21 +1,18 @@
-"""Robustness of the CEC engine: poisoned caches, dying sweep units, budgets.
+"""Robustness of the CEC engine: dying sweep units, budgets.
 
 The invariant under test everywhere: faults and resource exhaustion may
 cost wall time or decidedness (UNKNOWN), but they must never change a
-decided verdict — a crashed sweep unit, a corrupted cache file, or a
-conflict-limited solve must leave the engine verdict-identical to a
-clean run.
+decided verdict — a crashed sweep unit or a conflict-limited solve must
+leave the engine verdict-identical to a clean run.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
 
 from repro.cec import CecOptions
-from repro.cec.cache import EQ, NEQ, SCHEMA_VERSION, ProofCache
 from repro.cec.engine import (
     CecVerdict,
     check_equivalence,
@@ -32,118 +29,6 @@ from repro.runtime.budget import (
 from repro.runtime.chaos import FaultPlan, FaultRule
 
 from tests.cec.test_sweep_parallel import xor_chain, xor_tree
-
-
-class TestCacheHardening:
-    def _roundtrip(self, tmp_path):
-        path = tmp_path / "proofs.json"
-        cache = ProofCache(path)
-        cache.put("k1", EQ)
-        cache.put("k2", NEQ)
-        cache.save()
-        return path
-
-    def test_envelope_roundtrip(self, tmp_path):
-        path = self._roundtrip(tmp_path)
-        raw = json.loads(path.read_text())
-        assert raw["version"] == SCHEMA_VERSION
-        reloaded = ProofCache(path)
-        assert reloaded.get("k1") == EQ
-        assert reloaded.get("k2") == NEQ
-
-    @pytest.mark.parametrize(
-        "content",
-        [
-            "not json at all {{{",
-            '"a bare string"',
-            "[1, 2, 3]",
-            '{"no": "envelope"}',
-            '{"version": 999, "proofs": {"k1": "eq"}}',
-            '{"version": 1, "proofs": "not-a-dict"}',
-        ],
-    )
-    def test_poisoned_file_degrades_to_misses(self, tmp_path, content):
-        path = tmp_path / "proofs.json"
-        path.write_text(content)
-        cache = ProofCache(path)
-        assert len(cache) == 0
-        assert cache.get("k1") is None
-
-    def test_invalid_verdicts_dropped_individually(self, tmp_path):
-        path = tmp_path / "proofs.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "version": SCHEMA_VERSION,
-                    "proofs": {"good": "eq", "bad": "maybe", "worse": 7},
-                }
-            )
-        )
-        cache = ProofCache(path)
-        assert cache.get("good") == EQ
-        assert cache.get("bad") is None
-        assert cache.get("worse") is None
-
-    def test_pre_envelope_format_is_ignored(self, tmp_path):
-        # The seed's bare {key: verdict} files have no version field.
-        path = tmp_path / "proofs.json"
-        path.write_text(json.dumps({"k1": "eq"}))
-        assert ProofCache(path).get("k1") is None
-
-    def test_uncacheable_verdict_rejected(self):
-        with pytest.raises(ValueError):
-            ProofCache().put("k", "unknown")
-
-    def test_save_leaves_no_temp_files(self, tmp_path):
-        self._roundtrip(tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["proofs.json"]
-
-    def test_corrupted_cache_does_not_change_verdict(self, tmp_path):
-        c1, c2 = xor_chain(16), xor_tree(16)
-        clean = check_equivalence(c1, c2)
-        path = tmp_path / "proofs.json"
-        # A hostile file full of wrong verdicts under random keys plus
-        # garbage rows: everything must be ignored or dropped.
-        path.write_text(
-            json.dumps(
-                {
-                    "version": SCHEMA_VERSION,
-                    "proofs": {f"bogus{i}": NEQ for i in range(50)},
-                }
-            )
-        )
-        poisoned = check_equivalence(c1, c2, CecOptions(cache=path))
-        assert poisoned.verdict is clean.verdict
-
-    def test_unparsable_file_quarantined_as_evidence(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
-        path = tmp_path / "proofs.json"
-        path.write_text("not json at all {{{")
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            cache = ProofCache(path)
-        # The corrupt bytes are set aside, byte-for-byte, not destroyed.
-        assert not path.exists()
-        quarantined = tmp_path / "proofs.json.corrupt"
-        assert quarantined.read_text() == "not json at all {{{"
-        assert cache.corrupt_files == 1
-        registry = MetricsRegistry()
-        cache.attach_metrics(registry)
-        assert registry.counter("cec.cache.corrupt_files") == 1
-        # The next save writes a fresh file; the evidence stays put.
-        cache.put("k1", EQ)
-        cache.save()
-        assert path.exists() and quarantined.exists()
-
-    def test_version_mismatch_ignored_not_quarantined(self, tmp_path):
-        path = tmp_path / "proofs.json"
-        content = json.dumps({"version": 999, "proofs": {"k1": "eq"}})
-        path.write_text(content)
-        cache = ProofCache(path)
-        # Incompatible-but-well-formed is not corruption: file untouched.
-        assert cache.corrupt_files == 0
-        assert path.read_text() == content
-        assert not (tmp_path / "proofs.json.corrupt").exists()
 
 
 def multi_block_pair(blocks=4, width=10):

@@ -1,7 +1,7 @@
-"""Partitioned / cache-aware sweeping tests plus sweep-path regressions.
+"""Partitioned sweeping tests plus sweep-path regressions.
 
-Covers the scaling layers of :mod:`repro.cec` (partitioning, the
-per-unit sweep, the persistent proof cache) and pins down the three
+Covers the scaling layers of :mod:`repro.cec` (partitioning and the
+per-unit sweep) and pins down the three
 sweep/miter bugfixes: union-of-inputs miter matching, the
 ``sweep_unknown`` / ``sweep_refuted`` distinction, and counterexample
 re-validation.
@@ -9,14 +9,12 @@ re-validation.
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
 from repro.bench.pipeline import pipeline_circuit
 from repro.bench.random_circuits import random_combinational
 from repro.cec import CecOptions
-from repro.cec.cache import EQ, NEQ, ProofCache
 from repro.cec.engine import (
     CecVerdict,
     check_equivalence,
@@ -229,83 +227,6 @@ class TestParallelSweep:
                 assert all(1 <= abs(lit) <= payload.num_vars for lit in clause)
 
 
-class TestProofCache:
-    def test_warm_cache_skips_queries(self):
-        c1, c2 = xor_chain(16), xor_tree(16)
-        cache = ProofCache()
-        cold = check_equivalence(c1, c2, CecOptions(cache=cache))
-        warm = check_equivalence(c1, c2, CecOptions(cache=cache))
-        assert cold.stats["cache_hits"] == 0
-        assert cold.stats["cache_stores"] > 0
-        assert warm.stats["cache_hits"] > 0
-        assert warm.stats["sat_queries"] < cold.stats["sat_queries"]
-        assert warm.verdict is cold.verdict
-
-    def test_cache_keys_are_name_independent(self):
-        # The same structure under renamed inputs must hit the cache.
-        options = CecOptions(cache=ProofCache())
-        check_equivalence(xor_chain(8), xor_tree(8), options)
-        renamed_chain = xor_chain(8)
-        renamed_tree = xor_tree(8)
-        warm = check_equivalence(renamed_chain, renamed_tree, options)
-        assert warm.stats["cache_hits"] > 0
-
-    def test_persistent_roundtrip(self, tmp_path):
-        path = tmp_path / "proofs.json"
-        cold = check_equivalence(
-            xor_chain(12), xor_tree(12), CecOptions(cache=path)
-        )
-        assert path.exists()
-        warm = check_equivalence(
-            xor_chain(12), xor_tree(12), CecOptions(cache=str(path))
-        )
-        assert warm.stats["cache_hits"] > 0
-        assert warm.verdict is cold.verdict
-
-    def test_cached_neq_still_produces_counterexample(self):
-        c1 = random_combinational(n_inputs=6, n_gates=40, seed=1)
-        c2 = random_combinational(
-            n_inputs=6, n_gates=40, seed=7, name="other"
-        )
-        cache = ProofCache()
-        cold = check_equivalence(c1, c2, CecOptions(cache=cache))
-        warm = check_equivalence(c1, c2, CecOptions(cache=cache))
-        assert cold.verdict is warm.verdict
-        if warm.verdict is CecVerdict.NOT_EQUIVALENT:
-            vec = warm.counterexample
-            assert simulate(c1, [vec]).outputs[0] != simulate(c2, [vec]).outputs[0]
-
-    def test_corrupt_cache_file_is_tolerated(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("not json{{{")
-        r = check_equivalence(
-            xor_chain(8), xor_tree(8), CecOptions(cache=path)
-        )
-        assert r.verdict is CecVerdict.EQUIVALENT
-        # The save replaced the corrupt file with valid JSON.
-        assert isinstance(json.loads(path.read_text()), dict)
-
-    def test_put_rejects_unknown(self):
-        cache = ProofCache()
-        with pytest.raises(ValueError):
-            cache.put("k", "unknown")
-        cache.put("k", EQ)
-        assert cache.get("k") == EQ
-        cache.put("k", NEQ)
-        assert cache.get("k") == NEQ
-
-    def test_save_merges_with_concurrent_writer(self, tmp_path):
-        path = tmp_path / "shared.json"
-        a = ProofCache(path)
-        b = ProofCache(path)
-        a.put("ka", EQ)
-        a.save()
-        b.put("kb", NEQ)
-        b.save()
-        merged = ProofCache(path)
-        assert merged.get("ka") == EQ and merged.get("kb") == NEQ
-
-
 class TestRetimedSweepCoverage:
     """The sweep path on the engine's real workload: retime+resynthesise."""
 
@@ -343,23 +264,25 @@ class TestRetimedSweepCoverage:
             ).outputs[0]
             assert o1 != o2
 
-    def test_seq_checker_threads_cache_and_jobs(self):
+    def test_seq_checker_rejects_removed_spellings(self):
         c1 = pipeline_circuit(stages=3, width=3, seed=0, name="pipe")
         retimed, _, _ = retime_min_period(c1)
         resynth = optimize_sequential_delay(retimed, "medium", name="resynth")
-        options = CecOptions(cache=ProofCache())
-        cold = check_sequential_equivalence(c1, resynth, options=options)
-        warm = check_sequential_equivalence(c1, resynth, options=options)
-        assert cold.equivalent and warm.equivalent
-        assert warm.stats.get("cec_cache_hits", 0) > 0
-        # The pre-facade ``cec_cache=`` spelling and the sweep's worker
-        # count (``n_jobs=``, removed in 1.4.0) are gone, not ignored.
+        options = CecOptions(refine=False)
+        assert check_sequential_equivalence(
+            c1, resynth, options=options
+        ).equivalent
+        # The pre-facade ``cec_cache=`` spelling, the sweep's worker count
+        # (``n_jobs=``, removed in 1.4.0) and the proof cache (removed in
+        # 1.5.0) are gone, not ignored.
         with pytest.raises(TypeError, match="cec_cache"):
-            check_sequential_equivalence(c1, resynth, cec_cache=ProofCache())
+            check_sequential_equivalence(c1, resynth, cec_cache="p.json")
         with pytest.raises(TypeError, match="n_jobs"):
             check_sequential_equivalence(
                 c1, resynth, options=options, n_jobs=2
             )
+        with pytest.raises(TypeError, match="cache"):
+            CecOptions(cache="p.json")
 
 
 class TestBugfixRegressions:

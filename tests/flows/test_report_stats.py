@@ -16,7 +16,8 @@ class TestSummarizeEngineStats:
     def test_mixed_key_rows_aggregate(self):
         rows = [
             {"cec_sat_queries": 10, "cec_sweep_merges": 4, "cec_time_sweep": 0.5},
-            # A row missing some keys and carrying non-engine noise.
+            # A row missing some keys and carrying non-engine noise, plus
+            # the proof-cache counters of a row checkpointed before 1.5.0.
             {"cec_sat_queries": 5, "cec_cache_hits": 3, "cec_cache_misses": 1,
              "total_time": 9.0},
             # An ERROR row contributes nothing.
@@ -25,8 +26,7 @@ class TestSummarizeEngineStats:
         text = summarize_engine_stats(rows)
         assert "sat queries 15" in text
         assert "sweep merges 4" in text
-        assert "cache hits 3  misses 1" in text
-        assert "hit rate 75%" in text
+        assert "cache" not in text
         assert "sweep 0.50s" in text
 
     def test_cache_line_absent_without_traffic(self):
@@ -69,6 +69,6 @@ class TestCompactStats:
 
     def test_zero_ordinary_stats_survive(self):
         # Only the robustness counters are suppressed — a zero sweep count
-        # or cache hit count is information, not noise.
-        stats = {"sweep_refuted": 0, "cache_hits": 0}
+        # or core-retirement count is information, not noise.
+        stats = {"sweep_refuted": 0, "core_retired": 0}
         assert compact_stats(stats) == stats

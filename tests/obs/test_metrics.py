@@ -60,12 +60,14 @@ class TestRegistry:
         reg.set_gauge("cec.n_units", 2)
         reg.max_gauge("bdd.peak_nodes", 10)
         reg.max_gauge("bdd.peak_nodes", 5)  # lower: ignored
-        reg.append("x.samples", 0.5)
         assert reg.counter("cec.sat_queries") == 5
         assert reg.counter("never.seen") == 0
         assert reg.gauge("cec.n_units") == 2
         assert reg.gauge("bdd.peak_nodes") == 10
-        assert reg.series("x.samples") == [0.5]
+        # Series went in 1.5.0: a pre-1.5.0 dict's series are dropped.
+        older = {**reg.to_dict(), "series": {"x.samples": [0.5]}}
+        assert MetricsRegistry.from_dict(older).to_dict() == reg.to_dict()
+        assert "series" not in reg.to_dict()
         assert bool(reg)
         assert not bool(MetricsRegistry())
 
@@ -78,13 +80,15 @@ class TestRegistry:
         b.set_gauge("g", 3)  # lower: merge keeps the peak
         a.observe("h", 1)
         b.observe("h", 1000)
-        a.append("s", 0.1)
-        b.append("s", 0.2)
         a.merge(b)
         assert a.counter("c") == 3
         assert a.gauge("g") == 5
         assert a.histogram("h").count == 2
-        assert a.series("s") == [0.1, 0.2]
+        # An older --metrics-out file's ``series`` key is accepted and
+        # ignored.
+        a.merge({"counters": {"c": 1}, "series": {"s": [0.1, 0.2]}})
+        assert a.counter("c") == 4
+        assert "s" not in a.names()
 
     def test_json_round_trip_cross_process_shape(self):
         reg = MetricsRegistry()
@@ -100,14 +104,11 @@ class TestRegistry:
         reg.inc("sat.calls", 2)
         reg.observe("sat.conflicts_per_call", 10)
         reg.observe("sat.conflicts_per_call", 30)
-        reg.append("x.samples", 1.5)
         flat = reg.as_flat_dict()
         assert flat["sat.calls"] == 2
         assert flat["sat.conflicts_per_call.count"] == 2
         assert flat["sat.conflicts_per_call.sum"] == 40
         assert flat["sat.conflicts_per_call.mean"] == 20
         assert flat["sat.conflicts_per_call.max"] == 30
-        assert flat["x.samples.count"] == 1
-        assert flat["x.samples.sum"] == 1.5
         prefixed = reg.as_flat_dict(prefix="x.")
         assert set(prefixed) == {"x." + k for k in flat}

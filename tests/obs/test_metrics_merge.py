@@ -4,8 +4,7 @@ The batch runner folds each worker's registry into the run's with
 :meth:`MetricsRegistry.merge`, in whatever order the workers finish.  Two facts proved here make that safe:
 
 * merge is **commutative and associative** for every metric family
-  (counters add, gauges max, histograms bucket-wise add, series are
-  order-sensitive only in sequence, not in totals) — so out-of-order
+  (counters add, gauges max, histograms bucket-wise add) — so out-of-order
   folding of distinct worker registries converges to the same totals;
 * counter merge is **not idempotent** (merging the same registry twice
   double-counts) — so each worker result must be folded exactly once.

@@ -146,18 +146,18 @@ class TestReadersAndExport:
 
     def test_chrome_export_lanes_and_units(self, tmp_path):
         tracer = Tracer(sink=[])
-        with tracer.span("main.work", cat="phase"):
+        with tracer.span("sweep.unit", cat="worker", unit=3):
             pass
         tracer.emit(
             {
                 "type": "span",
-                "name": "sweep.unit",
-                "cat": "worker",
+                "name": "job.a",
+                "cat": "pair",
                 "ts": 0.5,
                 "dur": 0.25,
                 "id": 99,
                 "parent": None,
-                "args": {"worker": 1},
+                "args": {"lane": 1, "worker": 4},
             }
         )
         tracer.metrics({"cec.sat_queries": 7, "note": "text-dropped"})
@@ -166,11 +166,12 @@ class TestReadersAndExport:
         data = json.loads(out.read_text())
         assert n == len(data["traceEvents"]) == 3
         by_name = {e["name"]: e for e in data["traceEvents"]}
-        # Main-process events on tid 0, worker events on worker+1 lanes.
-        assert by_name["main.work"]["tid"] == 0
-        assert by_name["sweep.unit"]["tid"] == 2
-        assert by_name["sweep.unit"]["ph"] == "X"
-        assert by_name["sweep.unit"]["dur"] == 0.25 * 1e6
+        # Batch lane L on tid L + 1; everything else, sweep units
+        # included, on tid 0.  A ``worker`` arg places nothing.
+        assert by_name["sweep.unit"]["tid"] == 0
+        assert by_name["job.a"]["tid"] == 2
+        assert by_name["job.a"]["ph"] == "X"
+        assert by_name["job.a"]["dur"] == 0.25 * 1e6
         # Counter events keep only numeric args.
         assert by_name["metrics"]["ph"] == "C"
         assert by_name["metrics"]["args"] == {"cec.sat_queries": 7}

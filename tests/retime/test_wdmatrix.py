@@ -10,7 +10,7 @@ from repro.netlist.build import CircuitBuilder
 from repro.retime.apply import apply_retiming
 from repro.retime.minperiod import clock_period, min_period_retiming
 from repro.retime.rgraph import HOST, build_retiming_graph
-from repro.retime.wdmatrix import bellman_ford_feasible, exact_min_period, wd_matrices
+from tests.retime.wdmatrix import bellman_ford_feasible, exact_min_period, wd_matrices
 
 
 class TestWDMatrices:

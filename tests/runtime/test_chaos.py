@@ -33,8 +33,15 @@ def _no_leaked_plan(monkeypatch):
 
 class TestFaultRule:
     def test_unknown_site_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos site"):
-            FaultRule(site="nonsense.site", action="crash")
+        # The proof cache's sites went with it in 1.5.0: a plan that
+        # still names one fails loudly instead of never firing.
+        for site in ("nonsense.site", "cache.load", "cache.save"):
+            with pytest.raises(ValueError, match="unknown chaos site"):
+                FaultRule(site=site, action="crash")
+            with pytest.raises(ValueError, match="unknown chaos site"):
+                FaultPlan.from_dict(
+                    {"faults": [{"site": site, "action": "crash"}]}
+                )
 
     def test_unknown_action_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos action"):
@@ -56,7 +63,7 @@ class TestFaultRule:
         plan = FaultPlan(
             rules=[
                 FaultRule(site="worker.entry", action="crash", hits=[1, 3]),
-                FaultRule(site="cache.save", action="delay", seconds=0.5),
+                FaultRule(site="store.append", action="delay", seconds=0.5),
             ],
             seed=7,
         )
@@ -124,7 +131,7 @@ class TestFiring:
         plan.fire("worker.entry")
         assert plan.fired() == 1
         assert plan.fired("worker.entry") == 1
-        assert plan.fired("cache.save") == 0
+        assert plan.fired("store.append") == 0
         entry = plan.log[0]
         assert entry["site"] == "worker.entry"
         assert entry["action"] == "crash"
@@ -132,10 +139,10 @@ class TestFiring:
 
     def test_metrics_counter(self):
         registry = MetricsRegistry()
-        plan = FaultPlan([FaultRule(site="cache.save", action="delay", seconds=0)])
+        plan = FaultPlan([FaultRule(site="store.append", action="delay", seconds=0)])
         plan.metrics = registry
-        plan.fire("cache.save")
-        plan.fire("cache.save")
+        plan.fire("store.append")
+        plan.fire("store.append")
         assert registry.counter("chaos.faults_fired") == 2
 
 

@@ -4,9 +4,9 @@ Builds a small workload on disk — equivalent retimed+resynthesised
 pairs, an identical pair, a duplicate row, and a mutated (refutable)
 revision — then drives it through :func:`repro.api.verify_batch` and
 the ``repro batch`` CLI, checking the service-level guarantees: per-job
-verdicts and exit codes, shared proof-cache warmth, budget-slice
-exhaustion surfacing ``REASON_*`` codes, store resume, schema-valid
-traces, and a DeprecationWarning-free first-party path.
+verdicts and exit codes, budget-slice exhaustion surfacing
+``REASON_*`` codes, store resume, schema-valid traces, and a
+DeprecationWarning-free first-party path.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class TestVerifyBatch:
         reports = verify_batch(
             _requests(workload),
             jobs=2,
-            cache=tmp_path / "cache.json",
             store=tmp_path / "results.jsonl",
             use_processes=False,
             tracer=Tracer(sink=events),
@@ -104,27 +103,33 @@ class TestVerifyBatch:
         finally:
             store.close()
 
-    def test_warm_cache_on_second_run(self, workload, tmp_path):
-        cache = tmp_path / "warm-cache.json"
-        cold = MetricsRegistry()
+    def test_chrome_export_draws_one_track_per_lane(self, workload, tmp_path):
+        # Two lanes run jobs concurrently; the Chrome export gives each
+        # lane its own track, so no two ``job.*`` spans share one while
+        # overlapping in time.
+        from repro.obs.trace import export_chrome_trace
+
+        events = []
         verify_batch(
             _requests(workload),
-            cache=cache,
+            jobs=2,
             use_processes=False,
-            metrics=cold,
+            tracer=Tracer(sink=events),
         )
-        warm = MetricsRegistry()
-        verify_batch(
-            _requests(workload),
-            cache=cache,
-            use_processes=False,
-            metrics=warm,
-        )
-        assert warm.counter("service.cache.hits") > 0
-        assert (
-            warm.counter("service.cache.misses")
-            < cold.counter("service.cache.misses")
-        )
+        out = tmp_path / "chrome.json"
+        export_chrome_trace(events, out)
+        tracks = {}
+        lanes = set()
+        for event in json.loads(out.read_text())["traceEvents"]:
+            if event["name"].startswith("job."):
+                lanes.add(event["args"]["lane"])
+                tracks.setdefault(event["tid"], []).append(event)
+        assert lanes == {0, 1}
+        assert sorted(tracks) == [1, 2]
+        for spans in tracks.values():
+            spans.sort(key=lambda e: e["ts"])
+            for before, after in zip(spans, spans[1:]):
+                assert before["ts"] + before["dur"] <= after["ts"]
 
     def test_resume_skips_decided_pairs(self, workload, tmp_path):
         store = tmp_path / "resume.jsonl"

@@ -2,8 +2,7 @@
 
 One mixed ~50-row workload runs fault-free to establish a baseline, then
 re-runs under each seeded :class:`FaultPlan` in the matrix — worker
-crashes, dispatch delays and crashes, store-append crashes, cache-save
-crashes.  The acceptance invariants, checked for every plan:
+crashes, dispatch delays and crashes, store-append crashes.  The acceptance invariants, checked for every plan:
 
 * **accounted** — every submitted job comes back decided, UNKNOWN with a
   ``REASON_*`` code, or failed-with-error; none vanish;
@@ -183,20 +182,6 @@ class TestFaultMatrix:
         resumed = _run_batch(workload, store=str(store_path), resume=True)
         _assert_accounted(workload, resumed)
         _assert_verdict_identity(baseline, resumed)
-
-    def test_cache_save_crashes(self, workload, baseline, tmp_path):
-        plan = FaultPlan(
-            [FaultRule(site="cache.save", action="crash", every=2)],
-            seed=14,
-        )
-        results = _run_batch(
-            workload, plan=plan, cache=str(tmp_path / "cache.json")
-        )
-        _assert_accounted(workload, results)
-        _assert_verdict_identity(baseline, results)
-        # A cache-save failure is post-verdict: no answer may be lost.
-        assert {r.report.verdict for r in results} == DECIDED
-        assert plan.fired("cache.save") >= 1
 
     def test_dispatch_crashes_fail_only_their_jobs(self, workload, baseline):
         """A crash while shipping a job fails that job, never the batch.

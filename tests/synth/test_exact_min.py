@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netlist.cube import Sop
-from repro.synth.exact_min import exact_minimize, prime_implicants
+from tests.synth.exact_min import exact_minimize, prime_implicants
 
 
 def sops(ninputs, max_cubes=5):

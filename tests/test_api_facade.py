@@ -9,7 +9,9 @@ Covers satellite guarantees of the API redesign:
 * every result type emits exactly the canonical ``RESULT_KEYS`` set and
   satisfies the :class:`repro.api.VerificationResult` protocol;
 * the exit-code contract (0 / 1 / 2, INCONCLUSIVE → 2);
-* the ``cec_cache=`` spelling, deprecated in 1.0, is gone in 1.1.0.
+* the ``cec_cache=`` spelling, deprecated in 1.0, is gone in 1.1.0;
+* the inert fields (``jobs``, ``share_learned`` since 1.4.0, ``cache``
+  since 1.5.0) still load, warn once each and change nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.api import (
     verify_pair,
 )
 from repro.bench.pipeline import pipeline_circuit
-from repro.cec import CecOptions, ProofCache
+from repro.cec import CecOptions
 from repro.cec.engine import check_equivalence
 from repro.core.verify import SeqVerdict, check_sequential_equivalence
 from repro.netlist.blif import write_blif
@@ -99,24 +101,17 @@ class TestRequestRoundTrip:
             assert getattr(back, f.name) == value, f.name
         assert back.fingerprint() == request.fingerprint()
 
-    def test_live_cache_serialises_as_its_path(self, tmp_path):
+    def test_inert_cache_serialises_as_its_path(self, tmp_path):
+        # A 1.4 manifest row's cache path survives a round trip, so a
+        # re-written manifest still loads; the field does nothing.
         circuit = pipeline_circuit(stages=1, width=2, seed=0)
-        path = str(tmp_path / "proofs.json")
-        request = VerifyRequest(
-            golden=circuit, revised=circuit, cache=ProofCache(path)
-        )
-        assert request.to_dict()["cache"] == path
-        assert VerifyRequest.from_dict(request.to_dict()).cache == path
-
-    def test_pathless_cache_cannot_be_serialised(self):
-        # The Table 1 harness hands one live ProofCache to every row's
-        # request; an in-memory one has no manifest form.
-        circuit = pipeline_circuit(stages=1, width=2, seed=0)
-        request = VerifyRequest(
-            golden=circuit, revised=circuit, cache=ProofCache(None)
-        )
-        with pytest.raises(ValueError, match="cache"):
-            request.to_dict()
+        path = tmp_path / "proofs.json"
+        with pytest.warns(DeprecationWarning):
+            request = VerifyRequest(golden=circuit, revised=circuit, cache=path)
+        assert request.to_dict()["cache"] == str(path)
+        with pytest.warns(DeprecationWarning):
+            back = VerifyRequest.from_dict(request.to_dict())
+        assert back.cache == str(path)
 
     def test_inline_circuits_round_trip(self):
         circuit = pipeline_circuit(stages=1, width=2, seed=0, name="inline")
@@ -271,23 +266,12 @@ class _FakeResult:
 class TestDeprecationShims:
     """``cec_cache=`` was deprecated in 1.0 and removed in 1.1.0."""
 
-    def test_cache_option_forwards_and_warms(self, pair):
-        from repro.netlist.blif import parse_blif_file
-
-        golden = parse_blif_file(pair[0])
-        revised = parse_blif_file(pair[1])
-        options = CecOptions(cache=ProofCache())
-        result = check_sequential_equivalence(golden, revised, options=options)
-        assert result.equivalent
-        warm = check_sequential_equivalence(golden, revised, options=options)
-        assert warm.stats.get("cec_cache_hits", 0) > 0
-
     def test_new_spelling_does_not_warn(self):
         circuit = pipeline_circuit(stages=1, width=2, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             result = check_sequential_equivalence(
-                circuit, circuit, options=CecOptions(cache=None)
+                circuit, circuit, options=CecOptions(refine=True)
             )
         assert result.equivalent
 
@@ -306,7 +290,7 @@ class TestDeprecationShims:
             request = VerifyRequest(
                 golden=pair[0],
                 revised=pair[1],
-                cache=str(tmp_path / "proofs.json"),
+                refine=False,
                 engines=["sat"],
             )
         assert request.engines == ["sat"]
@@ -344,7 +328,8 @@ class TestDeprecationShims:
             "VerifyRequest.share_learned is ignored since 1.4.0"
         )
         assert "sharing" in share
-        assert all("removed in 1.5.0" in m for m in messages)
+        # Not 1.5.0, as first announced: the benchmark still passes jobs=1.
+        assert all("removed in 1.6.0" in m for m in messages)
         plain = VerifyRequest.from_dict(row)
         assert request.fingerprint() == plain.fingerprint()
         assert request.cec_options() == plain.cec_options() == CecOptions()
@@ -366,6 +351,47 @@ class TestDeprecationShims:
         for key in ("sat_queries", "cec_sat_queries", "cec_core_retired"):
             assert tweaked.stats.get(key) == default.stats.get(key)
         assert tweaked.engine_used == default.engine_used
+
+    def test_cache_field_loads_and_warns_once(self, pair):
+        # A 1.4 request or manifest row naming the proof cache still
+        # loads: exactly one warning, naming its own release, and the
+        # fingerprint and verdict of the same row without the field.
+        row = {"golden": pair[0], "revised": pair[1]}
+        plain = VerifyRequest.from_dict(row)
+        for build in (
+            lambda: VerifyRequest(**row, cache="proofs.json"),
+            lambda: VerifyRequest.from_dict({**row, "cache": "proofs.json"}),
+        ):
+            with pytest.warns(DeprecationWarning) as caught:
+                request = build()
+            assert [str(w.message) for w in caught] == [
+                "VerifyRequest.cache is ignored since 1.5.0 and is removed "
+                "in 1.6.0: the proof cache is gone; `repro batch --store F "
+                "--resume` replays pairs already decided"
+            ]
+            assert request.fingerprint() == plain.fingerprint()
+            assert request.cec_options() == plain.cec_options()
+        assert verify_pair(request).verdict == verify_pair(plain).verdict
+
+    def test_batch_cache_warns_once(self, pair, tmp_path):
+        # ``verify_batch(cache=)`` and a manifest row's ``cache`` each warn
+        # once: the batch worker never sees the inert field again.
+        from repro.api import verify_batch
+
+        row = {"golden": pair[0], "revised": pair[1]}
+        (plain,) = verify_batch([row], use_processes=False)
+        path = tmp_path / "proofs.json"
+        for kwargs, rows in (
+            ({"cache": str(path)}, [row]),
+            ({}, [{**row, "cache": str(path)}]),
+        ):
+            with pytest.warns(DeprecationWarning) as caught:
+                (report,) = verify_batch(rows, use_processes=False, **kwargs)
+            assert len(caught) == 1
+            assert "is ignored since 1.5.0" in str(caught[0].message)
+            assert report.fingerprint == plain.fingerprint
+            assert report.verdict == plain.verdict
+        assert not path.exists()
 
     def test_manifest_row_with_cec_cache_rejected(self, pair):
         with pytest.raises(ValueError, match="cec_cache"):

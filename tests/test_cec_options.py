@@ -21,19 +21,27 @@ import pytest
 import repro.core.verify as core_verify
 from repro.api import VerifyRequest, verify_pair
 from repro.bench.pipeline import pipeline_circuit
-from repro.cec import CecOptions, CecVerdict, CheckResult, ProofCache
+from repro.cec import CecOptions, CecVerdict, CheckResult
 from repro.flows.flow import run_flow
 
 #: Every option away from its default (``CecOptions()`` must differ in
 #: each field, or a dropped option could pass unnoticed).
 OPTIONS = CecOptions(
-    cache=ProofCache(),
     refine=False,
     preprocess=False,
     engines=["structural", "sat"],
 )
 #: The run keywords the engine receives besides the options.
 RUN_KEYWORDS = {"budget", "tracer", "metrics"}
+
+
+def test_three_options():
+    # The proof cache went in 1.5.0; what is left changes effort only.
+    assert [f.name for f in fields(CecOptions)] == [
+        "refine",
+        "preprocess",
+        "engines",
+    ]
 
 
 def test_every_option_is_a_request_field_with_the_same_default():

@@ -199,68 +199,29 @@ class TestWeightedExposure:
             )
 
 
-def _minmax_pair(tmp_path):
-    """A feedback-heavy pair that reaches the CEC sweep (EDBF path)."""
-    from repro.bench.minmax import minmax_circuit
-    from repro.synth.script import optimize_sequential_delay
+class TestRemovedCacheAndLogFlags:
+    """The proof cache's and the obligation log's flags are gone (1.5.0),
+    without a shim: each is an unknown argument, exit code 2."""
 
-    golden = minmax_circuit(4)
-    revised = optimize_sequential_delay(golden)
-    golden_path = tmp_path / "mm_g.blif"
-    revised_path = tmp_path / "mm_r.blif"
-    golden_path.write_text(write_blif(golden))
-    revised_path.write_text(write_blif(revised))
-    return str(golden_path), str(revised_path)
-
-
-class TestFleetCli:
-    """The obligation log (``--oblog``) on ``verify`` and ``batch``."""
-
-    def test_verify_oblog_writes_feature_records(
-        self, blif_file, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("verify", "--cec-cache"),
+            ("verify", "--oblog"),
+            ("table1", "--cache"),
+            ("batch", "--cache"),
+            ("batch", "--oblog"),
+        ],
+    )
+    def test_flag_is_unknown_argument(
+        self, command, flag, blif_file, tmp_path, capsys
     ):
-        from repro.obs.oblog import read_obligation_log
-
-        golden_path, revised_path = _minmax_pair(tmp_path)
-        out = tmp_path / "ob.jsonl"
-        assert main(
-            ["verify", golden_path, revised_path, "--oblog", str(out)]
-        ) == 0
-        records = read_obligation_log(out)
-        assert records
-        assert all(r.engine is not None for r in records)
-        assert "obligation record(s)" in capsys.readouterr().out
-
-    def test_batch_oblog(self, blif_file, tmp_path, capsys):
-        import json
-
-        from repro.obs.oblog import read_obligation_log
-
-        golden_path, revised_path = _minmax_pair(tmp_path)
-        manifest = tmp_path / "m.json"
-        manifest.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "jobs": [
-                        {
-                            "name": "a",
-                            "golden": golden_path,
-                            "revised": revised_path,
-                        }
-                    ],
-                }
-            )
-        )
-        ob_path = tmp_path / "ob.jsonl"
-        assert main(
-            [
-                "batch",
-                str(manifest),
-                "--in-process",
-                "--oblog",
-                str(ob_path),
-            ]
-        ) == 0
-        assert read_obligation_log(ob_path)
-        assert "obligation record(s)" in capsys.readouterr().out
+        args = {
+            "verify": ["verify", str(blif_file), str(blif_file)],
+            "table1": ["table1", "--circuits", "s953"],
+            "batch": ["batch", str(tmp_path / "m.json")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(args + [flag, str(tmp_path / "f.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
