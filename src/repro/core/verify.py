@@ -21,9 +21,11 @@ The flow of the paper:
 from __future__ import annotations
 
 import enum
+import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from itertools import takewhile
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
 from repro.cec.engine import CecVerdict, check_equivalence
 from repro.cec.options import CecOptions
@@ -33,10 +35,15 @@ from repro.core.eq2comb import cbf_to_circuit, edbf_to_circuit
 from repro.core.events import EventContext
 from repro.core.expose import PreparedCircuit, prepare_circuit
 from repro.core.timedvar import ExprTable
-from repro.netlist.circuit import Circuit, Gate
+from repro.netlist.circuit import Circuit
 from repro.netlist.graph import feedback_latches
 from repro.obs.trace import coerce_tracer
-from repro.sim.exact3 import BOT, exact3_outputs
+from repro.sim.exact3 import (
+    BOT,
+    exact3_batch_size,
+    exact3_distinguishes,
+    exact3_outputs,
+)
 
 __all__ = [
     "SeqVerdict",
@@ -266,13 +273,24 @@ def _check_via_cbf(
         if failing is not None and failing.startswith("__out_"):
             failing = failing[len("__out_") :]
         if validate_cex:
-            confirmed = _trace_distinguishes(orig1, orig2, sequence)
+            witness = minimize_counterexample(orig1, orig2, sequence)
+            # Replay the witness that gets reported.  Theorem 5.1 says the
+            # lifted trace must distinguish, but simulation may not
+            # confirm it: sampling over >16 latches can miss the
+            # difference, and on a prepared (feedback) pair the CBF ran
+            # on the exposed circuits, whose exposure pseudo-inputs the
+            # lift drops.  Then the minimiser leaves the trace as it is,
+            # the verdict stands and the flag records it.  A trace the
+            # minimiser changed was confirmed by its batches, so the
+            # replay must confirm it too.
+            confirmed = _trace_distinguishes(orig1, orig2, witness)
             stats["cex_confirmed"] = float(confirmed)
-            # Theorem 5.1 says this must distinguish; if simulation cannot
-            # confirm it (sampling limits on >16-latch circuits), the
-            # verdict stands but the flag records it.
-            if confirmed:
-                sequence = minimize_counterexample(orig1, orig2, sequence)
+            if not confirmed and witness != sequence:
+                raise RuntimeError(
+                    "minimised counterexample does not distinguish "
+                    f"{orig1.name!r} and {orig2.name!r} under exact-3 replay"
+                )
+            sequence = witness
     return SeqCheckResult(
         SeqVerdict.NOT_EQUIVALENT,
         "cbf",
@@ -308,19 +326,11 @@ def _lift_cbf_counterexample(
 
 
 def _trace_distinguishes(
-    c1: Circuit,
-    c2: Circuit,
-    sequence: List[Dict[str, bool]],
-    topo1: Optional[Sequence[Gate]] = None,
-    topo2: Optional[Sequence[Gate]] = None,
+    c1: Circuit, c2: Circuit, sequence: List[Dict[str, bool]]
 ) -> bool:
-    """Do the circuits visibly differ on this input sequence (Def. 1)?
-
-    ``topo1``/``topo2`` are the circuits' ``topo_gates()``, for callers
-    that replay many sequences on one pair.
-    """
-    o1 = exact3_outputs(c1, sequence, topo=topo1)
-    o2 = exact3_outputs(c2, sequence, topo=topo2)
+    """Do the circuits visibly differ on this input sequence (Def. 1)?"""
+    o1 = exact3_outputs(c1, sequence)
+    o2 = exact3_outputs(c2, sequence)
     for row1, row2 in zip(o1, o2):
         for out in c1.outputs:
             v1, v2 = row1[out], row2[out]
@@ -408,43 +418,62 @@ def minimize_counterexample(
     Tries to (1) drop leading cycles and (2) set input bits to False,
     keeping every change that still distinguishes the circuits under
     exact-3-valued simulation.  Returns the (possibly unchanged) trace.
+
+    Candidates are asked about in batches (:func:`exact3_distinguishes`).
+    The first batch holds the trace and all its proper suffixes: it is
+    both the check that the trace distinguishes and the whole trim.  Each
+    later batch holds cumulative candidates, the j-th clearing the next j
+    set bits in ``(cycle, sorted name)`` order.  The longest
+    distinguishing prefix of candidates is kept and the bit after it
+    rejected, which is where trying the bits one at a time ends up too.
     """
     topo1, topo2 = c1.topo_gates(), c2.topo_gates()
 
-    def distinguishes(candidate: List[Dict[str, bool]]) -> bool:
-        return _trace_distinguishes(c1, c2, candidate, topo1, topo2)
+    def answers(candidates: List[List[Dict[str, bool]]]) -> Iterator[bool]:
+        return exact3_distinguishes(c1, c2, candidates, topo1=topo1, topo2=topo2)
 
-    if not distinguishes(sequence):
+    trims = answers([sequence[k:] for k in range(len(sequence))])
+    if not next(trims, False):
         return sequence
-    current = [dict(v) for v in sequence]
-    # 1. trim leading cycles.
-    while len(current) > 1 and distinguishes(current[1:]):
-        current = current[1:]
+    # 1. trim leading cycles while the suffix still distinguishes.
+    start = sum(1 for _ in takewhile(bool, trims))
+    current = [dict(v) for v in sequence[start:]]
     # 2. canonicalise bits to False where possible.
-    for t in range(len(current)):
-        for name in sorted(current[t]):
-            if not current[t][name]:
-                continue
+    bits = [
+        (t, name) for t, vec in enumerate(current) for name in sorted(vec) if vec[name]
+    ]
+    size = exact3_batch_size(c1, c2)
+    i = 0
+    while i < len(bits):
+        chunk = bits[i : i + size]
+        trial = [dict(v) for v in current]
+        candidates = []
+        for t, name in chunk:
+            trial[t][name] = False
+            candidates.append([dict(v) for v in trial])
+        kept = sum(1 for _ in takewhile(bool, answers(candidates)))
+        for t, name in chunk[:kept]:
             current[t][name] = False
-            if not distinguishes(current):
-                current[t][name] = True
+        # The bit after the kept prefix, if any, is rejected.
+        i += kept + (kept < len(chunk))
     return current
 
 
 def _search_distinguishing_trace(
     c1: Circuit, c2: Circuit, trials: int = 64, length: int = 8, seed: int = 7
 ) -> Optional[List[Dict[str, bool]]]:
-    """Random search for a Def.-1-distinguishing input sequence."""
-    import random
+    """Random search for a Def.-1-distinguishing input sequence.
 
+    The trials come from one seeded stream and are asked about in one
+    batch (:func:`exact3_distinguishes`), whose runs start lazily: the
+    search stops after the first run that holds a distinguishing trial,
+    and the earliest such trial wins.
+    """
     rng = random.Random(seed)
     inputs = sorted(c1.inputs)
-    topo1, topo2 = c1.topo_gates(), c2.topo_gates()
-    for _ in range(trials):
-        sequence = [
-            {name: rng.random() < 0.5 for name in inputs}
-            for _ in range(length)
-        ]
-        if _trace_distinguishes(c1, c2, sequence, topo1, topo2):
-            return sequence
-    return None
+    batch = [
+        [{name: rng.random() < 0.5 for name in inputs} for _ in range(length)]
+        for _ in range(trials)
+    ]
+    hits = exact3_distinguishes(c1, c2, batch)
+    return next((sequence for sequence, hit in zip(batch, hits) if hit), None)

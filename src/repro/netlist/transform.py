@@ -67,6 +67,28 @@ def expose_latches(circuit: Circuit, latches: Iterable[str]) -> ExposedCircuit:
     sequentially equivalent iff the exposed versions are (latch-for-latch).
     """
     result = circuit.copy(circuit.name + "_exposed")
+    # Who reads each signal: gates (by name), latches (by output) and PO
+    # positions.  Buffers join the index as they are added, so every
+    # exposure rewires its readers without scanning the circuit.
+    gate_readers: Dict[str, List[str]] = {}
+    for gate in result.gates.values():
+        for s in dict.fromkeys(gate.inputs):
+            gate_readers.setdefault(s, []).append(gate.output)
+    latch_readers: Dict[str, List[str]] = {}
+    for latch in result.latches.values():
+        for s in {latch.data, latch.enable} - {None}:
+            latch_readers.setdefault(s, []).append(latch.output)
+    output_positions: Dict[str, List[int]] = {}
+    for position, s in enumerate(result.outputs):
+        output_positions.setdefault(s, []).append(position)
+
+    def observe(base: str, src: str) -> str:
+        buf = result.fresh_signal(base)
+        result.add_gate(buf, (src,), Sop.and_all(1))
+        gate_readers.setdefault(src, []).append(buf)
+        result.add_output(buf)
+        return buf
+
     exposed: Dict[str, Tuple[str, str]] = {}
     for name in latches:
         latch = result.latches.get(name)
@@ -77,34 +99,26 @@ def expose_latches(circuit: Circuit, latches: Iterable[str]) -> ExposedCircuit:
         pseudo_out = EXPOSED_OUT_PREFIX + name
         # Reads of the latch output now come from the pseudo input.
         result.add_input(pseudo_in)
-        _redirect_reads(result, name, pseudo_in)
+        for reader in gate_readers.pop(name, ()):
+            gate = result.gates[reader]
+            result.replace_gate(
+                gate.with_inputs(tuple(pseudo_in if s == name else s for s in gate.inputs))
+            )
+        for reader in latch_readers.pop(name, ()):
+            other = result.latches.get(reader)
+            if other is None:  # exposed already
+                continue
+            data = pseudo_in if other.data == name else other.data
+            enable = pseudo_in if other.enable == name else other.enable
+            result.replace_latch(Latch(reader, data, enable))
+        for position in output_positions.pop(name, ()):
+            result.outputs[position] = pseudo_in
         # The next-state net becomes observable.
-        buf = result.fresh_signal(pseudo_out)
-        result.add_gate(buf, (latch.data,), Sop.and_all(1))
-        result.add_output(buf)
+        buf = observe(pseudo_out, latch.data)
         if latch.enable is not None:
-            en_buf = result.fresh_signal(pseudo_out + "__en")
-            result.add_gate(en_buf, (latch.enable,), Sop.and_all(1))
-            result.add_output(en_buf)
+            observe(pseudo_out + "__en", latch.enable)
         exposed[name] = (pseudo_in, buf)
     return ExposedCircuit(result, exposed)
-
-
-def _redirect_reads(circuit: Circuit, old: str, new: str) -> None:
-    """Rewire every reader of ``old`` to read ``new`` instead."""
-    for gate in list(circuit.gates.values()):
-        if old in gate.inputs:
-            circuit.replace_gate(
-                gate.with_inputs(tuple(new if s == old else s for s in gate.inputs))
-            )
-    for latch in list(circuit.latches.values()):
-        data = new if latch.data == old else latch.data
-        enable = latch.enable
-        if enable == old:
-            enable = new
-        if data != latch.data or enable != latch.enable:
-            circuit.replace_latch(Latch(latch.output, data, enable))
-    circuit.outputs = [new if s == old else s for s in circuit.outputs]
 
 
 @dataclass

@@ -45,8 +45,12 @@ def _fold_constant(
 
 def _invert_into(
     circuit: Circuit, inv_out: str, src: str, readers: Dict[str, List[str]]
-) -> None:
-    """Rewrite gate readers of an inverter to read ``src`` complemented."""
+) -> bool:
+    """Rewrite gate readers of an inverter to read ``src`` complemented.
+
+    Returns True if any reader was rewritten.
+    """
+    touched = False
     for reader_name in readers.get(inv_out, ()):
         gate = circuit.gates.get(reader_name)
         if gate is None or inv_out not in gate.inputs:
@@ -63,6 +67,8 @@ def _invert_into(
                 inputs[pos] = src
         circuit.replace_gate(Gate(gate.output, tuple(inputs), sop))
         readers.setdefault(src, []).append(gate.output)
+        touched = True
+    return touched
 
 
 def _dedupe_inputs(gate: Gate) -> Gate:
@@ -215,13 +221,11 @@ def sweep(circuit: Circuit, max_rounds: int = 50) -> Circuit:
                 if _bypass_buffer(circuit, name, src, protected, readers):
                     changed = True
                 continue
-            # Inverter merging into readers.
+            # Inverter merging into readers.  A reader that also reads the
+            # inverter's source is left alone, so only a rewrite counts as
+            # a change.
             if is_inverter(gate):
-                if any(
-                    r in circuit.gates and name in circuit.gates[r].inputs
-                    for r in readers.get(name, ())
-                ):
-                    _invert_into(circuit, name, gate.inputs[0], readers)
+                if _invert_into(circuit, name, gate.inputs[0], readers):
                     changed = True
                 continue
         if not changed:

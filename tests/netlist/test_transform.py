@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.iscas_like import build_table1_circuit
 from repro.bench.random_circuits import random_acyclic_sequential, random_combinational
 from repro.netlist.build import CircuitBuilder
 from repro.netlist.transform import (
@@ -16,6 +17,7 @@ from repro.netlist.transform import (
 )
 from repro.netlist.validate import validate_circuit
 from repro.sim.logic2 import simulate
+from tests.netlist.expose_scan import expose_latches_by_scan
 
 
 class TestExpose:
@@ -58,6 +60,62 @@ class TestExpose:
         b.output("q")
         exposed = expose_latches(b.circuit, ["q"])
         validate_circuit(exposed.circuit)
+
+
+def _snapshot(result):
+    c = result.circuit
+    return (
+        c.name,
+        list(c.inputs),
+        list(c.outputs),
+        list(c.gates.items()),
+        list(c.latches.items()),
+        result.exposed,
+    )
+
+
+class TestExposeMatchesScan:
+    """The reader-indexed exposure builds the circuit the per-latch scan
+    (``tests/netlist/expose_scan.py``) builds, in the same dict order."""
+
+    def test_chained_exposures(self):
+        b = CircuitBuilder("t")
+        i, e = b.inputs("i", "e")
+        b.circuit.add_latch("p", "n1")
+        b.circuit.add_latch("q", "p")  # q's data is exposed latch p
+        b.circuit.add_latch("r", "i", enable="q")  # enable reads q
+        b.circuit.add_latch("s", "q")  # a kept latch reads q
+        b.AND("p", "q", name="n1")  # one gate reads two exposed latches
+        b.OR("n1", "s", "e", name="n2")
+        b.output("q")  # a PO reads an exposed latch
+        b.output("n2")
+        b.output("p")
+        order = ["q", "r", "p"]
+        indexed = expose_latches(b.circuit, order)
+        validate_circuit(indexed.circuit)
+        assert _snapshot(indexed) == _snapshot(expose_latches_by_scan(b.circuit, order))
+        gates = indexed.circuit.gates
+        # q's observer was added reading p, then rewired when p went.
+        assert gates[indexed.exposed["q"][1]].inputs == ("__exposed_in__p",)
+        assert gates["__exposed_out__r__en"].inputs == ("__exposed_in__q",)
+        assert gates["n1"].inputs == ("__exposed_in__p", "__exposed_in__q")
+        assert indexed.circuit.latches["s"].data == "__exposed_in__q"
+        assert indexed.circuit.outputs[:3] == ["__exposed_in__q", "n2", "__exposed_in__p"]
+
+    @pytest.mark.parametrize("name", ["s1269", "s953"])
+    def test_table1_feedback_exposure(self, name):
+        circuit = build_table1_circuit(name)
+        order = sorted(circuit.latches)
+        assert _snapshot(expose_latches(circuit, order)) == _snapshot(
+            expose_latches_by_scan(circuit, order)
+        )
+
+    def test_enabled_latches(self):
+        circuit = random_acyclic_sequential(n_latches=8, n_gates=30, enabled=True, seed=3)
+        order = sorted(circuit.latches)[::2] + sorted(circuit.latches)[1::2]
+        assert _snapshot(expose_latches(circuit, order)) == _snapshot(
+            expose_latches_by_scan(circuit, order)
+        )
 
 
 class TestCombCore:

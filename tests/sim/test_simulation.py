@@ -7,12 +7,22 @@ import random
 
 import pytest
 
+import repro.sim.exact3 as exact3_module
 from repro.bench.counterex import fig1_pair
+from repro.bench.mutations import sample_mutations
 from repro.bench.random_circuits import random_acyclic_sequential
 from repro.netlist.build import CircuitBuilder
-from repro.sim.exact3 import BOT, exact3_equivalent, exact3_outputs
+from repro.sim.exact3 import (
+    BATCH_LANES,
+    BOT,
+    exact3_batch_size,
+    exact3_distinguishes,
+    exact3_equivalent,
+    exact3_outputs,
+)
 from repro.sim.logic2 import simulate, simulate_parallel
 from repro.sim.logic3 import X, simulate3
+from tests.core.cex_oracle import distinguishes_alone
 
 
 class TestLogic2:
@@ -140,3 +150,74 @@ class TestExact3:
         b2.output("z", name="o")
         with pytest.raises(ValueError):
             exact3_equivalent(builder.circuit, b2.circuit, [])
+
+
+def _with_unread_latches(circuit, count):
+    """``circuit`` plus ``count`` latches nothing reads: the same function
+    over a wider power-up block."""
+    wider = circuit.copy(circuit.name + f"_w{count}")
+    for j in range(count):
+        wider.add_latch(f"unread{j}", circuit.inputs[j % len(circuit.inputs)])
+    return wider
+
+
+class TestExact3Batches:
+    @pytest.mark.parametrize(
+        "latches, enabled, unread",
+        [
+            (0, False, 0),
+            (0, False, 3),  # 1 lane against 8 per trace
+            (3, False, 0),
+            (5, True, 2),
+            (16, False, 0),  # 65,536 lanes: one trace per run
+            (16, False, 1),  # enumerated against 256 samples
+            (20, False, 0),
+            (20, True, 0),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(2))
+    def test_batch_answers_equal_one_trace_answers(self, latches, enabled, unread, seed):
+        c1 = random_acyclic_sequential(
+            n_latches=latches, n_gates=20, n_outputs=3, enabled=enabled, seed=seed
+        )
+        rng = random.Random(seed)
+        answers = []
+        for c2 in [c1] + [m for _, m in sample_mutations(c1, 6, seed)]:
+            c2 = _with_unread_latches(c2, unread)
+            traces = [
+                [{i: rng.random() < 0.5 for i in c1.inputs} for _ in range(rng.randint(1, 4))]
+                for _ in range(rng.randint(1, 12))
+            ]
+            batch = list(exact3_distinguishes(c1, c2, traces))
+            assert batch == [distinguishes_alone(c1, c2, trace) for trace in traces]
+            answers += batch
+        assert True in answers and False in answers
+
+    def test_lane_bound_sets_the_batch_size(self):
+        sampled = random_acyclic_sequential(n_latches=20, seed=1)
+        assert exact3_batch_size(sampled, sampled) == BATCH_LANES // 256
+        enumerated = random_acyclic_sequential(n_latches=16, seed=1)
+        assert exact3_batch_size(enumerated, sampled) == 1
+
+    def test_a_run_starts_when_its_first_answer_is_asked_for(self, monkeypatch):
+        circuit = random_acyclic_sequential(n_latches=16, seed=1)
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return simulate_parallel(*args, **kwargs)
+
+        monkeypatch.setattr(exact3_module, "simulate_parallel", counting)
+        trace = [{i: False for i in circuit.inputs}]
+        answers = exact3_distinguishes(circuit, circuit, [trace] * 3)
+        assert next(answers) is False
+        assert len(runs) == 2  # one run: one simulation per circuit
+        assert list(answers) == [False, False] and len(runs) == 6
+
+    @pytest.mark.parametrize("latches", range(6))
+    def test_enumerated_lane_holds_its_powerup_state(self, latches):
+        circuit = random_acyclic_sequential(n_latches=latches, seed=2)
+        words = exact3_module._powerup_words(circuit, 256, 0)
+        for i, latch in enumerate(circuit.latches):
+            for lane in range(1 << latches):
+                assert (words[latch] >> lane) & 1 == (lane >> i) & 1

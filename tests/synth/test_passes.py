@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from repro.synth.depth import circuit_depth, reduce_depth
 from repro.synth.division import weak_divide
 from repro.synth.eliminate import eliminate, node_value
 from repro.synth.fx import fast_extract
-from repro.synth.network import compose_sop, fanout_counts
+from repro.synth.network import compose_sop, fanout_counts, reader_index
 from repro.synth.resub import _try_divide, resubstitute
 from repro.synth.simplify import simplify_network
 from repro.synth.sweep import sweep
@@ -114,6 +115,30 @@ class TestSweep:
         builder.output(one)
         sweep(builder.circuit)
         assert "o" in builder.circuit.gates
+
+    def test_settles_when_inverter_reader_reads_its_source(self, builder, monkeypatch):
+        """``g`` reads both ``a`` and ``NOT(a)``, so the inverter cannot be
+        merged into it; a round that rewrites nothing must end the sweep
+        instead of running to ``max_rounds``."""
+        sweep_module = sys.modules["repro.synth.sweep"]
+        rounds = []
+
+        def counting_reader_index(circuit):
+            rounds.append(1)
+            return reader_index(circuit)
+
+        monkeypatch.setattr(sweep_module, "reader_index", counting_reader_index)
+        a, x = builder.inputs("a", "x")
+        i = builder.NOT(a, name="i")
+        g = builder.AND(a, i, name="g")
+        builder.output(builder.OR(g, x, name="o"))
+        sweep(builder.circuit)
+        assert len(rounds) == 1
+        assert [gate.inputs for gate in builder.circuit.gates.values()] == [
+            ("a",),
+            ("a", "i"),
+            ("g", "x"),
+        ]
 
 
 class TestEliminate:
