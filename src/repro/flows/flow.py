@@ -35,6 +35,7 @@ from repro.retime.minarea import min_area_retiming
 from repro.retime.minperiod import min_period_retiming
 from repro.retime.rgraph import build_retiming_graph
 from repro.synth.depth import circuit_depth
+from repro.synth.network import CoverTable
 from repro.synth.script import optimize_sequential_delay
 from repro.synth.techmap import mapped_stats, tech_map
 
@@ -199,8 +200,13 @@ def run_flow(
         # Step 3 first: D = combinational optimisation of A (baseline delay).
         # Synthesis is deterministic, and tech_map and the retimers return new
         # circuits, so copies of D serve as F0 and G0 and a copy of C0 as E0.
+        # The five synthesis calls share one cover table: their networks
+        # repeat covers, and each is then minimised and composed once.
         opt_span = tracer.span("flow.phase.optimize", cat="phase")
-        d_circuit = optimize_sequential_delay(circuit, effort, name=circuit.name + "_D")
+        table = CoverTable()
+        d_circuit = optimize_sequential_delay(
+            circuit, effort, name=circuit.name + "_D", table=table
+        )
         _measure(result, "D", d_circuit)
         d_depth = circuit_depth(d_circuit)
 
@@ -208,11 +214,11 @@ def run_flow(
         # whose remodelled latches carry derived enables fall back to the
         # class-aware incremental retimer (the capability the paper lacked).
         c0_circuit = optimize_sequential_delay(
-            b_circuit, effort, name=circuit.name + "_C0"
+            b_circuit, effort, name=circuit.name + "_C0", table=table
         )
         c_circuit = _retime_min_period_any(c0_circuit, result)
         c_circuit = optimize_sequential_delay(
-            c_circuit, effort, name=circuit.name + "_C"
+            c_circuit, effort, name=circuit.name + "_C", table=table
         )
         _measure(result, "C", c_circuit)
         result.latches["C"] = result.latches.get("C", 0) + n_exposed
@@ -235,7 +241,9 @@ def run_flow(
                     e_retimed = apply_retiming(e_base, graph, r)
                 result.notes += "E relaxed; "
         e_circuit = (
-            optimize_sequential_delay(e_retimed, effort, name=circuit.name + "_E")
+            optimize_sequential_delay(
+                e_retimed, effort, name=circuit.name + "_E", table=table
+            )
             if e_retimed is not None
             else None
         )
@@ -250,7 +258,7 @@ def run_flow(
                     d_circuit.copy(circuit.name + "_F0")
                 )
                 f_circuit = optimize_sequential_delay(
-                    f_circuit, effort, name=circuit.name + "_F"
+                    f_circuit, effort, name=circuit.name + "_F", table=table
                 )
                 _measure(result, "F", f_circuit)
             except ValueError as exc:

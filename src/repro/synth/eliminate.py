@@ -15,10 +15,15 @@ fanins.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.netlist.circuit import Circuit
-from repro.synth.network import collapse_into, fanout_counts, reader_index
+from repro.synth.network import (
+    CoverTable,
+    collapse_into,
+    fanout_counts,
+    reader_index,
+)
 from repro.synth.sweep import sweep
 
 __all__ = ["eliminate", "node_value"]
@@ -37,8 +42,14 @@ def eliminate(
     threshold: int = 0,
     max_literals: int = 100,
     max_rounds: int = 10,
+    table: Optional[CoverTable] = None,
 ) -> Circuit:
-    """Collapse nodes with value ≤ threshold (in place)."""
+    """Collapse nodes with value ≤ threshold (in place).
+
+    Compositions come from ``table`` (a fresh :class:`CoverTable` if none).
+    """
+    if table is None:
+        table = CoverTable()
     for _ in range(max_rounds):
         counts = fanout_counts(circuit)
         readers = reader_index(circuit)
@@ -64,7 +75,7 @@ def eliminate(
             # Collapsing a node changes its readers' structure; re-collapse
             # conservatively one node per affected region per round.
             if collapse_into(
-                circuit, name, readers, max_result_literals=max_literals
+                circuit, name, readers, table, max_result_literals=max_literals
             ):
                 changed = True
             done.add(name)

@@ -2,7 +2,8 @@
 
 Synthesis passes operate on *combinational* circuits whose gates are SOP
 nodes (exactly SIS's network model).  This module provides fanout counting,
-reader indexes, node substitution/collapse, and the algebraic
+reader indexes, node substitution/collapse, the cover table that
+minimises and composes each distinct cover once, and the algebraic
 (literal-set) view of covers.
 """
 
@@ -14,6 +15,7 @@ from repro.netlist.circuit import Circuit, Gate
 from repro.netlist.cube import Sop, cube_and, cube_from_literals, cube_literals
 
 __all__ = [
+    "CoverTable",
     "fanout_counts",
     "reader_index",
     "collapse_into",
@@ -160,10 +162,77 @@ def compose_sop(
     return Sop(n, tuple(cubes)).scc_minimal(), tuple(merged)
 
 
+class CoverTable:
+    """Minimised and composed covers, each computed once per table.
+
+    Keys hold covers and pin positions, never signal names: two nodes with
+    one cover share a minimisation, and two collapses whose covers and
+    wiring agree share a composition, whatever their signals are called.
+    The composed fanin list is rebuilt from the caller's names.  Every
+    answer equals the direct computation, so a table changes no network,
+    only how often a cover is worked on.  The caller picks the scope:
+    ``script_delay`` starts one per call unless handed one, and
+    ``run_flow`` hands one table to the five synthesis calls of a row.
+    """
+
+    def __init__(self) -> None:
+        self._minimized: Dict[Tuple[Sop, bool], Sop] = {}
+        self._composed: Dict[
+            Tuple[Sop, Sop, Tuple[int, ...]], Tuple[Sop, Tuple[int, ...]]
+        ] = {}
+
+    def minimized(self, sop: Sop, full: bool) -> Sop:
+        """``sop.minimized()`` if ``full``, else ``sop.scc_minimal()``."""
+        key = (sop, full)
+        reduced = self._minimized.get(key)
+        if reduced is None:
+            reduced = sop.minimized() if full else sop.scc_minimal()
+            self._minimized[key] = reduced
+        return reduced
+
+    def compose(
+        self,
+        outer: Sop,
+        outer_inputs: Sequence[str],
+        inner_signal: str,
+        inner: Sop,
+        inner_inputs: Sequence[str],
+    ) -> Tuple[Sop, Tuple[str, ...]]:
+        """:func:`compose_sop`, keyed by the two covers and their wiring.
+
+        The wiring numbers each pin's signal by first appearance over the
+        outer then the inner pins, the inner signal as 0.  The numbering
+        keeps exactly which pins read one signal, the only thing about
+        names that :func:`compose_sop` looks at, so composing over the
+        numbers and mapping them back gives its answer.
+        """
+        number = {inner_signal: 0}
+        names = [inner_signal]
+        wiring: List[int] = []
+        for pins in (outer_inputs, inner_inputs):
+            for s in pins:
+                k = number.get(s)
+                if k is None:
+                    k = number[s] = len(names)
+                    names.append(s)
+                wiring.append(k)
+        key = (outer, inner, tuple(wiring))
+        composed = self._composed.get(key)
+        if composed is None:
+            split = len(outer_inputs)
+            composed = compose_sop(
+                outer, wiring[:split], 0, inner, wiring[split:]
+            )
+            self._composed[key] = composed
+        sop, merged = composed
+        return sop, tuple(names[k] for k in merged)
+
+
 def collapse_into(
     circuit: Circuit,
     node: str,
     readers: Dict[str, List[str]],
+    table: CoverTable,
     max_result_literals: int = 100,
     max_result_cubes: int = 64,
 ) -> int:
@@ -178,6 +247,7 @@ def collapse_into(
     ``readers`` is a :func:`reader_index` of the circuit; entries may be
     stale, but every gate reading a signal must be listed under it.  Each
     rewritten reader is added under the node's fanins it did not read.
+    Compositions come from ``table``.
     """
     gate = circuit.gates[node]
     rewritten = 0
@@ -185,7 +255,7 @@ def collapse_into(
         reader = circuit.gates[reader_name]
         if node not in reader.inputs:
             continue
-        sop, fanins = compose_sop(
+        sop, fanins = table.compose(
             reader.sop, reader.inputs, node, gate.sop, gate.inputs
         )
         if (

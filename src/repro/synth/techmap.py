@@ -6,7 +6,7 @@ mapper:
 
 1. tech-decomposes the network to INV/AND2/OR2;
 2. converts AND2 → NAND2+INV and OR2 → NOR2+INV, then cancels INV pairs;
-3. enforces the fanout limit with buffer trees built from inverter pairs;
+3. enforces the fanout limit with chains of buffer cells;
 4. reports area (cell-area units: INV 1, NAND2/NOR2 2) and delay (levels).
 
 The mapped circuit is a normal :class:`Circuit` whose gates are only INV,
@@ -221,37 +221,56 @@ def _cancel_inverter_pairs(circuit: Circuit) -> None:
 
 
 def _limit_fanout(circuit: Circuit, limit: int) -> None:
-    """Insert buffer cells so no signal drives more than ``limit`` pins."""
-    changed = True
-    guard = 0
-    while changed and guard < 32:
-        guard += 1
-        changed = False
-        counts = fanout_counts(circuit)
-        overloaded = [s for s in circuit.signals() if counts.get(s, 0) > limit]
-        # Gate pins reading each overloaded signal, in gate-dict then pin
-        # order.  Moving one signal's pins to its buffer leaves every other
-        # signal's pins where they were, so the lists stay exact.
-        pins: Dict[str, List[Tuple[str, int]]] = {s: [] for s in overloaded}
-        for gate in circuit.gates.values():
-            for pin, s in enumerate(gate.inputs):
-                if s in pins:
-                    pins[s].append((gate.output, pin))
+    """Insert buffer cells so no signal drives more than ``limit`` pins.
+
+    Each round takes the overloaded signals in ``circuit.signals()`` order,
+    leaves ``limit - 1`` gate pins on each and moves the rest, in gate-dict
+    then pin order, behind one new ``__fob_`` buffer; a buffer still
+    overloaded is split in a later round.  That builds a chain, not a
+    tree: a signal with N gate readers ends up about N / (limit - 1)
+    buffers deep (ROADMAP item 5).  Fanout counts and reader pins are
+    built once: a move changes only those of its signal and of its new
+    buffer, so a round visits just the signals the previous round
+    touched.
+    """
+    counts = fanout_counts(circuit)
+    pins: Dict[str, List[Tuple[str, int]]] = {}
+    for gate in circuit.gates.values():
+        for pin, s in enumerate(gate.inputs):
+            pins.setdefault(s, []).append((gate.output, pin))
+    # Position in signals() order: inputs, gates (new buffers last), latches.
+    rank: Dict[str, Tuple[int, int]] = {}
+    for kind, names in enumerate((circuit.inputs, circuit.gates, circuit.latches)):
+        for i, s in enumerate(names):
+            rank[s] = (kind, i)
+
+    def splittable(s: str) -> bool:
+        # Only gate pins move: an overloaded signal with fewer than
+        # `limit` of them keeps its load.
+        return counts.get(s, 0) > limit and len(pins.get(s, ())) >= limit
+
+    overloaded = [s for s in circuit.signals() if splittable(s)]
+    rounds = 0
+    while overloaded and rounds < 32:
+        rounds += 1
+        touched: List[str] = []
         for sig in overloaded:
             readers = pins[sig]
-            # Leave `limit - 1` readers on the signal, move the rest to a
-            # buffer; iterating spreads load into a buffer tree.
             movable = readers[limit - 1 :]
-            if not movable:
-                continue
             buf = circuit.fresh_signal(f"__fob_{sig}")
+            rank[buf] = (1, len(circuit.gates))
             circuit.add_gate(buf, (sig,), Sop.and_all(1))
             for gate_name, pin in movable:
                 gate = circuit.gates[gate_name]
                 new_inputs = list(gate.inputs)
                 new_inputs[pin] = buf
                 circuit.replace_gate(gate.with_inputs(tuple(new_inputs)))
-            changed = True
+            pins[sig] = readers[: limit - 1] + [(buf, 0)]
+            pins[buf] = movable
+            counts[sig] -= len(movable) - 1
+            counts[buf] = len(movable)
+            touched += (sig, buf)
+        overloaded = sorted(filter(splittable, touched), key=rank.__getitem__)
 
 
 def mapped_stats(circuit: Circuit) -> MappedStats:

@@ -16,6 +16,7 @@ from repro.flows.flow import run_flow
 from repro.flows.report import render_table
 from repro.flows.table1 import QUICK_SET, format_table1, table1_row
 from repro.flows.table2 import Table2Row, format_table2, table2_row
+from repro.synth.network import CoverTable
 
 #: The deterministic columns of the ``--quick`` Table 1 rows.
 QUICK_COLUMNS = json.loads(
@@ -74,16 +75,28 @@ class TestRunFlow:
         "unexposed, variants", [(True, "D C0 C E F"), (False, "D C0 C E")]
     )
     def test_synthesises_a_and_b_once(self, monkeypatch, unexposed, variants):
-        names = []
+        """Five synthesis calls a row (four without F), sharing one table."""
+        names, tables = [], []
         synthesise = flow.optimize_sequential_delay
 
-        def recording(circuit, effort="medium", name=None):
+        def recording(circuit, effort="medium", name=None, table=None):
             names.append(name)
-            return synthesise(circuit, effort, name=name)
+            tables.append(table)
+            return synthesise(circuit, effort, name=name, table=table)
 
         monkeypatch.setattr(flow, "optimize_sequential_delay", recording)
-        run_flow(minmax_circuit(3), verify=False, build_unexposed_variants=unexposed)
-        assert names == ["minmax3_" + v for v in variants.split()]
+        rows = []
+        for _ in range(2):
+            names.clear()
+            tables.clear()
+            run_flow(
+                minmax_circuit(3), verify=False, build_unexposed_variants=unexposed
+            )
+            assert names == ["minmax3_" + v for v in variants.split()]
+            assert isinstance(tables[0], CoverTable)
+            assert all(table is tables[0] for table in tables)
+            rows.append(tables[0])
+        assert rows[0] is not rows[1]
 
     def _e_flow(self, monkeypatch, first_e_call):
         """The flow with the first min-area call (E's) replaced."""

@@ -22,7 +22,12 @@ from repro.synth.depth import circuit_depth, reduce_depth
 from repro.synth.division import weak_divide
 from repro.synth.eliminate import eliminate, node_value
 from repro.synth.fx import fast_extract
-from repro.synth.network import compose_sop, fanout_counts, reader_index
+from repro.synth.network import (
+    CoverTable,
+    compose_sop,
+    fanout_counts,
+    reader_index,
+)
 from repro.synth.resub import _try_divide, resubstitute
 from repro.synth.simplify import simplify_network
 from repro.synth.sweep import sweep
@@ -223,6 +228,34 @@ def _compose_reference(outer, outer_inputs, inner_signal, inner, inner_inputs):
     return Sop(n, tuple(cubes)).scc_minimal(), tuple(merged)
 
 
+def _check_table_compose(outer, outer_inputs, inner_signal, inner, inner_inputs):
+    """The table composes as :func:`compose_sop`, keyed by wiring alone.
+
+    A second reader and node with every signal renamed but the same wiring
+    must get the renamed answer from the first one's entry.
+    """
+    table = CoverTable()
+    args = (outer, outer_inputs, inner_signal, inner, inner_inputs)
+    try:
+        expected = compose_sop(*args)
+    except ValueError:  # g's pins on one signal with clashing literals
+        with pytest.raises(ValueError):
+            table.compose(*args)
+        return
+    assert table.compose(*args) == expected
+    rename = {s: "r_" + s for s in [*outer_inputs, inner_signal, *inner_inputs]}
+    renamed = (
+        outer,
+        [rename[s] for s in outer_inputs],
+        rename[inner_signal],
+        inner,
+        [rename[s] for s in inner_inputs],
+    )
+    assert table.compose(*renamed) == compose_sop(*renamed)
+    assert table.compose(*renamed)[1] == tuple(rename[s] for s in expected[1])
+    assert len(table._composed) == 1  # one entry answered all three
+
+
 def _covers(ninputs):
     cube = st.text(alphabet="01-", min_size=ninputs, max_size=ninputs)
     return st.lists(cube, max_size=5).map(lambda cs: Sop(ninputs, tuple(cs)))
@@ -393,6 +426,44 @@ class TestComposeSop:
         inner = data.draw(_covers(3))
         args = (outer, self.OUTER, "g", inner, self.INNER)
         assert compose_sop(*args) == _compose_reference(*args)
+        _check_table_compose(*args)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_table_composition_on_any_wiring(self, data):
+        # Pins may repeat a signal, read g twice or not at all, or read
+        # g's own fanins; g may be a constant (no fanins).
+        outer_inputs = data.draw(st.lists(st.sampled_from("gxab"), min_size=1, max_size=4))
+        inner_inputs = data.draw(st.lists(st.sampled_from("abc"), max_size=3))
+        outer = data.draw(_covers(len(outer_inputs)))
+        inner = data.draw(_covers(len(inner_inputs)))
+        _check_table_compose(outer, outer_inputs, "g", inner, inner_inputs)
+
+    @pytest.mark.parametrize(
+        "outer_inputs, outer_cubes, inner_inputs, inner_cubes",
+        [
+            (["x", "g", "x"], ("11-", "-01"), ["a", "a"], ("11", "1-")),
+            (["g", "x", "g"], ("1-1", "01-"), ["a", "b"], ("1-", "-1")),
+            (["a", "g"], ("11", "0-"), ["a", "b"], ("10", "01")),
+            (["x", "g"], ("10", "01"), ["a", "b"], ("11",)),
+            (["x", "g"], ("11", "00"), [], ("",)),
+            (["x", "g"], ("11", "00"), [], ()),
+        ],
+        ids=[
+            "repeated-fanins",
+            "g-on-two-pins",
+            "reader-reads-a-fanin-of-g",
+            "g-read-negated",
+            "constant-1-node",
+            "constant-0-node",
+        ],
+    )
+    def test_table_composition_cases(
+        self, outer_inputs, outer_cubes, inner_inputs, inner_cubes
+    ):
+        outer = Sop(len(outer_inputs), outer_cubes)
+        inner = Sop(len(inner_inputs), inner_cubes)
+        _check_table_compose(outer, outer_inputs, "g", inner, inner_inputs)
 
     def test_positive_and_negated_reads_pinned(self):
         inner = Sop(2, ("1-", "-1"))  # g = a + b

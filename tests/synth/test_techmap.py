@@ -7,9 +7,13 @@ import pytest
 from repro.bench.iscas_like import build_table1_circuit
 from repro.bench.random_circuits import random_acyclic_sequential, random_combinational
 from repro.cec.engine import check_equivalence
+from repro.core.expose import prepare_circuit
 from repro.core.verify import check_sequential_equivalence
+from repro.flows.flow import FlowResult, _retime_min_period_any
+from repro.flows.table1 import QUICK_SET
 from repro.netlist.build import CircuitBuilder
 from repro.netlist.validate import validate_circuit
+from repro.synth import techmap
 from repro.synth.network import fanout_counts
 from repro.synth.script import optimize_sequential_delay, script_delay
 from repro.synth.techmap import (
@@ -18,6 +22,8 @@ from repro.synth.techmap import (
     mapped_stats,
     tech_map,
 )
+from tests.synth.fanout_oracle import limit_fanout_by_rounds
+from tests.synth.row_calls import record_row, same_netlist
 
 
 class TestTechMap:
@@ -88,6 +94,71 @@ class TestTechMap:
         mapped = tech_map(b.circuit)
         text = str(mapped_stats(mapped))
         assert "area" in text and "delay" in text
+
+
+class TestLimitFanoutOracle:
+    """One-pass fanout limiting maps exactly as whole-network rounds do."""
+
+    @staticmethod
+    def _mapped_both_ways(circuit, limit=4):
+        mapped = tech_map(circuit, fanout_limit=limit)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(techmap, "_limit_fanout", limit_fanout_by_rounds)
+            oracle = tech_map(circuit, fanout_limit=limit)
+        assert same_netlist(mapped, oracle)
+        return mapped
+
+    @staticmethod
+    def _buffers(mapped):
+        return sum(name.startswith("__fob_") for name in mapped.gates)
+
+    @pytest.mark.parametrize("name", QUICK_SET)
+    def test_quick_rows_d_and_c(self, name):
+        mapped = record_row(name).mapped
+        for tag in ("D", "C"):
+            self._mapped_both_ways(mapped[f"{name}_{tag}"])
+
+    def test_s15850_d_and_c(self):
+        a = build_table1_circuit("s15850")
+        b = prepare_circuit(a, use_unateness=False).circuit
+        c0 = optimize_sequential_delay(b, name="s15850_C0")
+        c = _retime_min_period_any(c0, FlowResult("s15850"))
+        for circuit in (
+            optimize_sequential_delay(a, name="s15850_D"),
+            optimize_sequential_delay(c, name="s15850_C"),
+        ):
+            assert self._buffers(self._mapped_both_ways(circuit)) > 300
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_circuits_every_limit(self, seed, limit):
+        for circuit in (
+            random_combinational(n_inputs=4, n_gates=40, seed=seed),
+            random_acyclic_sequential(seed=seed),
+        ):
+            self._mapped_both_ways(circuit, limit)
+
+    def test_signals_kept_overloaded_by_pos_and_latches(self, builder):
+        """POs and latches read s, t and q, so every round splits them again.
+
+        Each round then splits these signals and the buffers made in the
+        round before, in ``signals()`` order: gates, new buffers, latch q.
+        This also runs the loop into its 32-round bound, the one case
+        where the bound, not the load, ends it.
+        """
+        x, y = builder.inputs("x", "y")
+        s = builder.NAND(x, y, name="s")
+        t = builder.NOR(x, y, name="t")
+        builder.circuit.add_latch("q", s)
+        for sig, readers in ((s, 9), (t, 9), ("q", 6)):
+            for i in range(readers):
+                builder.output(builder.NOT(sig, name=f"n_{sig}{i}"))
+            builder.output(sig)
+        circuit = builder.circuit
+        validate_circuit(circuit)
+        # One buffer a round behind each of s, t and q, plus the splits of
+        # the first buffers' inverter loads.
+        assert self._buffers(self._mapped_both_ways(circuit)) == 98
 
 
 class TestScript:
