@@ -12,14 +12,20 @@ SAT effort (the "structural" filter of the CEC engines the paper cites).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.circuit import Circuit
 
-__all__ = ["AIG", "aig_from_circuit", "aig_to_circuit"]
+__all__ = ["AIG", "aig_from_circuit", "aig_to_circuit", "lit_to_cnf"]
 
 FALSE_LIT = 0
 TRUE_LIT = 1
+
+
+def lit_to_cnf(lit: int) -> int:
+    """An AIG literal as a CNF literal: node ``n`` is variable ``n + 1``."""
+    var = (lit >> 1) + 1
+    return -var if lit & 1 else var
 
 
 class AIG:
@@ -242,29 +248,22 @@ class AIG:
     # ------------------------------------------------------------------
     # CNF encoding
     # ------------------------------------------------------------------
-    def to_cnf(self):
-        """Encode all AND nodes; returns (CNF, var_of_node list).
+    def cnf_clauses(self) -> Iterator[Tuple[int, ...]]:
+        """The CNF of every AND node, one clause at a time.
 
-        Node ``n`` gets CNF variable ``n + 1`` (node 0 / constant FALSE gets
-        variable 1, constrained to false).
+        Node ``n`` is CNF variable ``n + 1`` (:func:`lit_to_cnf`): first
+        the unit that fixes node 0 (constant FALSE, variable 1) false,
+        then the three Tseitin clauses of each AND node in node order.
         """
-        from repro.sat.cnf import CNF
-
-        cnf = CNF(self.num_nodes())
-        cnf.add_clause([-1])  # node 0 is FALSE
-
-        def lit2cnf(lit: int) -> int:
-            var = (lit >> 1) + 1
-            return -var if lit & 1 else var
-
+        yield (-1,)
+        fanin0, fanin1 = self._fanin0, self._fanin1
         for node in self.and_nodes():
             out = node + 1
-            a = lit2cnf(self._fanin0[node])
-            b = lit2cnf(self._fanin1[node])
-            cnf.add_clause([-out, a])
-            cnf.add_clause([-out, b])
-            cnf.add_clause([out, -a, -b])
-        return cnf, lit2cnf
+            a = lit_to_cnf(fanin0[node])
+            b = lit_to_cnf(fanin1[node])
+            yield (-out, a)
+            yield (-out, b)
+            yield (out, -a, -b)
 
 
 def aig_to_circuit(aig: AIG, name: str = "from_aig") -> Circuit:

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.aig.aig import AIG
+from repro.aig.aig import AIG, lit_to_cnf
 from repro.aig.rewrite import preprocess_miter
 from repro.bdd.bdd import BDD
 from repro.bdd.circuit2bdd import circuit_bdds
@@ -655,19 +655,19 @@ def _build(check: _Check, c1: Circuit, c2: Circuit) -> Optional[MiterAIG]:
 
 
 def _encode(check: _Check, aig: AIG) -> None:
-    """Encode the miter AIG into CNF on a fresh incremental solver."""
+    """Load the miter AIG's CNF, clause by clause, on a fresh solver."""
     t_enc = time.perf_counter()
     with check.tracer.span("cec.phase.encode", cat="phase"):
-        cnf, lit2cnf = aig.to_cnf()
         solver = Solver()
         solver.metrics = check.registry
-        if not solver.add_cnf(cnf):
+        solver.ensure_vars(aig.num_nodes())
+        if not solver.add_clauses(aig.cnf_clauses()):
             # The AIG CNF alone can only be UNSAT if something is deeply wrong.
             raise RuntimeError("inconsistent AIG encoding")
     check.registry.set_gauge(
         "cec.phase.encode.seconds", time.perf_counter() - t_enc
     )
-    check.aig, check.solver, check.lit2cnf = aig, solver, lit2cnf
+    check.aig, check.solver, check.lit2cnf = aig, solver, lit_to_cnf
 
 
 def _fold_unit(

@@ -1,18 +1,21 @@
 """Sweep work units in-process, each on its own cone-sliced solver.
 
 Every sweep round runs each cone-disjoint work unit
-(:mod:`repro.cec.partition`) as a self-contained payload: the parent
-solver's root-level clause slice for the unit's cone, remapped to a dense
+(:mod:`repro.cec.partition`) from a payload: the parent solver's
+root-level clause slice for the unit's cone, remapped to a dense
 variable space so the unit's CDCL heuristics never touch foreign
 variables, plus the candidate queries.  :func:`sweep_unit_payloads` cuts
-every unit's slice in one pass over the parent's clauses per round, and
-:func:`sweep_units` runs the payloads one at a time in the calling
-process.  Each unit runs its own incremental
-:class:`~repro.sat.solver.Solver`, proves or refutes candidates in
-topological order — locally proven merges strengthen the unit's later
-queries — and returns one status per candidate.  The engine then merges
-proven equivalences back into the parent solver before the next round
-and the final output checks.
+every unit's slice in one pass per round, reading the parent's root
+trail and clause lists in place through
+:meth:`~repro.sat.solver.Solver.root_clauses` (the remapped slice is the
+only copy), and :func:`sweep_units` runs the payloads one at a time in
+the calling process.  Each unit loads its slice into its own incremental
+:class:`~repro.sat.solver.Solver` with one
+:meth:`~repro.sat.solver.Solver.add_clauses` call, proves or refutes
+candidates in topological order — locally proven merges strengthen the
+unit's later queries — and returns one status per candidate.  The
+engine then merges proven equivalences back into the parent solver
+before the next round and the final output checks.
 
 Assumption cores travel with the unit: the known cores, sliced to the
 unit like its clauses, seed a per-unit
@@ -27,12 +30,14 @@ are sound) and records UNKNOWN for the rest: the sweep is an
 accelerator, so losing part of a unit loses merges, never soundness.
 
 Each unit records onto the check's own sinks: its ``sweep.unit`` span
-nests under the innermost open span of the check's tracer, and its
+nests under the innermost open span of the check's tracer, with the
+unit's size, effort and its load and search seconds as args, and its
 solver counts into the check's metrics registry when one is passed.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -47,7 +52,7 @@ from typing import (
 
 from repro.cec.partition import WorkUnit
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.trace import NULL_TRACER, NullSpan, NullTracer, Span, Tracer
 from repro.runtime import chaos
 from repro.sat.cores import CoreIndex, core_retires
 from repro.sat.solver import Solver
@@ -65,7 +70,7 @@ DEFERRED = "deferred"
 
 
 class UnitPayload(NamedTuple):
-    """One unit's self-contained sweep job, in the unit's variable space.
+    """One unit's sweep job, in the unit's variable space.
 
     Local variable ``i + 1`` is parent CNF variable ``global_vars[i]``.
     ``queries`` holds ``(rep var, node var, phase_equal, group)`` per
@@ -152,10 +157,11 @@ def _slice(
                 owners = held
         for unit in owners:
             var_of = var_maps[unit]
-            if all(abs(lit) in var_of for lit in group):
-                out[unit].append(
-                    [var_of[lit] if lit > 0 else -var_of[-lit] for lit in group]
-                )
+            try:
+                local = [var_of[lit] if lit > 0 else -var_of[-lit] for lit in group]
+            except KeyError:
+                continue  # a variable outside this unit's cone
+            out[unit].append(local)
     return out
 
 
@@ -172,7 +178,7 @@ def sweep_unit_payloads(
     """One payload per unit, every slice cut from the parent in one pass.
 
     A unit's clauses are the parent's root-level units and original
-    clauses (:meth:`~repro.sat.solver.Solver.export_clauses`) over only
+    clauses (:meth:`~repro.sat.solver.Solver.root_clauses`) over only
     the unit's cone variables (node ``n`` is CNF variable ``n + 1``);
     ``known_cores`` — the engine's assumption cores in the parent's
     variable space — are sliced the same way, since a core mentioning a
@@ -191,7 +197,7 @@ def sweep_unit_payloads(
         for unit in units
     ]
     holders = _holders(var_maps)
-    clauses = _slice(solver.export_clauses(), holders, var_maps)
+    clauses = _slice(solver.root_clauses(), holders, var_maps)
     cores = _slice(known_cores or (), holders, var_maps)
     pis = set(pi_nodes or ()) if collect_models else set()
     payloads: List[UnitPayload] = []
@@ -224,22 +230,28 @@ def _sweep_unit(
     payload: UnitPayload,
     result: UnitResult,
     metrics: Optional[MetricsRegistry],
+    span: Union[Span, NullSpan],
 ) -> None:
     """Run one unit's queries on a fresh solver, recording into ``result``.
 
     Statuses, models and the query count land in ``result`` as each
     candidate is decided, so a failure mid-unit leaves the decided
-    prefix in place.
+    prefix in place.  The unit's effort lands on ``span`` at the end:
+    its queries, core retirements, and the search's conflicts and
+    propagations, with the seconds spent loading the slice and
+    searching (three clock reads per unit, none per query).
     """
     chaos.fire("worker.entry", payload)
     conflict_limit, deadline = payload.conflict_limit, payload.deadline
     statuses, models = result.statuses, result.models
+    t_start = time.perf_counter()
     solver = Solver()
     solver.metrics = metrics
     solver.ensure_vars(payload.num_vars)
-    for clause in payload.clauses:
-        if not solver.add_clause(clause):
-            raise RuntimeError("inconsistent CNF slice in sweep unit")
+    if not solver.add_clauses(payload.clauses):
+        raise RuntimeError("inconsistent CNF slice in sweep unit")
+    t_loaded = time.perf_counter()
+    load_propagations = solver.stats_propagations
     core_index = CoreIndex()
     core_index.add_many(payload.known_cores)
     refuted_groups: set = set()
@@ -296,6 +308,14 @@ def _sweep_unit(
         [global_vars[abs(lit) - 1] * (1 if lit > 0 else -1) for lit in core]
         for core in core_index.export()
     ]
+    span.annotate(
+        sat_queries=result.sat_queries,
+        core_retired=result.core_retired,
+        conflicts=solver.stats_conflicts,
+        propagations=solver.stats_propagations - load_propagations,
+        load_s=t_loaded - t_start,
+        search_s=time.perf_counter() - t_loaded,
+    )
 
 
 def sweep_units(
@@ -318,12 +338,10 @@ def sweep_units(
                 cat="worker",
                 unit=payload.unit_index,
                 candidates=len(payload.queries),
+                cone_vars=payload.num_vars,
+                clauses=len(payload.clauses),
             ) as span:
-                _sweep_unit(payload, result, metrics)
-                span.annotate(
-                    sat_queries=result.sat_queries,
-                    core_retired=result.core_retired,
-                )
+                _sweep_unit(payload, result, metrics, span)
         except Exception as exc:  # noqa: BLE001 - a lost unit loses
             # merges, never a verdict: keep the decided prefix.
             result.error = repr(exc)

@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         metavar="N",
-        help="how many slowest obligations to list (default 10)",
+        help="how many slowest sweep units to list (default 10)",
     )
     p.add_argument(
         "--chrome",

@@ -31,7 +31,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.runtime.budget import (
     REASON_CONFLICT_LIMIT,
@@ -77,19 +86,9 @@ class SATResult:
         return self.satisfiable
 
 
+#: The solver indexes its tables by ``abs(lit) - 1``, so a literal 0
+#: would silently alias the last variable; it is rejected instead.
 _ZERO_LITERAL = "literal 0 is reserved"
-
-
-def _checked(literals: Iterable[int]) -> List[int]:
-    """``literals`` as a list; :class:`ValueError` when one is 0.
-
-    The solver indexes its tables by ``abs(lit) - 1``, so a 0 would
-    silently alias the last variable.
-    """
-    lits = list(literals)
-    if 0 in lits:
-        raise ValueError(_ZERO_LITERAL)
-    return lits
 
 
 def _luby(i: int) -> int:
@@ -111,13 +110,11 @@ def _luby(i: int) -> int:
     return 1 << seq
 
 
-class _Clause:
-    __slots__ = ("lits", "learned", "activity")
+class _Learned(list):
+    """A learned clause: its literal list, plus the activity that ranks it
+    for deletion.  An original clause is a plain ``list``."""
 
-    def __init__(self, lits: List[int], learned: bool) -> None:
-        self.lits = lits
-        self.learned = learned
-        self.activity = 0.0
+    __slots__ = ("activity",)
 
 
 class _VarOrder:
@@ -132,6 +129,7 @@ class _VarOrder:
     The two hot operations work on these lists directly, with their sift
     loops inlined: the pop in :meth:`Solver._pick_branch` and the
     re-insert of unassigned variables in :meth:`Solver._cancel_until`.
+    New variables are appended by :meth:`Solver.ensure_vars`.
     """
 
     __slots__ = ("heap", "pos", "activity")
@@ -140,15 +138,6 @@ class _VarOrder:
         self.heap: List[int] = []
         self.pos: List[int] = []
         self.activity = activity
-
-    def insert(self, var: int) -> None:
-        while len(self.pos) <= var:
-            self.pos.append(-1)
-        if self.pos[var] >= 0:
-            return
-        self.pos[var] = len(self.heap)
-        self.heap.append(var)
-        self._up(self.pos[var])
 
     def update(self, var: int) -> None:
         """Restore heap order after ``var``'s activity increased."""
@@ -181,13 +170,16 @@ class Solver:
 
     def __init__(self) -> None:
         self._num_vars = 0
-        self._clauses: List[_Clause] = []
-        self._learned: List[_Clause] = []
-        # watches[lit] = clauses watching literal lit (lit encoded as index)
-        self._watches: Dict[int, List[_Clause]] = {}
+        # Clauses are literal lists, each held once: the watch lists and
+        # the reasons refer to these same lists.
+        self._clauses: List[List[int]] = []
+        self._learned: List[_Learned] = []
+        # watches[lit] = clauses to visit when lit becomes true (they
+        # watch -lit)
+        self._watches: Dict[int, List[List[int]]] = {}
         self._assign: List[int] = []  # var -> -1 unassigned / 0 false / 1 true
         self._level: List[int] = []
-        self._reason: List[Optional[_Clause]] = []
+        self._reason: List[Optional[List[int]]] = []
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._qhead = 0
@@ -241,94 +233,136 @@ class Solver:
     # problem construction
     # ------------------------------------------------------------------
     def ensure_vars(self, num_vars: int) -> None:
-        """Grow the variable tables up to ``num_vars``."""
-        while self._num_vars < num_vars:
-            self._num_vars += 1
-            self._assign.append(-1)
-            self._level.append(-1)
-            self._reason.append(None)
-            self._activity.append(0.0)
-            self._phase.append(False)
-            self._assumption_mark.append(False)
-            self._order.insert(self._num_vars - 1)
+        """Grow the variable tables up to ``num_vars``.
+
+        A new variable is unassigned, with activity 0; no activity is
+        below 0, so the new variables join the branching heap at its end,
+        in order.
+        """
+        first = self._num_vars
+        grow = num_vars - first
+        if grow <= 0:
+            return
+        self._num_vars = num_vars
+        self._assign += [-1] * grow
+        self._level += [-1] * grow
+        self._reason += [None] * grow
+        self._activity += [0.0] * grow
+        self._phase += [False] * grow
+        self._assumption_mark += [False] * grow
+        heap = self._order.heap
+        self._order.pos += range(len(heap), len(heap) + grow)
+        heap += range(first, num_vars)
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Add a clause; returns False if the formula became trivially UNSAT.
 
-        Raises :class:`ValueError` on literal 0, as :meth:`CNF.add_clause`
-        does.
+        The one-clause case of :meth:`add_clauses`.  Raises
+        :class:`ValueError` on literal 0, as :meth:`CNF.add_clause` does.
         """
-        literals = _checked(literals)
-        if not self._ok:
-            return False
-        lits: List[int] = []
-        seen = set()
-        for lit in literals:
-            self.ensure_vars(abs(lit))
-            if -lit in seen:
-                return True  # tautological clause
-            if lit in seen:
-                continue
-            seen.add(lit)
-            val = self._value(lit)
-            if self._level[abs(lit) - 1] == 0:
-                if val == 1:
-                    return True  # satisfied at root
-                if val == 0:
-                    continue  # falsified at root: drop literal
-            lits.append(lit)
-        if not lits:
-            self._ok = False
-            return False
-        if len(lits) == 1:
-            if self._decision_level() != 0:
-                raise RuntimeError("unit clauses must be added at root level")
-            if not self._enqueue(lits[0], None):
-                self._ok = False
+        return self.add_clauses((list(literals),))
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
+        """Add clauses in order; False at the first that makes the formula
+        UNSAT, leaving the rest unread.
+
+        Each clause (a list or tuple of literals) is simplified at the
+        root: it is dropped when it holds a root-true literal or a literal
+        and its complement, and loses its root-false and repeated
+        literals.  What is left is stored as a new list, watched on its
+        first two literals; a single literal is enqueued and propagated at
+        once, so later clauses simplify against everything it implies; an
+        empty clause makes the formula UNSAT.  A clause holding literal 0
+        raises :class:`ValueError` before any of it is loaded, with the
+        clauses before it loaded.  Loading a sequence in one call is the
+        same as one :meth:`add_clause` per clause: the same stored
+        clauses, watch order and root trail.
+        """
+        assign = self._assign
+        level = self._level
+        stored = self._clauses
+        num_vars = self._num_vars
+        for clause in clauses:
+            if 0 in clause:
+                raise ValueError(_ZERO_LITERAL)
+            if not self._ok:
                 return False
-            if self._propagate() is not None:
-                self._ok = False
-                return False
-            return True
-        clause = _Clause(lits, learned=False)
-        self._clauses.append(clause)
-        self._watch(clause)
+            lits: List[int] = []
+            kept: Set[int] = set()
+            for lit in clause:
+                var = (lit if lit > 0 else -lit) - 1
+                if var >= num_vars:
+                    self.ensure_vars(var + 1)
+                    num_vars = self._num_vars
+                elif level[var] == 0:
+                    if assign[var] == (lit > 0):
+                        break  # satisfied at the root: drop the clause
+                    continue  # false at the root: drop the literal
+                if lit in kept:
+                    continue
+                if -lit in kept:
+                    break  # tautology: drop the clause
+                lits.append(lit)
+                kept.add(lit)
+            else:
+                if len(lits) > 1:
+                    stored.append(lits)
+                    self._watch(lits)
+                    continue
+                if not lits:
+                    self._ok = False
+                    return False
+                if self._trail_lim:
+                    raise RuntimeError("unit clauses must be added at root level")
+                # Unassigned at the root, so the enqueue cannot fail.
+                self._enqueue(lits[0], None)
+                if self._propagate() is not None:
+                    self._ok = False
+                    return False
         return True
 
     def add_cnf(self, cnf: CNF) -> bool:
         """Add all clauses of a CNF; False if trivially UNSAT."""
         self.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses:
-            if not self.add_clause(clause):
-                return False
-        return True
+        return self.add_clauses(cnf.clauses)
+
+    def root_clauses(self) -> Iterator[Sequence[int]]:
+        """The root-level problem, read in place.
+
+        Yields each root-level implied literal as a unit clause, then
+        every original (non-learned) clause: everything a fresh solver
+        needs to reproduce this solver's problem.  Learned clauses are
+        left out (they are consequences, and only valid for the full
+        formula).  A solver already UNSAT at the root yields the empty
+        clause alone.  The original clauses are the solver's own lists,
+        whose literal order moves with the search: read them, and copy
+        what must outlive the next ``solve`` or ``add_clause`` call.
+        """
+        if not self._ok:
+            yield ()
+            return
+        trail = self._trail
+        root_len = self._trail_lim[0] if self._trail_lim else len(trail)
+        for i in range(root_len):
+            yield (trail[i],)
+        yield from self._clauses
 
     def export_clauses(
         self, variables: Optional[Iterable[int]] = None
     ) -> List[List[int]]:
-        """Snapshot the root-level problem state as a clause list.
+        """:meth:`root_clauses` as a list of new lists.
 
-        Returns the root-level implied literals (as unit clauses) followed
-        by the original (non-learned) clauses — everything a fresh solver
-        needs to reproduce this solver's problem.  With ``variables``, the
-        snapshot is restricted to clauses mentioning only those variables:
-        the CNF slice a sweep unit needs for one fanin cone.  Learned
-        clauses are deliberately excluded (they are consequences and would
-        only be valid for the full formula anyway).  A solver already UNSAT
-        at the root exports the empty clause alone.
+        With ``variables``, only the clauses that mention no other
+        variable: the CNF slice of one fanin cone.
         """
-        if not self._ok:
-            return [[]]
-        var_set = set(variables) if variables is not None else None
-        clauses: List[List[int]] = []
-        root_len = self._trail_lim[0] if self._trail_lim else len(self._trail)
-        for lit in self._trail[:root_len]:
-            if var_set is None or abs(lit) in var_set:
-                clauses.append([lit])
-        for clause in self._clauses:
-            if var_set is None or all(abs(l) in var_set for l in clause.lits):
-                clauses.append(list(clause.lits))
-        return clauses
+        if variables is None:
+            return [list(clause) for clause in self.root_clauses()]
+        var_set = set(variables)
+        return [
+            list(clause)
+            for clause in self.root_clauses()
+            if all(abs(lit) in var_set for lit in clause)
+        ]
 
     def root_value(self, lit: int) -> int:
         """``lit``'s value *at the root level*: -1 unknown, 0 false, 1 true.
@@ -381,7 +415,9 @@ class Solver:
         Raises :class:`ValueError`, before any search or bookkeeping, when
         an assumption is literal 0.
         """
-        assumptions = _checked(assumptions)
+        assumptions = list(assumptions)
+        if 0 in assumptions:
+            raise ValueError(_ZERO_LITERAL)
         c0 = self.stats_conflicts
         d0 = self.stats_decisions
         p0 = self.stats_propagations
@@ -518,11 +554,11 @@ class Solver:
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
-    def _watch(self, clause: _Clause) -> None:
-        self._watches.setdefault(-clause.lits[0], []).append(clause)
-        self._watches.setdefault(-clause.lits[1], []).append(clause)
+    def _watch(self, clause: List[int]) -> None:
+        self._watches.setdefault(-clause[0], []).append(clause)
+        self._watches.setdefault(-clause[1], []).append(clause)
 
-    def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
+    def _enqueue(self, lit: int, reason: Optional[List[int]]) -> bool:
         val = self._value(lit)
         if val == 0:
             return False
@@ -542,7 +578,7 @@ class Solver:
         self._trail.append(lit)
         return True
 
-    def _propagate(self) -> Optional[_Clause]:
+    def _propagate(self) -> Optional[List[int]]:
         """Unit propagation; returns a conflicting clause or None.
 
         The solver's innermost loop, so ``_value`` and ``_enqueue`` are
@@ -563,7 +599,7 @@ class Solver:
         current = len(self._trail_lim)
         # Phases are saved only below the assumption prefix (see _enqueue).
         save_phase = current > self._num_assumed
-        conflict: Optional[_Clause] = None
+        conflict: Optional[List[int]] = None
         while qhead < len(trail):
             lit = trail[qhead]
             qhead += 1
@@ -576,23 +612,22 @@ class Solver:
             while i < size:
                 clause = watchers[i]
                 i += 1
-                lits = clause.lits
                 # Make sure the falsified literal is at position 1.
-                first = lits[0]
+                first = clause[0]
                 if first == false_lit:
-                    first = lits[1]
-                    lits[0] = first
-                    lits[1] = false_lit
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
                 if assign[abs(first) - 1] == (first > 0):
                     watchers[kept] = clause
                     kept += 1
                     continue
                 # Look for a new watch: any literal not false.
-                for k in range(2, len(lits)):
-                    other = lits[k]
+                for k in range(2, len(clause)):
+                    other = clause[k]
                     if assign[abs(other) - 1] != (other < 0):
-                        lits[1] = other
-                        lits[k] = false_lit
+                        clause[1] = other
+                        clause[k] = false_lit
                         moved = watches.get(-other)
                         if moved is None:
                             watches[-other] = [clause]
@@ -741,7 +776,7 @@ class Solver:
         return 0
 
     def _analyze_final(
-        self, conflict: Optional[_Clause], failed: Optional[int]
+        self, conflict: Optional[List[int]], failed: Optional[int]
     ) -> List[int]:
         """Final-conflict analysis (MiniSat's ``analyzeFinal``).
 
@@ -761,7 +796,7 @@ class Solver:
             core.append(failed)
             seen[abs(failed) - 1] = True
         if conflict is not None:
-            for lit in conflict.lits:
+            for lit in conflict:
                 var = abs(lit) - 1
                 if self._level[var] > 0:
                     seen[var] = True
@@ -777,26 +812,26 @@ class Solver:
                 if self._assumption_mark[var]:
                     core.append(lit)
             else:
-                for q in reason.lits:
+                for q in reason:
                     qvar = abs(q) - 1
                     if self._level[qvar] > 0:
                         seen[qvar] = True
         return core
 
-    def _analyze(self, conflict: _Clause) -> Tuple[List[int], int]:
+    def _analyze(self, conflict: List[int]) -> Tuple[List[int], int]:
         """First-UIP learning; returns (learned clause, backjump level)."""
         learned: List[int] = [0]  # placeholder for the asserting literal
         seen = [False] * self._num_vars
         counter = 0
         resolved_lit = 0  # the implied literal of the current reason clause
-        clause: Optional[_Clause] = conflict
+        clause: Optional[List[int]] = conflict
         index = len(self._trail)
         current_level = self._decision_level()
         while True:
             assert clause is not None
-            if clause.learned:
+            if type(clause) is _Learned:
                 self._bump_clause(clause)
-            for q in clause.lits:
+            for q in clause:
                 if q == resolved_lit:
                     continue
                 var = abs(q) - 1
@@ -843,7 +878,7 @@ class Solver:
                 continue
             redundant = all(
                 abs(q) - 1 in marked or self._level[abs(q) - 1] == 0
-                for q in reason.lits
+                for q in reason
                 if q != -lit
             )
             if not redundant:
@@ -860,7 +895,7 @@ class Solver:
             if self._level[abs(lits[i]) - 1] > self._level[abs(lits[max_idx]) - 1]:
                 max_idx = i
         lits[1], lits[max_idx] = lits[max_idx], lits[1]
-        clause = _Clause(lits, learned=True)
+        clause = _Learned(lits)
         clause.activity = self._cla_inc
         self._learned.append(clause)
         self._watch(clause)
@@ -876,7 +911,7 @@ class Solver:
         dropped = {
             id(c)
             for c in self._learned[:keep_from]
-            if id(c) not in reasons and len(c.lits) > 2
+            if id(c) not in reasons and len(c) > 2
         }
         if not dropped:
             return
@@ -940,7 +975,7 @@ class Solver:
             self._var_inc *= 1e-100
         self._order.update(var)
 
-    def _bump_clause(self, clause: _Clause) -> None:
+    def _bump_clause(self, clause: _Learned) -> None:
         clause.activity += self._cla_inc
         if clause.activity > 1e20:
             for c in self._learned:

@@ -223,10 +223,13 @@ def _cancel_inverter_pairs(circuit: Circuit) -> None:
 def _limit_fanout(circuit: Circuit, limit: int) -> None:
     """Insert buffer cells so no signal drives more than ``limit`` pins.
 
-    Each round takes the overloaded signals in ``circuit.signals()`` order,
-    leaves ``limit - 1`` gate pins on each and moves the rest, in gate-dict
-    then pin order, behind one new ``__fob_`` buffer; a buffer still
-    overloaded is split in a later round.  That builds a chain, not a
+    Each round takes the overloaded signals in ``circuit.signals()`` order
+    and moves gate pins, in gate-dict then pin order, behind one new
+    ``__fob_`` buffer per signal.  A signal keeps ``limit - 1 - k`` gate
+    pins (at least none), where ``k`` counts the POs and latches reading
+    it, so with its buffer it drives ``limit`` pins, or ``k + 1`` when
+    ``k`` alone reaches the limit; a buffer still overloaded is split in
+    a later round.  That builds a chain, not a
     tree: a signal with N gate readers ends up about N / (limit - 1)
     buffers deep (ROADMAP item 5).  Fanout counts and reader pins are
     built once: a move changes only those of its signal and of its new
@@ -256,7 +259,8 @@ def _limit_fanout(circuit: Circuit, limit: int) -> None:
         touched: List[str] = []
         for sig in overloaded:
             readers = pins[sig]
-            movable = readers[limit - 1 :]
+            kept = max(0, limit - 1 - (counts[sig] - len(readers)))
+            movable = readers[kept:]
             buf = circuit.fresh_signal(f"__fob_{sig}")
             rank[buf] = (1, len(circuit.gates))
             circuit.add_gate(buf, (sig,), Sop.and_all(1))
@@ -265,7 +269,7 @@ def _limit_fanout(circuit: Circuit, limit: int) -> None:
                 new_inputs = list(gate.inputs)
                 new_inputs[pin] = buf
                 circuit.replace_gate(gate.with_inputs(tuple(new_inputs)))
-            pins[sig] = readers[: limit - 1] + [(buf, 0)]
+            pins[sig] = readers[:kept] + [(buf, 0)]
             pins[buf] = movable
             counts[sig] -= len(movable) - 1
             counts[buf] = len(movable)

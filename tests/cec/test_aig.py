@@ -7,7 +7,13 @@ import random
 
 import pytest
 
-from repro.aig.aig import AIG, FALSE_LIT, TRUE_LIT, aig_from_circuit
+from repro.aig.aig import (
+    AIG,
+    FALSE_LIT,
+    TRUE_LIT,
+    aig_from_circuit,
+    lit_to_cnf,
+)
 from repro.bench.random_circuits import random_combinational
 from repro.sim.logic2 import simulate
 
@@ -101,20 +107,21 @@ class TestImport:
 
         c = random_combinational(n_inputs=4, n_gates=10, seed=5)
         aig, lits = aig_from_circuit(c)
-        cnf, lit2cnf = aig.to_cnf()
+        clauses = list(aig.cnf_clauses())
         for bits in itertools.product([False, True], repeat=4):
             vec = dict(zip(c.inputs, bits))
             s = Solver()
-            s.add_cnf(cnf)
+            s.ensure_vars(aig.num_nodes())
+            s.add_clauses(clauses)
             assumptions = []
             for node, name in zip(aig.pis, aig.pi_names):
-                v = lit2cnf(2 * node)
+                v = lit_to_cnf(2 * node)
                 assumptions.append(v if vec[name] else -v)
             r = s.solve(assumptions=assumptions)
             assert r.satisfiable
             expect = aig.eval_outputs(vec)
             for out, lit in aig.outputs:
-                var = lit2cnf(lit)
+                var = lit_to_cnf(lit)
                 val = r.model[abs(var)] == (var > 0)
                 assert val == expect[out]
 

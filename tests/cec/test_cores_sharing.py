@@ -151,9 +151,9 @@ class TestConstantClassRetirement:
 def _unit_payloads(c1, c2, **payload_kwargs):
     """Payloads for the miter's sweep units (test scaffolding)."""
     m = build_miter(c1, c2)
-    cnf, _ = m.aig.to_cnf()
     solver = Solver()
-    assert solver.add_cnf(cnf)
+    solver.ensure_vars(m.aig.num_nodes())
+    assert solver.add_clauses(m.aig.cnf_clauses())
     signatures, mask = _initial_signatures(m.aig, 4, 64, 0)
     classes = _signature_classes(signatures, mask, range(m.aig.num_nodes()))
     units = partition_candidates(

@@ -39,9 +39,9 @@ from tests.cec.test_sweep_parallel import xor_chain, xor_tree
 def solver_and_units(n=8):
     """A loaded parent solver plus its cone-disjoint work units."""
     miter = build_miter(xor_chain(n), xor_tree(n))
-    cnf, _ = miter.aig.to_cnf()
     solver = Solver()
-    assert solver.add_cnf(cnf)
+    solver.ensure_vars(miter.aig.num_nodes())
+    assert solver.add_clauses(miter.aig.cnf_clauses())
     signatures, mask = _initial_signatures(miter.aig, 4, 64, 0)
     classes = _signature_classes(signatures, mask, range(miter.aig.num_nodes()))
     units = partition_candidates(
@@ -55,24 +55,40 @@ class TestWorkerCollection:
         solver, units = solver_and_units()
         tracer = Tracer(sink=[])
         registry = MetricsRegistry()
-        results = sweep_units(
-            sweep_unit_payloads(solver, units, 2000), tracer, registry
-        )
+        payloads = sweep_unit_payloads(solver, units, 2000)
+        results = sweep_units(payloads, tracer, registry)
         tracer.close()
         assert len(results) == len(units)
         spans = [e for e in tracer.events if e["type"] == "span"]
         assert len(spans) == len(units)
-        for index, (unit, result, span) in enumerate(
-            zip(units, results, spans)
+        for index, (unit, payload, result, span) in enumerate(
+            zip(units, payloads, results, spans)
         ):
             assert len(result.statuses) == len(unit.candidates)
             assert span["name"] == "sweep.unit"
             assert span["cat"] == "worker"
-            assert span["args"]["unit"] == index
-            assert span["args"]["sat_queries"] == result.sat_queries
+            args = span["args"]
+            assert args["unit"] == index
+            assert (args["cone_vars"], args["clauses"]) == (
+                payload.num_vars,
+                len(payload.clauses),
+            )
+            assert (args["sat_queries"], args["core_retired"]) == (
+                result.sat_queries,
+                result.core_retired,
+            )
+            assert 0.0 <= args["load_s"] and 0.0 <= args["search_s"]
             assert "worker" not in span["args"]
         assert registry.counter("sat.calls") == sum(
             r.sat_queries for r in results
+        )
+        # Every conflict is a search conflict; a unit's propagations also
+        # count what its merge clauses propagate between queries.
+        assert registry.counter("sat.conflicts") == sum(
+            span["args"]["conflicts"] for span in spans
+        )
+        assert registry.counter("sat.propagations") <= sum(
+            span["args"]["propagations"] for span in spans
         )
 
     def test_collect_off_ships_nothing(self):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.bench_cec import corpus
+from repro.aig.aig import lit_to_cnf
 from repro.bench.iscas_like import build_table1_circuit
 from repro.bench.mutations import sample_mutations
 from repro.cec import engine
@@ -46,14 +47,14 @@ class TestOnePassSlices:
         m = build_miter(*multi_block_pair())
         units = partition_candidates(m.aig, _sweep_classes(m.aig))
         assert len(units) == 4
-        cnf, lit2cnf = m.aig.to_cnf()
         solver = Solver()
-        assert solver.add_cnf(cnf)
+        solver.ensure_vars(m.aig.num_nodes())
+        assert solver.add_clauses(m.aig.cnf_clauses())
         # A merge clause across two units (in no slice), a clause over
         # shared PIs only (in every unit holding both) and a root unit;
         # cores inside one unit, across two, over PIs only, and empty.
-        a = lit2cnf(units[0].candidates[0].node_lit)
-        b = lit2cnf(units[1].candidates[0].node_lit)
+        a = lit_to_cnf(units[0].candidates[0].node_lit)
+        b = lit_to_cnf(units[1].candidates[0].node_lit)
         pis = [node + 1 for node in m.aig.pis]
         assert solver.add_clause([-a, b])
         assert solver.add_clause([pis[0], -pis[1]])
@@ -76,9 +77,9 @@ class TestOnePassSlices:
         _, golden, revised = corpus()[name_index]
         m = build_miter(golden, revised)
         units = partition_candidates(m.aig, _sweep_classes(m.aig))
-        cnf, _ = m.aig.to_cnf()
         solver = Solver()
-        assert solver.add_cnf(cnf)
+        solver.ensure_vars(m.aig.num_nodes())
+        assert solver.add_clauses(m.aig.cnf_clauses())
         for unit, payload in zip(units, sweep_unit_payloads(solver, units, 2000)):
             var_of = {node + 1: i + 1 for i, node in enumerate(sorted(unit.cone))}
             assert payload.clauses == _remap(

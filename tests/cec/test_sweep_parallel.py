@@ -215,9 +215,9 @@ class TestParallelSweep:
 
     def test_unit_payload_is_self_contained(self):
         m = build_miter(xor_chain(8), xor_tree(8))
-        cnf, _ = m.aig.to_cnf()
         solver = Solver()
-        assert solver.add_cnf(cnf)
+        solver.ensure_vars(m.aig.num_nodes())
+        assert solver.add_clauses(m.aig.cnf_clauses())
         units = partition_candidates(m.aig, _sweep_classes(m.aig))
         for unit, payload in zip(
             units, sweep_unit_payloads(solver, units, 2000)

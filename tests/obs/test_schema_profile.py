@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 
+import pytest
+
 from repro.obs.profile import phase_breakdown, profile_events, render_profile
 from repro.obs.schema import validate_event, validate_events
 from repro.obs.trace import Tracer
@@ -18,8 +20,17 @@ def tiny_trace():
                 with tracer.span("stage.sat", cat="stage"):
                     pass
                 ob.annotate(decided_by="sat", verdict="eq")
-            with tracer.span("sweep.unit", cat="worker", unit=0):
-                pass
+            with tracer.span(
+                "sweep.unit", cat="worker", unit=0, cone_vars=12, clauses=30
+            ) as unit:
+                unit.annotate(
+                    sat_queries=4,
+                    core_retired=1,
+                    conflicts=2,
+                    propagations=57,
+                    load_s=0.25,
+                    search_s=0.5,
+                )
             tracer.instant("sweep.unit.lost", unit=1, error="boom")
         tracer.metrics(
             {
@@ -90,15 +101,35 @@ class TestProfile:
         prof = profile_events(tiny_trace(), top=5)
         assert prof["n_pairs"] == 1
         assert "cec.phase.sweep" in prof["phases"]
-        assert "stage.sat" in prof["stages"]
-        (ob,) = prof["slowest_obligations"]
-        assert ob["output"] == "o0"
-        assert ob["decided_by"] == "sat"
-        assert ob["verdict"] == "eq"
         assert prof["n_sweep_units"] == 1
+        assert (prof["unit_load_seconds"], prof["unit_search_seconds"]) == (0.25, 0.5)
+        (unit,) = prof["units"]
+        assert {k: v for k, v in unit.items() if k != "seconds"} == {
+            "check": "a",
+            "round": None,
+            "unit": 0,
+            "cone_vars": 12,
+            "clauses": 30,
+            "sat_queries": 4,
+            "core_retired": 1,
+            "conflicts": 2,
+            "propagations": 57,
+            "load_s": 0.25,
+            "search_s": 0.5,
+        }
         (incident,) = prof["incidents"]
         assert incident["name"] == "sweep.unit.lost"
         assert prof["metrics"]["sat.conflicts_per_call.count"] == 4
+
+    def test_deprecated_keys_keep_their_values_and_warn(self):
+        prof = profile_events(tiny_trace(), top=5)
+        with pytest.warns(DeprecationWarning, match="'units'"):
+            assert "stage.sat" in prof["stages"]
+        with pytest.warns(DeprecationWarning, match="'units'"):
+            (ob,) = prof.get("slowest_obligations")
+        assert ob["output"] == "o0"
+        assert ob["decided_by"] == "sat"
+        assert ob["verdict"] == "eq"
 
     def test_top_limits_obligations(self):
         tracer = Tracer(sink=[])
@@ -106,16 +137,32 @@ class TestProfile:
             with tracer.span("cec.obligation", cat="obligation", output=f"o{i}"):
                 pass
         prof = profile_events(tracer.events, top=2)
-        assert len(prof["slowest_obligations"]) == 2
+        with pytest.warns(DeprecationWarning):
+            assert len(prof["slowest_obligations"]) == 2
+
+    def test_top_limits_units_slowest_first(self):
+        events = [
+            {"type": "span", "name": "sweep.unit", "cat": "worker", "ts": i,
+             "dur": dur, "id": i, "parent": None, "args": {"unit": i}}
+            for i, dur in enumerate([0.1, 0.4, 0.2, 0.3])
+        ]
+        prof = profile_events(events, top=2)
+        assert [u["unit"] for u in prof["units"]] == [1, 3]
+        assert prof["units"][0]["check"] == "?"
+        assert prof["units"][0]["load_s"] is None
 
     def test_render_profile_mentions_the_hotspots(self):
         text = render_profile(tiny_trace())
         assert "1 circuit-pair check(s)" in text
         assert "cec.phase.sweep" in text
-        assert "stage.sat" in text
-        assert "o0" in text
         assert "solver effort per call:" in text
         assert re.search(
             r"^sweep: 1 unit\(s\), \d+\.\d{3}s in units$", text, re.M
         )
+        assert "  0.250s loading slices, 0.500s searching" in text
+        assert "top 1 slowest sweep units:" in text
+        assert re.search(r"0\.250 +0\.500 +a +- +0 +12 +30 +4 +1 +2 +57$", text, re.M)
         assert "sweep.unit.lost" in text
+        # The cascade-stage and slowest-obligation sections are gone.
+        assert "stage.sat" not in text
+        assert "o0" not in text

@@ -37,11 +37,13 @@ def limit_fanout_by_rounds(circuit: Circuit, limit: int) -> None:
                     pins[s].append((gate.output, pin))
         for sig in overloaded:
             readers = pins[sig]
-            # Leave `limit - 1` readers on the signal, move the rest to a
-            # buffer; iterating builds a chain of buffers, not a tree.
-            movable = readers[limit - 1 :]
-            if not movable:
-                continue
+            if len(readers) < limit:
+                continue  # only gate pins move, and too few read sig
+            # Leave the signal `limit` loads, its POs, latches and the new
+            # buffer included (just those when they are more), and move
+            # the other readers to the buffer; iterating builds a chain of
+            # buffers, not a tree.
+            movable = readers[max(0, limit - 1 - (counts[sig] - len(readers))) :]
             buf = circuit.fresh_signal(f"__fob_{sig}")
             circuit.add_gate(buf, (sig,), Sop.and_all(1))
             for gate_name, pin in movable:

@@ -139,12 +139,12 @@ class TestLimitFanoutOracle:
             self._mapped_both_ways(circuit, limit)
 
     def test_signals_kept_overloaded_by_pos_and_latches(self, builder):
-        """POs and latches read s, t and q, so every round splits them again.
+        """POs and latches read s, t and q, and their pins cannot move.
 
-        Each round then splits these signals and the buffers made in the
-        round before, in ``signals()`` order: gates, new buffers, latch q.
-        This also runs the loop into its 32-round bound, the one case
-        where the bound, not the load, ends it.
+        A split leaves each signal as many gate pins as its POs and
+        latches leave room for, so one split brings it to the limit.
+        Every load ends within the limit, so the loop stops on the load,
+        not on its 32-round bound.
         """
         x, y = builder.inputs("x", "y")
         s = builder.NAND(x, y, name="s")
@@ -156,9 +156,13 @@ class TestLimitFanoutOracle:
             builder.output(sig)
         circuit = builder.circuit
         validate_circuit(circuit)
-        # One buffer a round behind each of s, t and q, plus the splits of
-        # the first buffers' inverter loads.
-        assert self._buffers(self._mapped_both_ways(circuit)) == 98
+        mapped = self._mapped_both_ways(circuit)
+        counts = fanout_counts(mapped)
+        assert [counts[sig] for sig in (s, t, "q")] == [4, 4, 4]
+        assert max(counts.values()) == 4
+        # s (PO and latch): 8 inverters behind a chain of 3 buffers;
+        # t (PO): 7 behind 2; q (PO): 4 behind 1.
+        assert self._buffers(mapped) == 6
 
 
 class TestScript:
