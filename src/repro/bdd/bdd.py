@@ -10,6 +10,19 @@ collection, no dynamic reordering by default — which keeps every operation
 easy to audit.  Performance is adequate for the circuit sizes used in the
 paper's flow (levels are created on demand; ``ite`` is memoised).
 
+``ite`` is one flat loop: terminal cases are answered on entry, before any
+stack exists, and each pending call is a plain tuple frame, with the
+standard-triple normalisation, the choice of the top level and the three
+cofactors written out inline.  ``apply_not`` is a post-order walk, low
+child first, that reads and writes the ite cache's ``(f, 0, 1)`` entries,
+so a complement and an ``ite(f, 0, 1)`` share their work.  Both make
+nodes in exactly the order the recursive definition does (low cofactor
+before high, each node after its children), so node ids never depend on
+how an operation is implemented: gates named after node ids (see
+``repro.bdd.synth``) stay the same, and ``tests/bdd/ite_oracle.py`` keeps
+a tagged-frame ``ite`` that must leave identical node arrays, unique
+table and ite cache.
+
 Construction can be bounded: a manager built with ``node_limit=N`` (or
 capped later via :meth:`BDD.set_node_limit`) raises
 :class:`~repro.runtime.errors.BddBlowupError` from ``_mk`` once N nodes
@@ -156,74 +169,83 @@ class BDD:
     # core algorithm: if-then-else
     # ------------------------------------------------------------------
     def ite(self, f: int, g: int, h: int) -> int:
-        """``f ? g : h`` — the universal ternary operator, iterative."""
-        # Terminal shortcuts that need no recursion.
-        stack: List[Tuple] = [("call", f, g, h, None)]
-        results: List[int] = []
-        # Manual recursion to avoid Python depth limits on deep BDDs.
-        # Frames: ("call", f, g, h) computes ite and pushes the result;
-        #         ("combine", level, key) pops two results and makes a node.
-        while stack:
-            frame = stack.pop()
-            if frame[0] == "call":
-                _, f, g, h, _ = frame
-                shortcut = self._ite_terminal(f, g, h)
-                if shortcut is not None:
-                    results.append(shortcut)
-                    continue
-                f, g, h = self._ite_normalize(f, g, h)
-                shortcut = self._ite_terminal(f, g, h)
-                if shortcut is not None:
-                    results.append(shortcut)
-                    continue
-                key = (f, g, h)
-                cached = self._ite_cache.get(key)
-                if cached is not None:
-                    results.append(cached)
-                    continue
-                level = min(
-                    lv
-                    for lv in (
-                        self._level[f] if f > 1 else None,
-                        self._level[g] if g > 1 else None,
-                        self._level[h] if h > 1 else None,
-                    )
-                    if lv is not None
-                )
-                f0, f1 = self._cofactors_at(f, level)
-                g0, g1 = self._cofactors_at(g, level)
-                h0, h1 = self._cofactors_at(h, level)
-                stack.append(("combine", level, key))
-                stack.append(("call", f1, g1, h1, None))
-                stack.append(("call", f0, g0, h0, None))
-            else:
-                _, level, key = frame
-                low = results.pop(-2)
-                high = results.pop()
-                node = self._mk(level, low, high)
-                self._ite_cache[key] = node
-                results.append(node)
-        assert len(results) == 1
-        return results[0]
+        """``f ? g : h`` — the universal ternary operator, one flat loop.
 
-    def _ite_terminal(self, f: int, g: int, h: int) -> Optional[int]:
-        if f == self.ONE:
-            return g
-        if f == self.ZERO:
-            return h
+        Depth-first and low cofactor first, memoised on the normalised
+        triple; no Python recursion, so deep BDDs need no raised limit.
+        """
+        if f <= 1:
+            return g if f else h
         if g == h:
             return g
-        if g == self.ONE and h == self.ZERO:
+        if g == 1 and h == 0:
             return f
-        return None
-
-    def _ite_normalize(self, f: int, g: int, h: int) -> Tuple[int, int, int]:
-        """Standard-triple normalisation (partial, without complement edges)."""
-        if f == g:
-            g = self.ONE
-        elif f == h:
-            h = self.ZERO
-        return f, g, h
+        level_of = self._level
+        low_of = self._low
+        high_of = self._high
+        cache = self._ite_cache
+        mk = self._mk
+        # (top, key, f1, g1, h1): the low cofactor is being computed, the
+        # high one is next; (top, key, low): the high cofactor is being
+        # computed, then node (top, low, high) is made and cached at key.
+        stack: List[tuple] = []
+        while True:
+            if f <= 1:
+                r = g if f else h
+            elif g == h:
+                r = g
+            elif g == 1 and h == 0:
+                r = f
+            else:
+                # Standard-triple normalisation (no complement edges).
+                if f == g:
+                    g = 1
+                elif f == h:
+                    h = 0
+                if g == h:
+                    r = g
+                elif g == 1 and h == 0:
+                    r = f
+                else:
+                    key = (f, g, h)
+                    r = cache.get(key)
+                    if r is None:
+                        # Terminals sit at level -1, which no top level is.
+                        top = lf = level_of[f]
+                        lg = level_of[g]
+                        lh = level_of[h]
+                        if g > 1 and lg < top:
+                            top = lg
+                        if h > 1 and lh < top:
+                            top = lh
+                        # Go on with the low cofactors in f, g and h; the
+                        # frame keeps the high ones for later.
+                        if lf == top:
+                            f, f1 = low_of[f], high_of[f]
+                        else:
+                            f1 = f
+                        if lg == top:
+                            g, g1 = low_of[g], high_of[g]
+                        else:
+                            g1 = g
+                        if lh == top:
+                            h, h1 = low_of[h], high_of[h]
+                        else:
+                            h1 = h
+                        stack.append((top, key, f1, g1, h1))
+                        continue
+            # r is the result of the current call: hand it to the frames.
+            while stack:
+                frame = stack.pop()
+                if len(frame) == 5:
+                    top, key, f, g, h = frame
+                    stack.append((top, key, r))
+                    break
+                top, key, low = frame
+                r = mk(top, low, r)
+                cache[key] = r
+            else:
+                return r
 
     def _cofactors_at(self, f: int, level: int) -> Tuple[int, int]:
         if f > 1 and self._level[f] == level:
@@ -234,8 +256,41 @@ class BDD:
     # Boolean operations
     # ------------------------------------------------------------------
     def apply_not(self, f: int) -> int:
-        """Complement of ``f``."""
-        return self.ite(f, self.ZERO, self.ONE)
+        """Complement of ``f``: ``ite(f, 0, 1)`` as a post-order walk.
+
+        Low child first, reading and writing the ite cache's
+        ``(node, 0, 1)`` entries, so it makes the same nodes in the same
+        order as ``ite(f, 0, 1)`` would and leaves the same cache.
+        """
+        if f <= 1:
+            return 1 - f
+        level_of = self._level
+        low_of = self._low
+        high_of = self._high
+        cache = self._ite_cache
+        mk = self._mk
+        # (node, None): its low child is being complemented, the high one
+        # is next; (node, low): its high child is being complemented.
+        stack: List[tuple] = []
+        while True:
+            if f <= 1:
+                r = 1 - f
+            else:
+                r = cache.get((f, 0, 1))
+                if r is None:
+                    stack.append((f, None))
+                    f = low_of[f]
+                    continue
+            while stack:
+                node, low = stack.pop()
+                if low is None:
+                    stack.append((node, r))
+                    f = high_of[node]
+                    break
+                r = mk(level_of[node], low, r)
+                cache[(node, 0, 1)] = r
+            else:
+                return r
 
     def apply_and(self, f: int, g: int) -> int:
         """Conjunction of two nodes."""

@@ -18,9 +18,17 @@ use a Lee-Reddy-style greedy heuristic [22]:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.feedback import (
     analyze_feedback_latch,
@@ -28,7 +36,7 @@ from repro.core.feedback import (
     topo_rank,
 )
 from repro.netlist.circuit import Circuit
-from repro.netlist.graph import latch_dependency_graph
+from repro.netlist.graph import latch_dependency_graph, strongly_connected_components
 from repro.netlist.transform import ExposedCircuit, expose_latches
 
 __all__ = [
@@ -40,25 +48,40 @@ __all__ = [
 
 
 def minimum_feedback_vertex_set(
-    graph: "nx.DiGraph",
+    graph: Mapping[str, Collection[str]],
     weight: Optional[Dict[str, float]] = None,
 ) -> Set[str]:
     """Greedy FVS heuristic; returned nodes break every directed cycle.
+
+    ``graph`` maps each node to its successors: the successor sets of
+    :func:`~repro.netlist.graph.latch_dependency_graph`, or any mapping
+    alike (an ``nx.DiGraph`` reads as one).  Successors that are not keys
+    are ignored, so a node deleted from the mapping is deleted from the
+    graph.  ``graph`` is not modified.
 
     Without ``weight`` the classic Lee-Reddy score (in·out degree) picks
     the next vertex.  With ``weight`` (an exposure *penalty* per node — the
     paper's future-work refinement, Sec. 9) the score is degree-product
     divided by penalty, so cheap-to-expose latches are preferred when they
-    cut comparably many cycles.
+    cut comparably many cycles.  Ties go to the larger ``str(node)``.
     """
-    g = graph.copy()
     # Self-loops first: each is unavoidable.  Deleting a node never makes
     # a new one, so one scan finds them all.
-    fvs: Set[str] = {node for node in g.nodes if g.has_edge(node, node)}
-    g.remove_nodes_from(fvs)
+    fvs: Set[str] = {node for node in graph if node in graph[node]}
+    # The remaining graph: its nodes, their successors and predecessors
+    # in it, and their degrees, kept up to date as picks delete nodes.
+    alive = {node: None for node in graph if node not in fvs}
+    preds: Dict[str, List[str]] = {node: [] for node in alive}
+    out_degree: Dict[str, int] = {}
+    for node in alive:
+        succs = [s for s in graph[node] if s in alive]
+        out_degree[node] = len(succs)
+        for s in succs:
+            preds[s].append(node)
+    in_degree = {node: len(p) for node, p in preds.items()}
 
     def key(n: str) -> Tuple[float, str]:
-        base = g.in_degree(n) * g.out_degree(n)
+        base = in_degree[n] * out_degree[n]
         if weight is None:
             return float(base), str(n)
         return base / max(weight.get(n, 1.0), 1e-9), str(n)
@@ -75,7 +98,7 @@ def minimum_feedback_vertex_set(
                 for node in comp:
                     component[node] = comp
 
-    split(nx.strongly_connected_components(g))
+    split(strongly_connected_components(graph, alive))
     keys = {node: key(node) for node in component}
     while component:
         best = max(component, key=keys.__getitem__)
@@ -83,10 +106,18 @@ def minimum_feedback_vertex_set(
         rest = component[best]
         for node in rest:
             del component[node]
-        neighbours = [*g.pred[best], *g.succ[best]]
-        g.remove_node(best)
+        del alive[best]
+        neighbours = []
+        for node in preds[best]:
+            if node in alive:
+                out_degree[node] -= 1
+                neighbours.append(node)
+        for node in graph[best]:
+            if node in alive:
+                in_degree[node] -= 1
+                neighbours.append(node)
         rest.discard(best)
-        split(nx.strongly_connected_components(g.subgraph(rest)))
+        split(strongly_connected_components(graph, rest))
         for node in neighbours:
             if node in component:
                 keys[node] = key(node)
@@ -140,23 +171,24 @@ def choose_latches_to_expose(
     """
     if strategy not in ("count", "weighted"):
         raise ValueError(f"unknown exposure strategy {strategy!r}")
-    g = latch_dependency_graph(circuit)
-    pinned_set = set(pinned)
-    g.remove_nodes_from(pinned_set)
+    graph = latch_dependency_graph(circuit)
+    for node in pinned:
+        # Successor sets may still name it; the MFVS reads only keys.
+        graph.pop(node, None)
 
     to_remodel: Set[str] = set()
     if use_unateness:
         rank = topo_rank(circuit)
-        for node in list(g.nodes):
-            if g.has_edge(node, node):
+        for node, succs in graph.items():
+            if node in succs:
                 analysis = analyze_feedback_latch(circuit, node, rank=rank)
                 if analysis.positive_unate:
                     # Remodelling removes only the self-loop edge; paths
                     # through other latches remain.
-                    g.remove_edge(node, node)
+                    succs.discard(node)
                     to_remodel.add(node)
     weights = exposure_penalties(circuit) if strategy == "weighted" else None
-    to_expose = minimum_feedback_vertex_set(g, weight=weights)
+    to_expose = minimum_feedback_vertex_set(graph, weight=weights)
     # A latch scheduled for remodel that the FVS still picked (it was on a
     # longer cycle) must be exposed instead.
     to_remodel -= to_expose

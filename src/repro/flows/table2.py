@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 from repro.bench.industrial import TABLE2_CIRCUITS, build_table2_circuit
 from repro.core.expose import choose_latches_to_expose
 from repro.flows.report import render_table
+from repro.netlist.graph import self_loop_latches
 from repro.obs.console import Console
 from repro.obs.trace import coerce_tracer
 
@@ -41,13 +42,26 @@ class Table2Row:
     error: Optional[str] = None
 
 
-def table2_row(name: str) -> Table2Row:
-    """Run the exposure analysis for one Table 2 circuit."""
+def table2_row(name: str, tracer=None) -> Table2Row:
+    """Run the exposure analysis for one Table 2 circuit.
+
+    Each analysis runs in a ``cat="phase"`` span of ``tracer``:
+    ``flow.phase.structural`` (the MFVS alone) and ``flow.phase.unate``
+    (the positive-unateness test of every self-loop latch through BDDs,
+    then the MFVS), annotated with ``self_loops``, the latches analysed,
+    and ``remodelled``.
+    """
+    tracer = coerce_tracer(tracer)
     entry = next(e for e in TABLE2_CIRCUITS if e[0] == name)
     circuit = build_table2_circuit(name)
+    # Counted for the trace only, outside the timed analyses.
+    self_loops = len(self_loop_latches(circuit)) if tracer.enabled else 0
     t0 = time.perf_counter()
-    structural, _ = choose_latches_to_expose(circuit, use_unateness=False)
-    with_unate, remodel = choose_latches_to_expose(circuit, use_unateness=True)
+    with tracer.span("flow.phase.structural", cat="phase"):
+        structural, _ = choose_latches_to_expose(circuit, use_unateness=False)
+    with tracer.span("flow.phase.unate", cat="phase") as span:
+        with_unate, remodel = choose_latches_to_expose(circuit, use_unateness=True)
+        span.annotate(self_loops=self_loops, remodelled=len(remodel))
     elapsed = time.perf_counter() - t0
     return Table2Row(
         name,
@@ -83,7 +97,7 @@ def run_table2(
     for name in names:
         try:
             with tracer.span("flow.row", cat="flow", circuit=name):
-                row = table2_row(name)
+                row = table2_row(name, tracer)
         except KeyboardInterrupt:
             raise
         except Exception as exc:

@@ -2,25 +2,34 @@
 
 Provides the directed-graph views used by the paper:
 
-* the *signal graph* (Sec. 7.1): one node per gate/latch/PI/PO, an edge per
-  fanout relation — cyclic in general because of latch feedback;
-* the *latch dependency graph*: latch → latch edges whenever a combinational
-  path connects them (through gates only), used by the exposure heuristic;
+* the *latch dependency graph* (Sec. 7.1): latch → latch edges whenever a
+  combinational path connects them (through gates only), used by the
+  exposure heuristic — cyclic in general because of latch feedback.  It
+  is a plain successor-set mapping, ``{latch: {latches it feeds}}``;
+* strongly connected components of any such mapping, optionally of the
+  subgraph a node subset induces;
 * feedback classification: self-loop latches, latches inside non-trivial
   strongly connected components, acyclicity tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+)
 
 from repro.netlist.circuit import Circuit
 
 __all__ = [
-    "signal_graph",
     "latch_dependency_graph",
+    "strongly_connected_components",
     "latch_sccs",
     "self_loop_latches",
     "feedback_latches",
@@ -32,20 +41,6 @@ __all__ = [
 ]
 
 
-def signal_graph(circuit: Circuit) -> "nx.DiGraph":
-    """The full signal-level dependency graph (latches included)."""
-    g = nx.DiGraph()
-    g.add_nodes_from(circuit.signals())
-    for gate in circuit.gates.values():
-        for src in gate.inputs:
-            g.add_edge(src, gate.output)
-    for latch in circuit.latches.values():
-        g.add_edge(latch.data, latch.output)
-        if latch.enable is not None:
-            g.add_edge(latch.enable, latch.output)
-    return g
-
-
 def has_combinational_cycle(circuit: Circuit) -> bool:
     """True if gates (excluding latches) form a cycle — an invalid circuit."""
     try:
@@ -55,86 +50,114 @@ def has_combinational_cycle(circuit: Circuit) -> bool:
     return False
 
 
-def _gate_fanout_map(circuit: Circuit) -> Dict[str, List[str]]:
-    fanouts: Dict[str, List[str]] = {}
-    for gate in circuit.gates.values():
-        for src in gate.inputs:
-            fanouts.setdefault(src, []).append(gate.output)
-    return fanouts
+def latch_dependency_graph(circuit: Circuit) -> Dict[str, Set[str]]:
+    """Latch → latch edges through combinational logic, as successor sets.
 
-
-def _combinational_reach_from(
-    circuit: Circuit,
-    sources: Set[str],
-    fanouts: Optional[Dict[str, List[str]]] = None,
-) -> Set[str]:
-    """Signals reachable from ``sources`` through gates only."""
-    if fanouts is None:
-        fanouts = _gate_fanout_map(circuit)
-    reached: Set[str] = set()
-    stack = list(sources)
-    while stack:
-        sig = stack.pop()
-        for out in fanouts.get(sig, ()):
-            if out not in reached:
-                reached.add(out)
-                stack.append(out)
-    return reached
-
-
-def latch_dependency_graph(circuit: Circuit) -> "nx.DiGraph":
-    """Latch → latch edges through combinational logic.
-
-    Edge ``p → q`` exists iff latch ``q``'s data or enable input depends
-    combinationally on latch ``p``'s output (possibly directly).
+    ``graph[p]`` holds latch ``q`` iff ``q``'s data or enable input
+    depends combinationally on latch ``p``'s output (possibly directly);
+    every latch is a key, in ``circuit.latches`` order.
 
     Implemented as one reverse pass: for every gate (in topological order)
     the set of latches in its combinational fanin is the union over its
     fanins' sets, so the whole graph costs one sweep plus set unions.
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(circuit.latches)
+    names = list(circuit.latches)
+    graph: Dict[str, Set[str]] = {name: set() for name in names}
     # Latch sources feeding each signal, propagated through gates.
-    latch_ids = {name: i for i, name in enumerate(circuit.latches)}
     sources: Dict[str, int] = {}  # signal -> bitmask of latch ids
-    for name, idx in latch_ids.items():
-        sources[name] = 1 << idx
+    for i, name in enumerate(names):
+        sources[name] = 1 << i
     for gate in circuit.topo_gates():
         mask = 0
         for s in gate.inputs:
             mask |= sources.get(s, 0)
         sources[gate.output] = mask
-    names = list(circuit.latches)
     for latch in circuit.latches.values():
         mask = sources.get(latch.data, 0)
         if latch.enable is not None:
             mask |= sources.get(latch.enable, 0)
         while mask:
             low = mask & -mask
-            g.add_edge(names[low.bit_length() - 1], latch.output)
+            graph[names[low.bit_length() - 1]].add(latch.output)
             mask ^= low
-    return g
+    return graph
+
+
+def strongly_connected_components(
+    graph: Mapping[str, Iterable[str]],
+    nodes: Optional[Collection[str]] = None,
+) -> List[Set[str]]:
+    """SCCs of ``graph`` (node → successors), iterative Tarjan.
+
+    The SCCs of the subgraph that ``nodes`` (a set-like collection;
+    default: the keys of ``graph``) induces: successors outside it are
+    skipped.  Components come out in Tarjan's order (each one after every
+    component it reaches); a node alone is a component of its own,
+    self-loop or not.
+    """
+    if nodes is None:
+        nodes = graph
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    path: List[str] = []  # Tarjan's stack of nodes not yet in a component
+    on_path: Set[str] = set()
+    components: List[Set[str]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        path.append(root)
+        on_path.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in nodes:
+                    continue
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    path.append(succ)
+                    on_path.add(succ)
+                    work.append((succ, iter(graph[succ])))
+                    break
+                if succ in on_path and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    component = set()
+                    while True:
+                        member = path.pop()
+                        on_path.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
 
 
 def latch_sccs(circuit: Circuit) -> List[FrozenSet[str]]:
     """Non-trivial SCCs of the latch dependency graph (incl. self-loops)."""
-    g = latch_dependency_graph(circuit)
+    graph = latch_dependency_graph(circuit)
     sccs = []
-    for comp in nx.strongly_connected_components(g):
-        comp = frozenset(comp)
+    for comp in strongly_connected_components(graph):
         if len(comp) > 1:
-            sccs.append(comp)
+            sccs.append(frozenset(comp))
         else:
             (node,) = comp
-            if g.has_edge(node, node):
-                sccs.append(comp)
+            if node in graph[node]:
+                sccs.append(frozenset(comp))
     return sccs
 
 
 def self_loop_latches(circuit: Circuit) -> Set[str]:
     """Latches whose next-state cone reads their own output."""
-    g = latch_dependency_graph(circuit)
-    return {n for n in g.nodes if g.has_edge(n, n)}
+    graph = latch_dependency_graph(circuit)
+    return {node for node, succs in graph.items() if node in succs}
 
 
 def feedback_latches(circuit: Circuit) -> Set[str]:

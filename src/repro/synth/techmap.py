@@ -68,7 +68,14 @@ def _cell_kind(gate: Gate) -> Optional[str]:
 
 
 def tech_map(circuit: Circuit, fanout_limit: int = 4) -> Circuit:
-    """Map to {INV, NAND2, NOR2} with a fanout limit; returns a new circuit."""
+    """Map to {INV, NAND2, NOR2} with a fanout limit; returns a new circuit.
+
+    ``fanout_limit=0`` (or less) maps without one.  A limit of 1 raises
+    :class:`ValueError`: a buffer that drives one pin re-creates its
+    driver's load, so no signal read twice could ever meet it.
+    """
+    if fanout_limit == 1:
+        raise ValueError("fanout_limit=1 cannot be met; use 0 (off) or 2 and up")
     work = circuit.copy(circuit.name + "_mapped")
     tech_decomp_seq(work)
     _to_nand_nor(work)

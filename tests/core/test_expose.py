@@ -19,7 +19,11 @@ from repro.core.expose import (
     prepare_circuit,
 )
 from repro.netlist.build import CircuitBuilder
-from repro.netlist.graph import feedback_latches, latch_dependency_graph
+from repro.netlist.graph import (
+    feedback_latches,
+    latch_dependency_graph,
+    strongly_connected_components,
+)
 from repro.netlist.validate import validate_circuit
 
 
@@ -147,7 +151,36 @@ class TestMFVS:
         g = latch_dependency_graph(circuit)
         for w in (None, exposure_penalties(circuit)):
             assert minimum_feedback_vertex_set(g, weight=w) == whole_graph_fvs(
-                g, weight=w
+                nx.DiGraph(g), weight=w
+            )
+
+
+class TestSCC:
+    """The iterative SCC routine against ``nx.strongly_connected_components``."""
+
+    @staticmethod
+    def _components(sccs):
+        return sorted(sorted(map(str, comp)) for comp in sccs)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_networkx_on_random_graphs(self, seed):
+        g, _ = random_digraph(seed)
+        succ = {node: set(g.succ[node]) for node in g}
+        assert self._components(
+            strongly_connected_components(succ)
+        ) == self._components(nx.strongly_connected_components(g))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_networkx_on_node_subsets(self, seed):
+        g, _ = random_digraph(seed)
+        succ = {node: set(g.succ[node]) for node in g}
+        rng = random.Random(seed)
+        for share in (0.3, 0.6, 0.9):
+            subset = {node for node in g if rng.random() < share}
+            assert self._components(
+                strongly_connected_components(succ, subset)
+            ) == self._components(
+                nx.strongly_connected_components(g.subgraph(subset))
             )
 
 

@@ -15,7 +15,8 @@ from repro.flows import flow
 from repro.flows.flow import run_flow
 from repro.flows.report import render_table
 from repro.flows.table1 import QUICK_SET, format_table1, table1_row
-from repro.flows.table2 import Table2Row, format_table2, table2_row
+from repro.flows.table2 import Table2Row, format_table2, run_table2, table2_row
+from repro.obs.trace import Tracer
 from repro.synth.network import CoverTable
 
 #: The deterministic columns of the ``--quick`` Table 1 rows.
@@ -230,6 +231,19 @@ class TestHarnessFormatting:
         assert row.exposed_unate <= row.exposed_structural
         text = format_table2([row])
         assert "ex2" in text
+
+    def test_traced_table2_row_splits_mfvs_from_bdd_analysis(self):
+        tracer = Tracer(sink=[])
+        run_table2(["ex2"], tracer=tracer)
+        spans = {e["name"]: e for e in tracer.events if e["type"] == "span"}
+        row_span = spans["flow.row"]
+        structural = spans["flow.phase.structural"]
+        unate = spans["flow.phase.unate"]
+        for span in (structural, unate):
+            assert span["cat"] == "phase"
+            assert span["parent"] == row_span["id"]
+        # ex2: 12 self-loop latches, 5 of them remodelled (16 -> 11 exposed).
+        assert unate["args"] == {"self_loops": 12, "remodelled": 5}
 
     def test_render_table_alignment(self):
         text = render_table(

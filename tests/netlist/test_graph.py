@@ -62,7 +62,7 @@ class TestFeedbackDetection:
         q1 = builder.latch(a, name="q1")
         q2 = builder.latch(a, enable=q1, name="q2")
         g = latch_dependency_graph(builder.circuit)
-        assert g.has_edge("q1", "q2")
+        assert "q2" in g["q1"]
 
     def test_dependency_through_gates(self, builder):
         (a,) = builder.inputs("a")
@@ -71,8 +71,8 @@ class TestFeedbackDetection:
         y = builder.NOT(x)
         builder.latch(y, name="q2")
         g = latch_dependency_graph(builder.circuit)
-        assert g.has_edge("q1", "q2")
-        assert not g.has_edge("q2", "q1")
+        assert "q2" in g["q1"]
+        assert "q1" not in g["q2"]
 
 
 class TestCones:
