@@ -40,7 +40,7 @@ from typing import Dict, List, Tuple
 
 from repro.bench.mutations import sample_mutations
 from repro.bench.random_circuits import random_combinational
-from repro.cec import CecOptions
+from repro.cec import SAT_PORTFOLIO, CecOptions
 from repro.cec.engine import check_equivalence
 from repro.cec.miter import build_miter
 from repro.synth.script import script_delay
@@ -50,12 +50,18 @@ from repro.synth.script import script_delay
 NARROW = dict(sim_rounds=1, sim_width=8)
 
 #: (mode name, engine options).  The names keep their ``serial`` tag so
-#: the keys of ``BENCH_cec.json`` stay stable.
+#: the keys of ``BENCH_cec.json`` stay stable.  Every mode names
+#: ``SAT_PORTFOLIO``: the sweep and its SAT counts are the subject, so
+#: the default check's truth-table phase must not decide the narrow
+#: pairs before any query.
 MODES: List[Tuple[str, CecOptions]] = [
-    ("refine_serial", CecOptions(refine=True, preprocess=True)),
-    ("norefine_serial", CecOptions(refine=False, preprocess=True)),
-    ("refine_serial_nopre", CecOptions(refine=True, preprocess=False)),
-    ("norefine_serial_nopre", CecOptions(refine=False, preprocess=False)),
+    (name, CecOptions(refine=refine, preprocess=pre, engines=SAT_PORTFOLIO))
+    for name, refine, pre in (
+        ("refine_serial", True, True),
+        ("norefine_serial", False, True),
+        ("refine_serial_nopre", True, False),
+        ("norefine_serial_nopre", False, False),
+    )
 ]
 
 #: Sizes (AND nodes) of the synthetic deep AIGs the throughput section

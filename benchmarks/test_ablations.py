@@ -14,6 +14,7 @@ import pytest
 from repro.bench.counterex import fig14_conditional_update
 from repro.bench.industrial import industrial_circuit
 from repro.bench.random_circuits import random_combinational
+from repro.cec import SAT_PORTFOLIO, CecOptions
 from repro.cec.engine import check_equivalence
 from repro.core.expose import choose_latches_to_expose
 from repro.flows.report import render_table
@@ -23,10 +24,16 @@ from repro.synth.script import script_delay
 class TestCecSweepAblation:
     @pytest.mark.parametrize("sweep", [True, False], ids=["sweep", "no-sweep"])
     def test_cec_sweep(self, benchmark, sweep):
+        # The SAT path named: a default check decides this 9-input pair
+        # by truth tables, so neither side would reach the sweep or
+        # monolithic SAT.
         c1 = random_combinational(n_inputs=9, n_gates=80, seed=11)
         c2 = c1.copy("resynth")
         script_delay(c2)
-        result = benchmark(check_equivalence, c1, c2, sweep=sweep)
+        result = benchmark(
+            check_equivalence, c1, c2, CecOptions(engines=SAT_PORTFOLIO),
+            sweep=sweep,
+        )
         assert result.equivalent
 
 

@@ -11,6 +11,7 @@ SAT effort (the "structural" filter of the CEC engines the paper cites).
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -20,6 +21,30 @@ __all__ = ["AIG", "aig_from_circuit", "aig_to_circuit", "lit_to_cnf"]
 
 FALSE_LIT = 0
 TRUE_LIT = 1
+
+#: Inputs that get projection words in a :meth:`AIG.cone_tables` slice,
+#: so a slice word holds at most 2^16 bits.
+_SLICE_INPUTS = 16
+
+
+@functools.lru_cache(maxsize=_SLICE_INPUTS + 1)
+def _projection_words(n: int) -> Tuple[int, ...]:
+    """The ``n`` projection words over ``2**n`` rows.
+
+    Bit ``r`` of word ``i`` is bit ``i`` of ``r``: a period of ``2**i``
+    zeros then ``2**i`` ones, doubled out to the full width.
+    """
+    width = 1 << n
+    words = []
+    for i in range(n):
+        half = 1 << i
+        word = ((1 << half) - 1) << half
+        period = 2 * half
+        while period < width:
+            word |= word << period
+            period *= 2
+        words.append(word)
+    return tuple(words)
 
 
 def lit_to_cnf(lit: int) -> int:
@@ -195,6 +220,65 @@ class AIG:
                 continue
             words[node] = lit_word(self._fanin0[node]) & lit_word(self._fanin1[node])
         return words
+
+    def support_masks(self) -> List[int]:
+        """Every node's support as a bit mask over the PIs.
+
+        Bit ``i`` of ``masks[n]`` is set when PI ``pis[i]`` lies in node
+        ``n``'s cone; one pass in creation order.
+        """
+        masks = [0] * self.num_nodes()
+        for i, node in enumerate(self.pis):
+            masks[node] = 1 << i
+        fanin0, fanin1, is_pi = self._fanin0, self._fanin1, self._is_pi
+        for node in range(1, len(masks)):
+            if not is_pi[node]:
+                masks[node] = masks[fanin0[node] >> 1] | masks[fanin1[node] >> 1]
+        return masks
+
+    def cone_tables(self, lits: Sequence[int]) -> Iterator[List[int]]:
+        """Exhaustive truth tables of some literals, one slice at a time.
+
+        The support is the ``k`` PIs of the literals' joint cone, in node
+        order.  The low ``min(k, 16)`` of them get projection words: bit
+        ``r`` of input ``i``'s word is bit ``i`` of ``r``.  Each assignment
+        of the remaining inputs, counted up from all-0, is one slice in
+        which they are all-0 or all-1 words.  A slice yields one
+        ``2**min(k, 16)``-bit word per literal, and only the cone is
+        evaluated, so no word grows past 2^16 bits whatever ``k`` is.
+        Memory is one such word per cone node: it grows with the cone,
+        not with ``k`` past 16, while time grows with both (``2**k``
+        rows over every cone node).  The slices in order concatenate to
+        each literal's full table.
+        """
+        cone = sorted(self.cone_nodes(lits))
+        position = {node: i for i, node in enumerate(cone)}
+        inputs = [position[n] for n in cone if self._is_pi[n]]
+        low = min(len(inputs), _SLICE_INPUTS)
+        mask = (1 << (1 << low)) - 1
+        words = [0] * len(cone)  # the constant node stays 0
+        for i, word in zip(inputs, _projection_words(low)):
+            words[i] = word
+        fanin0, fanin1 = self._fanin0, self._fanin1
+        program = [
+            (
+                position[node],
+                position[fanin0[node] >> 1],
+                mask if fanin0[node] & 1 else 0,
+                position[fanin1[node] >> 1],
+                mask if fanin1[node] & 1 else 0,
+            )
+            for node in cone
+            if node and not self._is_pi[node]
+        ]
+        outs = [(position[lit >> 1], mask if lit & 1 else 0) for lit in lits]
+        high = inputs[low:]
+        for slice_no in range(1 << len(high)):
+            for j, i in enumerate(high):
+                words[i] = mask if slice_no >> j & 1 else 0
+            for i, a, flip_a, b, flip_b in program:
+                words[i] = (words[a] ^ flip_a) & (words[b] ^ flip_b)
+            yield [words[i] ^ flip for i, flip in outs]
 
     def simulate_words(self, pi_words: Dict[str, int], width: int) -> List[int]:
         """Simulate a ``width``-pattern corpus; returns a word per node.

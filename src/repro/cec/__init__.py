@@ -26,12 +26,15 @@ Scaling layers on top of the filter pipeline:
   output checks walk: each proof procedure (structural, sim, BDD, SAT) is
   a registered :class:`~repro.cec.engines.EngineAdapter`, and
   third-party engines register the same way.  Every check runs
-  structural then SAT unless the caller names engines;
+  structural, then truth tables when each open output reads at most 22
+  inputs, then SAT, unless the caller names engines
+  (:data:`SAT_PORTFOLIO` names the SAT path alone);
 * :mod:`repro.cec.options` — :class:`CecOptions`, the engine options
   every caller passes as one value (``check_equivalence(c1, c2, options)``).
 """
 
 from repro.cec.engine import (
+    SAT_PORTFOLIO,
     CecVerdict,
     CheckResult,
     EngineStats,
@@ -54,6 +57,7 @@ from repro.cec.options import CecOptions
 from repro.cec.partition import Candidate, WorkUnit, partition_candidates
 
 __all__ = [
+    "SAT_PORTFOLIO",
     "Candidate",
     "CecOptions",
     "CecVerdict",

@@ -1,10 +1,12 @@
 """The combinational equivalence-checking engine.
 
 :func:`check_equivalence` runs the filter pipeline of DESIGN.md phase by
-phase — build the miter, preprocess it, encode it to CNF, SAT-sweep the
-simulation classes with counterexample-guided refinement, then decide
-each output pair — and every check runs the same engine portfolio,
-structural hash then SAT, unless the caller names engines.  A
+phase — build the miter, decide it by truth tables when every open
+output reads few enough inputs, otherwise preprocess it, encode it to
+CNF, SAT-sweep the simulation classes with counterexample-guided
+refinement, then decide each output pair — and every check runs the
+same engine portfolio, structural hash then SAT, unless the caller
+names engines (a named portfolio runs no table phase).  A
 :class:`~repro.runtime.Budget` only bounds that work: the sweep, every
 SAT call and a named BDD stage stop at its limits, and a check that runs
 dry records an UNKNOWN verdict with a reason code instead of raising or
@@ -68,6 +70,7 @@ from repro.sat.cores import CoreIndex
 from repro.sat.solver import Solver
 
 __all__ = [
+    "SAT_PORTFOLIO",
     "CecVerdict",
     "CheckResult",
     "EngineStats",
@@ -154,9 +157,10 @@ class EngineStats:
     # Sweep units lost to an exception.
     worker_failures: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Output obligations decided per engine adapter name (from the
-    #: ``cec.engine.<name>.decided`` counters); sweep-decided candidates
-    #: are not included — they are always SAT-decided by construction.
+    #: Output obligations decided per engine adapter name, and by the
+    #: table phase as ``tables`` (from the ``cec.engine.<name>.decided``
+    #: counters); sweep-decided candidates are not included — they are
+    #: always SAT-decided by construction.
     engines_used: Dict[str, int] = field(default_factory=dict)
 
     @classmethod
@@ -422,10 +426,19 @@ def _refine_signatures(
     return refined, (mask << width) | new_mask, width
 
 
-#: The engine portfolio of every check whose caller names none: the
-#: structural hash, then SAT.  A budget bounds
-#: this portfolio; it never changes which engines run.
-_DEFAULT_PORTFOLIO = ("structural", "sat")
+#: The SAT path as a named portfolio: the structural hash, then SAT.  A
+#: check whose caller names no portfolio walks these adapters too, after
+#: its table phase; naming them runs the same path without that phase.
+#: A budget bounds either; it never changes which engines run.
+SAT_PORTFOLIO = ("structural", "sat")
+
+#: Widest output support, in AIG inputs, that the table phase of a
+#: default check decides by exhaustive simulation.  Whole checks of
+#: lowered Table 1 pairs (best of 3, one core of a shared Xeon host):
+#: minmax10's 20-input outputs took 17 ms by tables against 39 ms on the
+#: SAT path, s3384's 22-input output 14 ms against 57 ms, but minmax12's
+#: 24-input outputs 213 ms against 43 ms, so SAT keeps everything wider.
+_TABLE_INPUTS = 22
 
 
 @dataclass
@@ -620,16 +633,14 @@ def _begin(
 
 
 def _build(check: _Check, c1: Circuit, c2: Circuit) -> Optional[MiterAIG]:
-    """Build and preprocess the miter; None when it is already structural.
+    """Build the miter; None when equivalence is already structural.
 
     Equivalence is structural when every output pair hashes onto one
-    literal, either in the shared AIG or after the preprocessing
-    rewrites; then no solver is needed.
+    literal in the shared AIG; then no further phase is needed.
     """
-    registry, tracer = check.registry, check.tracer
-    with tracer.span("cec.phase.build", cat="phase"):
+    with check.tracer.span("cec.phase.build", cat="phase"):
         miter = build_miter(c1, c2)
-    registry.set_gauge(
+    check.registry.set_gauge(
         "cec.phase.build.seconds", time.perf_counter() - check.t0
     )
     check.stats["aig_nodes"] = miter.aig.num_nodes()
@@ -638,6 +649,68 @@ def _build(check: _Check, c1: Circuit, c2: Circuit) -> Optional[MiterAIG]:
         check.stats["structural"] = 1
         check.root.annotate(structural=True)
         return None
+    return miter
+
+
+def _tables(check: _Check, miter: MiterAIG) -> bool:
+    """The table phase: True when truth tables prove every open pair equal.
+
+    An open output pair's support is the set of AIG inputs in the union
+    of its two cones.  When no support is wider than
+    :data:`_TABLE_INPUTS`, the pairs are grouped by support and each
+    group's joint cone is simulated once over all its assignments
+    (:meth:`~repro.aig.aig.AIG.cone_tables`).  A wider support, a
+    disagreement or a budget that runs out before a slice decides
+    nothing: the check goes on to the SAT path, so NOT_EQUIVALENT
+    verdicts, witnesses, failing outputs and UNKNOWN reasons come from
+    there as before.
+    """
+    aig, registry = miter.aig, check.registry
+    t_tables = time.perf_counter()
+    with check.tracer.span("cec.phase.tables", cat="phase") as span:
+        masks = aig.support_masks()
+        groups: Dict[int, List[int]] = {}
+        for _, l1, l2 in miter.output_pairs:
+            if l1 != l2:
+                support = masks[l1 >> 1] | masks[l2 >> 1]
+                groups.setdefault(support, []).extend((l1, l2))
+        widest = max(bin(support).count("1") for support in groups)
+        agree = widest <= _TABLE_INPUTS and all(
+            _tables_agree(check, aig, lits) for lits in groups.values()
+        )
+        decided = (
+            sum(len(lits) // 2 for lits in groups.values()) if agree else 0
+        )
+        span.annotate(decided=decided, widest_support=widest)
+    registry.set_gauge(
+        "cec.phase.tables.seconds", time.perf_counter() - t_tables
+    )
+    registry.set_gauge("cec.tables.widest_support", widest)
+    if decided:
+        registry.inc("cec.engine.tables.decided", decided)
+    return bool(decided)
+
+
+def _tables_agree(check: _Check, aig: AIG, lits: Sequence[int]) -> bool:
+    """True when each literal pair ``lits[2i], lits[2i + 1]`` has one table.
+
+    The budget is read before every slice, so a budgeted check overruns
+    its deadline by at most one 2^16-row slice of the cone; a budget that
+    runs out leaves the group undecided (False).
+    """
+    slices = aig.cone_tables(lits)
+    while not check.expired():
+        words = next(slices, None)
+        if words is None:
+            return True
+        if any(words[i] != words[i + 1] for i in range(0, len(words), 2)):
+            return False
+    return False
+
+
+def _preprocess(check: _Check, miter: MiterAIG) -> Optional[MiterAIG]:
+    """Rewrite the miter; None when that makes equivalence structural."""
+    registry, tracer = check.registry, check.tracer
     if check.options.preprocess and not check.expired():
         t_pre = time.perf_counter()
         with tracer.span("cec.phase.preprocess", cat="phase"):
@@ -946,6 +1019,17 @@ def check_equivalence(
     into cone-disjoint work units and proves each, one at a time, on its
     own solver over only the unit's cone.
 
+    A check whose caller names no portfolio first tries truth tables,
+    right after the build: when every output pair the miter leaves open
+    reads at most :data:`_TABLE_INPUTS` inputs (the union of its two
+    cones), each group of pairs with one input set is simulated over all
+    its assignments, and agreement on every pair is EQUIVALENT with no
+    preprocessing, encoding, sweep or solver (``time_tables``,
+    ``engine_tables``).  A wider output, a disagreement or a spent
+    budget runs the rest of the pipeline as if the phase were not there,
+    so NOT_EQUIVALENT verdicts, counterexamples, failing outputs and
+    UNKNOWN reasons come from the SAT path.
+
     ``options.refine`` (default on) closes the simulation↔solver loop
     FRAIG style: every refuting SAT model from the sweep is appended as a
     new simulation-pattern column, the surviving signature classes are
@@ -960,10 +1044,12 @@ def check_equivalence(
     ``options.engines`` names the output-check portfolio — a sequence
     (or comma-separated string) of registered engine names, see
     :func:`repro.cec.engines.available_engines` — walked in order for
-    each output pair.  None (the default) runs ``structural`` then
-    ``sat``.  A portfolio without ``sat`` skips the sweep (sweeping is
-    SAT work).  Unknown names raise :class:`ValueError` before any
-    solving starts.
+    each output pair.  None (the default) runs structural hashing, then
+    the table phase, then ``sat``.  A named portfolio runs exactly what
+    it names: :data:`SAT_PORTFOLIO`, ``("structural", "sat")``, is the
+    default without the table phase.  A portfolio without ``sat`` skips
+    the sweep (sweeping is SAT work).  Unknown names raise
+    :class:`ValueError` before any solving starts.
 
     ``budget`` — a :class:`~repro.runtime.Budget` or bare wall-clock
     seconds — bounds the portfolio without changing it: the sweep, every
@@ -990,12 +1076,19 @@ def check_equivalence(
     # Resolve the portfolio first, so an unknown engine name raises
     # before any miter or solver work happens.
     portfolio = resolve_portfolio(
-        options.engines if options.engines is not None else _DEFAULT_PORTFOLIO
+        options.engines if options.engines is not None else SAT_PORTFOLIO
     )
     check = _begin(c1, c2, options, budget, tracer, metrics)
     if options.engines is not None:
         check.root.annotate(engines=",".join(a.name for a in portfolio))
     miter = _build(check, c1, c2)
+    if miter is None or (
+        options.engines is None
+        and not check.expired()
+        and _tables(check, miter)
+    ):
+        return _finish(check, CheckResult(CecVerdict.EQUIVALENT))
+    miter = _preprocess(check, miter)
     if miter is None:
         return _finish(check, CheckResult(CecVerdict.EQUIVALENT))
     _encode(check, miter.aig)

@@ -32,7 +32,11 @@ class CecOptions:
     * ``preprocess`` — rewrite the miter AIG before sweeping (constant
       propagation, strashing, two-level rewrites, dead-node removal).
     * ``engines`` — the output-check adapter portfolio (names or a comma
-      list), walked in order; None runs ``structural`` then ``sat``.
+      list), walked in order.  None runs structural hashing, then truth
+      tables when every open output reads at most 22 inputs, then
+      ``sat``.  A named portfolio runs exactly what it names, so
+      :data:`repro.cec.SAT_PORTFOLIO`, ``("structural", "sat")``, is the
+      default path without the tables.
     """
 
     refine: bool = True

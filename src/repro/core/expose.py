@@ -35,7 +35,7 @@ from repro.core.feedback import (
     remodel_feedback_latches,
     topo_rank,
 )
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Gate
 from repro.netlist.graph import latch_dependency_graph, strongly_connected_components
 from repro.netlist.transform import ExposedCircuit, expose_latches
 
@@ -152,6 +152,7 @@ def choose_latches_to_expose(
     use_unateness: bool = True,
     pinned: Sequence[str] = (),
     strategy: str = "count",
+    order: Optional[Sequence[Gate]] = None,
 ) -> Tuple[Set[str], Set[str]]:
     """Decide which latches to expose and which to remodel.
 
@@ -168,17 +169,22 @@ def choose_latches_to_expose(
     paper's experiment); ``strategy='weighted'`` minimises an estimated
     optimisation penalty instead (the paper's Sec. 9 future-work
     refinement), possibly exposing more but cheaper latches.
+
+    ``order`` is the circuit's ``topo_gates()``, for a caller that
+    analyses one circuit several times; it is computed when not given.
     """
     if strategy not in ("count", "weighted"):
         raise ValueError(f"unknown exposure strategy {strategy!r}")
-    graph = latch_dependency_graph(circuit)
+    if order is None:
+        order = circuit.topo_gates()
+    graph = latch_dependency_graph(circuit, order)
     for node in pinned:
         # Successor sets may still name it; the MFVS reads only keys.
         graph.pop(node, None)
 
     to_remodel: Set[str] = set()
     if use_unateness:
-        rank = topo_rank(circuit)
+        rank = topo_rank(circuit, order)
         for node, succs in graph.items():
             if node in succs:
                 analysis = analyze_feedback_latch(circuit, node, rank=rank)

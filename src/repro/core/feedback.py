@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd.bdd import BDD
 from repro.bdd.synth import bdd_to_gates, sop_from_bdd
-from repro.netlist.circuit import Circuit, Latch
+from repro.netlist.circuit import Circuit, Gate, Latch
 from repro.netlist.graph import combinational_fanin_cone, self_loop_latches
 
 __all__ = [
@@ -51,14 +51,19 @@ class FeedbackAnalysis:
     manager: Optional[BDD] = None
 
 
-def topo_rank(circuit: Circuit) -> Dict[str, int]:
+def topo_rank(
+    circuit: Circuit, order: Optional[Sequence[Gate]] = None
+) -> Dict[str, int]:
     """Each gate's position in ``circuit.topo_gates()``.
 
     Adding gates that no existing gate reads leaves every position as it
     is, so one rank serves all :func:`next_state_bdd` calls on a circuit
-    that only grows that way.
+    that only grows that way.  ``order`` is that ``topo_gates()`` list,
+    computed when not given.
     """
-    return {gate.output: i for i, gate in enumerate(circuit.topo_gates())}
+    if order is None:
+        order = circuit.topo_gates()
+    return {gate.output: i for i, gate in enumerate(order)}
 
 
 def next_state_bdd(

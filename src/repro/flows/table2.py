@@ -58,9 +58,15 @@ def table2_row(name: str, tracer=None) -> Table2Row:
     self_loops = len(self_loop_latches(circuit)) if tracer.enabled else 0
     t0 = time.perf_counter()
     with tracer.span("flow.phase.structural", cat="phase"):
-        structural, _ = choose_latches_to_expose(circuit, use_unateness=False)
+        # One topological order serves both analyses.
+        order = circuit.topo_gates()
+        structural, _ = choose_latches_to_expose(
+            circuit, use_unateness=False, order=order
+        )
     with tracer.span("flow.phase.unate", cat="phase") as span:
-        with_unate, remodel = choose_latches_to_expose(circuit, use_unateness=True)
+        with_unate, remodel = choose_latches_to_expose(
+            circuit, use_unateness=True, order=order
+        )
         span.annotate(self_loops=self_loops, remodelled=len(remodel))
     elapsed = time.perf_counter() - t0
     return Table2Row(

@@ -22,10 +22,11 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
 )
 
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Gate
 
 __all__ = [
     "latch_dependency_graph",
@@ -50,7 +51,9 @@ def has_combinational_cycle(circuit: Circuit) -> bool:
     return False
 
 
-def latch_dependency_graph(circuit: Circuit) -> Dict[str, Set[str]]:
+def latch_dependency_graph(
+    circuit: Circuit, order: Optional[Sequence[Gate]] = None
+) -> Dict[str, Set[str]]:
     """Latch → latch edges through combinational logic, as successor sets.
 
     ``graph[p]`` holds latch ``q`` iff ``q``'s data or enable input
@@ -60,6 +63,7 @@ def latch_dependency_graph(circuit: Circuit) -> Dict[str, Set[str]]:
     Implemented as one reverse pass: for every gate (in topological order)
     the set of latches in its combinational fanin is the union over its
     fanins' sets, so the whole graph costs one sweep plus set unions.
+    ``order`` is the circuit's ``topo_gates()``, computed when not given.
     """
     names = list(circuit.latches)
     graph: Dict[str, Set[str]] = {name: set() for name in names}
@@ -67,7 +71,7 @@ def latch_dependency_graph(circuit: Circuit) -> Dict[str, Set[str]]:
     sources: Dict[str, int] = {}  # signal -> bitmask of latch ids
     for i, name in enumerate(names):
         sources[name] = 1 << i
-    for gate in circuit.topo_gates():
+    for gate in circuit.topo_gates() if order is None else order:
         mask = 0
         for s in gate.inputs:
             mask |= sources.get(s, 0)

@@ -165,3 +165,68 @@ class TestCorpusSimulation:
             {name: 0 for name in aig.pi_names}, (1 << 16) - 1
         )
         assert aig.simulate_words({}, 16) == scalar
+
+
+def _table_from_slices(aig: AIG, lits) -> list:
+    """Each literal's full table: the ``cone_tables`` slices concatenated."""
+    tables = [0] * len(lits)
+    for index, words in enumerate(aig.cone_tables(lits)):
+        for i, word in enumerate(words):
+            assert word.bit_length() <= 1 << 16
+            tables[i] |= word << (index << 16)
+    return tables
+
+
+class TestConeTables:
+    def test_support_masks_match_cones(self):
+        aig = _random_aig(5, n_inputs=9, n_gates=80)
+        masks = aig.support_masks()
+        for node in range(aig.num_nodes()):
+            cone_pis = {
+                i
+                for i, pi in enumerate(aig.pis)
+                if pi in aig.cone_nodes([2 * node])
+            }
+            assert masks[node] == sum(1 << i for i in cone_pis)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_tables_match_per_row_evaluation(self, seed):
+        aig = _random_aig(seed, n_inputs=6, n_gates=50)
+        lits = [lit for _, lit in aig.outputs] + [FALSE_LIT, TRUE_LIT]
+        lits += [lit ^ 1 for lit in lits]
+        (words,) = list(aig.cone_tables(lits))
+        support = sorted(
+            pi for pi in aig.cone_nodes(lits) if aig.is_pi_node(pi)
+        )
+        names = {pi: name for pi, name in zip(aig.pis, aig.pi_names)}
+        for row in range(1 << len(support)):
+            values = {
+                names[pi]: bool(row >> i & 1) for i, pi in enumerate(support)
+            }
+            expected = aig.eval_literals(lits, values)
+            assert [bool(w >> row & 1) for w in words] == expected
+
+    def test_wide_tables_come_in_slices(self):
+        # 19 inputs: the low 16 get projection words, the top three are
+        # counted up over 8 slices of 2^16 rows each.
+        aig = AIG()
+        xs = [aig.add_pi(f"x{i}") for i in range(19)]
+        parity = FALSE_LIT
+        for x in xs:
+            parity = aig.xor(parity, x)
+        top = aig.and_all(xs[16:])
+        lits = [parity, top, aig.or_(parity, top) ^ 1]
+        assert len(list(aig.cone_tables(lits))) == 8
+        parity_table, top_table, nor_table = _table_from_slices(aig, lits)
+        rng = random.Random(7)
+        for row in [0, (1 << 19) - 1] + [rng.getrandbits(19) for _ in range(200)]:
+            assert parity_table >> row & 1 == bin(row).count("1") % 2
+            assert top_table >> row & 1 == (row >> 16 == 7)
+            assert nor_table >> row & 1 == 1 - (
+                (parity_table | top_table) >> row & 1
+            )
+
+    def test_constant_literals_read_no_input(self):
+        aig = AIG()
+        aig.add_pi("a")
+        assert list(aig.cone_tables([FALSE_LIT, TRUE_LIT])) == [[0, 1]]

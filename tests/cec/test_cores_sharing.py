@@ -18,7 +18,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cec import CecOptions
+from repro.cec import SAT_PORTFOLIO, CecOptions
 from repro.cec.engine import (
     CecVerdict,
     _class_candidates,
@@ -136,10 +136,12 @@ class TestCoreIndex:
 
 class TestConstantClassRetirement:
     def test_constant_class_queries_retired(self):
+        # Name the SAT portfolio: the truth-table phase of a default
+        # check would decide this pair before the sweep.
         r = check_equivalence(
             hidden_const_circuit("l", True),
             hidden_const_circuit("r", False),
-            CecOptions(preprocess=False),
+            CecOptions(preprocess=False, engines=SAT_PORTFOLIO),
         )
         assert r.verdict is CecVerdict.EQUIVALENT
         assert r.stats["core_retired"] >= 1

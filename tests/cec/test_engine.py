@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.bench.random_circuits import random_combinational
+from repro.cec import SAT_PORTFOLIO, CecOptions
 from repro.cec.engine import (
     CecVerdict,
     check_equivalence,
@@ -74,11 +75,18 @@ class TestVerdicts:
         assert r.verdict is CecVerdict.NOT_EQUIVALENT
 
     def test_no_sweep_mode(self):
-        c1 = random_combinational(seed=2, name="c1")
-        c2 = random_combinational(seed=2, name="c2")
+        # A pair the shared AIG leaves open, on the SAT path named: a
+        # default check decides it by truth tables, never reaching the
+        # monolithic SAT check this test is about.
+        c1 = random_combinational(n_inputs=9, n_gates=80, seed=11, name="c1")
+        c2 = c1.copy("c2")
         script_delay(c2)
-        r = check_equivalence(c1, c2, sweep=False)
+        r = check_equivalence(
+            c1, c2, CecOptions(engines=SAT_PORTFOLIO), sweep=False
+        )
         assert r.equivalent
+        assert r.stats["n_units"] == 0  # no sweep unit ran
+        assert r.stats["sat_queries"] > 0
 
 
 class TestMiterPaths:

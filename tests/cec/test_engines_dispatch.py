@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.random_circuits import random_combinational
-from repro.cec import CecOptions
+from repro.cec import SAT_PORTFOLIO, CecOptions
 from repro.cec.parallel import EQ, NEQ
 from repro.cec.engine import CecVerdict, check_equivalence
 from repro.cec.engines.base import (
@@ -148,13 +148,13 @@ class TestPolicyVerdictParity:
         ),
     ]
 
-    # ``cascade`` leaves the portfolio unnamed (structural → SAT);
-    # ``named`` spells the same portfolio out.
+    # ``cascade`` leaves the portfolio unnamed (structural, truth
+    # tables, SAT); ``named`` names the SAT path without the tables.
     @pytest.mark.parametrize(
         "engines",
         [
             pytest.param(None, id="cascade"),
-            pytest.param(["structural", "sat"], id="named"),
+            pytest.param(SAT_PORTFOLIO, id="named"),
         ],
     )
     @pytest.mark.parametrize(
@@ -179,7 +179,7 @@ class TestPolicyVerdictParity:
 
 
 class TestBudgetOnlyBounds:
-    """A budget bounds the default portfolio; it never changes it."""
+    """A budget bounds the engines a portfolio runs; it never changes them."""
 
     @pytest.mark.parametrize(
         "case",
@@ -187,10 +187,16 @@ class TestBudgetOnlyBounds:
         ids=[case[0] for case in TestPolicyVerdictParity.CASES],
     )
     def test_unspent_budget_changes_nothing(self, case):
+        # The SAT portfolio, named: its counts are what a budget must
+        # leave alone, and the default check's truth-table phase would
+        # decide the equivalent cases without any.
         _, make, _ = case
         c1, c2 = make()
-        free = check_equivalence(c1, c2)
-        bounded = check_equivalence(c1, c2, budget=Budget(wall_seconds=1e4))
+        options = CecOptions(engines=SAT_PORTFOLIO)
+        free = check_equivalence(c1, c2, options)
+        bounded = check_equivalence(
+            c1, c2, options, budget=Budget(wall_seconds=1e4)
+        )
         assert bounded.verdict is free.verdict
         assert bounded.counterexample == free.counterexample
         assert bounded.failing_output == free.failing_output
@@ -266,7 +272,9 @@ class TestSingleSiteSatCounting:
         # breakdown even though the SAT engine decided every output.
         # Both paths now count once per decided obligation.
         r = check_equivalence(
-            xor_chain(8, "a"), xor_tree(8, "b"), CecOptions(preprocess=False)
+            xor_chain(8, "a"),
+            xor_tree(8, "b"),
+            CecOptions(preprocess=False, engines=SAT_PORTFOLIO),
         )
         assert r.equivalent
         assert r.stats.get("engine_sat", 0) >= 1

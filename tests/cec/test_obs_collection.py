@@ -33,7 +33,7 @@ from repro.runtime import chaos
 from repro.sat.solver import Solver
 
 from tests.cec.test_robustness import crash_at_unit_entry, multi_block_pair
-from tests.cec.test_sweep_parallel import xor_chain, xor_tree
+from tests.cec.test_sweep_parallel import SAT_PATH, xor_chain, xor_tree
 
 
 def solver_and_units(n=8):
@@ -107,7 +107,9 @@ class TestWorkerCollection:
     def test_worker_spans_land_in_engine_trace(self):
         # One sweep round of one unit per block, all in-process.
         tracer = Tracer(sink=[])
-        result = check_equivalence(*multi_block_pair(), tracer=tracer)
+        result = check_equivalence(
+            *multi_block_pair(), SAT_PATH, tracer=tracer
+        )
         tracer.close()
         events = tracer.events
         assert validate_events(events) == []
@@ -177,11 +179,13 @@ class TestPartialStatPreservation:
         # Engine level: units dying at entry must show up as contained
         # failures (telemetry counters, sweep unknowns, lost-unit
         # instants) while the verdict stays identical to a clean run.
-        plain = check_equivalence(*multi_block_pair())
+        plain = check_equivalence(*multi_block_pair(), SAT_PATH)
         tracer = Tracer(sink=[])
         chaos.install(crash_at_unit_entry())
         try:
-            faulty = check_equivalence(*multi_block_pair(), tracer=tracer)
+            faulty = check_equivalence(
+                *multi_block_pair(), SAT_PATH, tracer=tracer
+            )
         finally:
             chaos.uninstall()
         tracer.close()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.random_circuits import random_combinational
-from repro.cec import CecOptions
+from repro.cec import SAT_PORTFOLIO, CecOptions
 from repro.cec.engine import (
     CecVerdict,
     _class_candidates,
@@ -34,8 +34,10 @@ from tests.cec.test_sweep_parallel import xor_chain, xor_tree
 # for (the refuting models split the classes instead of SAT doing it
 # pair by pair).
 NARROW = dict(sim_rounds=1, sim_width=4)
-REFINE = CecOptions(refine=True)
-NO_REFINE = CecOptions(refine=False)
+# Refinement is sweep work: both name the SAT portfolio, so the default
+# check's truth-table phase cannot decide a pair before the sweep.
+REFINE = CecOptions(refine=True, engines=SAT_PORTFOLIO)
+NO_REFINE = CecOptions(refine=False, engines=SAT_PORTFOLIO)
 
 
 class TestRefinementConvergence:
@@ -157,7 +159,7 @@ class TestClassConstruction:
 
     def test_constant_node_merge_proves_equivalence(self):
         c1, c2 = self._stuck_at_zero_pair()
-        r = check_equivalence(c1, c2)
+        r = check_equivalence(c1, c2, REFINE)
         assert r.verdict is CecVerdict.EQUIVALENT
 
     def test_pi_pi_pairs_are_excluded(self):

@@ -16,7 +16,7 @@ from repro.aig.rewrite import (
 )
 from repro.bench.mutations import sample_mutations
 from repro.bench.random_circuits import random_combinational
-from repro.cec import CecOptions
+from repro.cec import SAT_PORTFOLIO, CecOptions
 from repro.cec.engine import CecVerdict, check_equivalence
 from repro.cec.miter import build_miter
 from repro.synth.script import script_delay
@@ -134,6 +134,12 @@ class TestPreprocessMiter:
         assert removed > 0
 
 
+#: Preprocessing runs on the SAT path only: a default check whose
+#: truth-table phase decides a pair never reaches it.
+PRE_ON = CecOptions(preprocess=True, engines=SAT_PORTFOLIO)
+PRE_OFF = CecOptions(preprocess=False, engines=SAT_PORTFOLIO)
+
+
 class TestVerdictIdentity:
     """preprocess on/off must never change a verdict (PR 5 invariant +)."""
 
@@ -155,8 +161,8 @@ class TestVerdictIdentity:
 
     def test_preprocess_on_off_verdicts_identical(self):
         for c1, c2 in self._pairs():
-            plain = check_equivalence(c1, c2, CecOptions(preprocess=False))
-            pre = check_equivalence(c1, c2, CecOptions(preprocess=True))
+            plain = check_equivalence(c1, c2, PRE_OFF)
+            pre = check_equivalence(c1, c2, PRE_ON)
             assert pre.verdict == plain.verdict
             if pre.verdict is CecVerdict.NOT_EQUIVALENT:
                 # Counterexamples are assignments over the original PIs
@@ -168,9 +174,7 @@ class TestVerdictIdentity:
         mutants = [m for _, m in sample_mutations(base, 6, seed=7)]
         checked = 0
         for mutant in mutants:
-            result = check_equivalence(
-                base, mutant, CecOptions(preprocess=True)
-            )
+            result = check_equivalence(base, mutant, PRE_ON)
             if result.verdict is not CecVerdict.NOT_EQUIVALENT:
                 continue
             checked += 1
@@ -187,8 +191,8 @@ class TestVerdictIdentity:
         c1 = random_combinational(n_inputs=6, n_gates=30, seed=1)
         c2 = c1.copy("resynth")
         script_delay(c2)
-        on = check_equivalence(c1, c2, CecOptions(preprocess=True))
-        off = check_equivalence(c1, c2, CecOptions(preprocess=False))
+        on = check_equivalence(c1, c2, PRE_ON)
+        off = check_equivalence(c1, c2, PRE_OFF)
         assert "preprocess_removed" in on.stats
         assert "preprocess_removed" in off.stats
         assert on.stats["aig_ands_preprocessed"] <= on.stats["aig_ands"]

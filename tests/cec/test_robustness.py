@@ -28,7 +28,7 @@ from repro.runtime.budget import (
 )
 from repro.runtime.chaos import FaultPlan, FaultRule
 
-from tests.cec.test_sweep_parallel import xor_chain, xor_tree
+from tests.cec.test_sweep_parallel import SAT_PATH, xor_chain, xor_tree
 
 
 def multi_block_pair(blocks=4, width=10):
@@ -77,9 +77,9 @@ class TestWorkerFaults:
 
     def test_crashing_workers_preserve_verdict(self):
         c1, c2 = multi_block_pair()
-        clean = check_equivalence(c1, c2)
+        clean = check_equivalence(c1, c2, SAT_PATH)
         plan = chaos.install(crash_at_unit_entry())
-        faulty = check_equivalence(c1, c2)
+        faulty = check_equivalence(c1, c2, SAT_PATH)
         assert faulty.verdict is clean.verdict
         # Every unit died at entry, once (no retry): the telemetry must
         # show contained failures, not silence.
@@ -91,9 +91,9 @@ class TestWorkerFaults:
         # CNF sanity check, say) used to kill the whole sweep; now it
         # costs only that unit's merges.
         c1, c2 = multi_block_pair()
-        clean = check_equivalence(c1, c2)
+        clean = check_equivalence(c1, c2, SAT_PATH)
         chaos.install(crash_at_unit_entry(hits=[1]))
-        faulty = check_equivalence(c1, c2)
+        faulty = check_equivalence(c1, c2, SAT_PATH)
         assert faulty.verdict is clean.verdict
         assert faulty.stats["worker_failures"] == 1
         assert faulty.stats["sweep_unknown"] > 0

@@ -1,13 +1,15 @@
 """The SAT-query gate: the sweep benchmark's query totals, exactly.
 
 ``benchmarks/bench_cec.py`` runs 11 circuit pairs under 4 engine modes
-(refinement × preprocessing) and records every mode's SAT-query and
-core-retirement totals in the checked-in ``BENCH_cec.json``.  The totals
-follow from the exact search trajectory, so they are deterministic: this
-test re-runs the matrix and holds each mode to its recorded totals — a
-change that spends even one more query, or retires one fewer, fails
-here.  It also asserts the benchmark's
-acceptance criterion, that no pair's verdict depends on the mode.
+(refinement × preprocessing, each naming the structural-then-SAT
+portfolio, so no truth-table phase runs) and records every mode's
+SAT-query and core-retirement totals in the checked-in
+``BENCH_cec.json``.  The totals follow from the exact search trajectory,
+so they are deterministic: this test re-runs the matrix and holds each
+mode to its recorded totals — a change that spends even one more query,
+or retires one fewer, fails here.  It also asserts the benchmark's
+acceptance criterion, that no pair's verdict depends on the mode, with
+the default check as a fifth column.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ BASELINE = Path(__file__).resolve().parents[2] / "BENCH_cec.json"
 
 @pytest.fixture(scope="module")
 def matrix():
-    """``{mode: {"sat_queries", "core_retired"}}`` totals plus verdicts."""
+    """``{mode: {"sat_queries", "core_retired"}}`` totals plus verdicts.
+
+    The verdicts also hold a ``default`` column: the check with no named
+    portfolio, whose truth-table phase may decide a pair before any SAT
+    query.
+    """
     totals = {mode: {"sat_queries": 0, "core_retired": 0} for mode, _ in MODES}
     verdicts = {}
     for name, golden, revised in corpus():
@@ -34,12 +41,15 @@ def matrix():
             verdicts.setdefault(name, {})[mode] = result.verdict.value
             for key in totals[mode]:
                 totals[mode][key] += int(result.stats[key])
+        result = check_equivalence(golden, revised, **NARROW)
+        verdicts[name]["default"] = result.verdict.value
     return totals, verdicts
 
 
 def test_no_verdict_depends_on_the_mode(matrix):
     _, verdicts = matrix
     assert len(verdicts) == 11
+    assert all(len(by_mode) == len(MODES) + 1 for by_mode in verdicts.values())
     split = {
         name: by_mode
         for name, by_mode in verdicts.items()

@@ -30,7 +30,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sat.solver import Solver
 
 from tests.cec.test_robustness import multi_block_pair
-from tests.cec.test_sweep_parallel import _sweep_classes, lowered_cbf_pair
+from tests.cec.test_sweep_parallel import (
+    SAT_PATH,
+    _sweep_classes,
+    lowered_cbf_pair,
+)
 
 
 def _remap(groups, var_of):
@@ -109,7 +113,9 @@ class TestParentSolverOffTheSweep:
         monkeypatch.setattr(engine, "Solver", ParentSolver)
         monkeypatch.setattr(engine, "_sweep", tracked_sweep)
         metrics = MetricsRegistry()
-        result = check_equivalence(*multi_block_pair(), metrics=metrics)
+        result = check_equivalence(
+            *multi_block_pair(), SAT_PATH, metrics=metrics
+        )
         assert result.verdict is CecVerdict.EQUIVALENT
         assert "sweep" not in parent_calls
         # Every solver call is a counted query; the sweep asked real

@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench.pipeline import pipeline_circuit
 from repro.bench.random_circuits import random_combinational
-from repro.cec import CecOptions
+from repro.cec import SAT_PORTFOLIO, CecOptions
 from repro.cec.engine import (
     CecVerdict,
     check_equivalence,
@@ -33,6 +33,11 @@ from repro.retime.apply import retime_min_period
 from repro.sat.solver import Solver
 from repro.sim.logic2 import simulate
 from repro.synth.script import optimize_sequential_delay, script_delay
+
+
+#: The default portfolio, named: a check that names it runs no
+#: truth-table phase, so a sweep test's pair reaches the sweep.
+SAT_PATH = CecOptions(engines=SAT_PORTFOLIO)
 
 
 def xor_chain(n, name="chain"):
@@ -185,8 +190,8 @@ class TestParallelSweep:
         c2 = random_combinational(
             n_inputs=8, n_gates=60, seed=seed + 10, name="other"
         )
-        serial = check_equivalence(c1, c2)
-        monolithic = check_equivalence(c1, c2, sweep=False)
+        serial = check_equivalence(c1, c2, SAT_PATH)
+        monolithic = check_equivalence(c1, c2, SAT_PATH, sweep=False)
         assert monolithic.verdict is serial.verdict
         if serial.verdict is CecVerdict.NOT_EQUIVALENT:
             vec = serial.counterexample
@@ -196,8 +201,8 @@ class TestParallelSweep:
 
     def test_serial_runs_are_deterministic(self):
         c1, c2 = xor_chain(12), xor_tree(12)
-        a = check_equivalence(c1, c2)
-        b = check_equivalence(c1, c2)
+        a = check_equivalence(c1, c2, SAT_PATH)
+        b = check_equivalence(c1, c2, SAT_PATH)
         assert a.verdict is b.verdict
         for key in ("sweep_merges", "sweep_refuted", "sweep_unknown",
                     "sat_queries"):
@@ -206,7 +211,7 @@ class TestParallelSweep:
     def test_worker_stats_reported(self):
         from tests.cec.test_robustness import multi_block_pair
 
-        r = check_equivalence(*multi_block_pair())
+        r = check_equivalence(*multi_block_pair(), SAT_PATH)
         assert r.engine is not None
         assert r.stats["n_units"] == 4
         assert r.stats["worker_failures"] == 0
@@ -233,8 +238,8 @@ class TestRetimedSweepCoverage:
     @pytest.mark.parametrize("seed", range(3))
     def test_sweep_modes_and_bdd_agree(self, seed):
         comb1, comb2 = retimed_resynthesised_pair(seed)
-        swept = check_equivalence(comb1, comb2, sweep=True)
-        monolithic = check_equivalence(comb1, comb2, sweep=False)
+        swept = check_equivalence(comb1, comb2, SAT_PATH, sweep=True)
+        monolithic = check_equivalence(comb1, comb2, SAT_PATH, sweep=False)
         bdd = check_equivalence_bdd(comb1, comb2)
         assert swept.verdict is CecVerdict.EQUIVALENT
         assert monolithic.verdict is swept.verdict
@@ -340,7 +345,7 @@ class TestBugfixRegressions:
         assert r.stats["sweep_refuted"] == 0
 
     def test_generous_limit_has_no_unknowns(self):
-        r = check_equivalence(xor_chain(16), xor_tree(16))
+        r = check_equivalence(xor_chain(16), xor_tree(16), SAT_PATH)
         assert r.stats["sweep_unknown"] == 0
         assert r.stats["sweep_merges"] > 0
 

@@ -10,7 +10,8 @@ hard gate.  The conflicts, decisions and propagations are summed over
 every solver of the check: one per sweep unit, each holding only its
 unit's cone, plus the output phase's solver.  None of these values may
 move unless the search is meant to, and none depends on
-``PYTHONHASHSEED``.
+``PYTHONHASHSEED``.  Each check names the structural-then-SAT portfolio:
+a default check decides both pairs by truth tables, before any query.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from repro.api import VerifyRequest, verify_pair
 from repro.bench.iscas_like import build_table1_circuit
+from repro.cec import SAT_PORTFOLIO
 from repro.core.expose import prepare_circuit
 from repro.flows.flow import FlowResult, _retime_min_period_any
 from repro.obs.metrics import MetricsRegistry
@@ -45,7 +47,12 @@ def test_sweep_effort_is_pinned(name, queries, retired, conflicts, decisions, pr
     golden, revised = table1_pair(name)
     metrics = MetricsRegistry()
     report = verify_pair(
-        VerifyRequest(golden=golden, revised=revised, name=name),
+        VerifyRequest(
+            golden=golden,
+            revised=revised,
+            name=name,
+            engines=list(SAT_PORTFOLIO),
+        ),
         metrics=metrics,
     )
     assert report.verdict == "equivalent"

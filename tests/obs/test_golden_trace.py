@@ -25,6 +25,8 @@ from repro.obs.trace import Tracer
 from repro.retime.apply import retime_min_period
 from repro.synth.script import optimize_sequential_delay
 
+from tests.cec.test_sweep_parallel import SAT_PATH
+
 
 @pytest.fixture(scope="module")
 def comb_pair():
@@ -43,9 +45,12 @@ def comb_pair():
 
 @pytest.fixture(scope="module")
 def traced_run(comb_pair):
+    # The SAT portfolio, named: the golden run's subject is the sweep's
+    # and the stages' spans, which a default check's truth-table phase
+    # would skip on this pair.
     comb1, comb2 = comb_pair
     tracer = Tracer(sink=[], meta={"command": "test"})
-    result = check_equivalence(comb1, comb2, tracer=tracer)
+    result = check_equivalence(comb1, comb2, SAT_PATH, tracer=tracer)
     tracer.close()
     return result, tracer.events
 
@@ -92,7 +97,7 @@ class TestGoldenTrace:
     def test_tracing_does_not_change_stats(self, comb_pair, traced_run):
         comb1, comb2 = comb_pair
         traced_result, _ = traced_run
-        plain = check_equivalence(comb1, comb2)
+        plain = check_equivalence(comb1, comb2, SAT_PATH)
         assert plain.verdict == traced_result.verdict
         assert set(plain.stats) == set(traced_result.stats)
         for key, value in plain.stats.items():
@@ -103,11 +108,11 @@ class TestGoldenTrace:
     def test_caller_registry_receives_merge(self, comb_pair):
         comb1, comb2 = comb_pair
         registry = MetricsRegistry()
-        result = check_equivalence(comb1, comb2, metrics=registry)
+        result = check_equivalence(comb1, comb2, SAT_PATH, metrics=registry)
         assert registry.counter("cec.sat_queries") == result.stats["sat_queries"]
         assert registry.counter("sat.calls") > 0
         # Per-check isolation: a second check merges counters additively.
-        check_equivalence(comb1, comb2, metrics=registry)
+        check_equivalence(comb1, comb2, SAT_PATH, metrics=registry)
         assert (
             registry.counter("cec.sat_queries")
             == 2 * result.stats["sat_queries"]

@@ -200,19 +200,27 @@ class TestResourceFaults:
             )
 
     def test_killed_sweep_worker_preserves_seq_verdict(self):
+        from repro.cec import SAT_PORTFOLIO, CecOptions
         from repro.runtime import chaos
         from repro.runtime.chaos import FaultPlan, FaultRule
 
         circuit = pipeline_circuit(stages=2, width=3, seed=21)
         pairs = sample_mutations(circuit, count=4, seed=21)
+        # The SAT portfolio, named: a default check decides the
+        # equivalent mutants by truth tables and starts no sweep unit.
+        sat_path = CecOptions(engines=SAT_PORTFOLIO)
         fired = 0
         for mutation, mutant in pairs:
-            clean = check_sequential_equivalence(circuit, mutant)
+            clean = check_sequential_equivalence(
+                circuit, mutant, options=sat_path
+            )
             plan = chaos.install(
                 FaultPlan([FaultRule(site="worker.entry", action="crash")])
             )
             try:
-                faulty = check_sequential_equivalence(circuit, mutant)
+                faulty = check_sequential_equivalence(
+                    circuit, mutant, options=sat_path
+                )
             finally:
                 chaos.uninstall()
             assert faulty.verdict is clean.verdict, mutation.describe()
