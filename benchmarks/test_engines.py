@@ -9,12 +9,12 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.minmax import minmax_circuit
+from repro.bench.mutations import Mutation, apply_mutation
 from repro.bench.pipeline import pipeline_circuit
 from repro.bench.random_circuits import random_combinational
 from repro.bdd.bdd import BDD
 from repro.bdd.circuit2bdd import output_bdds
-from repro.cec import CecOptions
-from repro.cec.engine import check_equivalence
+from repro.cec.engine import CecVerdict, check_equivalence
 from repro.netlist.build import CircuitBuilder
 from repro.core.cbf import compute_cbf
 from repro.core.edbf import compute_edbf
@@ -22,6 +22,7 @@ from repro.core.eq2comb import cbf_to_circuit
 from repro.retime.minperiod import min_period_retiming
 from repro.retime.rgraph import build_retiming_graph
 from repro.sat.solver import Solver
+from repro.sim.logic2 import evaluate_combinational
 from repro.synth.script import script_delay
 
 
@@ -60,15 +61,37 @@ def test_sat_pigeonhole(benchmark):
 
 
 def test_cec_on_resynthesised(benchmark):
-    c1 = random_combinational(n_inputs=10, n_gates=100, seed=3)
-    c2 = c1.copy("resynth")
-    script_delay(c2)
+    # No shared structure: the check is decided by the table phase, not
+    # at the miter build.
+    c1, c2 = _xor_chain_tree_pair(16)
     result = benchmark(check_equivalence, c1, c2)
     assert result.equivalent
+    assert "structural" not in result.stats
+    assert result.stats["engine_tables"] > 0
+
+
+def test_cec_refutes_mutant(benchmark):
+    c1, tree = _xor_chain_tree_pair(16)
+    first_xor = tree.topo_gates()[0].output
+    mutant = apply_mutation(tree, Mutation("stuck_at_0", first_xor))
+    result = benchmark(check_equivalence, c1, mutant)
+    assert result.verdict is CecVerdict.NOT_EQUIVALENT
+    assert result.stats["engine_tables"] > 0
+    assert result.stats["sat_queries"] == 0
+    values = [
+        evaluate_combinational(
+            circuit,
+            {pi: int(result.counterexample[pi]) for pi in circuit.inputs},
+            1,
+        )[result.failing_output]
+        for circuit in (c1, mutant)
+    ]
+    assert values[0] != values[1]
 
 
 def _xor_chain_tree_pair(n):
-    """Structurally distinct but equivalent parity circuits (real sweep work)."""
+    """Structurally distinct but equivalent parity circuits: truth tables
+    decide them up to 22 inputs, a SAT sweep above."""
     chain = CircuitBuilder("chain")
     xs = chain.inputs(*[f"x{i}" for i in range(n)])
     acc = xs[0]

@@ -280,6 +280,26 @@ class AIG:
                 words[i] = (words[a] ^ flip_a) & (words[b] ^ flip_b)
             yield [words[i] ^ flip for i, flip in outs]
 
+    def cone_table_row(
+        self, lits: Sequence[int], slice_no: int, bit: int
+    ) -> Dict[str, bool]:
+        """The input assignment of one row of :meth:`cone_tables`.
+
+        Bit ``bit`` of slice ``slice_no`` is row ``slice_no << low | bit``
+        of the full table, ``low`` being ``min(k, 16)``: support input
+        ``i`` (node order) takes bit ``i`` of that row, so the projected
+        inputs read ``bit`` and the counted ones ``slice_no``.  Every PI
+        outside the literals' cone is False.
+        """
+        cone = self.cone_nodes(lits)
+        support = [node for node in self.pis if node in cone]
+        row = slice_no << min(len(support), _SLICE_INPUTS) | bit
+        values = {node: bool(row >> i & 1) for i, node in enumerate(support)}
+        return {
+            name: values.get(node, False)
+            for node, name in zip(self.pis, self.pi_names)
+        }
+
     def simulate_words(self, pi_words: Dict[str, int], width: int) -> List[int]:
         """Simulate a ``width``-pattern corpus; returns a word per node.
 

@@ -1,8 +1,8 @@
 """The combinational equivalence-checking engine.
 
 :func:`check_equivalence` runs the filter pipeline of DESIGN.md phase by
-phase — build the miter, decide it by truth tables when every open
-output reads few enough inputs, otherwise preprocess it, encode it to
+phase — build the miter, prove or refute it by truth tables when every
+open output reads few enough inputs, otherwise preprocess it, encode it to
 CNF, SAT-sweep the simulation classes with counterexample-guided
 refinement, then decide each output pair — and every check runs the
 same engine portfolio, structural hash then SAT, unless the caller
@@ -32,7 +32,17 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.aig.aig import AIG, lit_to_cnf
 from repro.aig.rewrite import preprocess_miter
@@ -43,6 +53,7 @@ from repro.cec.engines import (
     EngineContext,
     Obligation,
     resolve_portfolio,
+    validate_counterexample,
 )
 from repro.cec.miter import MiterAIG, build_miter
 from repro.cec.options import CecOptions
@@ -427,8 +438,9 @@ def _refine_signatures(
 
 
 #: The SAT path as a named portfolio: the structural hash, then SAT.  A
-#: check whose caller names no portfolio walks these adapters too, after
-#: its table phase; naming them runs the same path without that phase.
+#: check whose caller names no portfolio walks these adapters too when
+#: its table phase leaves the check open; naming them runs the same path
+#: without that phase.
 #: A budget bounds either; it never changes which engines run.
 SAT_PORTFOLIO = ("structural", "sat")
 
@@ -652,35 +664,52 @@ def _build(check: _Check, c1: Circuit, c2: Circuit) -> Optional[MiterAIG]:
     return miter
 
 
-def _tables(check: _Check, miter: MiterAIG) -> bool:
-    """The table phase: True when truth tables prove every open pair equal.
+def _tables(check: _Check, miter: MiterAIG) -> Optional[CheckResult]:
+    """The table phase: the check's result when truth tables decide it.
 
     An open output pair's support is the set of AIG inputs in the union
     of its two cones.  When no support is wider than
-    :data:`_TABLE_INPUTS`, the pairs are grouped by support and each
-    group's joint cone is simulated once over all its assignments
-    (:meth:`~repro.aig.aig.AIG.cone_tables`).  A wider support, a
-    disagreement or a budget that runs out before a slice decides
-    nothing: the check goes on to the SAT path, so NOT_EQUIVALENT
-    verdicts, witnesses, failing outputs and UNKNOWN reasons come from
-    there as before.
+    :data:`_TABLE_INPUTS`, the pairs are grouped by support and the
+    groups' joint cones are simulated over all their assignments
+    (:meth:`~repro.aig.aig.AIG.cone_tables`) until the first differing
+    pair in output order is known (:func:`_first_difference`).  No
+    difference is EQUIVALENT.  Otherwise that pair is the failing output,
+    the one the SAT path's output phase reports, and its lowest differing
+    row, re-simulated through
+    :func:`~repro.cec.engines.validate_counterexample`, is the
+    counterexample.  A wider support, or a budget that runs out before a
+    slice, decides nothing (None): the check goes on to the SAT path.
     """
     aig, registry = miter.aig, check.registry
     t_tables = time.perf_counter()
+    result: Optional[CheckResult] = None
+    decided = 0
     with check.tracer.span("cec.phase.tables", cat="phase") as span:
+        pairs = [pair for pair in miter.output_pairs if pair[1] != pair[2]]
         masks = aig.support_masks()
         groups: Dict[int, List[int]] = {}
-        for _, l1, l2 in miter.output_pairs:
-            if l1 != l2:
-                support = masks[l1 >> 1] | masks[l2 >> 1]
-                groups.setdefault(support, []).extend((l1, l2))
+        for position, (_, l1, l2) in enumerate(pairs):
+            support = masks[l1 >> 1] | masks[l2 >> 1]
+            groups.setdefault(support, []).append(position)
         widest = max(bin(support).count("1") for support in groups)
-        agree = widest <= _TABLE_INPUTS and all(
-            _tables_agree(check, aig, lits) for lits in groups.values()
-        )
-        decided = (
-            sum(len(lits) // 2 for lits in groups.values()) if agree else 0
-        )
+        found = None
+        if widest <= _TABLE_INPUTS:
+            found = _first_difference(check, aig, pairs, groups.values())
+        if found is not None:
+            position, row = found
+            if row is None:
+                result = CheckResult(CecVerdict.EQUIVALENT)
+                decided = len(pairs)
+            else:
+                name, l1, l2 = pairs[position]
+                validate_counterexample(aig, row, l1, l2, name)
+                result = CheckResult(
+                    CecVerdict.NOT_EQUIVALENT,
+                    counterexample=row,
+                    failing_output=name,
+                )
+                decided = position + 1
+                span.annotate(refuted=name)
         span.annotate(decided=decided, widest_support=widest)
     registry.set_gauge(
         "cec.phase.tables.seconds", time.perf_counter() - t_tables
@@ -688,24 +717,53 @@ def _tables(check: _Check, miter: MiterAIG) -> bool:
     registry.set_gauge("cec.tables.widest_support", widest)
     if decided:
         registry.inc("cec.engine.tables.decided", decided)
-    return bool(decided)
+    return result
 
 
-def _tables_agree(check: _Check, aig: AIG, lits: Sequence[int]) -> bool:
-    """True when each literal pair ``lits[2i], lits[2i + 1]`` has one table.
+def _first_difference(
+    check: _Check,
+    aig: AIG,
+    pairs: Sequence[Tuple[str, int, int]],
+    groups: Iterable[List[int]],
+) -> Optional[Tuple[int, Optional[Dict[str, bool]]]]:
+    """The first differing pair's position, and its lowest differing row.
 
-    The budget is read before every slice, so a budgeted check overruns
-    its deadline by at most one 2^16-row slice of the cone; a budget that
-    runs out leaves the group undecided (False).
+    ``groups`` hold pair positions in ascending order and come in order
+    of their first position.  A group's slices are compared only on its
+    pairs before the earliest difference found so far, and a group that
+    starts after that difference is not simulated, so the walk stops once
+    every pair before it is proven equal.  A pair's first differing slice
+    holds its lowest differing row, which comes back as an input
+    assignment (:meth:`~repro.aig.aig.AIG.cone_table_row`).  Position
+    ``len(pairs)`` with no row means every pair is equal.  The budget is
+    read before every slice, so a budgeted check overruns its deadline by
+    at most one 2^16-row slice of a cone; None when it runs out.
     """
-    slices = aig.cone_tables(lits)
-    while not check.expired():
-        words = next(slices, None)
-        if words is None:
-            return True
-        if any(words[i] != words[i + 1] for i in range(0, len(words), 2)):
-            return False
-    return False
+    first, where = len(pairs), None
+    for positions in groups:
+        if positions[0] >= first:
+            break
+        lits = [lit for p in positions for lit in pairs[p][1:]]
+        slices = aig.cone_tables(lits)
+        slice_no = 0
+        while positions[0] < first:
+            if check.expired():
+                return None
+            words = next(slices, None)
+            if words is None:
+                break
+            for j, p in enumerate(positions):
+                if p >= first:
+                    break
+                if words[2 * j] != words[2 * j + 1]:
+                    diff = words[2 * j] ^ words[2 * j + 1]
+                    first = p
+                    where = (lits, slice_no, (diff & -diff).bit_length() - 1)
+                    break
+            slice_no += 1
+    if where is None:
+        return first, None
+    return first, aig.cone_table_row(*where)
 
 
 def _preprocess(check: _Check, miter: MiterAIG) -> Optional[MiterAIG]:
@@ -1022,13 +1080,16 @@ def check_equivalence(
     A check whose caller names no portfolio first tries truth tables,
     right after the build: when every output pair the miter leaves open
     reads at most :data:`_TABLE_INPUTS` inputs (the union of its two
-    cones), each group of pairs with one input set is simulated over all
-    its assignments, and agreement on every pair is EQUIVALENT with no
-    preprocessing, encoding, sweep or solver (``time_tables``,
-    ``engine_tables``).  A wider output, a disagreement or a spent
-    budget runs the rest of the pipeline as if the phase were not there,
-    so NOT_EQUIVALENT verdicts, counterexamples, failing outputs and
-    UNKNOWN reasons come from the SAT path.
+    cones), groups of pairs with one input set are simulated over all
+    their assignments, with no preprocessing, encoding, sweep or solver
+    (``time_tables``, ``engine_tables``).  Agreement on every pair is
+    EQUIVALENT.  Otherwise the first differing pair in output order, the
+    one the SAT path reports, is the failing output, and its lowest
+    differing row, with every input outside its cone False, is the
+    counterexample.  A wider output or a spent budget runs the rest of
+    the pipeline as if the phase were not there, so verdicts,
+    counterexamples, failing outputs and UNKNOWN reasons come from the
+    SAT path.
 
     ``options.refine`` (default on) closes the simulation↔solver loop
     FRAIG style: every refuting SAT model from the sweep is appended as a
@@ -1082,12 +1143,12 @@ def check_equivalence(
     if options.engines is not None:
         check.root.annotate(engines=",".join(a.name for a in portfolio))
     miter = _build(check, c1, c2)
-    if miter is None or (
-        options.engines is None
-        and not check.expired()
-        and _tables(check, miter)
-    ):
+    if miter is None:
         return _finish(check, CheckResult(CecVerdict.EQUIVALENT))
+    if options.engines is None and not check.expired():
+        result = _tables(check, miter)
+        if result is not None:
+            return _finish(check, result)
     miter = _preprocess(check, miter)
     if miter is None:
         return _finish(check, CheckResult(CecVerdict.EQUIVALENT))

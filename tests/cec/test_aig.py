@@ -226,6 +226,31 @@ class TestConeTables:
                 (parity_table | top_table) >> row & 1
             )
 
+    @pytest.mark.parametrize("n_inputs", [6, 19])
+    def test_rows_map_back_to_their_assignments(self, n_inputs):
+        # Input "pad" sits outside the cone; its value is always False.
+        aig = AIG()
+        aig.add_pi("pad")
+        xs = [aig.add_pi(f"x{i}") for i in range(n_inputs)]
+        parity = FALSE_LIT
+        for x in xs:
+            parity = aig.xor(parity, x)
+        lits = [parity, aig.and_all(xs[::3]), aig.or_(xs[1], xs[-1])]
+        tables = _table_from_slices(aig, lits)
+        rng = random.Random(n_inputs)
+        for row in [0, (1 << n_inputs) - 1] + [
+            rng.getrandbits(n_inputs) for _ in range(50)
+        ]:
+            slice_no, bit = divmod(row, 1 << min(n_inputs, 16))
+            assignment = aig.cone_table_row(lits, slice_no, bit)
+            assert assignment == {
+                "pad": False,
+                **{f"x{i}": bool(row >> i & 1) for i in range(n_inputs)},
+            }
+            assert aig.eval_literals(lits, assignment) == [
+                bool(table >> row & 1) for table in tables
+            ]
+
     def test_constant_literals_read_no_input(self):
         aig = AIG()
         aig.add_pi("a")
