@@ -12,7 +12,6 @@ SAT effort (the "structural" filter of the CEC engines the paper cites).
 from __future__ import annotations
 
 import functools
-import random
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.circuit import Circuit
@@ -310,15 +309,6 @@ class AIG:
             {name: pi_words.get(name, 0) for name in self.pi_names}, mask
         )
 
-    def random_simulate(
-        self, width: int = 64, seed: int = 0
-    ) -> Tuple[List[int], int]:
-        """Random-pattern simulation; returns (node words, mask)."""
-        rng = random.Random(seed)
-        mask = (1 << width) - 1
-        pi_words = {name: rng.getrandbits(width) for name in self.pi_names}
-        return self.simulate_words(pi_words, width), mask
-
     def simulate_patterns(
         self, assignments: Sequence[Dict[str, bool]]
     ) -> Tuple[List[int], int]:
@@ -326,8 +316,8 @@ class AIG:
 
         Each assignment becomes one bit column (assignment ``i`` is bit
         ``i``); PIs absent from an assignment default to False.  Returns
-        ``(node words, mask)`` exactly like :meth:`random_simulate`, so
-        the columns can be appended to existing simulation signatures.
+        ``(node words, mask)``, so the columns can be appended to existing
+        simulation signatures.
         """
         width = len(assignments)
         mask = (1 << width) - 1

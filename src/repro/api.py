@@ -54,7 +54,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.cec.options import CecOptions
+from repro.cec.options import CecOptions, parse_engines
 from repro.core.verify import (
     SeqCheckResult,
     SeqVerdict,
@@ -150,41 +150,49 @@ def _blif_bytes(circuit: Union[str, os.PathLike, Circuit]) -> bytes:
 _CIRCUIT_FIELDS = ("golden", "revised")
 
 #: Deprecated VerifyRequest fields that no longer do anything: their
-#: inert default, the release that made them inert, and why.  They still
-#: load (manifests and stores written by older releases) but warn when
-#: set, and are never fingerprinted.
+#: inert default, the release that made them inert, the release that
+#: removes them, and why.  They still load (manifests and stores written
+#: by older releases) but warn when set, and are never fingerprinted.
+#: ``jobs`` and ``share_learned`` go in 1.6.0, not 1.5.0 as 1.4.0
+#: announced: the repository benchmark still passes ``jobs=1`` and
+#: ``table1_row(n_jobs=1)``.
 _INERT_FIELDS = {
     "jobs": (
         1,
         "1.4.0",
+        "1.6.0",
         "the CEC sweep runs in-process; `repro batch --jobs` sets the "
         "batch's worker lanes",
     ),
     "share_learned": (
         True,
         "1.4.0",
+        "1.6.0",
         "learned-clause sharing between sweep units is gone; it never "
         "changed a verdict or a SAT-query count",
     ),
     "cache": (
         None,
         "1.5.0",
+        "1.6.0",
         "the proof cache is gone; `repro batch --store F --resume` "
         "replays pairs already decided",
     ),
+    "bdd_node_limit": (
+        None,
+        "1.6.0",
+        "1.7.0",
+        "the `bdd` engine is gone; SAT decides every output the truth "
+        "tables leave open",
+    ),
 }
-#: The release that drops every inert field.  Not 1.5.0, as 1.4.0
-#: announced: the repository benchmark still passes ``jobs=1`` and
-#: ``table1_row(n_jobs=1)``, so those spellings stay until it stops.
-_INERT_REMOVAL = "1.6.0"
 
 
 def _warn_inert(what: str, name: str, stacklevel: int) -> None:
     """The one deprecation notice of inert field ``name``, set as ``what``."""
-    _, since, why = _INERT_FIELDS[name]
+    _, since, removed, why = _INERT_FIELDS[name]
     warnings.warn(
-        f"{what} is ignored since {since} and is removed in "
-        f"{_INERT_REMOVAL}: {why}",
+        f"{what} is ignored since {since} and is removed in {removed}: {why}",
         DeprecationWarning,
         stacklevel=stacklevel + 1,
     )
@@ -234,24 +242,21 @@ class VerifyRequest:
     time_limit: Optional[float] = None
     sat_conflicts: Optional[int] = None
     sat_propagations: Optional[int] = None
+    # Deprecated since 1.6.0 and inert: see _INERT_FIELDS.
     bdd_node_limit: Optional[int] = None
     # Free-form caller annotations, carried through to the report.
     metadata: Dict[str, Any] = field(default_factory=dict)
-    # The CEC engine portfolio (verdict-preserving; not fingerprinted):
-    # a list of adapter names (or a comma-separated string, normalised
-    # to a list); None runs structural then SAT.
+    # The CEC engines (verdict-preserving; not fingerprinted), as in
+    # CecOptions: None runs the default check; ``sat``, alone or with
+    # ``structural`` (a list, or a comma-separated string normalised to
+    # a list), runs the SAT path alone.  Anything else raises.
     engines: Optional[List[str]] = None
 
     def __post_init__(self) -> None:
         for name, (inert, *_) in _INERT_FIELDS.items():
             if getattr(self, name) != inert:
                 _warn_inert(f"VerifyRequest.{name}", name, 3)
-        if isinstance(self.engines, str):
-            self.engines = [
-                part.strip() for part in self.engines.split(",") if part.strip()
-            ]
-        elif self.engines is not None:
-            self.engines = list(self.engines)
+        self.engines = parse_engines(self.engines)
         if not self.name:
             self.name = f"{self._label(self.golden)}~{self._label(self.revised)}"
 
@@ -294,7 +299,6 @@ class VerifyRequest:
             wall_seconds=self.time_limit,
             sat_conflicts=self.sat_conflicts,
             sat_propagations=self.sat_propagations,
-            bdd_nodes=self.bdd_node_limit,
         )
         return None if budget.unlimited else budget
 
@@ -411,8 +415,8 @@ class VerifyReport:
     fingerprint: str = ""
     elapsed_seconds: float = 0.0
     metadata: Dict[str, Any] = field(default_factory=dict)
-    # Output obligations decided per engine adapter name; empty when the
-    # core path did not run the CEC portfolio (e.g. structural
+    # Output pairs decided by the CEC's truth tables (``tables``) and by
+    # SAT (``sat``); empty when no pair reached either (e.g. structural
     # short-circuits).
     engine_used: Dict[str, int] = field(default_factory=dict)
 

@@ -10,8 +10,8 @@ The engine follows the filter architecture of the tools the paper cites
    classes with equal (or complementary) simulation signatures;
 3. **SAT sweeping** — candidates are proven/refuted in topological order
    with a CDCL solver; proven merges strengthen later queries;
-4. **output check** — each output pair is then checked, yielding either
-   EQUIVALENT or a counterexample assignment.
+4. **output check** — each output pair still open is then decided by
+   SAT, yielding either EQUIVALENT or a counterexample assignment.
 
 A BDD-based engine (:func:`check_equivalence_bdd`) provides an independent
 cross-check for small circuits.
@@ -22,15 +22,11 @@ Scaling layers on top of the filter pipeline:
   of signature classes over the miter AIG;
 * :mod:`repro.cec.parallel` — every unit swept in-process, one at a
   time, on its own cone-sliced solver;
-* :mod:`repro.cec.engines` — the pluggable engine-adapter portfolio the
-  output checks walk: each proof procedure (structural, sim, BDD, SAT) is
-  a registered :class:`~repro.cec.engines.EngineAdapter`, and
-  third-party engines register the same way.  Every check runs
-  structural, then truth tables when each open output reads at most 22
-  inputs, then SAT, unless the caller names engines
-  (:data:`SAT_PORTFOLIO` names the SAT path alone);
 * :mod:`repro.cec.options` — :class:`CecOptions`, the engine options
   every caller passes as one value (``check_equivalence(c1, c2, options)``).
+  Every check runs structural hashing, then truth tables when each open
+  output reads at most 22 inputs, then SAT; ``engines`` naming ``sat``
+  (:data:`SAT_PORTFOLIO`) runs the SAT path alone.
 """
 
 from repro.cec.engine import (
@@ -42,16 +38,6 @@ from repro.cec.engine import (
     check_equivalence_bdd,
     check_miter_unsat,
 )
-from repro.cec.engines import (
-    EngineAdapter,
-    EngineContext,
-    EngineOutcome,
-    Obligation,
-    available_engines,
-    get_engine,
-    register_engine,
-    resolve_portfolio,
-)
 from repro.cec.miter import build_miter
 from repro.cec.options import CecOptions
 from repro.cec.partition import Candidate, WorkUnit, partition_candidates
@@ -62,19 +48,11 @@ __all__ = [
     "CecOptions",
     "CecVerdict",
     "CheckResult",
-    "EngineAdapter",
-    "EngineContext",
-    "EngineOutcome",
     "EngineStats",
-    "Obligation",
     "WorkUnit",
-    "available_engines",
     "check_equivalence",
     "check_equivalence_bdd",
     "check_miter_unsat",
     "build_miter",
-    "get_engine",
     "partition_candidates",
-    "register_engine",
-    "resolve_portfolio",
 ]

@@ -4,20 +4,18 @@
 phase — build the miter, prove or refute it by truth tables when every
 open output reads few enough inputs, otherwise preprocess it, encode it to
 CNF, SAT-sweep the simulation classes with counterexample-guided
-refinement, then decide each output pair — and every check runs the
-same engine portfolio, structural hash then SAT, unless the caller
-names engines (a named portfolio runs no table phase).  A
-:class:`~repro.runtime.Budget` only bounds that work: the sweep, every
-SAT call and a named BDD stage stop at its limits, and a check that runs
-dry records an UNKNOWN verdict with a reason code instead of raising or
-hanging.
+refinement, then decide each output pair the miter leaves open with SAT.
+Naming ``engines`` runs that SAT path without the table phase.  A
+:class:`~repro.runtime.Budget` only bounds that work: the sweep and
+every SAT call stop at its limits, and a check that runs dry records an
+UNKNOWN verdict with a reason code instead of raising or hanging.
 
 Observability: the engine counts everything into one
 :class:`~repro.obs.metrics.MetricsRegistry` (the canonical sink; the
 ``cec.*`` names are catalogued in ``docs/OBSERVABILITY.md``) and, when a
 :class:`~repro.obs.trace.Tracer` is passed, emits a span tree —
 ``cec.check`` (pair) → ``cec.phase.*`` → ``cec.obligation`` →
-``stage.<engine>`` — plus instants for budget exhaustion and lost
+``stage.sat`` — plus instants for budget exhaustion and lost
 sweep units.  :class:`EngineStats` is the flat view,
 rebuilt from the registry at finish (:meth:`EngineStats.from_metrics`),
 so ``CheckResult.stats`` and ``CheckResult.engine`` consumers see the
@@ -48,15 +46,8 @@ from repro.aig.aig import AIG, lit_to_cnf
 from repro.aig.rewrite import preprocess_miter
 from repro.bdd.bdd import BDD
 from repro.bdd.circuit2bdd import circuit_bdds
-from repro.cec.engines import (
-    EngineAdapter,
-    EngineContext,
-    Obligation,
-    resolve_portfolio,
-    validate_counterexample,
-)
 from repro.cec.miter import MiterAIG, build_miter
-from repro.cec.options import CecOptions
+from repro.cec.options import CecOptions, parse_engines
 from repro.cec.parallel import (
     DEFERRED,
     EQ,
@@ -70,14 +61,9 @@ from repro.cec.partition import Candidate, WorkUnit, partition_candidates
 from repro.netlist.circuit import Circuit
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NullSpan, NullTracer, Span, Tracer, coerce_tracer
-from repro.runtime.budget import (
-    REASON_BDD_BLOWUP,
-    REASON_RESOURCE_LIMIT,
-    REASON_TIMEOUT,
-    Budget,
-)
+from repro.runtime.budget import REASON_BDD_BLOWUP, REASON_TIMEOUT, Budget
 from repro.runtime.errors import BddBlowupError
-from repro.sat.cores import CoreIndex
+from repro.sat.cores import CoreIndex, core_retires
 from repro.sat.solver import Solver
 
 __all__ = [
@@ -88,6 +74,8 @@ __all__ = [
     "check_equivalence",
     "check_equivalence_bdd",
     "check_miter_unsat",
+    "extract_counterexample",
+    "validate_counterexample",
 ]
 
 #: Cap on counterexample-guided refinement rounds.  Each round appends the
@@ -111,11 +99,7 @@ _COUNTER_METRICS: Dict[str, str] = {
     "refine_splits": "cec.refine.splits",
     "refine_saved": "cec.refine.queries_saved",
     "preprocess_removed": "cec.preprocess.nodes_removed",
-    "cascade_sim": "cec.cascade.sim",
-    "cascade_bdd": "cec.cascade.bdd",
-    "cascade_sat": "cec.cascade.sat",
     "core_retired": "cec.sat.core_retired",
-    "bdd_blowups": "cec.bdd_blowups",
     "budget_exhausted": "cec.budget_exhausted",
     "worker_failures": "cec.worker.failures",
 }
@@ -157,21 +141,16 @@ class EngineStats:
     refine_patterns: int = 0
     refine_splits: int = 0
     refine_saved: int = 0
-    # Cascade outcomes (budgeted and classic checks alike).
-    cascade_sim: int = 0
-    cascade_bdd: int = 0
-    cascade_sat: int = 0
     # Assumption-core retirement.
     core_retired: int = 0
-    bdd_blowups: int = 0
     budget_exhausted: int = 0
     # Sweep units lost to an exception.
     worker_failures: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Output obligations decided per engine adapter name, and by the
-    #: table phase as ``tables`` (from the ``cec.engine.<name>.decided``
-    #: counters); sweep-decided candidates are not included — they are
-    #: always SAT-decided by construction.
+    #: Output pairs decided by the table phase (``tables``) and by the
+    #: output phase's SAT calls (``sat``), from the
+    #: ``cec.engine.<name>.decided`` counters; sweep-decided candidates
+    #: are not included — they are always SAT-decided by construction.
     engines_used: Dict[str, int] = field(default_factory=dict)
 
     @classmethod
@@ -399,8 +378,7 @@ def _refine_signatures(
     ``collected`` pairs each NEQ candidate with the PI assignment its SAT
     model produced.  Every model is validated by re-simulation before any
     column lands in the signatures — its column must actually drive the
-    pair's literals apart, mirroring
-    :func:`~repro.cec.engines.validate_counterexample` —
+    pair's literals apart, mirroring :func:`validate_counterexample` —
     because refining on a fictitious pattern would silently degrade class
     quality while a bogus model means the engine state is corrupt.
     Duplicate assignments are folded into one column.  Returns the new
@@ -437,11 +415,10 @@ def _refine_signatures(
     return refined, (mask << width) | new_mask, width
 
 
-#: The SAT path as a named portfolio: the structural hash, then SAT.  A
-#: check whose caller names no portfolio walks these adapters too when
-#: its table phase leaves the check open; naming them runs the same path
-#: without that phase.
-#: A budget bounds either; it never changes which engines run.
+#: The SAT path, named: the structural hash, then SAT.  A default check
+#: runs it too when its table phase leaves the check open; naming it (or
+#: ``["sat"]``) runs the same path without that phase.  A budget bounds
+#: either; it never changes which phases run.
 SAT_PORTFOLIO = ("structural", "sat")
 
 #: Widest output support, in AIG inputs, that the table phase of a
@@ -515,98 +492,126 @@ def _exhausted(
     return CheckResult(CecVerdict.UNKNOWN, reason=reason)
 
 
-def _decide_obligation(
-    check: _Check,
-    ob: Obligation,
-    adapters: Sequence[EngineAdapter],
-    ctx: EngineContext,
-    span: Union[Span, NullSpan],
-) -> Optional[CheckResult]:
-    """Walk the portfolio on one output pair; None once it is proven equal.
+def extract_counterexample(
+    aig: AIG, model: Dict[int, bool], lit2cnf, lits: Sequence[int]
+) -> Dict[str, bool]:
+    """Named PI assignment from a SAT model, over the cone of ``lits``.
 
-    Whatever engine decides the pair records its verdict; an engine that
-    cannot decide passes the pair along.  The check's result comes back
-    when the pair is refuted or stays undecided: an UNKNOWN outcome stops
-    the whole check (budgeted checks report the exhausted resource as the
-    reason code — nothing in here raises on resource exhaustion).
+    ``lits`` are the failing output pair's two literals.  PIs outside
+    their fanin cone cannot affect the pair, so they are False whatever
+    the model's saved phases say, as are PIs the model leaves unset: a
+    witness carries only the failing cone, and the sequential lift has
+    no stray True bits to minimise away.
     """
-    budget, metrics, tracer = check.budget, check.registry, check.tracer
-    budget_checked = False
-    for adapter in adapters:
-        if budget is not None and adapter.proving and not budget_checked:
-            # One wall check per pair, before the first proving engine.
-            budget_checked = True
-            if budget.expired():
-                return _exhausted(check, ob.name, span, REASON_TIMEOUT)
-        metrics.inc(f"cec.engine.{adapter.name}.attempts")
-        if adapter.proving:
-            with tracer.span(
-                f"stage.{adapter.name}", cat="stage", output=ob.name
-            ):
-                outcome = adapter.decide(ob, ctx)
-        else:
-            outcome = adapter.decide(ob, ctx)
-        if outcome.status in (EQ, NEQ):
-            metrics.inc(f"cec.engine.{adapter.name}.decided")
-            span.annotate(decided_by=adapter.name, verdict=outcome.status)
-            if outcome.status == NEQ:
-                return CheckResult(
-                    CecVerdict.NOT_EQUIVALENT,
-                    counterexample=outcome.counterexample,
-                    failing_output=ob.name,
-                )
-            return None
-        if outcome.status == UNKNOWN:
-            if budget is not None:
-                return _exhausted(
-                    check, ob.name, span, outcome.reason or REASON_TIMEOUT
-                )
-            span.annotate(verdict="unknown")
-            return CheckResult(CecVerdict.UNKNOWN, reason=outcome.reason)
-        # PASS: the next engine in the portfolio gets the pair.
-    # The portfolio ran dry without a decision — e.g. a sim-only
-    # portfolio on an equivalent pair.  UNKNOWN with the generic resource
-    # code: no engine was *exhausted*, the pool simply has no complete
-    # prover for this pair.
-    span.annotate(verdict="unknown", reason=REASON_RESOURCE_LIMIT)
-    return CheckResult(CecVerdict.UNKNOWN, reason=REASON_RESOURCE_LIMIT)
+    cone = aig.cone_nodes(lits)
+    return {
+        pi: node in cone and bool(model.get(lit2cnf(2 * node), False))
+        for node, pi in zip(aig.pis, aig.pi_names)
+    }
+
+
+def validate_counterexample(
+    aig: AIG, cex: Dict[str, bool], l1: int, l2: int, name: str
+) -> None:
+    """Re-simulate an extracted assignment; raise unless it distinguishes.
+
+    A SAT model or a table row is only a counterexample if replaying it
+    through the AIG actually drives the paired output literals apart —
+    anything else means the encoding, the model extraction, or a sweep
+    merge is corrupt, and returning it would be reporting NOT_EQUIVALENT
+    on fiction.
+    """
+    v1, v2 = aig.eval_literals([l1, l2], cex)
+    if v1 == v2:
+        raise RuntimeError(
+            f"extracted counterexample does not distinguish output {name!r}; "
+            "CEC engine state is inconsistent"
+        )
+
+
+def _solve_pair(
+    check: _Check, name: str, l1: int, l2: int, sat_limit: Optional[int]
+) -> Tuple[str, object]:
+    """Both SAT directions of one output pair on the check's solver.
+
+    Returns ``(EQ, None)`` when ``[a, -b]`` and ``[-a, b]`` are both UNSAT
+    (or retired by a known core), ``(NEQ, counterexample)`` on the first
+    model, re-simulated before it comes back, and ``(UNKNOWN, reason)``
+    when a solve runs out of conflicts, propagations or time.  Every
+    fresh core joins the check's index.
+    """
+    solver, registry, budget = check.solver, check.registry, check.budget
+    a, b = check.lit2cnf(l1), check.lit2cnf(l2)
+    for assumptions in ([a, -b], [-a, b]):
+        if core_retires(solver, check.cores, assumptions):
+            registry.inc("cec.sat.core_retired")
+            continue
+        res = solver.solve(
+            assumptions=assumptions,
+            conflict_limit=sat_limit,
+            propagation_limit=(
+                budget.sat_propagations if budget is not None else None
+            ),
+            deadline=budget.deadline if budget is not None else None,
+        )
+        registry.inc("cec.sat_queries")
+        if solver.last_unknown:
+            return UNKNOWN, solver.last_unknown_reason or REASON_TIMEOUT
+        if res.satisfiable:
+            assert res.model is not None
+            cex = extract_counterexample(
+                check.aig, res.model, check.lit2cnf, (l1, l2)
+            )
+            validate_counterexample(check.aig, cex, l1, l2, name)
+            return NEQ, cex
+        if res.core is not None:
+            check.cores.add(res.core)
+    return EQ, None
 
 
 def _check_outputs(
-    check: _Check,
-    miter: MiterAIG,
-    adapters: Sequence[EngineAdapter],
-    conflict_limit: Optional[int],
-    sim_width: int,
-    seed: int,
+    check: _Check, miter: MiterAIG, conflict_limit: Optional[int]
 ) -> CheckResult:
-    """The output phase: every output pair walks the engine portfolio."""
-    tracer = check.tracer
-    ctx = EngineContext(
-        aig=check.aig,
-        solver=check.solver,
-        lit2cnf=check.lit2cnf,
-        metrics=check.registry,
-        tracer=tracer,
-        budget=check.budget,
-        conflict_limit=conflict_limit,
-        sim_width=sim_width,
-        seed=seed,
-        cores=check.cores,
-    )
-    names = [adapter.name for adapter in adapters]
+    """The output phase: SAT decides every pair the miter leaves open.
+
+    A pair the miter hashed onto one literal is decided before any span
+    opens.  Each open pair gets one wall check, then both SAT directions
+    (:func:`_solve_pair`) under the caller's conflict limit folded with
+    the budget's.  The first refuted pair is the failing output; a solve
+    that runs dry stops the check as UNKNOWN with the solver's reason.
+    """
+    budget, registry, tracer = check.budget, check.registry, check.tracer
+    sat_limit = conflict_limit
+    if budget is not None and budget.sat_conflicts is not None:
+        sat_limit = (
+            budget.sat_conflicts
+            if sat_limit is None
+            else min(sat_limit, budget.sat_conflicts)
+        )
     for name, l1, l2 in miter.output_pairs:
-        if "structural" in names and l1 == l2:
-            # The miter already hashed both cones onto one literal:
-            # decided before any span opens.
+        if l1 == l2:
             continue
-        ob = Obligation(name=name, l1=l1, l2=l2)
         with tracer.span(
             "cec.obligation", cat="obligation", output=name
         ) as span:
-            result = _decide_obligation(check, ob, adapters, ctx, span)
-        if result is not None:
-            return result
+            if budget is not None and budget.expired():
+                return _exhausted(check, name, span, REASON_TIMEOUT)
+            registry.inc("cec.engine.sat.attempts")
+            with tracer.span("stage.sat", cat="stage", output=name):
+                status, detail = _solve_pair(check, name, l1, l2, sat_limit)
+            if status == UNKNOWN:
+                if budget is not None:
+                    return _exhausted(check, name, span, detail)
+                span.annotate(verdict="unknown")
+                return CheckResult(CecVerdict.UNKNOWN, reason=detail)
+            registry.inc("cec.engine.sat.decided")
+            span.annotate(decided_by="sat", verdict=status)
+            if status == NEQ:
+                return CheckResult(
+                    CecVerdict.NOT_EQUIVALENT,
+                    counterexample=detail,
+                    failing_output=name,
+                )
     return CheckResult(CecVerdict.EQUIVALENT)
 
 
@@ -675,8 +680,7 @@ def _tables(check: _Check, miter: MiterAIG) -> Optional[CheckResult]:
     pair in output order is known (:func:`_first_difference`).  No
     difference is EQUIVALENT.  Otherwise that pair is the failing output,
     the one the SAT path's output phase reports, and its lowest differing
-    row, re-simulated through
-    :func:`~repro.cec.engines.validate_counterexample`, is the
+    row, re-simulated through :func:`validate_counterexample`, is the
     counterexample.  A wider support, or a budget that runs out before a
     slice, decides nothing (None): the check goes on to the SAT path.
     """
@@ -1071,25 +1075,24 @@ def check_equivalence(
     ``conflict_limit``, ``seed``, ``refine_rounds``) are keywords.
 
     The check runs in phases: build the miter, preprocess it, encode it,
-    SAT-sweep its simulation classes, then decide each output pair with
-    the engine portfolio.  ``sweep=False`` skips the sweep (pure
+    SAT-sweep its simulation classes, then decide each output pair the
+    miter leaves open with SAT.  ``sweep=False`` skips the sweep (pure
     monolithic SAT on the miter).  The sweep partitions its candidates
     into cone-disjoint work units and proves each, one at a time, on its
     own solver over only the unit's cone.
 
-    A check whose caller names no portfolio first tries truth tables,
-    right after the build: when every output pair the miter leaves open
-    reads at most :data:`_TABLE_INPUTS` inputs (the union of its two
-    cones), groups of pairs with one input set are simulated over all
-    their assignments, with no preprocessing, encoding, sweep or solver
-    (``time_tables``, ``engine_tables``).  Agreement on every pair is
-    EQUIVALENT.  Otherwise the first differing pair in output order, the
-    one the SAT path reports, is the failing output, and its lowest
-    differing row, with every input outside its cone False, is the
-    counterexample.  A wider output or a spent budget runs the rest of
-    the pipeline as if the phase were not there, so verdicts,
-    counterexamples, failing outputs and UNKNOWN reasons come from the
-    SAT path.
+    A default check first tries truth tables, right after the build:
+    when every output pair the miter leaves open reads at most
+    :data:`_TABLE_INPUTS` inputs (the union of its two cones), groups of
+    pairs with one input set are simulated over all their assignments,
+    with no preprocessing, encoding, sweep or solver (``time_tables``,
+    ``engine_tables``).  Agreement on every pair is EQUIVALENT.
+    Otherwise the first differing pair in output order, the one the SAT
+    path reports, is the failing output, and its lowest differing row,
+    with every input outside its cone False, is the counterexample.  A
+    wider output or a spent budget runs the rest of the pipeline as if
+    the phase were not there, so verdicts, counterexamples, failing
+    outputs and UNKNOWN reasons come from the SAT path.
 
     ``options.refine`` (default on) closes the simulation↔solver loop
     FRAIG style: every refuting SAT model from the sweep is appended as a
@@ -1102,22 +1105,19 @@ def check_equivalence(
     AND-node reduction is recorded as ``cec.preprocess.nodes_removed``.
     Neither changes a verdict.
 
-    ``options.engines`` names the output-check portfolio — a sequence
-    (or comma-separated string) of registered engine names, see
-    :func:`repro.cec.engines.available_engines` — walked in order for
-    each output pair.  None (the default) runs structural hashing, then
-    the table phase, then ``sat``.  A named portfolio runs exactly what
-    it names: :data:`SAT_PORTFOLIO`, ``("structural", "sat")``, is the
-    default without the table phase.  A portfolio without ``sat`` skips
-    the sweep (sweeping is SAT work).  Unknown names raise
-    :class:`ValueError` before any solving starts.
+    ``options.engines`` None (the default) runs the table phase; naming
+    ``sat``, alone or with ``structural`` (:data:`SAT_PORTFOLIO`), runs
+    the SAT path without it.  Either way a pair hashed onto one literal
+    needs no SAT call.  Any other value raises :class:`ValueError`
+    (:func:`~repro.cec.options.parse_engines`) before any miter is built.
 
     ``budget`` — a :class:`~repro.runtime.Budget` or bare wall-clock
-    seconds — bounds the portfolio without changing it: the sweep, every
-    SAT call (conflicts, propagations, deadline), one wall check per
-    output pair before its first proving engine, and the node cap of a
-    ``bdd`` stage the caller named.  Exhaustion yields an UNKNOWN verdict
-    with ``CheckResult.reason`` set, never an exception or a hang.
+    seconds — bounds the check without changing its phases: the table
+    phase's slices, the sweep, every SAT call (conflicts, propagations,
+    deadline) and one wall check per open output pair.  A budget spent
+    before the encoding stops the check there.  Exhaustion yields an
+    UNKNOWN verdict with ``CheckResult.reason`` set, never an exception
+    or a hang.
 
     ``tracer`` — a :class:`~repro.obs.trace.Tracer` — records the span
     tree of the check (None means the no-op tracer).  ``metrics`` — a
@@ -1134,42 +1134,35 @@ def check_equivalence(
     """
     if options is None:
         options = CecOptions()
-    # Resolve the portfolio first, so an unknown engine name raises
-    # before any miter or solver work happens.
-    portfolio = resolve_portfolio(
-        options.engines if options.engines is not None else SAT_PORTFOLIO
-    )
+    engines = parse_engines(options.engines)
     check = _begin(c1, c2, options, budget, tracer, metrics)
-    if options.engines is not None:
-        check.root.annotate(engines=",".join(a.name for a in portfolio))
+    if engines is not None:
+        check.root.annotate(engines=",".join(engines))
     miter = _build(check, c1, c2)
     if miter is None:
         return _finish(check, CheckResult(CecVerdict.EQUIVALENT))
-    if options.engines is None and not check.expired():
+    if engines is None and not check.expired():
         result = _tables(check, miter)
         if result is not None:
             return _finish(check, result)
     miter = _preprocess(check, miter)
     if miter is None:
         return _finish(check, CheckResult(CecVerdict.EQUIVALENT))
+    if check.expired():
+        # The output phase would stop at its first open pair, so stop
+        # there without encoding the miter.
+        name = next(name for name, l1, l2 in miter.output_pairs if l1 != l2)
+        return _finish(
+            check, _exhausted(check, name, check.root, REASON_TIMEOUT)
+        )
     _encode(check, miter.aig)
-    if (
-        sweep
-        and any(adapter.name == "sat" for adapter in portfolio)
-        and not check.expired()
-    ):
+    if sweep and not check.expired():
         _sweep(
             check, sim_rounds, sim_width, seed, conflict_limit, refine_rounds
         )
-    for key in ("merges", "refuted", "unknown"):
-        check.stats[f"sweep_{key}"] = check.registry.counter(
-            f"cec.sweep.{key}"
-        )
     t_out = time.perf_counter()
     with check.tracer.span("cec.phase.outputs", cat="phase"):
-        result = _check_outputs(
-            check, miter, portfolio, conflict_limit, sim_width, seed
-        )
+        result = _check_outputs(check, miter, conflict_limit)
     check.registry.set_gauge(
         "cec.phase.outputs.seconds", time.perf_counter() - t_out
     )

@@ -4,8 +4,7 @@
 
     python -m repro verify  golden.blif revised.blif [--rewrite] [--no-unate]
                             [--no-refine] [--no-preprocess]
-                            [--time-limit S] [--bdd-node-limit N]
-                            [--engines NAMES]
+                            [--time-limit S] [--engines sat|structural,sat]
                             [--trace FILE] [--metrics-out FILE]
                             [--quiet] [--verbose]
     python -m repro retime  circuit.blif -o out.blif [--min-area] [--period N]
@@ -22,7 +21,7 @@
     python -m repro batch   manifest.json [--jobs N] [--time-limit S]
                             [--store FILE --resume]
                             [--retries N] [--in-process]
-                            [--engines NAMES]
+                            [--engines sat|structural,sat]
                             [--chaos PLAN.json --chaos-log FILE]
                             [--trace FILE] [--metrics-out FILE]
 
@@ -68,6 +67,16 @@ def _make_tracer(args, meta):
     return None
 
 
+def _engines_arg(value: str):
+    """``--engines``: the names as a list; a usage error (exit 2) else."""
+    from repro.cec.options import parse_engines
+
+    try:
+        return parse_engines(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cmd_verify(args) -> int:
     from repro.api import VerifyRequest, verify_pair
     from repro.flows.report import compact_stats
@@ -82,7 +91,6 @@ def _cmd_verify(args) -> int:
         refine=not args.no_refine,
         preprocess=not args.no_preprocess,
         time_limit=args.time_limit,
-        bdd_node_limit=args.bdd_node_limit,
         engines=args.engines,
     )
     tracer = _make_tracer(
@@ -216,15 +224,11 @@ def _cmd_batch(args) -> int:
     if not requests:
         console.error(f"manifest {args.manifest} has no jobs")
         return 2
-    # A CLI portfolio trumps per-row manifest settings (it is a
+    # A CLI --engines trumps per-row manifest settings (it is a
     # verdict-preserving engine option, not obligation identity).
     if args.engines is not None:
         for request in requests:
-            request.engines = [
-                part.strip()
-                for part in args.engines.split(",")
-                if part.strip()
-            ]
+            request.engines = list(args.engines)
     tracer = _make_tracer(
         args,
         meta={"command": "batch", "manifest": args.manifest, "jobs": args.jobs},
@@ -445,19 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
         "'unknown' (exit code 2) instead of an open-ended run",
     )
     p.add_argument(
-        "--bdd-node-limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="live-node cap of a 'bdd' stage named in --engines "
-        "(default 100000); bounds nothing otherwise",
-    )
-    p.add_argument(
         "--engines",
+        type=_engines_arg,
         default=None,
         metavar="NAMES",
-        help="comma-separated CEC engine portfolio, walked in order per "
-        "output (e.g. 'structural,sim,bdd,sat'); default: structural,sat",
+        help="'sat' or 'structural,sat': run the CEC's SAT path alone, "
+        "without truth tables (default: tables, then SAT)",
     )
     p.add_argument(
         "--trace",
@@ -590,10 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engines",
+        type=_engines_arg,
         default=None,
         metavar="NAMES",
-        help="override every job's CEC engine portfolio "
-        "(comma-separated adapter names, e.g. 'sim,sat')",
+        help="'sat' or 'structural,sat': every job runs the CEC's SAT "
+        "path alone, whatever its manifest row says",
     )
     p.add_argument(
         "--chaos",

@@ -6,19 +6,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = ["render_table", "summarize_engine_stats", "compact_stats"]
 
-#: Robustness/cascade counters that are all-zero on a healthy unbudgeted
-#: run.  ``EngineStats.as_dict`` always emits them (stable key set); the
-#: render layer drops the zero ones so reports stay readable.
-SUPPRESS_WHEN_ZERO = frozenset(
-    {
-        "cascade_sim",
-        "cascade_bdd",
-        "cascade_sat",
-        "bdd_blowups",
-        "budget_exhausted",
-        "worker_failures",
-    }
-)
+#: Robustness counters that are zero on a healthy unbudgeted run.
+#: ``EngineStats.as_dict`` always emits them (stable key set); the render
+#: layer drops the zero ones so reports stay readable.
+SUPPRESS_WHEN_ZERO = frozenset({"budget_exhausted", "worker_failures"})
 
 
 def compact_stats(stats: Mapping[str, float]) -> Dict[str, float]:
@@ -27,7 +18,7 @@ def compact_stats(stats: Mapping[str, float]) -> Dict[str, float]:
     The engine emits every counter on every run (so the schema is stable
     for aggregation and tests); this drops the robustness counters that
     are zero — the display form previous releases printed.  Prefix
-    variants (``cec_cascade_sat``, …) are suppressed the same way.
+    variants (``cec_budget_exhausted``, …) are suppressed the same way.
     """
     out: Dict[str, float] = {}
     for key, value in stats.items():

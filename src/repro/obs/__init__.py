@@ -3,7 +3,7 @@
 The cross-cutting layer the rest of the stack reports through:
 
 * :mod:`repro.obs.trace` — span-based JSONL tracer (flow → circuit-pair →
-  obligation → cascade-stage hierarchy) with a Chrome ``trace_event``
+  obligation → SAT-stage hierarchy) with a Chrome ``trace_event``
   exporter; the no-op :data:`~repro.obs.trace.NULL_TRACER` is the default
   everywhere, so the uninstrumented path is unchanged;
 * :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket histograms

@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` is the canonical sink for everything the
 verification stack counts — SAT conflicts/propagations/decisions per
-call, BDD node growth and blow-ups, sweep and cascade outcomes,
+call, BDD node growth and blow-ups, sweep and output outcomes,
 per-phase wall time — replacing the ad-hoc stats-dict plumbing while
 still flattening back to the numeric ``CheckResult.stats`` form the rest
 of the repo (and its tests) rely on.

@@ -25,7 +25,7 @@ EVENT_CATEGORIES = (
     "pair",        # one circuit-pair equivalence check (cec.check)
     "phase",       # an engine phase (build/simulate/partition/sweep/outputs)
     "obligation",  # one output-pair proof obligation
-    "stage",       # one cascade stage attempt (sim/bdd/sat)
+    "stage",       # one SAT attempt on an output pair (stage.sat)
     "worker",      # sweep-unit spans (one per work unit)
     "solver",      # solver-level events
     "event",       # generic instants (lost units, budget exhaustion, ...)

@@ -2,7 +2,7 @@
 
 A :class:`Tracer` emits JSONL events with monotonic timestamps and a
 hierarchical span context — flow → circuit-pair → obligation →
-cascade-stage — so a run can be replayed as a timeline instead of a
+SAT stage — so a run can be replayed as a timeline instead of a
 flattened stats dict.  Every event is one JSON object per line; the
 schema is defined (and validated) in :mod:`repro.obs.schema`.
 

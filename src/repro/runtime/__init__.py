@@ -6,7 +6,7 @@ is only as robust as its weakest row.  This package is the budget-and-
 degradation layer every proving engine polls:
 
 * :class:`Budget` — wall-clock deadline, SAT conflict/propagation caps,
-  BDD node limit, per-obligation ``slice()`` sub-budgets;
+  per-obligation ``slice()`` sub-budgets;
 * reason codes (``REASON_*``) — the stable vocabulary UNKNOWN verdicts
   are tagged with;
 * :class:`BddBlowupError` / :class:`BudgetExceededError` — the catchable

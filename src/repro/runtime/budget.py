@@ -1,9 +1,8 @@
 """Resource budgets for the proving engines.
 
 A :class:`Budget` bundles every limit a verification obligation may be
-given — a wall-clock deadline, SAT conflict/propagation caps, and a BDD
-node limit — behind one object that the SAT solver, the BDD manager, and
-the CEC engine all poll.  Budgets never abort silently: exhaustion turns
+given — a wall-clock deadline and SAT conflict/propagation caps — behind
+one object that the SAT solver and the CEC engine poll.  Budgets never abort silently: exhaustion turns
 into an UNKNOWN verdict tagged with one of the ``REASON_*`` codes below,
 so a flow report can say *why* each obligation was given up, not just
 that it was.
@@ -76,7 +75,6 @@ class Budget:
     wall_seconds: Optional[float] = None
     sat_conflicts: Optional[int] = None
     sat_propagations: Optional[int] = None
-    bdd_nodes: Optional[int] = None
 
     def __post_init__(self) -> None:
         self._deadline: Optional[float] = None
@@ -100,7 +98,6 @@ class Budget:
             self.wall_seconds is None
             and self.sat_conflicts is None
             and self.sat_propagations is None
-            and self.bdd_nodes is None
         )
 
     # ------------------------------------------------------------------
@@ -151,7 +148,6 @@ class Budget:
             wall_seconds=self.wall_seconds,
             sat_conflicts=self.sat_conflicts,
             sat_propagations=self.sat_propagations,
-            bdd_nodes=self.bdd_nodes,
         )
         remaining = self.remaining()
         if remaining is not None:
@@ -169,6 +165,4 @@ class Budget:
             parts.append(f"conflicts={self.sat_conflicts}")
         if self.sat_propagations is not None:
             parts.append(f"propagations={self.sat_propagations}")
-        if self.bdd_nodes is not None:
-            parts.append(f"bdd_nodes={self.bdd_nodes}")
         return f"Budget({', '.join(parts) or 'unlimited'})"

@@ -24,7 +24,7 @@ Every ``solve`` call can be resource-bounded: ``conflict_limit`` and
 ``time.monotonic()`` timestamp) is polled periodically inside the CDCL
 loop.  Exhausting any of them reports UNKNOWN (``last_unknown`` set, with
 the cause in ``last_unknown_reason``) rather than hanging — the contract
-the budget-governed CEC cascade relies on.
+a budget-governed CEC check relies on.
 """
 
 from __future__ import annotations

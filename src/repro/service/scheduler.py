@@ -346,7 +346,6 @@ class BatchRunner:
                 ("time_limit", share.wall_seconds),
                 ("sat_conflicts", share.sat_conflicts),
                 ("sat_propagations", share.sat_propagations),
-                ("bdd_node_limit", share.bdd_nodes),
             ):
                 own = row.get(key)
                 if limit is None:

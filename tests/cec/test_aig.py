@@ -95,13 +95,6 @@ class TestImport:
         with pytest.raises(ValueError):
             aig_from_circuit(b.circuit)
 
-    def test_random_simulation_is_deterministic(self):
-        c = random_combinational(seed=4)
-        aig, _ = aig_from_circuit(c)
-        w1, m1 = aig.random_simulate(seed=11)
-        w2, m2 = aig.random_simulate(seed=11)
-        assert w1 == w2 and m1 == m2
-
     def test_to_cnf_consistency(self):
         from repro.sat.solver import Solver
 

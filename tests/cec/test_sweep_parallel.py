@@ -20,7 +20,7 @@ from repro.cec.engine import (
     check_equivalence,
     check_equivalence_bdd,
 )
-from repro.cec.engines import validate_counterexample
+from repro.cec.engine import validate_counterexample
 from repro.cec.miter import build_miter
 from repro.cec.parallel import sweep_unit_payloads
 from repro.cec.partition import partition_candidates

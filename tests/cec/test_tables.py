@@ -371,6 +371,28 @@ class TestEdges:
         assert result.reason == REASON_TIMEOUT
         assert "engine_tables" not in result.stats
 
+    def test_budget_spent_before_the_encoding_encodes_nothing(
+        self, monkeypatch
+    ):
+        # The output phase would stop at the first open pair, a; the
+        # check stops there without encoding the miter to CNF.
+        budget = Budget(wall_seconds=1e4)
+        expire_after_first_slice(monkeypatch, budget)
+        tracer = Tracer(sink=[])
+        result = check_equivalence(
+            *slice_pair(b_differs=True), budget=budget, tracer=tracer
+        )
+        tracer.close()
+        assert result.verdict is CecVerdict.UNKNOWN
+        assert result.reason == REASON_TIMEOUT
+        assert result.stats["budget_exhausted"] == 1
+        assert "time_encode" not in result.stats
+        assert "time_outputs" not in result.stats
+        (instant,) = [
+            e for e in tracer.events if e["name"] == "budget.exhausted"
+        ]
+        assert instant["args"] == {"output": "a", "reason": REASON_TIMEOUT}
+
     def test_budget_spent_inside_a_refuting_group(self, monkeypatch):
         # The first slice refutes b, but a, before it in output order, is
         # not proven equal yet: the check is UNKNOWN, not a refutation.

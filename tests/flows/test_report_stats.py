@@ -52,19 +52,17 @@ class TestCompactStats:
     def test_zero_robustness_counters_dropped(self):
         stats = {
             "sat_queries": 10,
-            "cascade_sat": 0,
-            "cascade_bdd": 0,
             "worker_failures": 0,
             "budget_exhausted": 0,
         }
         assert compact_stats(stats) == {"sat_queries": 10}
 
     def test_nonzero_robustness_counters_kept(self):
-        stats = {"cascade_sat": 3, "worker_failures": 1, "cascade_sim": 0}
-        assert compact_stats(stats) == {"cascade_sat": 3, "worker_failures": 1}
+        stats = {"budget_exhausted": 3, "worker_failures": 1, "engine_sat": 2}
+        assert compact_stats(stats) == stats
 
     def test_prefixed_keys_suppressed_too(self):
-        stats = {"cec_cascade_sat": 0, "cec_sat_queries": 5}
+        stats = {"cec_budget_exhausted": 0, "cec_sat_queries": 5}
         assert compact_stats(stats) == {"cec_sat_queries": 5}
 
     def test_zero_ordinary_stats_survive(self):

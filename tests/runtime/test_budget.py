@@ -56,7 +56,7 @@ class TestBudgetObject:
     def test_unlimited(self):
         assert Budget().unlimited
         assert not Budget(wall_seconds=1).unlimited
-        assert not Budget(bdd_nodes=10).unlimited
+        assert not Budget(sat_propagations=10).unlimited
 
     def test_lazy_clock_and_remaining(self):
         b = Budget(wall_seconds=10.0)
@@ -82,11 +82,11 @@ class TestBudgetObject:
 
     def test_slice_inherits_caps_and_clips_deadline(self):
         parent = Budget(
-            wall_seconds=10.0, sat_conflicts=100, bdd_nodes=1000
+            wall_seconds=10.0, sat_conflicts=100, sat_propagations=1000
         ).start()
         child = parent.slice(4)
         assert child.sat_conflicts == 100
-        assert child.bdd_nodes == 1000
+        assert child.sat_propagations == 1000
         share = child.remaining()
         assert share is not None and share <= 10.0 / 4 + 0.01
         assert child.deadline <= parent.deadline

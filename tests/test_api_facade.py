@@ -11,7 +11,8 @@ Covers satellite guarantees of the API redesign:
 * the exit-code contract (0 / 1 / 2, INCONCLUSIVE → 2);
 * the ``cec_cache=`` spelling, deprecated in 1.0, is gone in 1.1.0;
 * the inert fields (``jobs``, ``share_learned`` since 1.4.0, ``cache``
-  since 1.5.0) still load, warn once each and change nothing.
+  since 1.5.0, ``bdd_node_limit`` since 1.6.0) still load, warn once
+  each and change nothing.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class TestRequestRoundTrip:
                 time_limit=5.0,
                 sat_conflicts=100,
                 sat_propagations=1000,
-                bdd_node_limit=500,
+                bdd_node_limit=500,  # inert: the bdd engine is gone
                 metadata={"suite": "unit"},
                 engines=["structural", "sat"],
             )
@@ -373,6 +374,41 @@ class TestDeprecationShims:
             assert request.cec_options() == plain.cec_options()
         assert verify_pair(request).verdict == verify_pair(plain).verdict
 
+    def test_bdd_node_limit_loads_and_warns_once(self, pair):
+        # The ``bdd`` engine it capped is gone; a request or row naming it
+        # still loads, warns once with its own removal release, and gets
+        # the fingerprint, options and verdict of the plain row.
+        row = {"golden": pair[0], "revised": pair[1]}
+        plain = VerifyRequest.from_dict(row)
+        for build in (
+            lambda: VerifyRequest(**row, bdd_node_limit=5000),
+            lambda: VerifyRequest.from_dict({**row, "bdd_node_limit": 5000}),
+        ):
+            with pytest.warns(DeprecationWarning) as caught:
+                request = build()
+            assert [str(w.message) for w in caught] == [
+                "VerifyRequest.bdd_node_limit is ignored since 1.6.0 and is "
+                "removed in 1.7.0: the `bdd` engine is gone; SAT decides "
+                "every output the truth tables leave open"
+            ]
+            assert request.fingerprint() == plain.fingerprint()
+            assert request.cec_options() == plain.cec_options()
+            assert request.budget() is None
+        assert verify_pair(request).verdict == verify_pair(plain).verdict
+
+    def test_batch_bdd_node_limit_warns_once(self, pair):
+        # The batch worker never sees the inert field again.
+        from repro.api import verify_batch
+
+        row = {"golden": pair[0], "revised": pair[1]}
+        with pytest.warns(DeprecationWarning) as caught:
+            (report,) = verify_batch(
+                [{**row, "bdd_node_limit": 5000}], use_processes=False
+            )
+        assert len(caught) == 1
+        assert "removed in 1.7.0" in str(caught[0].message)
+        assert report.verdict == "equivalent"
+
     def test_batch_cache_warns_once(self, pair, tmp_path):
         # ``verify_batch(cache=)`` and a manifest row's ``cache`` each warn
         # once: the batch worker never sees the inert field again.
@@ -410,9 +446,9 @@ class TestEngineDispatchKnobs:
 
     def test_engines_string_normalised_to_list(self, pair):
         request = VerifyRequest(
-            golden=pair[0], revised=pair[1], engines="sim, sat"
+            golden=pair[0], revised=pair[1], engines="structural, sat"
         )
-        assert request.engines == ["sim", "sat"]
+        assert request.engines == ["structural", "sat"]
 
     def test_round_trip_preserves_dispatch_fields(self, pair):
         with pytest.warns(DeprecationWarning):
@@ -436,7 +472,7 @@ class TestEngineDispatchKnobs:
             tweaked = VerifyRequest(
                 golden=pair[0],
                 revised=pair[1],
-                engines=["structural", "sim", "bdd", "sat"],
+                engines=["sat"],
                 jobs=4,
                 share_learned=False,
             )

@@ -199,6 +199,20 @@ class TestWeightedExposure:
             )
 
 
+class TestRemovedBddFlag:
+    """``repro verify --bdd-node-limit`` capped the ``bdd`` engine, which
+    is gone: it is an unknown argument, exit code 2."""
+
+    def test_flag_is_unknown_argument(self, blif_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["verify", str(blif_file), str(blif_file),
+                 "--bdd-node-limit", "5000"]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestRemovedCacheAndLogFlags:
     """The proof cache's and the obligation log's flags are gone (1.5.0),
     without a shim: each is an unknown argument, exit code 2."""
