@@ -49,19 +49,15 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
-    Sequence,
+    Tuple,
     Union,
     runtime_checkable,
 )
 
 from repro.cec.options import CecOptions, parse_engines
-from repro.core.verify import (
-    SeqCheckResult,
-    SeqVerdict,
-    check_sequential_equivalence,
-)
+from repro.core.verify import SeqVerdict, check_sequential_equivalence
 from repro.netlist.blif import parse_blif_file, write_blif
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Gate
 from repro.netlist.validate import validate_circuit
 from repro.runtime.budget import Budget
 
@@ -272,6 +268,12 @@ class VerifyRequest:
     # ------------------------------------------------------------------
     def load(self) -> tuple:
         """Materialise (golden, revised) as validated circuits."""
+        (golden, _), (revised, _) = self._load_sorted()
+        return golden, revised
+
+    def _load_sorted(self) -> Tuple[Tuple[Circuit, List[Gate]], ...]:
+        """Each side as ``(circuit, order)``: validated, with the
+        ``topo_gates()`` that :func:`validate_circuit` returns."""
         pair = []
         for side in (self.golden, self.revised):
             circuit = (
@@ -279,9 +281,8 @@ class VerifyRequest:
                 if isinstance(side, Circuit)
                 else parse_blif_file(os.fspath(side))
             )
-            validate_circuit(circuit)
-            pair.append(circuit)
-        return pair[0], pair[1]
+            pair.append((circuit, validate_circuit(circuit)))
+        return tuple(pair)
 
     def cec_options(self) -> CecOptions:
         """The request's engine fields as one :class:`~repro.cec.CecOptions`."""
@@ -559,7 +560,7 @@ def verify_pair(
         if revised is None:
             raise TypeError("verify_pair() needs both golden and revised")
         request = VerifyRequest(golden=golden, revised=revised, **options)
-    c1, c2 = request.load()
+    (c1, topo1), (c2, topo2) = request._load_sorted()
     t0 = time.perf_counter()
     result = check_sequential_equivalence(
         c1,
@@ -572,6 +573,8 @@ def verify_pair(
         budget=Budget.coerce(budget) if budget is not None else request.budget(),
         tracer=tracer,
         metrics=metrics,
+        topo1=topo1,
+        topo2=topo2,
     )
     return VerifyReport.from_result(
         result,

@@ -17,10 +17,10 @@ for *any* equivalent pair, not just retiming/resynthesis ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.timedvar import CONST0, CONST1, ExprTable
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Gate
 
 __all__ = ["CBF", "compute_cbf", "sequential_depth", "TimedVar", "topological_latch_depth"]
 
@@ -57,9 +57,25 @@ class CBF:
         return out
 
 
+def require_acyclic(cyclic: Collection[str]) -> None:
+    """Raise :class:`ValueError` when a circuit has feedback latches.
+
+    ``cyclic`` is the circuit's :func:`~repro.netlist.graph.feedback_latches`.
+    CBFs and EDBFs exist only for acyclic circuits: on a latch cycle their
+    recursion would not terminate.
+    """
+    if cyclic:
+        raise ValueError(
+            f"circuit has feedback latches {sorted(cyclic)[:5]}; "
+            "expose latches or remodel feedback first"
+        )
+
+
 def compute_cbf(
     circuit: Circuit,
     table: Optional[ExprTable] = None,
+    *,
+    order: Optional[Sequence[Gate]] = None,
 ) -> CBF:
     """Compute the CBF of every primary output (algorithm of Fig. 7).
 
@@ -69,6 +85,14 @@ def compute_cbf(
 
     A shared ``table`` may be supplied so two circuits' CBFs live in one
     node space (variables ``(input, delay)`` then coincide by construction).
+
+    ``order`` is the circuit's ``topo_gates()``, from a caller that has
+    already checked the circuit for feedback latches on the latch graph
+    built on that order, as
+    :func:`~repro.core.verify.check_sequential_equivalence` does when it
+    classifies the circuit: then only the enables are checked here.
+    Without it the circuit is sorted here, which rejects a combinational
+    cycle, and its feedback latches are found on that order.
     """
     from repro.netlist.graph import feedback_latches
 
@@ -77,12 +101,8 @@ def compute_cbf(
             raise ValueError(
                 f"latch {latch.output!r} is load-enabled; use compute_edbf"
             )
-    cyclic = feedback_latches(circuit)
-    if cyclic:
-        raise ValueError(
-            f"circuit has feedback latches {sorted(cyclic)[:5]}; "
-            "expose latches or remodel feedback first"
-        )
+    if order is None:
+        require_acyclic(feedback_latches(circuit, circuit.topo_gates()))
     if table is None:
         table = ExprTable()
 
@@ -109,7 +129,7 @@ def compute_cbf(
                     stack.append((sig, delay, True))
                     if child_key not in memo:
                         stack.append((latch.data, delay + 1, False))
-            else:  # gate (acyclicity guaranteed by topo_gates elsewhere)
+            else:  # gate (no combinational cycle: see ``order``)
                 gate = circuit.gates[sig]
                 if expanded:
                     children = [memo[(s, delay)] for s in gate.inputs]
@@ -121,7 +141,6 @@ def compute_cbf(
                             stack.append((s, delay, False))
         return memo[(root_sig, root_delay)]
 
-    circuit.topo_gates()  # raises on combinational cycles
     outputs = {out: compute(out, 0) for out in circuit.outputs}
     return CBF(table, outputs, circuit.name)
 

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.cbf import require_acyclic
 from repro.core.events import EMPTY_EVENT, EventContext
 from repro.core.timedvar import CONST0, CONST1, ExprTable
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Gate
 
 __all__ = ["EDBF", "compute_edbf", "EventVar", "edbf_eval_on_trace"]
 
@@ -67,22 +68,25 @@ class EDBF:
 def compute_edbf(
     circuit: Circuit,
     context: Optional[EventContext] = None,
+    *,
+    order: Optional[Sequence[Gate]] = None,
 ) -> EDBF:
     """Compute the EDBF of every primary output (algorithm of Fig. 8).
 
     The circuit must be acyclic at the latch level (no feedback); both
     regular and load-enabled latches are supported.  Pass a shared
     ``context`` to compute two circuits' EDBFs in one variable space.
+
+    ``order`` is the circuit's ``topo_gates()``, from a caller that has
+    already checked the circuit for feedback latches, as for
+    :func:`~repro.core.cbf.compute_cbf`; then nothing is checked here.
+    Without it the circuit is sorted here, which rejects a combinational
+    cycle, and its feedback latches are found on that order.
     """
     from repro.netlist.graph import feedback_latches
 
-    cyclic = feedback_latches(circuit)
-    if cyclic:
-        raise ValueError(
-            f"circuit has feedback latches {sorted(cyclic)[:5]}; "
-            "expose latches or remodel feedback first"
-        )
-    circuit.topo_gates()  # raises on combinational cycles
+    if order is None:
+        require_acyclic(feedback_latches(circuit, circuit.topo_gates()))
     if context is None:
         context = EventContext()
     table = context.table

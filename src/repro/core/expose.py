@@ -225,6 +225,7 @@ def prepare_circuit(
     use_unateness: bool = True,
     expose: Optional[Sequence[str]] = None,
     pinned: Sequence[str] = (),
+    order: Optional[Sequence[Gate]] = None,
 ) -> PreparedCircuit:
     """Make a circuit acyclic: remodel unate self-loops, expose the rest.
 
@@ -232,15 +233,18 @@ def prepare_circuit(
     modification to both circuits of a verification pair, as the paper's
     flow does by modifying circuit A into B before synthesis).  ``pinned``
     latches are exposed unconditionally (designer-visible state bits).
+    ``order`` is the circuit's ``topo_gates()``, computed when not given.
     """
+    if order is None:
+        order = circuit.topo_gates()
     if expose is not None:
         to_expose = set(expose) | set(pinned)
         _, to_remodel = choose_latches_to_expose(
-            circuit, use_unateness, pinned=list(to_expose)
+            circuit, use_unateness, pinned=list(to_expose), order=order
         )
     else:
         to_expose, to_remodel = choose_latches_to_expose(
-            circuit, use_unateness, pinned=()
+            circuit, use_unateness, pinned=(), order=order
         )
         to_expose |= set(pinned)
         to_expose -= to_remodel
@@ -248,7 +252,7 @@ def prepare_circuit(
     remodelled: List[str] = []
     if to_remodel:
         work, remodelled, failed = remodel_feedback_latches(
-            work, sorted(to_remodel)
+            work, sorted(to_remodel), order=order
         )
         to_expose |= set(failed)
     exposed_result: ExposedCircuit = expose_latches(work, sorted(to_expose))

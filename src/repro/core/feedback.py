@@ -196,6 +196,7 @@ def analyze_feedback_latch(
 def remodel_feedback_latches(
     circuit: Circuit,
     latches: Optional[Sequence[str]] = None,
+    order: Optional[Sequence[Gate]] = None,
 ) -> Tuple[Circuit, List[str], List[str]]:
     """Re-model self-loop latches as load-enabled latches (Figs. 12-13).
 
@@ -205,14 +206,16 @@ def remodel_feedback_latches(
     must be exposed instead.
 
     The new enable/data cones are synthesised from the decomposition BDDs
-    (single-SOP gates when small, MUX trees otherwise).
+    (single-SOP gates when small, MUX trees otherwise).  ``order`` is the
+    circuit's ``topo_gates()``, computed when not given.
     """
     if latches is None:
         latches = sorted(self_loop_latches(circuit))
     result = circuit.copy(circuit.name + "_remodel")
     # Remodelling removes no gate, and only the remodelled latch reads the
-    # gates it adds, so one rank lasts the loop.
-    rank = topo_rank(result)
+    # gates it adds, so one rank lasts the loop.  The copy keeps the gate
+    # dict, so ``order`` is its order too.
+    rank = topo_rank(result, order)
     remodelled: List[str] = []
     failed: List[str] = []
     for name in latches:

@@ -25,17 +25,17 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import takewhile
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cec.engine import CecVerdict, check_equivalence
 from repro.cec.options import CecOptions
-from repro.core.cbf import CBF, compute_cbf
+from repro.core.cbf import CBF, compute_cbf, require_acyclic
 from repro.core.edbf import EDBF, compute_edbf
 from repro.core.eq2comb import cbf_to_circuit, edbf_to_circuit
 from repro.core.events import EventContext
 from repro.core.expose import PreparedCircuit, prepare_circuit
 from repro.core.timedvar import ExprTable
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Gate
 from repro.netlist.graph import feedback_latches
 from repro.obs.trace import coerce_tracer
 from repro.sim.exact3 import (
@@ -111,14 +111,25 @@ class SeqCheckResult:
         }
 
 
-def _classify(circuit: Circuit) -> str:
+#: A circuit's ``topo_gates()``.
+Order = Sequence[Gate]
+
+
+def _classify(circuit: Circuit, order: Order) -> Tuple[str, Set[str]]:
+    """The circuit's kind and its feedback latches.
+
+    The feedback latches come from the latch graph built on ``order``;
+    they are the CBF/EDBF precondition (:func:`require_acyclic`), so
+    lowering reads them here instead of building the graph again.
+    """
     if not circuit.latches:
-        return "combinational"
-    if feedback_latches(circuit):
-        return "feedback"
+        return "combinational", set()
+    cyclic = feedback_latches(circuit, order)
+    if cyclic:
+        return "feedback", cyclic
     if any(l.enable is not None for l in circuit.latches.values()):
-        return "acyclic-enabled"
-    return "acyclic-regular"
+        return "acyclic-enabled", cyclic
+    return "acyclic-regular", cyclic
 
 
 def check_sequential_equivalence(
@@ -134,6 +145,8 @@ def check_sequential_equivalence(
     budget=None,
     tracer=None,
     metrics=None,
+    topo1: Optional[Order] = None,
+    topo2: Optional[Order] = None,
 ) -> SeqCheckResult:
     """Check exact-3-valued sequential equivalence of two circuits.
 
@@ -158,6 +171,14 @@ def check_sequential_equivalence(
     (``seq.check`` → preparation/lowering phases → the CEC engine's own
     spans) and the full metric set; both default to no-ops.
 
+    Each circuit is sorted once.  ``topo1``/``topo2`` are ``c1``'s and
+    ``c2``'s ``topo_gates()`` when the caller has them (as
+    :func:`repro.netlist.validate_circuit` returns them); each is
+    computed here when not given.  The order is handed to every step
+    that reads one: classification, preparation, CBF/EDBF computation,
+    and the witness minimisation, replay and EDBF refutation search.
+    Preparation builds new circuits, which are sorted again.
+
     Prefer calling through the stable facade :func:`repro.api.verify_pair`,
     which wraps this function behind one request/report pair of types.
     """
@@ -167,8 +188,12 @@ def check_sequential_equivalence(
     if set(c1.outputs) != set(c2.outputs):
         raise ValueError("circuits must have identical output names")
 
+    if topo1 is None:
+        topo1 = c1.topo_gates()
+    if topo2 is None:
+        topo2 = c2.topo_gates()
     tracer = coerce_tracer(tracer)
-    kind1, kind2 = _classify(c1), _classify(c2)
+    (kind1, cyclic1), (kind2, cyclic2) = _classify(c1, topo1), _classify(c2, topo2)
     stats: Dict[str, float] = {}
     root = tracer.span(
         "seq.check", cat="flow", c1=c1.name, c2=c2.name, kind1=kind1, kind2=kind2
@@ -182,7 +207,7 @@ def check_sequential_equivalence(
                 )
             with tracer.span("seq.phase.prepare", cat="phase"):
                 prep1 = prepare_circuit(
-                    c1, use_unateness=use_unateness, pinned=pinned
+                    c1, use_unateness=use_unateness, pinned=pinned, order=topo1
                 )
                 shared_exposure = sorted(prep1.exposed)
                 missing = [n for n in shared_exposure if n not in c2.latches]
@@ -192,23 +217,42 @@ def check_sequential_equivalence(
                         f"{c2.name!r}; expose compatible latch sets explicitly"
                     )
                 prep2 = prepare_circuit(
-                    c2, use_unateness=use_unateness, expose=shared_exposure
+                    c2,
+                    use_unateness=use_unateness,
+                    expose=shared_exposure,
+                    order=topo2,
                 )
             stats["exposed"] = len(prep1.exposed)
             stats["remodelled"] = len(prep1.remodelled)
             c1p, c2p = prep1.circuit, prep2.circuit
-            kind1, kind2 = _classify(c1p), _classify(c2p)
+            topo1p, topo2p = c1p.topo_gates(), c2p.topo_gates()
+            (kind1, cyclic1), (kind2, cyclic2) = (
+                _classify(c1p, topo1p),
+                _classify(c2p, topo2p),
+            )
+            # The CBF/EDBF precondition, which lowering does not check again.
+            require_acyclic(cyclic1)
+            require_acyclic(cyclic2)
         else:
-            c1p, c2p = c1, c2
+            c1p, c2p, topo1p, topo2p = c1, c2, topo1, topo2
 
         run = dict(budget=budget, tracer=tracer, metrics=metrics)
         if "acyclic-enabled" in (kind1, kind2):
             result = _check_via_edbf(
-                c1p, c2p, event_rewrite, stats, options, **run
+                c1p, c2p, event_rewrite, stats, options, (topo1p, topo2p), **run
             )
         else:
             result = _check_via_cbf(
-                c1p, c2p, stats, validate_cex, c1, c2, options, **run
+                c1p,
+                c2p,
+                stats,
+                validate_cex,
+                c1,
+                c2,
+                options,
+                (topo1p, topo2p),
+                (topo1, topo2),
+                **run,
             )
         result.stats["total_time"] = time.perf_counter() - t0
         root.annotate(verdict=result.verdict.value, method=result.method)
@@ -226,17 +270,20 @@ def _check_via_cbf(
     validate_cex: bool,
     orig1: Circuit,
     orig2: Circuit,
-    options: Optional[CecOptions] = None,
+    options: Optional[CecOptions],
+    topo: Tuple[Order, Order],
+    orig_topo: Tuple[Order, Order],
     *,
     budget=None,
     tracer=None,
     metrics=None,
 ) -> SeqCheckResult:
+    """``topo`` orders ``c1``/``c2``, ``orig_topo`` ``orig1``/``orig2``."""
     tracer = coerce_tracer(tracer)
     with tracer.span("seq.phase.lower", cat="phase", method="cbf"):
         table = ExprTable()
-        cbf1 = compute_cbf(c1, table)
-        cbf2 = compute_cbf(c2, table)
+        cbf1 = compute_cbf(c1, table, order=topo[0])
+        cbf2 = compute_cbf(c2, table, order=topo[1])
         d1, d2 = cbf1.depth(), cbf2.depth()
         stats["depth1"], stats["depth2"] = d1, d2
         # Lemma 5.1 filter is on *semantic* depth; syntactic depths differ.
@@ -273,7 +320,9 @@ def _check_via_cbf(
         if failing is not None and failing.startswith("__out_"):
             failing = failing[len("__out_") :]
         if validate_cex:
-            witness = minimize_counterexample(orig1, orig2, sequence)
+            witness = minimize_counterexample(
+                orig1, orig2, sequence, topo1=orig_topo[0], topo2=orig_topo[1]
+            )
             # Replay the witness that gets reported.  Theorem 5.1 says the
             # lifted trace must distinguish, but simulation may not
             # confirm it: sampling over >16 latches can miss the
@@ -283,7 +332,9 @@ def _check_via_cbf(
             # the verdict stands and the flag records it.  A trace the
             # minimiser changed was confirmed by its batches, so the
             # replay must confirm it too.
-            confirmed = _trace_distinguishes(orig1, orig2, witness)
+            confirmed = _trace_distinguishes(
+                orig1, orig2, witness, topo1=orig_topo[0], topo2=orig_topo[1]
+            )
             stats["cex_confirmed"] = float(confirmed)
             if not confirmed and witness != sequence:
                 raise RuntimeError(
@@ -326,11 +377,16 @@ def _lift_cbf_counterexample(
 
 
 def _trace_distinguishes(
-    c1: Circuit, c2: Circuit, sequence: List[Dict[str, bool]]
+    c1: Circuit,
+    c2: Circuit,
+    sequence: List[Dict[str, bool]],
+    *,
+    topo1: Optional[Order] = None,
+    topo2: Optional[Order] = None,
 ) -> bool:
     """Do the circuits visibly differ on this input sequence (Def. 1)?"""
-    o1 = exact3_outputs(c1, sequence)
-    o2 = exact3_outputs(c2, sequence)
+    o1 = exact3_outputs(c1, sequence, topo=topo1)
+    o2 = exact3_outputs(c2, sequence, topo=topo2)
     for row1, row2 in zip(o1, o2):
         for out in c1.outputs:
             v1, v2 = row1[out], row2[out]
@@ -346,17 +402,19 @@ def _check_via_edbf(
     c2: Circuit,
     event_rewrite: bool,
     stats: Dict[str, float],
-    options: Optional[CecOptions] = None,
+    options: Optional[CecOptions],
+    topo: Tuple[Order, Order],
     *,
     budget=None,
     tracer=None,
     metrics=None,
 ) -> SeqCheckResult:
+    """``topo`` orders ``c1``/``c2``."""
     tracer = coerce_tracer(tracer)
     with tracer.span("seq.phase.lower", cat="phase", method="edbf"):
         context = EventContext(rewrite=event_rewrite)
-        edbf1 = compute_edbf(c1, context)
-        edbf2 = compute_edbf(c2, context)
+        edbf1 = compute_edbf(c1, context, order=topo[0])
+        edbf2 = compute_edbf(c2, context, order=topo[1])
         all_vars = sorted(edbf1.variables() | edbf2.variables(), key=repr)
         stats["events"] = context.num_events()
         comb1 = edbf_to_circuit(
@@ -389,10 +447,12 @@ def _check_via_edbf(
     failing = cec.failing_output
     if failing is not None and failing.startswith("__out_"):
         failing = failing[len("__out_") :]
-    witness = _search_distinguishing_trace(c1, c2)
+    witness = _search_distinguishing_trace(c1, c2, topo1=topo[0], topo2=topo[1])
     if witness is not None:
         stats["cex_confirmed"] = 1.0
-        witness = minimize_counterexample(c1, c2, witness)
+        witness = minimize_counterexample(
+            c1, c2, witness, topo1=topo[0], topo2=topo[1]
+        )
         return SeqCheckResult(
             SeqVerdict.NOT_EQUIVALENT,
             "edbf",
@@ -412,6 +472,9 @@ def minimize_counterexample(
     c1: Circuit,
     c2: Circuit,
     sequence: List[Dict[str, bool]],
+    *,
+    topo1: Optional[Order] = None,
+    topo2: Optional[Order] = None,
 ) -> List[Dict[str, bool]]:
     """Shrink a distinguishing input sequence (greedy delta debugging).
 
@@ -426,8 +489,14 @@ def minimize_counterexample(
     set bits in ``(cycle, sorted name)`` order.  The longest
     distinguishing prefix of candidates is kept and the bit after it
     rejected, which is where trying the bits one at a time ends up too.
+
+    ``topo1``/``topo2`` are the circuits' ``topo_gates()``, computed when
+    not given.
     """
-    topo1, topo2 = c1.topo_gates(), c2.topo_gates()
+    if topo1 is None:
+        topo1 = c1.topo_gates()
+    if topo2 is None:
+        topo2 = c2.topo_gates()
 
     def answers(candidates: List[List[Dict[str, bool]]]) -> Iterator[bool]:
         return exact3_distinguishes(c1, c2, candidates, topo1=topo1, topo2=topo2)
@@ -460,14 +529,21 @@ def minimize_counterexample(
 
 
 def _search_distinguishing_trace(
-    c1: Circuit, c2: Circuit, trials: int = 64, length: int = 8, seed: int = 7
+    c1: Circuit,
+    c2: Circuit,
+    trials: int = 64,
+    length: int = 8,
+    seed: int = 7,
+    *,
+    topo1: Optional[Order] = None,
+    topo2: Optional[Order] = None,
 ) -> Optional[List[Dict[str, bool]]]:
     """Random search for a Def.-1-distinguishing input sequence.
 
     The trials come from one seeded stream and are asked about in one
     batch (:func:`exact3_distinguishes`), whose runs start lazily: the
     search stops after the first run that holds a distinguishing trial,
-    and the earliest such trial wins.
+    and the earliest such trial wins.  ``topo1``/``topo2`` are passed on.
     """
     rng = random.Random(seed)
     inputs = sorted(c1.inputs)
@@ -475,5 +551,5 @@ def _search_distinguishing_trace(
         [{name: rng.random() < 0.5 for name in inputs} for _ in range(length)]
         for _ in range(trials)
     ]
-    hits = exact3_distinguishes(c1, c2, batch)
+    hits = exact3_distinguishes(c1, c2, batch, topo1=topo1, topo2=topo2)
     return next((sequence for sequence, hit in zip(batch, hits) if hit), None)

@@ -208,37 +208,56 @@ class Circuit:
     def topo_gates(self) -> List[Gate]:
         """Gates in topological order (latch outputs and PIs are sources).
 
-        Raises :class:`ValueError` on a combinational cycle.
+        The order is a depth-first search's: it starts from each gate in
+        dict order, visits a gate's unfinished gate fanins last to first,
+        and lists a gate when it leaves it, after its fanins.  When
+        every gate's gate fanins come before it in dict order, that search
+        returns the dict order itself, so one linear pass looks for that
+        case first; lowered CBF/EDBF circuits and exposed circuits are
+        built that way.  AIG node order, synthesis and so every SAT count
+        depend on this exact order (``tests/netlist/topo_oracle.py`` keeps
+        the search it must match).
+
+        Raises :class:`ValueError` on a combinational cycle, naming the
+        gate the search reached again while it was still on its path.
         """
+        gates = self.gates
+        later = set(gates)
+        for name, gate in gates.items():
+            if not later.isdisjoint(gate.inputs):
+                return self._topo_search()
+            later.discard(name)
+        return list(gates.values())
+
+    def _topo_search(self) -> List[Gate]:
+        """:meth:`topo_gates` by depth-first search, for any gate order."""
+        gates = self.gates
         order: List[Gate] = []
-        state: Dict[str, int] = {}  # 0 = visiting, 1 = done
-        stack: List[Tuple[str, int]] = []
-        for root in list(self.gates):
-            if state.get(root) == 1:
+        done: Set[str] = set()
+        entered: Set[str] = set()  # on the search path, or done
+        for root in gates:
+            if root in done:
                 continue
-            stack.append((root, 0))
+            # A gate stays on the stack while its fanins are searched; it
+            # is finished when it is on top again.
+            stack = [root]
             while stack:
-                signal, phase = stack.pop()
-                if phase == 0:
-                    if state.get(signal) == 1:
-                        continue
-                    if state.get(signal) == 0:
-                        raise ValueError(
-                            f"combinational cycle through {signal!r}"
-                        )
-                    state[signal] = 0
-                    stack.append((signal, 1))
-                    for src in self.gates[signal].inputs:
-                        if src in self.gates and state.get(src) != 1:
-                            if state.get(src) == 0:
+                signal = stack[-1]
+                if signal in done:
+                    stack.pop()
+                elif signal in entered:
+                    stack.pop()
+                    done.add(signal)
+                    order.append(gates[signal])
+                else:
+                    entered.add(signal)
+                    for src in gates[signal].inputs:
+                        if src in gates and src not in done:
+                            if src in entered:
                                 raise ValueError(
                                     f"combinational cycle through {src!r}"
                                 )
-                            stack.append((src, 0))
-                else:
-                    if state.get(signal) != 1:
-                        state[signal] = 1
-                        order.append(self.gates[signal])
+                            stack.append(src)
         return order
 
     def num_gates(self) -> int:

@@ -144,9 +144,14 @@ def strongly_connected_components(
     return components
 
 
-def latch_sccs(circuit: Circuit) -> List[FrozenSet[str]]:
-    """Non-trivial SCCs of the latch dependency graph (incl. self-loops)."""
-    graph = latch_dependency_graph(circuit)
+def latch_sccs(
+    circuit: Circuit, order: Optional[Sequence[Gate]] = None
+) -> List[FrozenSet[str]]:
+    """Non-trivial SCCs of the latch dependency graph (incl. self-loops).
+
+    ``order`` is passed on to :func:`latch_dependency_graph`.
+    """
+    graph = latch_dependency_graph(circuit, order)
     sccs = []
     for comp in strongly_connected_components(graph):
         if len(comp) > 1:
@@ -164,10 +169,15 @@ def self_loop_latches(circuit: Circuit) -> Set[str]:
     return {node for node, succs in graph.items() if node in succs}
 
 
-def feedback_latches(circuit: Circuit) -> Set[str]:
-    """All latches on some latch-level cycle."""
+def feedback_latches(
+    circuit: Circuit, order: Optional[Sequence[Gate]] = None
+) -> Set[str]:
+    """All latches on some latch-level cycle.
+
+    ``order`` is passed on to :func:`latch_dependency_graph`.
+    """
     out: Set[str] = set()
-    for comp in latch_sccs(circuit):
+    for comp in latch_sccs(circuit, order):
         out |= comp
     return out
 

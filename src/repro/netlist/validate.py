@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Gate
 
 __all__ = ["CircuitError", "validate_circuit"]
 
@@ -13,7 +13,7 @@ class CircuitError(Exception):
     """Raised when a circuit violates a structural invariant."""
 
 
-def validate_circuit(circuit: Circuit) -> None:
+def validate_circuit(circuit: Circuit) -> List[Gate]:
     """Check the circuit's structural invariants; raise on violation.
 
     Invariants checked:
@@ -22,6 +22,9 @@ def validate_circuit(circuit: Circuit) -> None:
     * no signal has two drivers (by construction, but re-checked);
     * no combinational cycles (latches are the only legal cycle breakers);
     * gate cover arity matches its fanin count (by construction).
+
+    Returns the circuit's ``topo_gates()``, which the cycle check
+    computes, so that a caller can sort the circuit only once.
     """
     problems: List[str] = []
 
@@ -54,9 +57,10 @@ def validate_circuit(circuit: Circuit) -> None:
         if out not in seen:
             problems.append(f"primary output {out!r} is undriven")
 
+    order: List[Gate] = []
     if not problems:
         try:
-            circuit.topo_gates()
+            order = circuit.topo_gates()
         except ValueError as exc:
             problems.append(str(exc))
 
@@ -64,3 +68,4 @@ def validate_circuit(circuit: Circuit) -> None:
         raise CircuitError(
             f"circuit {circuit.name!r} invalid: " + "; ".join(problems)
         )
+    return order

@@ -91,6 +91,15 @@ class TestCBFGeneral:
         with pytest.raises(ValueError, match="feedback"):
             compute_cbf(builder.circuit)
 
+    def test_rejects_combinational_cycle(self, builder):
+        """Without an order, the function sorts the circuit itself."""
+        (i,) = builder.inputs("i")
+        builder.AND(i, "y", name="x")
+        builder.NOT("x", name="y")
+        builder.output(builder.latch("x"), name="o")
+        with pytest.raises(ValueError, match="combinational cycle through 'x'"):
+            compute_cbf(builder.circuit)
+
     def test_shared_table_gives_shared_variables(self):
         c1 = random_acyclic_sequential(seed=1, name="c1")
         c2 = random_acyclic_sequential(seed=1, name="c2")

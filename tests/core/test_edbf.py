@@ -124,6 +124,15 @@ class TestEDBFGeneral:
         with pytest.raises(ValueError, match="feedback"):
             compute_edbf(builder.circuit)
 
+    def test_rejects_combinational_cycle(self, builder):
+        """Without an order, the function sorts the circuit itself."""
+        (i,) = builder.inputs("i")
+        builder.AND(i, "y", name="x")
+        builder.NOT("x", name="y")
+        builder.output(builder.latch("x"), name="o")
+        with pytest.raises(ValueError, match="combinational cycle through 'x'"):
+            compute_edbf(builder.circuit)
+
     def test_shared_context_gives_identical_nodes(self):
         c1 = fig5_circuit()
         c2 = fig5_circuit()

@@ -109,8 +109,8 @@ class TestBatchedAgainstOracle:
         batched = verify_module.minimize_counterexample
         cases = []
 
-        def both(c1, c2, sequence):
-            result = batched(c1, c2, sequence)
+        def both(c1, c2, sequence, **orders):
+            result = batched(c1, c2, sequence, **orders)
             cases.append((c2.name, result, minimize_one_at_a_time(c1, c2, sequence)))
             return result
 

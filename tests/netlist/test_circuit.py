@@ -123,7 +123,8 @@ class TestValidate:
     def test_valid_circuit_passes(self, builder):
         a = builder.input("a")
         builder.output(builder.latch(builder.NOT(a)), name="o")
-        validate_circuit(builder.circuit)
+        # The order its cycle check computed, for the caller to reuse.
+        assert validate_circuit(builder.circuit) == builder.circuit.topo_gates()
 
     def test_undriven_fanin(self):
         c = Circuit("bad")
