@@ -112,8 +112,8 @@ def preprocess_miter(miter) -> Tuple[object, int]:
     """Shrink a miter's AIG before sweeping; returns (miter, removed).
 
     Rebuilds the output-pair cones through :func:`rewrite_cone` and
-    remaps the pair literals (and any registered outputs / signal maps)
-    into the new AIG.  ``removed`` is the AND-node reduction — the
+    remaps the pair literals (and any registered outputs) into the new
+    AIG.  ``removed`` is the AND-node reduction — the
     ``cec.preprocess.nodes_removed`` metric.  The returned miter is a
     new :class:`~repro.cec.miter.MiterAIG`; the input miter is untouched.
     """
@@ -134,15 +134,5 @@ def preprocess_miter(miter) -> Tuple[object, int]:
         (name, remap_literal(node_map, l1), remap_literal(node_map, l2))
         for name, l1, l2 in miter.output_pairs
     ]
-    lits1 = {
-        name: remap_literal(node_map, lit)
-        for name, lit in miter.lits1.items()
-        if (lit >> 1) in node_map
-    }
-    lits2 = {
-        name: remap_literal(node_map, lit)
-        for name, lit in miter.lits2.items()
-        if (lit >> 1) in node_map
-    }
     removed = old.num_ands() - new_aig.num_ands()
-    return MiterAIG(new_aig, pairs, lits1, lits2), removed
+    return MiterAIG(new_aig, pairs, miter.names), removed

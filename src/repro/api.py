@@ -560,6 +560,28 @@ def verify_pair(
         if revised is None:
             raise TypeError("verify_pair() needs both golden and revised")
         request = VerifyRequest(golden=golden, revised=revised, **options)
+    return _verify(
+        request,
+        request.fingerprint(),
+        budget=budget,
+        tracer=tracer,
+        metrics=metrics,
+    )
+
+
+def _verify(
+    request: VerifyRequest,
+    fingerprint: str,
+    *,
+    budget: Union[None, int, float, Budget] = None,
+    tracer=None,
+    metrics=None,
+) -> VerifyReport:
+    """:func:`verify_pair` on a request whose fingerprint is known.
+
+    The batch worker passes the fingerprint its job already carries, so a
+    batch job writes and hashes its circuits' BLIF once, at submission.
+    """
     (c1, topo1), (c2, topo2) = request._load_sorted()
     t0 = time.perf_counter()
     result = check_sequential_equivalence(
@@ -580,7 +602,7 @@ def verify_pair(
         result,
         request,
         elapsed_seconds=time.perf_counter() - t0,
-        fingerprint=request.fingerprint(),
+        fingerprint=fingerprint,
     )
 
 

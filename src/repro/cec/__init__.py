@@ -13,7 +13,9 @@ The engine follows the filter architecture of the tools the paper cites
 4. **output check** — each output pair still open is then decided by
    SAT, yielding either EQUIVALENT or a counterexample assignment.
 
-A BDD-based engine (:func:`check_equivalence_bdd`) provides an independent
+:func:`check_miter` runs every phase after the miter build on a miter
+built elsewhere (the sequential check lowers its CBF/EDBF pair straight
+into one).  A BDD-based engine (:func:`check_equivalence_bdd`) provides an independent
 cross-check for small circuits.
 
 Scaling layers on top of the filter pipeline:
@@ -36,6 +38,7 @@ from repro.cec.engine import (
     EngineStats,
     check_equivalence,
     check_equivalence_bdd,
+    check_miter,
     check_miter_unsat,
 )
 from repro.cec.miter import build_miter
@@ -52,6 +55,7 @@ __all__ = [
     "WorkUnit",
     "check_equivalence",
     "check_equivalence_bdd",
+    "check_miter",
     "check_miter_unsat",
     "build_miter",
     "partition_candidates",

@@ -5,6 +5,8 @@ phase — build the miter, prove or refute it by truth tables when every
 open output reads few enough inputs, otherwise preprocess it, encode it to
 CNF, SAT-sweep the simulation classes with counterexample-guided
 refinement, then decide each output pair the miter leaves open with SAT.
+:func:`check_miter` runs the same phases after the build on a miter
+built elsewhere.
 Naming ``engines`` runs that SAT path without the table phase.  A
 :class:`~repro.runtime.Budget` only bounds that work: the sweep and
 every SAT call stop at its limits, and a check that runs dry records an
@@ -73,6 +75,7 @@ __all__ = [
     "EngineStats",
     "check_equivalence",
     "check_equivalence_bdd",
+    "check_miter",
     "check_miter_unsat",
     "extract_counterexample",
     "validate_counterexample",
@@ -616,14 +619,20 @@ def _check_outputs(
 
 
 def _begin(
-    c1: Circuit,
-    c2: Circuit,
-    options: CecOptions,
+    names: Tuple[str, str],
+    options: Optional[CecOptions],
     budget: Union[None, int, float, Budget],
     tracer: Union[None, Tracer, NullTracer],
     metrics: Optional[MetricsRegistry],
 ) -> _Check:
-    """Open a check: its registry, started budget and root span."""
+    """Open a check: its registry, started budget and root span.
+
+    An invalid ``options.engines`` raises here, before the budget starts
+    or a span opens.
+    """
+    if options is None:
+        options = CecOptions()
+    engines = parse_engines(options.engines)
     tracer = coerce_tracer(tracer)
     registry = MetricsRegistry()
     budget = Budget.coerce(budget)
@@ -634,10 +643,12 @@ def _begin(
     root = tracer.span(
         "cec.check",
         cat="pair",
-        c1=getattr(c1, "name", ""),
-        c2=getattr(c2, "name", ""),
+        c1=names[0],
+        c2=names[1],
         budgeted=budget is not None,
     )
+    if engines is not None:
+        root.annotate(engines=",".join(engines))
     return _Check(
         options=options,
         budget=budget,
@@ -647,26 +658,6 @@ def _begin(
         root=root,
         t0=time.perf_counter(),
     )
-
-
-def _build(check: _Check, c1: Circuit, c2: Circuit) -> Optional[MiterAIG]:
-    """Build the miter; None when equivalence is already structural.
-
-    Equivalence is structural when every output pair hashes onto one
-    literal in the shared AIG; then no further phase is needed.
-    """
-    with check.tracer.span("cec.phase.build", cat="phase"):
-        miter = build_miter(c1, c2)
-    check.registry.set_gauge(
-        "cec.phase.build.seconds", time.perf_counter() - check.t0
-    )
-    check.stats["aig_nodes"] = miter.aig.num_nodes()
-    check.stats["aig_ands"] = miter.aig.num_ands()
-    if miter.trivially_equivalent:
-        check.stats["structural"] = 1
-        check.root.annotate(structural=True)
-        return None
-    return miter
 
 
 def _tables(check: _Check, miter: MiterAIG) -> Optional[CheckResult]:
@@ -1074,12 +1065,14 @@ def check_equivalence(
     sweep parameters (``sim_rounds``, ``sim_width``, ``sweep``,
     ``conflict_limit``, ``seed``, ``refine_rounds``) are keywords.
 
-    The check runs in phases: build the miter, preprocess it, encode it,
-    SAT-sweep its simulation classes, then decide each output pair the
-    miter leaves open with SAT.  ``sweep=False`` skips the sweep (pure
-    monolithic SAT on the miter).  The sweep partitions its candidates
-    into cone-disjoint work units and proves each, one at a time, on its
-    own solver over only the unit's cone.
+    The check builds the miter (:func:`~repro.cec.miter.build_miter`, in
+    the ``cec.phase.build`` span), then runs :func:`check_miter`'s phases
+    on it: preprocess it, encode it, SAT-sweep its simulation classes,
+    then decide each output pair the miter leaves open with SAT.
+    ``sweep=False`` skips the sweep (pure monolithic SAT on the miter).
+    The sweep partitions its candidates into cone-disjoint work units
+    and proves each, one at a time, on its own solver over only the
+    unit's cone.
 
     A default check first tries truth tables, right after the build:
     when every output pair the miter leaves open reads at most
@@ -1132,16 +1125,89 @@ def check_equivalence(
     (``cec.sat.core_retired``).  Retirement reduces work only; it never
     changes a verdict.
     """
-    if options is None:
-        options = CecOptions()
-    engines = parse_engines(options.engines)
-    check = _begin(c1, c2, options, budget, tracer, metrics)
-    if engines is not None:
-        check.root.annotate(engines=",".join(engines))
-    miter = _build(check, c1, c2)
-    if miter is None:
+    check = _begin(
+        (getattr(c1, "name", ""), getattr(c2, "name", "")),
+        options,
+        budget,
+        tracer,
+        metrics,
+    )
+    with check.tracer.span("cec.phase.build", cat="phase"):
+        miter = build_miter(c1, c2)
+    check.registry.set_gauge(
+        "cec.phase.build.seconds", time.perf_counter() - check.t0
+    )
+    return _decide(
+        check,
+        miter,
+        sim_rounds,
+        sim_width,
+        sweep,
+        conflict_limit,
+        seed,
+        refine_rounds,
+    )
+
+
+def check_miter(
+    miter: MiterAIG,
+    options: Optional[CecOptions] = None,
+    *,
+    budget: Union[None, int, float, Budget] = None,
+    tracer: Union[None, Tracer, NullTracer] = None,
+    metrics: Optional[MetricsRegistry] = None,
+    sim_rounds: int = 4,
+    sim_width: int = 64,
+    sweep: bool = True,
+    conflict_limit: Optional[int] = None,
+    seed: int = 0,
+    refine_rounds: int = DEFAULT_REFINE_ROUNDS,
+) -> CheckResult:
+    """Check a miter that is already built: every phase after the build.
+
+    The same check as :func:`check_equivalence`, with the same options,
+    keywords, stats, metrics and spans, on a :class:`MiterAIG` from any
+    builder — the sequential check lowers its CBF/EDBF pair straight
+    into one (:func:`repro.core.eq2comb.cbf_to_miter`).  There is no
+    build phase: no ``cec.phase.build`` span and no ``time_build``
+    stat, and the budget starts here.  The ``cec.check`` span's
+    ``c1``/``c2`` are ``miter.names``.
+    """
+    check = _begin(miter.names, options, budget, tracer, metrics)
+    return _decide(
+        check,
+        miter,
+        sim_rounds,
+        sim_width,
+        sweep,
+        conflict_limit,
+        seed,
+        refine_rounds,
+    )
+
+
+def _decide(
+    check: _Check,
+    miter: MiterAIG,
+    sim_rounds: int,
+    sim_width: int,
+    sweep: bool,
+    conflict_limit: Optional[int],
+    seed: int,
+    refine_rounds: int,
+) -> CheckResult:
+    """Every phase after the build, on one check's miter.
+
+    Equivalence is structural when every output pair hashes onto one
+    literal in the shared AIG; then no further phase runs.
+    """
+    check.stats["aig_nodes"] = miter.aig.num_nodes()
+    check.stats["aig_ands"] = miter.aig.num_ands()
+    if miter.trivially_equivalent:
+        check.stats["structural"] = 1
+        check.root.annotate(structural=True)
         return _finish(check, CheckResult(CecVerdict.EQUIVALENT))
-    if engines is None and not check.expired():
+    if check.options.engines is None and not check.expired():
         result = _tables(check, miter)
         if result is not None:
             return _finish(check, result)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.aig.aig import AIG, aig_from_circuit
 from repro.netlist.circuit import Circuit
@@ -11,19 +11,21 @@ __all__ = ["build_miter", "MiterAIG"]
 
 
 class MiterAIG:
-    """Both circuits in one shared AIG plus the paired output literals."""
+    """Both circuits in one shared AIG plus the paired output literals.
+
+    ``names`` labels the two sides (the circuits' names); the CEC check
+    puts them on its ``cec.check`` span.
+    """
 
     def __init__(
         self,
         aig: AIG,
         output_pairs: List[Tuple[str, int, int]],
-        lits1: Dict[str, int],
-        lits2: Dict[str, int],
+        names: Tuple[str, str] = ("", ""),
     ) -> None:
         self.aig = aig
         self.output_pairs = output_pairs  # (name, lit in c1, lit in c2)
-        self.lits1 = lits1
-        self.lits2 = lits2
+        self.names = names
 
     @property
     def trivially_equivalent(self) -> bool:
@@ -53,4 +55,4 @@ def build_miter(c1: Circuit, c2: Circuit) -> MiterAIG:
     aig, lits1 = aig_from_circuit(c1, aig)
     aig, lits2 = aig_from_circuit(c2, aig)
     pairs = [(name, lits1[name], lits2[name]) for name in sorted(set(c1.outputs))]
-    return MiterAIG(aig, pairs, lits1, lits2)
+    return MiterAIG(aig, pairs, (c1.name, c2.name))

@@ -207,12 +207,15 @@ class PreparedCircuit:
 
     ``circuit`` is acyclic at the latch level; ``exposed`` maps exposed
     latch names to their (pseudo input, pseudo output) ports; ``remodelled``
-    lists latches converted to load-enabled form.
+    lists latches converted to load-enabled form.  ``order`` is
+    ``circuit``'s ``topo_gates()`` when :func:`prepare_circuit` made it
+    (its check for leftover feedback sorts the circuit), else None.
     """
 
     circuit: Circuit
     exposed: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     remodelled: List[str] = field(default_factory=list)
+    order: Optional[List[Gate]] = None
 
     @property
     def num_exposed(self) -> int:
@@ -234,6 +237,10 @@ def prepare_circuit(
     flow does by modifying circuit A into B before synthesis).  ``pinned``
     latches are exposed unconditionally (designer-visible state bits).
     ``order`` is the circuit's ``topo_gates()``, computed when not given.
+
+    The result has no feedback latches: a final check on its latch graph
+    exposes any the heuristic left, and the order that check sorts the
+    result in comes back as :attr:`PreparedCircuit.order`.
     """
     if order is None:
         order = circuit.topo_gates()
@@ -258,14 +265,20 @@ def prepare_circuit(
     exposed_result: ExposedCircuit = expose_latches(work, sorted(to_expose))
     from repro.netlist.graph import feedback_latches
 
-    leftover = feedback_latches(exposed_result.circuit)
+    prepared_order = exposed_result.circuit.topo_gates()
+    leftover = feedback_latches(exposed_result.circuit, prepared_order)
     if leftover:
         # The FVS heuristic works on the latch graph before remodelling;
         # remodelling introduces no new cycles, so this should not happen.
+        # Exposing every latch on a cycle leaves none.
         extra = expose_latches(exposed_result.circuit, sorted(leftover))
         exposed_result = ExposedCircuit(
             extra.circuit, {**exposed_result.exposed, **extra.exposed}
         )
+        prepared_order = exposed_result.circuit.topo_gates()
     return PreparedCircuit(
-        exposed_result.circuit, exposed_result.exposed, remodelled
+        exposed_result.circuit,
+        exposed_result.exposed,
+        remodelled,
+        prepared_order,
     )

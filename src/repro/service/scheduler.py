@@ -46,7 +46,7 @@ import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.api import _INERT_FIELDS, VerifyReport, VerifyRequest, verify_pair
+from repro.api import _INERT_FIELDS, VerifyReport, VerifyRequest, _verify
 from repro.core.verify import SeqVerdict
 from repro.obs.metrics import TIME_BUCKETS, MetricsRegistry
 from repro.obs.trace import Tracer, coerce_tracer
@@ -75,8 +75,9 @@ def execute_request(payload: Dict[str, Any]) -> Dict[str, Any]:
     The payload is fully serialisable (request row, fingerprint, attempt
     count, optional trace epoch / metrics flag), so this function works
     identically on the process pool and on the in-process thread path.
-    Verification itself goes through :func:`repro.api.verify_pair` — the
-    service adds no second verification code path.
+    Verification itself goes through :func:`repro.api.verify_pair`'s body
+    (``_verify``), given the payload's fingerprint so the circuits are not
+    hashed again — the service adds no second verification code path.
     """
     chaos.ensure_env_plan()
     request = VerifyRequest.from_dict(payload["request"])
@@ -96,7 +97,7 @@ def execute_request(payload: Dict[str, Any]) -> Dict[str, Any]:
         # worker crash exercises the same containment a real one would
         # (in-worker retry first, worker-failure degradation after).
         chaos.fire("worker.entry", fingerprint)
-        return verify_pair(request, tracer=tracer, metrics=metrics)
+        return _verify(request, fingerprint, tracer=tracer, metrics=metrics)
 
     t0 = time.perf_counter()
     report, error, retries = run_with_retries(
@@ -121,7 +122,6 @@ def execute_request(payload: Dict[str, Any]) -> Dict[str, Any]:
             metadata=dict(request.metadata),
         )
     else:
-        report.fingerprint = fingerprint
         report.elapsed_seconds = elapsed
     return {
         "report": report.as_dict(),

@@ -155,6 +155,24 @@ class TestVerifyBatch:
         assert second.counter("service.jobs.done") == 0
         assert [r.exit_code for r in reports] == [0, 0, 1, 0]
 
+    def test_a_job_hashes_its_circuits_once(self, workload, monkeypatch):
+        # The fingerprint a job gets at submission is the one its report
+        # carries; the worker does not write and hash the BLIF again.
+        calls = []
+        original = VerifyRequest.fingerprint
+
+        def counted(request):
+            calls.append(request.name)
+            return original(request)
+
+        request = _requests(workload)[0]
+        monkeypatch.setattr(VerifyRequest, "fingerprint", counted)
+        (report,) = verify_batch([request], use_processes=False)
+        monkeypatch.undo()
+        assert report.exit_code == 0
+        assert calls == ["eq1"]
+        assert report.fingerprint == request.fingerprint()
+
     def test_budget_slices_surface_reason_codes(self, workload):
         reports = verify_batch(
             _requests(workload)[:2],

@@ -8,8 +8,9 @@ them on whole.  These tests pin that contract:
 * every ``CecOptions`` field is a ``VerifyRequest`` field with the same
   default;
 * each option set on a request or on :func:`repro.flows.flow.run_flow`
-  reaches :func:`repro.cec.check_equivalence` unchanged, next to the
-  run resources only — on a CBF pair and on an EDBF pair.
+  reaches the engine (:func:`repro.cec.check_miter`, which the sequential
+  check runs on its lowered miter) unchanged, next to the run resources
+  only — on a CBF pair and on an EDBF pair.
 """
 
 from __future__ import annotations
@@ -75,11 +76,11 @@ def engine_calls(monkeypatch):
     """Record what reaches the engine; answer EQUIVALENT without solving."""
     calls = []
 
-    def spy(c1, c2, options=None, **run):
+    def spy(miter, options=None, **run):
         calls.append((options, run))
         return CheckResult(CecVerdict.EQUIVALENT)
 
-    monkeypatch.setattr(core_verify, "check_equivalence", spy)
+    monkeypatch.setattr(core_verify, "check_miter", spy)
     return calls
 
 
