@@ -15,6 +15,7 @@ import functools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.circuit import Circuit
+from repro.netlist.cube import Sop
 
 __all__ = ["AIG", "aig_from_circuit", "aig_to_circuit", "lit_to_cnf"]
 
@@ -142,6 +143,26 @@ class AIG:
     def or_all(self, lits: Iterable[int]) -> int:
         """Balanced OR over many literals."""
         return self.and_all(l ^ 1 for l in lits) ^ 1
+
+    def add_sop(self, sop: Sop, fanin_lits: Sequence[int]) -> int:
+        """The literal of a cover over ``fanin_lits``.
+
+        Each cube is a balanced AND of its literals (:meth:`and_all`), the
+        cover a balanced OR of its cubes (:meth:`or_all`); a cover with no
+        cube is FALSE.
+        """
+        return self.or_all(
+            [
+                self.and_all(
+                    [
+                        fanin_lits[i] if ch == "1" else fanin_lits[i] ^ 1
+                        for i, ch in enumerate(cube)
+                        if ch != "-"
+                    ]
+                )
+                for cube in sop.cubes
+            ]
+        )
 
     # ------------------------------------------------------------------
     # queries
@@ -441,16 +462,7 @@ def aig_from_circuit(
     for pi in circuit.inputs:
         lit_of[pi] = aig.add_pi(pi)
     for gate in circuit.topo_gates():
-        fanin_lits = [lit_of[s] for s in gate.inputs]
-        cube_lits = []
-        for cube in gate.sop.cubes:
-            term_lits = [
-                fanin_lits[i] if ch == "1" else fanin_lits[i] ^ 1
-                for i, ch in enumerate(cube)
-                if ch != "-"
-            ]
-            cube_lits.append(aig.and_all(term_lits))
-        lit_of[gate.output] = aig.or_all(cube_lits) if cube_lits else FALSE_LIT
+        lit_of[gate.output] = aig.add_sop(gate.sop, [lit_of[s] for s in gate.inputs])
     for out in circuit.outputs:
         aig.add_output(out, lit_of[out])
     return aig, lit_of

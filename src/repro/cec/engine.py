@@ -33,6 +33,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -1049,12 +1050,7 @@ def check_equivalence(
     budget: Union[None, int, float, Budget] = None,
     tracer: Union[None, Tracer, NullTracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    sim_rounds: int = 4,
-    sim_width: int = 64,
-    sweep: bool = True,
-    conflict_limit: Optional[int] = None,
-    seed: int = 0,
-    refine_rounds: int = DEFAULT_REFINE_ROUNDS,
+    **sweep_params: Any,
 ) -> CheckResult:
     """Check combinational equivalence of two circuits.
 
@@ -1063,7 +1059,9 @@ def check_equivalence(
     engine options the layers above pass through; the run resources
     (``budget``, ``tracer``, ``metrics``) and the low-level
     sweep parameters (``sim_rounds``, ``sim_width``, ``sweep``,
-    ``conflict_limit``, ``seed``, ``refine_rounds``) are keywords.
+    ``conflict_limit``, ``seed``, ``refine_rounds``) are keywords.  The
+    sweep parameters go to the pipeline as given; their defaults are
+    :func:`_decide`'s.
 
     The check builds the miter (:func:`~repro.cec.miter.build_miter`, in
     the ``cec.phase.build`` span), then runs :func:`check_miter`'s phases
@@ -1137,16 +1135,7 @@ def check_equivalence(
     check.registry.set_gauge(
         "cec.phase.build.seconds", time.perf_counter() - check.t0
     )
-    return _decide(
-        check,
-        miter,
-        sim_rounds,
-        sim_width,
-        sweep,
-        conflict_limit,
-        seed,
-        refine_rounds,
-    )
+    return _decide(check, miter, **sweep_params)
 
 
 def check_miter(
@@ -1156,6 +1145,25 @@ def check_miter(
     budget: Union[None, int, float, Budget] = None,
     tracer: Union[None, Tracer, NullTracer] = None,
     metrics: Optional[MetricsRegistry] = None,
+) -> CheckResult:
+    """Check a miter that is already built: every phase after the build.
+
+    The same check as :func:`check_equivalence` with the default sweep
+    parameters, with the same options, run resources, stats, metrics and
+    spans, on a :class:`MiterAIG` from any builder — the sequential check
+    lowers its CBF/EDBF pair straight into one
+    (:func:`repro.core.eq2comb.expr_to_miter`).  There is no build phase:
+    no ``cec.phase.build`` span and no ``time_build`` stat, and the
+    budget starts here.  The ``cec.check`` span's ``c1``/``c2`` are
+    ``miter.names``.
+    """
+    return _decide(_begin(miter.names, options, budget, tracer, metrics), miter)
+
+
+def _decide(
+    check: _Check,
+    miter: MiterAIG,
+    *,
     sim_rounds: int = 4,
     sim_width: int = 64,
     sweep: bool = True,
@@ -1163,43 +1171,12 @@ def check_miter(
     seed: int = 0,
     refine_rounds: int = DEFAULT_REFINE_ROUNDS,
 ) -> CheckResult:
-    """Check a miter that is already built: every phase after the build.
-
-    The same check as :func:`check_equivalence`, with the same options,
-    keywords, stats, metrics and spans, on a :class:`MiterAIG` from any
-    builder — the sequential check lowers its CBF/EDBF pair straight
-    into one (:func:`repro.core.eq2comb.cbf_to_miter`).  There is no
-    build phase: no ``cec.phase.build`` span and no ``time_build``
-    stat, and the budget starts here.  The ``cec.check`` span's
-    ``c1``/``c2`` are ``miter.names``.
-    """
-    check = _begin(miter.names, options, budget, tracer, metrics)
-    return _decide(
-        check,
-        miter,
-        sim_rounds,
-        sim_width,
-        sweep,
-        conflict_limit,
-        seed,
-        refine_rounds,
-    )
-
-
-def _decide(
-    check: _Check,
-    miter: MiterAIG,
-    sim_rounds: int,
-    sim_width: int,
-    sweep: bool,
-    conflict_limit: Optional[int],
-    seed: int,
-    refine_rounds: int,
-) -> CheckResult:
     """Every phase after the build, on one check's miter.
 
-    Equivalence is structural when every output pair hashes onto one
-    literal in the shared AIG; then no further phase runs.
+    The keywords are :func:`check_equivalence`'s low-level sweep
+    parameters, with their one set of defaults.  Equivalence is
+    structural when every output pair hashes onto one literal in the
+    shared AIG; then no further phase runs.
     """
     check.stats["aig_nodes"] = miter.aig.num_nodes()
     check.stats["aig_ands"] = miter.aig.num_ands()

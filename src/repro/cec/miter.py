@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Collection, List, Tuple
 
 from repro.aig.aig import AIG, aig_from_circuit
 from repro.netlist.circuit import Circuit
 
-__all__ = ["build_miter", "MiterAIG"]
+__all__ = ["build_miter", "MiterAIG", "paired_outputs"]
 
 
 class MiterAIG:
@@ -21,7 +21,7 @@ class MiterAIG:
         self,
         aig: AIG,
         output_pairs: List[Tuple[str, int, int]],
-        names: Tuple[str, str] = ("", ""),
+        names: Tuple[str, str],
     ) -> None:
         self.aig = aig
         self.output_pairs = output_pairs  # (name, lit in c1, lit in c2)
@@ -38,6 +38,18 @@ class MiterAIG:
         return self.aig.or_all(xors)
 
 
+def paired_outputs(outputs1: Collection[str], outputs2: Collection[str]) -> List[str]:
+    """The output names a miter pairs, in pair order (sorted).
+
+    Mismatched output sets are a hard error, since an unpaired output has
+    no equivalence question to answer.
+    """
+    names = set(outputs1)
+    if names != set(outputs2):
+        raise ValueError(f"output sets differ: {sorted(names ^ set(outputs2))}")
+    return sorted(names)
+
+
 def build_miter(c1: Circuit, c2: Circuit) -> MiterAIG:
     """Import both combinational circuits into one AIG, pair the outputs.
 
@@ -45,14 +57,11 @@ def build_miter(c1: Circuit, c2: Circuit) -> MiterAIG:
     input present on only one side — typically a primary input resynthesis
     swept away as unused — is treated as unconstrained on the side that
     lacks it, which is exactly the semantics of a free PI in the shared
-    AIG.  Mismatched *output* sets remain a hard error, since an unpaired
-    output has no equivalence question to answer.
+    AIG.  The output sets must match (:func:`paired_outputs`).
     """
-    if set(c1.outputs) != set(c2.outputs):
-        missing = sorted(set(c1.outputs) ^ set(c2.outputs))
-        raise ValueError(f"output sets differ: {missing}")
+    names = paired_outputs(c1.outputs, c2.outputs)
     aig = AIG()
     aig, lits1 = aig_from_circuit(c1, aig)
     aig, lits2 = aig_from_circuit(c2, aig)
-    pairs = [(name, lits1[name], lits2[name]) for name in sorted(set(c1.outputs))]
+    pairs = [(name, lits1[name], lits2[name]) for name in names]
     return MiterAIG(aig, pairs, (c1.name, c2.name))

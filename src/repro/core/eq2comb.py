@@ -11,10 +11,10 @@ Two circuits compared with a *shared* expression table / event context get
 identical variable names on both sides, so their lowered circuits can be
 mitered directly.
 
-The sequential check lowers a pair straight into the miter AIG the CEC
-engine reads (:func:`cbf_to_miter`, :func:`edbf_to_miter`): the same AIG,
-node for node, that :func:`~repro.cec.miter.build_miter` builds from the
-two lowered circuits, without building them.  The circuits
+The sequential check lowers a CBF or EDBF pair straight into the miter
+AIG the CEC engine reads (:func:`expr_to_miter`): the same AIG, node for
+node, that :func:`~repro.cec.miter.build_miter` builds from the two
+lowered circuits, without building them.  The circuits
 (:func:`cbf_to_circuit`, :func:`edbf_to_circuit`) stay the independent
 path to that AIG, and the form a lowered pair is written out in.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.aig.aig import AIG, FALSE_LIT, TRUE_LIT
-from repro.cec.miter import MiterAIG
+from repro.cec.miter import MiterAIG, paired_outputs
 from repro.core.cbf import CBF
 from repro.core.edbf import EDBF
 from repro.core.timedvar import CONST0, CONST1, ExprTable, VarKey
@@ -35,9 +35,7 @@ from repro.netlist.cube import Sop
 __all__ = [
     "LoweredPair",
     "cbf_to_circuit",
-    "cbf_to_miter",
     "edbf_to_circuit",
-    "edbf_to_miter",
     "expr_to_circuit",
     "expr_to_miter",
     "timed_input_name",
@@ -143,24 +141,23 @@ def expr_to_miter(
     table: ExprTable,
     outputs1: Mapping[str, int],
     outputs2: Mapping[str, int],
-    names: Tuple[str, str] = ("", ""),
+    names: Tuple[str, str],
 ) -> LoweredPair:
     """Lower two sides' expression roots straight into one miter AIG.
 
-    Each side's DAG is walked once (:meth:`ExprTable.descendants`).  The
-    PIs are the ``repr``-sorted union of both sides' variables, named by
-    :func:`timed_input_name`; then side 1's operation nodes and side 2's
-    are imported in walk order, each cover's cubes through
-    :meth:`~repro.aig.aig.AIG.and_all` and :meth:`~repro.aig.aig.AIG.or_all`
-    as :func:`~repro.aig.aig.aig_from_circuit` imports a gate.  The
+    Both sides' roots are nodes of ``table`` — two CBFs over one table,
+    or two EDBFs over one event context's — and must have the same output
+    names.  Each side's DAG is walked once
+    (:meth:`ExprTable.descendants`).  The PIs are the ``repr``-sorted
+    union of both sides' variables, named by :func:`timed_input_name`;
+    then side 1's operation nodes and side 2's are imported in walk
+    order, each cover through :meth:`~repro.aig.aig.AIG.add_sop` as
+    :func:`~repro.aig.aig.aig_from_circuit` imports a gate.  The
     circuits' output buffers add no node, so this is the AIG of
     ``build_miter`` on the two lowered circuits, node for node (see
     :class:`LoweredPair`).  ``names`` labels the two sides of the miter.
-    Both sides must have the same output names.
     """
-    if set(outputs1) != set(outputs2):
-        missing = sorted(set(outputs1) ^ set(outputs2))
-        raise ValueError(f"output sets differ: {missing}")
+    order = paired_outputs(outputs1, outputs2)
     sides = (outputs1, outputs2)
     walks = [table.descendants(list(outputs.values())) for outputs in sides]
     variables = tuple(
@@ -181,52 +178,13 @@ def expr_to_miter(
                 lit_of[n] = pi_lit[table.var_key(n)]
             elif kind == "op":
                 sop, children = table.op_parts(n)
-                fanin = [lit_of[c] for c in children]
-                cube_lits = [
-                    aig.and_all(
-                        [
-                            fanin[i] if ch == "1" else fanin[i] ^ 1
-                            for i, ch in enumerate(cube)
-                            if ch != "-"
-                        ]
-                    )
-                    for cube in sop.cubes
-                ]
-                lit_of[n] = aig.or_all(cube_lits) if cube_lits else FALSE_LIT
-        lits = {f"__out_{name}": lit_of[node] for name, node in outputs.items()}
+                lit_of[n] = aig.add_sop(sop, [lit_of[c] for c in children])
+        lits = {name: lit_of[node] for name, node in outputs.items()}
         for name, lit in lits.items():
-            aig.add_output(name, lit)
+            aig.add_output(f"__out_{name}", lit)
         out_lits.append(lits)
         gates.append(len(walk) - len(side_vars) + len(outputs))
     pairs = [
-        (name, out_lits[0][name], out_lits[1][name]) for name in sorted(out_lits[0])
+        (f"__out_{name}", out_lits[0][name], out_lits[1][name]) for name in order
     ]
     return LoweredPair(MiterAIG(aig, pairs, names), variables, (gates[0], gates[1]))
-
-
-def cbf_to_miter(
-    cbf1: CBF, cbf2: CBF, names: Optional[Tuple[str, str]] = None
-) -> LoweredPair:
-    """The miter AIG of two CBFs over one expression table (Sec. 7.4)."""
-    if cbf1.table is not cbf2.table:
-        raise ValueError("the two CBFs must share one expression table")
-    return expr_to_miter(
-        cbf1.table,
-        cbf1.outputs,
-        cbf2.outputs,
-        names or (cbf1.circuit_name + "_cbf", cbf2.circuit_name + "_cbf"),
-    )
-
-
-def edbf_to_miter(
-    edbf1: EDBF, edbf2: EDBF, names: Optional[Tuple[str, str]] = None
-) -> LoweredPair:
-    """The miter AIG of two EDBFs over one event context."""
-    if edbf1.table is not edbf2.table:
-        raise ValueError("the two EDBFs must share one expression table")
-    return expr_to_miter(
-        edbf1.table,
-        edbf1.outputs,
-        edbf2.outputs,
-        names or (edbf1.circuit_name + "_edbf", edbf2.circuit_name + "_edbf"),
-    )

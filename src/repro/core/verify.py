@@ -31,7 +31,7 @@ from repro.cec.engine import CecVerdict, check_miter
 from repro.cec.options import CecOptions
 from repro.core.cbf import compute_cbf
 from repro.core.edbf import compute_edbf
-from repro.core.eq2comb import cbf_to_miter, edbf_to_miter
+from repro.core.eq2comb import expr_to_miter
 from repro.core.events import EventContext
 from repro.core.expose import prepare_circuit
 from repro.core.timedvar import ExprTable
@@ -47,9 +47,9 @@ from repro.sim.exact3 import (
 
 # The repository benchmark's traced runs (``perfbench/spans.py``
 # ``LAYERS``) wrap these three names on this module.  The check builds
-# its miter with ``cbf_to_miter``/``edbf_to_miter`` and runs it with
-# ``check_miter`` instead, but the bindings stay until the benchmark
-# wraps those: a missing one would fail every traced run.
+# its miter with ``expr_to_miter`` and runs it with ``check_miter``
+# instead, but the bindings stay until the benchmark wraps those: a
+# missing one would fail every traced run.
 from repro.cec.engine import check_equivalence  # noqa: F401
 from repro.core.eq2comb import cbf_to_circuit, edbf_to_circuit  # noqa: F401
 
@@ -173,7 +173,7 @@ def check_sequential_equivalence(
     ``options`` — a :class:`repro.cec.CecOptions` — is handed unchanged
     to :func:`repro.cec.check_miter` for the combinational check of the
     lowered pair, whose CBFs/EDBFs are lowered straight into the miter
-    AIG (:func:`repro.core.eq2comb.cbf_to_miter`); none of its settings
+    AIG (:func:`repro.core.eq2comb.expr_to_miter`); none of its settings
     changes a verdict.  The run resources go to the same call: ``budget`` — a
     :class:`repro.runtime.Budget` or bare wall-clock seconds —
     resource-governs the CEC step; exhaustion yields verdict UNKNOWN with
@@ -294,7 +294,9 @@ def _check_via_cbf(
         table = ExprTable()
         cbf1 = compute_cbf(c1, table, order=topo[0])
         cbf2 = compute_cbf(c2, table, order=topo[1])
-        lowered = cbf_to_miter(cbf1, cbf2, names=(c1.name + "_H", c2.name + "_J"))
+        lowered = expr_to_miter(
+            table, cbf1.outputs, cbf2.outputs, (c1.name + "_H", c2.name + "_J")
+        )
         # Syntactic depths (Lemma 5.1's filter is on semantic depth).
         d1, d2 = (max((key[2] for key in v), default=0) for v in lowered.variables)
         stats["depth1"], stats["depth2"] = d1, d2
@@ -418,8 +420,11 @@ def _check_via_edbf(
         edbf1 = compute_edbf(c1, context, order=topo[0])
         edbf2 = compute_edbf(c2, context, order=topo[1])
         stats["events"] = context.num_events()
-        lowered = edbf_to_miter(
-            edbf1, edbf2, names=(c1.name + "_H", c2.name + "_J")
+        lowered = expr_to_miter(
+            context.table,
+            edbf1.outputs,
+            edbf2.outputs,
+            (c1.name + "_H", c2.name + "_J"),
         )
     stats["comb_gates1"], stats["comb_gates2"] = lowered.gates
     cec = check_miter(

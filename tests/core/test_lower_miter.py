@@ -1,7 +1,7 @@
 """Lowering a CBF/EDBF pair straight into the miter AIG (Sec. 7.4).
 
-The sequential check lowers its pair with :func:`cbf_to_miter` /
-:func:`edbf_to_miter` instead of building the combinational pair H/J
+The sequential check lowers its CBF or EDBF pair with
+:func:`expr_to_miter` instead of building the combinational pair H/J
 (:func:`expr_to_circuit`) and importing both into one AIG
 (:func:`build_miter`).  The contract is identity: the AIG the check runs
 is, node for node, the one ``build_miter(H, J)`` builds — the same AND
@@ -26,9 +26,7 @@ from repro.core.cbf import compute_cbf
 from repro.core.edbf import compute_edbf
 from repro.core.eq2comb import (
     cbf_to_circuit,
-    cbf_to_miter,
     edbf_to_circuit,
-    edbf_to_miter,
     expr_to_circuit,
     expr_to_miter,
 )
@@ -87,12 +85,10 @@ def assert_same_lowering(c1, c2, event_rewrite=None):
     (f1, f2), (h, j), stats = lowered_circuits(c1, c2, event_rewrite)
     expected = aig_arrays(build_miter(h, j))
     names = (c1.name + "_H", c2.name + "_J")
+    lowered = expr_to_miter(f1.table, f1.outputs, f2.outputs, names)
     if event_rewrite is None:
-        lowered = cbf_to_miter(f1, f2, names=names)
         depths = [max((k[2] for k in v), default=0) for v in lowered.variables]
         assert depths == [f1.depth(), f2.depth()]
-    else:
-        lowered = edbf_to_miter(f1, f2, names=names)
     assert aig_arrays(lowered.miter) == expected
     assert lowered.gates == (h.num_gates(), j.num_gates())
     assert lowered.variables == (f1.variables(), f2.variables())
@@ -231,7 +227,8 @@ class TestEdgeCases:
         report = assert_same_lowering(g, r)
         assert report.verdict == "not_equivalent"
         table = ExprTable()
-        low = cbf_to_miter(compute_cbf(g, table), compute_cbf(r, table))
+        f1, f2 = compute_cbf(g, table), compute_cbf(r, table)
+        low = expr_to_miter(table, f1.outputs, f2.outputs, ("g", "r"))
         assert ("t", "c", 1) in low.variables[0] - low.variables[1]
         assert "c@1" in low.miter.aig.pi_names
 
@@ -242,7 +239,7 @@ class TestEdgeCases:
         outputs1 = {"k": CONST1, "s": xor, "t": xor, "v": y}
         xor_again = table.apply(Sop(2, ("01", "10")), [x, y])
         outputs2 = {"k": CONST0, "s": xor_again, "t": x, "v": y}
-        lowered = expr_to_miter(table, outputs1, outputs2, names=("H", "J"))
+        lowered = expr_to_miter(table, outputs1, outputs2, ("H", "J"))
         union = sorted({("t", "x", 0), ("t", "y", 2)}, key=repr)
         h = expr_to_circuit(table, outputs1, "H", union)
         j = expr_to_circuit(table, outputs2, "J", union)
@@ -253,12 +250,4 @@ class TestEdgeCases:
     def test_output_sets_must_match(self):
         table = ExprTable()
         with pytest.raises(ValueError, match="output sets differ"):
-            expr_to_miter(table, {"a": CONST0}, {"b": CONST0})
-
-    def test_sides_must_share_one_table(self):
-        def golden(b, a, c):
-            b.output(b.latch(a), name="o")
-
-        g, _ = _pair(golden, golden)
-        with pytest.raises(ValueError, match="one expression table"):
-            cbf_to_miter(compute_cbf(g), compute_cbf(g))
+            expr_to_miter(table, {"a": CONST0}, {"b": CONST0}, ("H", "J"))
